@@ -20,7 +20,6 @@ from .errors import (
     CostGuardError,
     HesslabError,
     TheoremViolation,
-    UnstableSamplingError,
 )
 from .gkm import (
     EquivClass,
@@ -78,7 +77,6 @@ __all__ = [
     "CostGuardError",
     "HesslabError",
     "TheoremViolation",
-    "UnstableSamplingError",
     "EquivClass",
     "GKMGraph",
     "build_gkm",

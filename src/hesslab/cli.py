@@ -18,6 +18,7 @@ import itertools
 import json
 import os
 import sys
+import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -30,7 +31,7 @@ from .dotchar import (
     regular_betti,
 )
 from .errors import CostGuardError, HesslabError, TheoremViolation
-from .gkm import GRAPH_MAX_N, RING_MAX_N, build_gkm, kahler_report, morse_betti
+from .gkm import DEFAULT_SEED, GRAPH_MAX_N, RING_MAX_N, build_gkm, kahler_report, morse_betti
 from .hessenberg import (
     enumerate_hessenberg,
     hessenberg_str,
@@ -39,10 +40,11 @@ from .hessenberg import (
 )
 from .linalg import det_exact
 from .partitions import conjugate, dominance_leq
-from .springer import DEFAULT_SEED, generic_jordan_type
+from .springer import generic_jordan_type
 
 VERIFY_MAX_N = 7
 VERIFY_FORCE_MAX_N = 8
+ANALYZE_MAX_N = 9  # multiplicity-table keys are one digit per part; --force cannot lift this
 DEFAULT_GKM_MAX_N = 4
 CACHE_ENV = "HESSLAB_CACHE"
 
@@ -122,25 +124,28 @@ def _cache_path(cache_dir: str, key: dict) -> str:
 def cache_fetch(cache_dir: str | None, key: dict):
     if not cache_dir:
         return None
-    path = _cache_path(cache_dir, key)
-    if not os.path.exists(path):
+    try:
+        with open(_cache_path(cache_dir, key), encoding="utf-8") as fh:
+            stored = json.load(fh)
+    except (OSError, ValueError):
+        return None  # absent, unreadable or corrupt: a miss that cache_store overwrites
+    if not isinstance(stored, dict) or stored.get("key") != json.loads(canonical_json(key)):
         return None
-    with open(path, encoding="utf-8") as fh:
-        stored = json.load(fh)
-    if stored.get("key") != json.loads(canonical_json(key)):
-        return None
-    return stored["payload"]
+    return stored.get("payload")
 
 
 def cache_store(cache_dir: str | None, key: dict, payload) -> None:
     if not cache_dir:
         return
     os.makedirs(cache_dir, exist_ok=True)
-    path = _cache_path(cache_dir, key)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json({"key": key, "payload": payload}))
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(canonical_json({"key": key, "payload": payload}))
+        os.replace(tmp, _cache_path(cache_dir, key))
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _key(module: str, h, seed: int, J=None) -> dict:
@@ -155,7 +160,7 @@ def _key(module: str, h, seed: int, J=None) -> dict:
 
 
 def _parse_compact_key(key: str):
-    # single digits only; n <= 9 everywhere the cache is used
+    # single digits only; analyze refuses n > ANALYZE_MAX_N
     return tuple(int(ch) for ch in key)
 
 
@@ -174,7 +179,7 @@ def _lambda_h_payload(h, seed: int, cache_dir) -> str:
     key = _key("springer", h, seed)
     payload = cache_fetch(cache_dir, key)
     if payload is None:
-        payload = {"lambda_H": _pstr(generic_jordan_type(h, seed=seed))}
+        payload = {"lambda_H": _pstr(generic_jordan_type(h))}
         cache_store(cache_dir, key, payload)
     return payload["lambda_H"]
 
@@ -266,7 +271,7 @@ def _verify_one(h, *, seed: int, gkm_max_n: int, control: bool) -> dict:
 
     n = len(h)
     out: dict = {"h": hessenberg_str(h), "violations": []}
-    for witness in support_violations(h, drop_conjugate=control, seed=seed):
+    for witness in support_violations(h, drop_conjugate=control):
         out["violations"].append(
             {
                 "type": "support",
@@ -318,6 +323,7 @@ def verify_report(
 ) -> dict:
     functions = enumerate_hessenberg(n, indecomposable_only)
     worker = partial(_verify_one, seed=seed, gkm_max_n=min(gkm_max_n, GRAPH_MAX_N), control=control)
+    jobs = min(jobs, os.cpu_count() or 1, len(functions))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(worker, functions))
@@ -534,6 +540,8 @@ def main(argv=None) -> int:
     cache_dir = _cache_dir(args)
     try:
         if args.command == "analyze":
+            if len(args.h) > ANALYZE_MAX_N:
+                parser.error(f"analyze supports n <= {ANALYZE_MAX_N}, also with --force (got n = {len(args.h)})")
             if args.J is not None and any(j > len(args.h) - 1 for j in args.J):
                 parser.error(f"J entries must be <= n-1 = {len(args.h) - 1}")
             report = analyze_report(

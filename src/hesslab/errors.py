@@ -13,10 +13,6 @@ class ConsistencyError(HesslabError):
     """Two independent internal computations disagree.  Never ignored, never downgraded."""
 
 
-class UnstableSamplingError(ConsistencyError):
-    """Randomized finite-field sampling failed its stability threshold after a retry."""
-
-
 class TheoremViolation(HesslabError):
     """A checked theorem failed on a concrete instance.
 

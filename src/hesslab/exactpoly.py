@@ -127,10 +127,6 @@ class Poly:
         """Total degree; -1 for zero."""
         return max((sum(mono) for mono in self.c), default=-1)
 
-    def is_homogeneous(self) -> bool:
-        degrees = {sum(mono) for mono in self.c}
-        return len(degrees) <= 1
-
     def constant_value(self) -> Fraction:
         """Value of a degree <= 0 polynomial; raises if higher-order terms exist."""
         if not self.c:
@@ -173,12 +169,6 @@ class Poly:
             total = total + term
         return total
 
-    def coeff_vector(self, d: int) -> list[Fraction]:
-        """Coefficients over monomials(nvars, d); the polynomial must be homogeneous of degree d (or zero)."""
-        if not self.is_zero() and (not self.is_homogeneous() or self.degree != d):
-            raise ValueError(f"expected homogeneous degree {d}, got {self!r}")
-        return [self.c.get(mono, Fraction(0)) for mono in monomials(self.nvars, d)]
-
     def __repr__(self):
         if not self.c:
             return "Poly(0)"
@@ -189,14 +179,6 @@ class Poly:
             )
             bits.append(f"{v}" + (f"*{vars_part}" if vars_part else ""))
         return "Poly(" + " + ".join(bits) + ")"
-
-
-def poly_from_vector(nvars: int, d: int, vec) -> Poly:
-    c = {}
-    for mono, v in zip(monomials(nvars, d), vec):
-        if v:
-            c[mono] = Fraction(v)
-    return Poly(nvars, c)
 
 
 def reduce_mod_linear(P: Poly, L: Poly) -> Poly:
@@ -228,10 +210,6 @@ def _hyperplane_images(L: Poly) -> tuple[Poly, ...]:
                 )
             )
     return tuple(images)
-
-
-def divides_linear(P: Poly, L: Poly) -> bool:
-    return reduce_mod_linear(P, L).is_zero()
 
 
 def divide_linear(P: Poly, L: Poly) -> Poly | None:

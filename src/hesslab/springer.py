@@ -8,69 +8,24 @@ indexing normalization (irreducibles attached to nilpotent orbits through the
 Fourier/Springer convention); dropping it must already fail at n = 3, and a
 control helper exposes exactly that.
 
-lambda_H is computed by randomized sampling over a prime field F_p with
-p > n^2: the type of any pattern matrix is dominance-below the generic one, so
-the generic type is the dominance-maximum over samples, with a stability
-threshold and a larger-prime retry so a bad prime can slow us down but never
-silently lie.
+lambda_H is exact, by Greene-Kleitman chain covers.  The pattern
+{(i, j) : j > h(i)} is the strict order of a poset P_h, and by Gansner's
+theorem lambda_1 + ... + lambda_k of the generic nilpotent element of its
+incidence algebra is the largest number of elements covered by k chains of
+P_h.  P_h is a unit interval order (i is the interval [i, h(i) + 1/2]), so a
+best-fit interval-scheduling greedy finds each k-chain cover.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
-from functools import cache
+from fractions import Fraction
 
 from .dotchar import dot_action_multiplicities
-from .errors import CostGuardError, UnstableSamplingError
+from .errors import CostGuardError
 from .hessenberg import annihilator_pattern, check_hessenberg
+from .linalg import rank_exact, rank_mod_p
 from .partitions import Partition, check_partition, conjugate, dominance_leq, partitions_of
-
-DEFAULT_SEED = 1729
-SAMPLES = 32
-STABILITY = 0.9
-
-
-def _rank_mod_p(rows: list[list[int]], p: int) -> int:
-    m = [[x % p for x in row] for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, nrows) if m[r][col]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = pow(m[rank][col], p - 2, p)
-        for r in range(rank + 1, nrows):
-            f = (m[r][col] * inv) % p
-            if f:
-                m[r] = [(a - f * b) % p for a, b in zip(m[r], m[rank])]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
-
-
-def _rank_exact(rows) -> int:
-    from fractions import Fraction
-
-    m = [[Fraction(x) for x in row] for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, nrows) if m[r][col]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        lead = m[rank][col]
-        for r in range(rank + 1, nrows):
-            if m[r][col]:
-                f = m[r][col] / lead
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-    return rank
 
 
 def _mat_mul(A, B, p):
@@ -104,7 +59,10 @@ def jordan_type(M, modulus: int | None = None) -> Partition:
     ranks = [n]
     power = M
     for _ in range(n):
-        r = _rank_mod_p(power, modulus) if modulus else _rank_exact(power)
+        if modulus:
+            r = rank_mod_p(power, modulus)
+        else:
+            r = rank_exact([[Fraction(x) for x in row] for row in power], n)
         ranks.append(r)
         if r == 0:
             break
@@ -117,97 +75,33 @@ def jordan_type(M, modulus: int | None = None) -> Partition:
     return conjugate(tuple(c for c in geq if c))
 
 
-def _next_prime(k: int) -> int:
-    cand = k + 1
-    while True:
-        if cand > 2 and all(cand % d for d in range(2, int(cand**0.5) + 1)):
-            return cand
-        cand += 1
-
-
-def _sample_generic(h, p: int, rng: random.Random, samples: int):
-    n = len(h)
-    positions = sorted(annihilator_pattern(h).positions)
-    types = []
-    for _ in range(samples):
-        M = [[0] * n for _ in range(n)]
-        for i, j in positions:
-            M[i - 1][j - 1] = rng.randrange(1, p)
-        types.append(jordan_type(M, modulus=p))
-    best = types[0]
-    for t in types[1:]:
-        if dominance_leq(best, t):
-            best = t
-        elif not dominance_leq(t, best):
-            return None, types  # incomparable pair: unstable at this prime
-    share = sum(1 for t in types if t == best) / len(types)
-    if share < STABILITY:
-        return None, types
-    return best, types
-
-
-def generic_jordan_type(h, *, seed: int = DEFAULT_SEED, symbolic: bool = False) -> Partition:
+def generic_jordan_type(h, *, seed: int | None = None) -> Partition:
     """Jordan type of a generic matrix supported on the annihilator pattern of h.
 
-    Randomized: >= 32 samples over F_p with the first prime p > n^2, aggregated
-    by dominance maximum; the maximum must be attained by >= 90% of samples or
-    the whole draw repeats once over a larger prime before failing loudly.
-    Deterministic for a fixed (h, seed).  symbolic=True instead computes exact
-    generic ranks with indeterminate entries (n <= 5; slower, no randomness).
+    Exact and deterministic: lambda_1 + ... + lambda_k is the most elements of
+    P_h that k chains cover.  Elements are taken in order of right endpoint
+    h(v) + 1/2, which is 1..n since h is nondecreasing; each goes on a free
+    track (last element u with h(u) < v) and is skipped when none is free.
+    A track free for v stays free for every later element, so which free
+    track v takes does not change the count.  seed is accepted for callers
+    that pass one and has no effect.
     """
     h = check_hessenberg(h)
-    if symbolic:
-        return _symbolic_generic_type(h)
-    return _generic_cached(h, seed)
-
-
-@cache
-def _generic_cached(h: tuple[int, ...], seed: int) -> Partition:
     n = len(h)
-    if not annihilator_pattern(h).positions:
-        return (1,) * n
-    rng = random.Random(f"hesslab-springer:{seed}:{h}")
-    p = _next_prime(n * n)
-    best, _ = _sample_generic(h, p, rng, SAMPLES)
-    if best is not None:
-        return best
-    p2 = _next_prime(4 * n * n)
-    best, types = _sample_generic(h, p2, rng, 2 * SAMPLES)
-    if best is not None:
-        return best
-    raise UnstableSamplingError(
-        f"generic Jordan type unstable for h={h} at primes {p}, {p2}; observed {sorted(set(types))}"
-    )
+    covered = [0]
+    while covered[-1] < n:
+        tails = [0] * len(covered)  # h of each track's last element; 0 = empty
+        count = 0
+        for v, hv in enumerate(h, start=1):
+            t = tails.index(min(tails))
+            if tails[t] < v:
+                tails[t] = hv
+                count += 1
+        covered.append(count)
+    return tuple(b - a for a, b in zip(covered, covered[1:]))
 
 
-def _symbolic_generic_type(h: tuple[int, ...]) -> Partition:
-    import sympy
-
-    n = len(h)
-    if n > 5:
-        raise CostGuardError(f"symbolic verification supports n <= 5, got n = {n}")
-    positions = sorted(annihilator_pattern(h).positions)
-    if not positions:
-        return (1,) * n
-    syms = sympy.symbols(f"x0:{len(positions)}")
-    M = sympy.zeros(n, n)
-    for sym, (i, j) in zip(syms, positions):
-        M[i - 1, j - 1] = sym
-    ranks = [n]
-    power = sympy.eye(n)
-    for _ in range(n):
-        power = power * M
-        r = power.rank()
-        ranks.append(r)
-        if r == 0:
-            break
-    if ranks[-1] != 0:
-        raise ArithmeticError(f"pattern matrix not nilpotent for h={h}")
-    geq = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))]
-    return conjugate(tuple(c for c in geq if c))
-
-
-def orbit_meets_annihilator(lam, h, *, seed: int = DEFAULT_SEED) -> bool:
+def orbit_meets_annihilator(lam, h) -> bool:
     """Whether the nilpotent orbit of type lam meets the annihilator space of h.
 
     By the closure-order description this is the dominance test
@@ -217,28 +111,29 @@ def orbit_meets_annihilator(lam, h, *, seed: int = DEFAULT_SEED) -> bool:
     h = check_hessenberg(h)
     if sum(lam) != len(h):
         raise ValueError(f"lam must be a partition of {len(h)}, got {lam}")
-    return dominance_leq(lam, generic_jordan_type(h, seed=seed))
+    return dominance_leq(lam, generic_jordan_type(h))
 
 
-def allowed_irreps(h, *, seed: int = DEFAULT_SEED) -> tuple[Partition, ...]:
+def allowed_irreps(h) -> tuple[Partition, ...]:
     """Irreducibles that the support criterion permits: conjugate(lam) <= lambda_H."""
     h = check_hessenberg(h)
-    lam_h = generic_jordan_type(h, seed=seed)
+    lam_h = generic_jordan_type(h)
     return tuple(
         lam for lam in partitions_of(len(h)) if dominance_leq(conjugate(lam), lam_h)
     )
 
 
-def support_violations(h, *, drop_conjugate: bool = False, seed: int = DEFAULT_SEED) -> list[dict]:
+def support_violations(h, *, drop_conjugate: bool = False, seed: int | None = None) -> list[dict]:
     """Irreducibles that appear in the graded character but fail the criterion.
 
     The correct convention tests conjugate(lam) <= lambda_H and should return
     no violations; drop_conjugate=True tests lam <= lambda_H instead, the
-    control that must already fail at n = 3, h = (2, 3, 3).
+    control that must already fail at n = 3, h = (2, 3, 3).  seed has no
+    effect, as in generic_jordan_type.
     """
     h = check_hessenberg(h)
     gm = dot_action_multiplicities(h)
-    lam_h = generic_jordan_type(h, seed=seed)
+    lam_h = generic_jordan_type(h)
     out = []
     for lam, row in gm.table.items():
         if not any(row):

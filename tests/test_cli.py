@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from hesslab import __version__
+from hesslab import __version__, cli
 from hesslab.cli import canonical_json, main
 
 
@@ -70,6 +70,15 @@ def test_analyze_usage_errors(capsys, bad):
     assert exc.value.code == 2
 
 
+def test_analyze_hard_ceiling(capsys):
+    # one digit per part in multiplicity keys: n = 10 is refused even with --force
+    for extra in ([], ["--force"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--h", ",".join(["10"] * 10), *extra])
+        assert exc.value.code == 2
+    assert "n <= 9" in capsys.readouterr().err
+
+
 def test_analyze_J_out_of_range(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["analyze", "--h", "2,3,3", "--J", "3"])
@@ -126,6 +135,33 @@ def test_verify_jobs_deterministic(capsys):
     rc1, out1, _ = run(capsys, "verify", "--n", "4")
     rc2, out2, _ = run(capsys, "verify", "--n", "4", "--jobs", "3")
     assert (rc1, out1) == (rc2, out2)
+
+
+def test_verify_jobs_clamped(capsys, monkeypatch):
+    # the clamp is checked on a fake pool that records its size and spawns nothing
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    _, serial, _ = run(capsys, "verify", "--n", "3")
+    # verify --n 3 sweeps 5 functions
+    for cpus, jobs, expected in ((4, "2", [2]), (3, "64", [3]), (64, "64", [5]), (1, "64", []), (None, "64", [])):
+        sizes.clear()
+        monkeypatch.setattr(cli.os, "cpu_count", lambda cpus=cpus: cpus)
+        rc, out, _ = run(capsys, "verify", "--n", "3", "--jobs", jobs)
+        assert (rc, out, sizes) == (0, serial, expected), (cpus, jobs)
 
 
 def test_exit_code_3_on_violation(capsys, monkeypatch):
@@ -244,6 +280,21 @@ def test_cache_round_trip(tmp_path, capsys):
     assert rc2 == 0 and warm == cold
     _, plain, _ = run(capsys, *args[:5])
     assert plain == cold
+
+
+def test_cache_corrupt_entries_are_rewritten(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    args = ("analyze", "--h", "2,3,3", "--gkm", "--cache-dir", str(cache))
+    rc, cold, _ = run(capsys, *args)
+    entries = sorted(cache.iterdir())
+    assert rc == 0 and len(entries) == 3
+    valid = {path: path.read_bytes() for path in entries}
+    for path in entries:
+        path.write_bytes(valid[path][: len(valid[path]) // 2])
+    rc, warm, err = run(capsys, *args)
+    assert (rc, warm, err) == (0, cold, "")
+    assert sorted(cache.iterdir()) == entries
+    assert {path: path.read_bytes() for path in entries} == valid
 
 
 def test_cache_env_var(tmp_path, capsys, monkeypatch):

@@ -1,4 +1,4 @@
-import itertools
+import random
 
 import pytest
 
@@ -57,20 +57,89 @@ def test_generic_type_fixtures():
     assert generic_jordan_type(tuple(range(1, 5))) == (4,)
 
 
+def sampled_generic_type(h, p, samples, rng):
+    """Dominance maximum of the Jordan types of random pattern matrices over F_p.
+
+    Every type in the pattern space is dominated by the generic one, so the
+    sampled types must have a maximum; a draw without one fails loudly.
+    """
+    n = len(h)
+    positions = sorted(annihilator_pattern(h).positions)
+    types = set()
+    for _ in range(samples):
+        M = [[0] * n for _ in range(n)]
+        for i, j in positions:
+            M[i - 1][j - 1] = rng.randrange(1, p)
+        types.add(jordan_type(M, modulus=p))
+    (best,) = [t for t in types if all(dominance_leq(u, t) for u in types)]
+    return best
+
+
+def symbolic_generic_type(sympy, h):
+    """Jordan type from exact ranks of the powers of a matrix of indeterminates."""
+    n = len(h)
+    positions = sorted(annihilator_pattern(h).positions)
+    M = sympy.zeros(n, n)
+    for sym, (i, j) in zip(sympy.symbols(f"x0:{len(positions)}"), positions):
+        M[i - 1, j - 1] = sym
+    ranks = [n]
+    power = sympy.eye(n)
+    while ranks[-1]:
+        power = power * M
+        ranks.append(power.rank())
+    geq = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))]
+    return conjugate(tuple(c for c in geq if c))
+
+
+def chain_cover_sizes(h):
+    """Most elements of P_h that k chains cover, k = 0..n, by Dilworth over all subsets.
+
+    A subset is a union of k chains iff its largest antichain has at most k
+    elements; i <_P j iff j > h(i).
+    """
+    n = len(h)
+    width = [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        elems = [i for i in range(1, n + 1) if mask >> (i - 1) & 1]
+        if all(j <= h[i - 1] for i in elems for j in elems if i < j):
+            width[mask] = len(elems)
+        else:
+            width[mask] = max(width[mask & ~(1 << (i - 1))] for i in elems)
+    return [
+        max(bin(mask).count("1") for mask in range(1 << n) if width[mask] <= k)
+        for k in range(n + 1)
+    ]
+
+
+def test_generic_type_matches_sampling():
+    rng = random.Random(1729)
+    for n in range(2, 7):
+        for h in enumerate_hessenberg(n):
+            assert sampled_generic_type(h, 101, 12, rng) == generic_jordan_type(h), h
+
+
 def test_generic_type_matches_symbolic():
+    sympy = pytest.importorskip("sympy")
     for n in (2, 3, 4):
         for h in enumerate_hessenberg(n):
-            assert generic_jordan_type(h) == generic_jordan_type(h, symbolic=True), h
+            assert generic_jordan_type(h) == symbolic_generic_type(sympy, h), h
 
 
-def test_symbolic_guard():
-    with pytest.raises(CostGuardError):
-        generic_jordan_type((6,) * 6, symbolic=True)
+def test_generic_type_is_dilworth_chain_cover():
+    for n in range(2, 8):
+        for h in enumerate_hessenberg(n):
+            covered = chain_cover_sizes(h)
+            lam = tuple(b - a for a, b in zip(covered, covered[1:]) if b > a)
+            assert generic_jordan_type(h) == lam, h
 
 
 def test_generic_type_seed_stability():
+    # seed is accepted and has no effect: lambda_H is exact
     for seed in (0, 1, 1729, 987654321):
         assert generic_jordan_type((2, 3, 3), seed=seed) == (2, 1)
+        assert support_violations((2, 3, 3), seed=seed) == []
+        for h in enumerate_hessenberg(4):
+            assert generic_jordan_type(h, seed=seed) == generic_jordan_type(h)
 
 
 def test_lambda_h_antitone_in_h():
