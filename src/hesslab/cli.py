@@ -4,8 +4,8 @@ Kahler-package checks on the moment-graph model.
 
 Reports are canonical JSON (sorted keys, compact separators, trailing
 newline) so a fixed seed and version produce identical bytes; CSV and a
-human table mode render the same data.  Exit codes: 0 success, 2 usage
-error, 3 any theorem violation.
+human table mode render the same data.  Exit codes: 0 success, 1 any other
+hesslab error, 2 usage error or cost guard, 3 any theorem violation.
 """
 
 from __future__ import annotations
@@ -27,11 +27,12 @@ from functools import partial
 from . import __version__
 from .dotchar import (
     dot_action_multiplicities,
+    multiplicities_from_json,
     multiplicities_json,
     regular_betti,
 )
 from .errors import CostGuardError, HesslabError, TheoremViolation
-from .gkm import DEFAULT_SEED, GRAPH_MAX_N, RING_MAX_N, build_gkm, kahler_report, morse_betti
+from .gkm import DEFAULT_SEED, GRAPH_MAX_N, RING_MAX_N, build_gkm, kahler_report, morse_betti, poincare_pairing
 from .hessenberg import (
     enumerate_hessenberg,
     hessenberg_str,
@@ -159,30 +160,16 @@ def _key(module: str, h, seed: int, J=None) -> dict:
     }
 
 
-def _parse_compact_key(key: str):
-    # single digits only; analyze refuses n > ANALYZE_MAX_N
-    return tuple(int(ch) for ch in key)
-
-
-# --- analyze ----------------------------------------------------------------
-
-def _mult_payload(h, seed: int, cache_dir, force: bool) -> dict:
-    key = _key("dotchar", h, seed)
+def _cached(cache_dir, key: dict, compute):
+    """The payload stored under key, else compute() stored under key."""
     payload = cache_fetch(cache_dir, key)
     if payload is None:
-        payload = multiplicities_json(dot_action_multiplicities(h, force))
+        payload = compute()
         cache_store(cache_dir, key, payload)
     return payload
 
 
-def _lambda_h_payload(h, seed: int, cache_dir) -> str:
-    key = _key("springer", h, seed)
-    payload = cache_fetch(cache_dir, key)
-    if payload is None:
-        payload = {"lambda_H": _pstr(generic_jordan_type(h))}
-        cache_store(cache_dir, key, payload)
-    return payload["lambda_H"]
-
+# --- analyze ----------------------------------------------------------------
 
 def _is_palindromic(row: list[int]) -> bool:
     return row == row[::-1]
@@ -196,15 +183,19 @@ def analyze_report(h, *, seed: int, J=None, use_gkm: bool = False, cache_dir=Non
     correct convention leaves it empty.
     """
     n = len(h)
-    mult = _mult_payload(h, seed, cache_dir, force)
-    lambda_h = _lambda_h_payload(h, seed, cache_dir)
+    mult = _cached(
+        cache_dir, _key("dotchar", h, seed), lambda: multiplicities_json(dot_action_multiplicities(h, force))
+    )
+    gm = multiplicities_from_json(mult)
+    lambda_h = _cached(
+        cache_dir, _key("springer", h, seed), lambda: {"lambda_H": _pstr(generic_jordan_type(h))}
+    )["lambda_H"]
     lam_H = tuple(int(p) for p in lambda_h.split(","))
 
     violations = []
     allowed = []
-    for key_str in sorted(mult["mult"], reverse=True):
-        lam = _parse_compact_key(key_str)
-        row = mult["mult"][key_str]
+    for lam in sorted(gm.table, reverse=True):
+        row = gm.table[lam]
         if dominance_leq(conjugate(lam), lam_H):
             allowed.append(_pstr(lam))
         elif any(row):
@@ -221,7 +212,7 @@ def analyze_report(h, *, seed: int, J=None, use_gkm: bool = False, cache_dir=Non
     J_list = [J] if J is not None else all_parabolic_subsets(n)
     regular = {}
     for Jset in J_list:
-        row = regular_betti(h, Jset)
+        row = regular_betti(gm, Jset)
         regular[_jstr(Jset)] = {"betti": row, "palindromic": _is_palindromic(row)}
         if not _is_palindromic(row):
             violations.append(
@@ -244,11 +235,9 @@ def analyze_report(h, *, seed: int, J=None, use_gkm: bool = False, cache_dir=Non
     }
 
     if use_gkm:
-        key = _key("gkm-morse", h, seed)
-        payload = cache_fetch(cache_dir, key)
-        if payload is None:
-            payload = {"morse_betti": morse_betti(build_gkm(h, seed=seed))}
-            cache_store(cache_dir, key, payload)
+        payload = _cached(
+            cache_dir, _key("gkm-morse", h, seed), lambda: {"morse_betti": morse_betti(build_gkm(h, seed=seed))}
+        )
         agrees = payload["morse_betti"] == mult["betti"]
         report["gkm"] = {"morse_betti": payload["morse_betti"], "agrees": agrees}
         if not agrees:
@@ -282,21 +271,17 @@ def _verify_one(h, *, seed: int, gkm_max_n: int, control: bool) -> dict:
                 "total_multiplicity": witness["total_multiplicity"],
             }
         )
-    for J in all_parabolic_subsets(n):
-        row = regular_betti(h, J)
+    regular = {J: regular_betti(h, J) for J in all_parabolic_subsets(n)}
+    for J, row in regular.items():
         if not _is_palindromic(row):
             out["violations"].append(
                 {"type": "palindromic", "h": hessenberg_str(h), "J": _jstr(J), "betti": row}
             )
-    if is_indecomposable(h):
-        row = regular_betti(h, ())
-        if row[0] != 1 or row[-1] != 1:
-            out["violations"].append(
-                {"type": "boundary", "h": hessenberg_str(h), "betti": row}
-            )
+    character = regular[()]
+    if is_indecomposable(h) and (character[0] != 1 or character[-1] != 1):
+        out["violations"].append({"type": "boundary", "h": hessenberg_str(h), "betti": character})
     if n <= gkm_max_n:
         morse = morse_betti(build_gkm(h, seed=seed))
-        character = regular_betti(h, ())
         if morse != character:
             out["violations"].append(
                 {
@@ -352,22 +337,21 @@ def verify_report(
 
 # --- kahler -----------------------------------------------------------------
 
+def _kahler_payload(h, J, lam, seed: int) -> dict:
+    g = build_gkm(h, seed=seed)
+    payload = kahler_report(g, J, lam)
+    # pairing determinants for the audit trail
+    for k_str, entry in payload["poincare"].items():
+        if entry["nondegenerate"]:
+            entry["det"] = str(det_exact(poincare_pairing(g, int(k_str), J)))
+    return _sanitize(payload)
+
+
 def kahler_cli_report(h, J, lam, *, seed: int, cache_dir=None) -> dict:
     key = _key("gkm-kahler", h, seed, J)
     if lam is not None:
         key["lambda"] = _pstr(lam)
-    payload = cache_fetch(cache_dir, key)
-    if payload is None:
-        g = build_gkm(h, seed=seed)
-        payload = kahler_report(g, J, lam)
-        # pairing determinants for the audit trail
-        for k_str, entry in payload["poincare"].items():
-            if entry["nondegenerate"]:
-                from .gkm import poincare_pairing
-
-                entry["det"] = str(det_exact(poincare_pairing(g, int(k_str), J)))
-        payload = _sanitize(payload)
-        cache_store(cache_dir, key, payload)
+    payload = _cached(cache_dir, key, lambda: _kahler_payload(h, J, lam, seed))
     report = dict(payload)
     report.update(
         {

@@ -4,9 +4,10 @@ The pipeline is: enumerate proper colorings of the incomparability graph,
 weight each by q^(number of ascending edges), collect into a q-refined
 chromatic symmetric function, then pair against Schur functions with a
 conjugate twist.  Row k of the resulting table gives the multiplicity of each
-irreducible in (complex) degree 2k, and the two Betti readings (full space,
-and invariant subspaces for a regular element with Young-subgroup stabilizer)
-are character-weighted sums of the same table.
+irreducible in (complex) degree 2k, and every Betti reading (the full space,
+or the invariant subspace for a regular element with Young-subgroup stabilizer
+W_J) is GradedMultiplicity.betti(J): each row weighted by the dimension of the
+W_J-fixed part of its irreducible.
 
 Grading convention: an edge {i, j} with i < j ascends under a coloring kappa
 iff kappa(i) < kappa(j), and q^k reports degree 2k directly (not reversed).
@@ -21,7 +22,7 @@ from functools import cache
 
 from .errors import ConsistencyError, CostGuardError
 from .hessenberg import check_hessenberg, dimension, incomparability_graph
-from .partitions import Partition, conjugate, dim_irrep, invariant_dim, partitions_of
+from .partitions import Partition, conjugate, invariant_dim, partitions_of
 from .symfunc import MONOMIAL, QPoly, QSymPoly, schur_inner_product
 
 COLORING_GUARD_N = 8
@@ -117,11 +118,18 @@ class GradedMultiplicity:
     def row(self, lam) -> list[int]:
         return list(self.table[tuple(lam)])
 
-    def betti(self) -> list[int]:
-        return [
-            sum(row[k] * dim_irrep(lam) for lam, row in self.table.items())
-            for k in range(self.l + 1)
-        ]
+    def betti(self, J=()) -> list[int]:
+        """Betti numbers b_{2k} of the W_J-invariant part; J = () is the full space.
+
+        Each irreducible contributes the dimension of its W_J-fixed subspace,
+        which depends only on the block sizes of W_J and is taken once per row.
+        """
+        out = [0] * (self.l + 1)
+        for lam, row in self.table.items():
+            weight = invariant_dim(lam, J)
+            for k, m in enumerate(row):
+                out[k] += m * weight
+        return out
 
 
 def dot_action_multiplicities(h, force: bool = False) -> GradedMultiplicity:
@@ -156,23 +164,17 @@ def _mult_cached(h: tuple[int, ...]) -> GradedMultiplicity:
 
 def betti_rs(h) -> list[int]:
     """Betti numbers b_{2k} of the semisimple space: dimension-weighted row sums."""
-    return dot_action_multiplicities(check_hessenberg(h)).betti()
+    return dot_action_multiplicities(h).betti()
 
 
 def regular_betti(h, J) -> list[int]:
     """Betti numbers b_{2k} for a regular element whose stabilizer is W_J.
 
-    Same multiplicity table, but each irreducible now contributes the dimension
-    of its W_J-fixed subspace.  J = () recovers betti_rs; J = {1, ..., n-1}
-    is the regular-nilpotent (one-block) reading.
+    h is a Hessenberg function or its GradedMultiplicity table.  J = ()
+    recovers betti_rs; J = {1, ..., n-1} is the regular-nilpotent reading.
     """
-    h = check_hessenberg(h)
-    gm = dot_action_multiplicities(h)
-    J = tuple(sorted(set(J)))
-    return [
-        sum(row[k] * invariant_dim(lam, J) for lam, row in gm.table.items())
-        for k in range(gm.l + 1)
-    ]
+    gm = h if isinstance(h, GradedMultiplicity) else dot_action_multiplicities(h)
+    return gm.betti(J)
 
 
 def compact_partition_key(lam: Partition) -> str:
@@ -189,3 +191,16 @@ def multiplicities_json(gm: GradedMultiplicity) -> dict:
         "mult": {compact_partition_key(lam): list(row) for lam, row in gm.table.items()},
         "betti": gm.betti(),
     }
+
+
+def multiplicities_from_json(doc: dict) -> GradedMultiplicity:
+    """Inverse of multiplicities_json; the derived "betti" entry is not read.
+
+    Keys are read one digit per part, so tables are unambiguous for n <= 9.
+    """
+    return GradedMultiplicity(
+        n=doc["n"],
+        h=tuple(int(v) for v in doc["h"].split(",")),
+        l=doc["l"],
+        table={tuple(int(ch) for ch in key): list(row) for key, row in doc["mult"].items()},
+    )

@@ -22,6 +22,7 @@ system, so the fast path never sacrifices exactness.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -469,18 +470,12 @@ def _divisibility_matrix(g: GKMGraph, k: int) -> list[list[int]]:
         for mono, cols in by_out.items():
             denom = 1
             for c in cols.values():
-                denom = denom * c.denominator // _gcd(denom, c.denominator)
+                denom = denom * c.denominator // math.gcd(denom, c.denominator)
             row = [0] * (len(g.vertices) * D)
             for col, c in cols.items():
                 row[col] = int(c * denom)
             rows.append(row)
     return rows
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def equivariant_piece(g: GKMGraph, k: int) -> list[EquivClass]:

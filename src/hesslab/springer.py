@@ -12,8 +12,9 @@ lambda_H is exact, by Greene-Kleitman chain covers.  The pattern
 {(i, j) : j > h(i)} is the strict order of a poset P_h, and by Gansner's
 theorem lambda_1 + ... + lambda_k of the generic nilpotent element of its
 incidence algebra is the largest number of elements covered by k chains of
-P_h.  P_h is a unit interval order (i is the interval [i, h(i) + 1/2]), so a
-best-fit interval-scheduling greedy finds each k-chain cover.
+P_h.  P_h is a unit interval order (i is the interval [i, h(i) + 1/2]), so an
+interval-scheduling greedy that puts each element on the free track with the
+smallest tail finds each k-chain cover.
 """
 
 from __future__ import annotations

@@ -4,8 +4,11 @@ import sys
 
 import pytest
 
-from hesslab import __version__, cli
+from hesslab import __version__, cli, dotchar
 from hesslab.cli import canonical_json, main
+from hesslab.dotchar import GradedMultiplicity, multiplicities_json
+from hesslab.partitions import partitions_of
+from hesslab.symfunc import q_factorial
 
 
 def run(capsys, *argv):
@@ -295,6 +298,32 @@ def test_cache_corrupt_entries_are_rewritten(tmp_path, capsys):
     assert (rc, warm, err) == (0, cold, "")
     assert sorted(cache.iterdir()) == entries
     assert {path: path.read_bytes() for path in entries} == valid
+
+
+def test_cache_warm_analyze_enumerates_no_colorings(tmp_path, capsys, monkeypatch):
+    args = ("analyze", "--h", "2,3,4,4", "--gkm", "--cache-dir", str(tmp_path))
+    rc, cold, _ = run(capsys, *args)
+    assert rc == 0
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a warm analyze must not enumerate colorings")
+
+    monkeypatch.setattr(dotchar, "chromatic_qsym", refuse)
+    assert run(capsys, *args) == (0, cold, "")
+
+
+def test_analyze_force_n9_from_cache(tmp_path, capsys):
+    # the flag variety: only the trivial isotype, in every degree of [9]_q!
+    h = (9,) * 9
+    factorial_row = q_factorial(9).coefficient_list(36)
+    table = {lam: [0] * 37 for lam in partitions_of(9)}
+    table[(9,)] = factorial_row
+    payload = multiplicities_json(GradedMultiplicity(n=9, h=h, l=36, table=table))
+    cli.cache_store(str(tmp_path), cli._key("dotchar", h, 1729), payload)
+    report = run_json(capsys, "analyze", "--h", ",".join(["9"] * 9), "--force", "--cache-dir", str(tmp_path))
+    assert report["violations"] == []
+    assert len(report["regular"]) == 2 ** 8
+    assert all(entry["betti"] == factorial_row for entry in report["regular"].values())
 
 
 def test_cache_env_var(tmp_path, capsys, monkeypatch):

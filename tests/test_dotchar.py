@@ -3,17 +3,19 @@ from math import factorial
 
 import pytest
 
+from hesslab.cli import all_parabolic_subsets
 from hesslab.dotchar import (
     betti_rs,
     chromatic_qsym,
     compact_partition_key,
     dot_action_multiplicities,
+    multiplicities_from_json,
     multiplicities_json,
     regular_betti,
 )
 from hesslab.errors import CostGuardError
 from hesslab.hessenberg import dimension, enumerate_hessenberg, incomparability_graph, is_indecomposable
-from hesslab.partitions import dim_irrep, partitions_of
+from hesslab.partitions import dim_irrep, partitions_of, young_subgroup_blocks
 from hesslab.symfunc import QPoly, q_factorial
 
 
@@ -96,9 +98,18 @@ def test_peterson_invariants():
 
 
 def test_regular_betti_specializations():
-    for n in (2, 3, 4):
+    for n in range(2, 6):
+        by_blocks: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for J in all_parabolic_subsets(n):
+            blocks = tuple(sorted(young_subgroup_blocks(J, n)))
+            by_blocks.setdefault(blocks, []).append(J)
         for h in enumerate_hessenberg(n):
-            assert regular_betti(h, ()) == betti_rs(h)
+            gm = dot_action_multiplicities(h)
+            assert regular_betti(h, ()) == betti_rs(h) == gm.betti()
+            for Js in by_blocks.values():
+                rows = [regular_betti(h, J) for J in Js]
+                assert all(regular_betti(gm, J) == row for J, row in zip(Js, rows))
+                assert all(row == rows[0] for row in rows)
 
 
 def test_json_shape():
@@ -110,6 +121,10 @@ def test_json_shape():
         "mult": {"3": [1, 2, 1], "21": [0, 1, 0], "111": [0, 0, 0]},
         "betti": [1, 4, 1],
     }
+    for n in range(2, 6):
+        for h in enumerate_hessenberg(n):
+            gm = dot_action_multiplicities(h)
+            assert multiplicities_from_json(multiplicities_json(gm)) == gm
 
 
 def test_compact_partition_key():
