@@ -115,9 +115,6 @@ class GradedMultiplicity:
     l: int
     table: dict[Partition, list[int]]
 
-    def row(self, lam) -> list[int]:
-        return list(self.table[tuple(lam)])
-
     def betti(self, J=()) -> list[int]:
         """Betti numbers b_{2k} of the W_J-invariant part; J = () is the full space.
 

@@ -13,10 +13,13 @@ subject to the edge divisibility conditions.  The module structure is handled
 through flow-up classes: a fixed generic covector orients every edge, each
 vertex gets a Morse index (its down-degree), and for each vertex we solve a
 small exact linear system for a class of that degree supported strictly above
-it, normalized to the product of its downward weights.  Products of flow-up
-classes with monomials give bases of every degree piece; completeness of that
-basis is certified against a modular rank bound of the full divisibility
-system, so the fast path never sacrifices exactness.
+it, normalized to the product of its downward weights.  Each row of that
+system is one monomial of one edge condition, so it touches the unknowns of
+at most two vertices; the rows go to linalg's sparse exact elimination kernel
+as {column: coefficient} dicts.  Products of flow-up classes with monomials
+give bases of every degree piece; completeness of that basis is certified
+against a modular rank bound of the full divisibility system, so the fast
+path never sacrifices exactness.
 """
 
 from __future__ import annotations
@@ -317,7 +320,7 @@ def _solve_flowup(g, vid, k, norm, support):
     in_support = set(support)
     ncols = len(unknown_ids) * D
 
-    rows: list[list[Fraction]] = []
+    rows: list[dict[int, Fraction]] = []
     rhs: list[Fraction] = []
     for u, v, _, pair in g.edges():
         if u not in in_support and v not in in_support:
@@ -344,10 +347,7 @@ def _solve_flowup(g, vid, k, norm, support):
         add_vertex(u, Fraction(1))
         add_vertex(v, Fraction(-1))
         for mono in set(entries) | set(const):
-            row = [Fraction(0)] * ncols
-            for col, c in entries.get(mono, {}).items():
-                row[col] = c
-            rows.append(row)
+            rows.append(entries.get(mono, {}))
             rhs.append(-const.get(mono, Fraction(0)))
 
     x = solve_particular(rows, rhs, ncols)
@@ -768,10 +768,11 @@ def poincare_pairing(g: GKMGraph, k: int, J=()):
             f"pairing blocks have mismatched dimensions {len(A)} vs {len(B)}"
         )
     matrix = [[integrate(g, a * b) for b in B] for a in A]
-    if len(A) and rank_exact(matrix, len(B)) != len(A):
+    rank = rank_exact(matrix, len(B))
+    if rank != len(A):
         raise TheoremViolation(
             f"singular pairing between degrees {k} and {2 * g.l - k} for h={g.h}, J={tuple(sorted(set(J)))}",
-            witness={"h": g.h, "J": sorted(set(J)), "degree": k, "matrix_rank": rank_exact(matrix, len(B))},
+            witness={"h": g.h, "J": sorted(set(J)), "degree": k, "matrix_rank": rank},
         )
     return matrix
 
@@ -820,10 +821,9 @@ def kahler_report(g: GKMGraph, J=(), lam=None) -> dict:
     for dd in range(0, g.l // 2 + 1):
         k = 2 * dd
         try:
-            matrix = poincare_pairing(g, k, J)
-            size = len(matrix)
-            rank = rank_exact(matrix, size) if size else 0
-            entry = {"size": size, "rank": rank, "nondegenerate": rank == size}
+            size = len(poincare_pairing(g, k, J))
+            # poincare_pairing raises unless the pairing has full rank
+            entry = {"size": size, "rank": size, "nondegenerate": True}
         except TheoremViolation as exc:
             entry = {
                 "size": dims[dd],
@@ -889,9 +889,8 @@ def kahler_report(g: GKMGraph, J=(), lam=None) -> dict:
                 if coeff:
                     acc = acc + cls.scale(coeff)
             prim_lifts.append(acc)
-        gram = [
-            [sign * integrate(g, a * b * multiplier) for b in prim_lifts] for a in prim_lifts
-        ]
+        scaled = [b * multiplier for b in prim_lifts]
+        gram = [[sign * integrate(g, a * b) for b in scaled] for a in prim_lifts]
         definite, pivots = ldlt_pivots(gram)
         signature = inertia(gram)
         hr_ok = hr_ok and definite

@@ -1,8 +1,21 @@
 """Exact rational linear algebra, plus a fast modular rank certificate.
 
-Everything user-facing runs over Fraction.  The one numpy routine computes
-ranks mod a large prime; by minor-vanishing, rank mod p never exceeds the
-rational rank, which is exactly the one-sided bound the callers need.
+Everything user-facing runs over Fraction.  Exact elimination has one kernel,
+`echelon`: rows are sparse {column: value} dicts (dense sequences are accepted
+and read as their nonzero entries), and each incoming row is reduced on its
+leading column against the pivot rows found so far, until its leading column
+is new (it becomes a pivot row, scaled to lead with 1) or nothing is left.
+That is an echelon form of the row space, so its pivot columns are exactly
+the pivot columns of the reduced row echelon form (RREF); `row_reduce` gets
+the RREF from it by one back pass.  `rank_exact`, `nullspace` and
+`solve_particular` all run on this kernel.  The RREF is unique, so with free
+variables set to 0 their answers are the ones dense Gauss-Jordan gives.  The
+moment-graph flow-up systems it serves touch two vertices per row, so the
+dict rows stay short where a dense copy would be mostly zeros.
+
+The one numpy routine computes ranks mod a large prime; by minor-vanishing,
+rank mod p never exceeds the rational rank, which is exactly the one-sided
+bound the callers need.
 """
 
 from __future__ import annotations
@@ -14,37 +27,60 @@ import numpy as np
 CERT_PRIMES = (2147483647, 2147483629)
 
 
-def row_reduce(rows, ncols: int):
-    """RREF.  Returns (pivot_columns, reduced_nonzero_rows); input is not modified."""
-    m = [list(r) for r in rows]
-    pivots: list[int] = []
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        lead = m[rank][col]
-        if lead != 1:
-            m[rank] = [x / lead for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == len(m):
-            break
-    return pivots, m[:rank]
+def _sparse(row) -> dict:
+    """The nonzero entries of a dict or dense row, as a fresh {column: value} dict."""
+    items = row.items() if isinstance(row, dict) else enumerate(row)
+    return {c: v for c, v in items if v}
+
+
+def _subtract(r: dict, f, prow: dict) -> None:
+    """r -= f * prow in place, dropping entries that cancel."""
+    for c, v in prow.items():
+        x = r.get(c, 0) - f * v
+        if x:
+            r[c] = x
+        else:
+            del r[c]
+
+
+def echelon(rows) -> dict[int, dict[int, Fraction]]:
+    """Echelon form as {pivot column: row}; each row is 1 at its pivot column
+    and 0 left of it.  The input rows are not modified."""
+    pivots: dict[int, dict[int, Fraction]] = {}
+    for row in rows:
+        r = _sparse(row)
+        while r:
+            lead = min(r)
+            prow = pivots.get(lead)
+            if prow is None:
+                inv = 1 / Fraction(r[lead])
+                pivots[lead] = {c: v * inv for c, v in r.items()}
+                break
+            _subtract(r, r[lead], prow)
+    return pivots
+
+
+def row_reduce(rows):
+    """RREF.  Returns (pivot_columns, reduced_nonzero_rows): columns ascending,
+    rows as sparse dicts in the same order.  The input rows are not modified."""
+    ech = echelon(rows)
+    pivots = sorted(ech)
+    # Right to left: the pivot rows right of col are already reduced, so
+    # subtracting them clears every other pivot column in one pass.
+    for col in reversed(pivots):
+        r = ech[col]
+        for c in [c for c in r if c != col and c in ech]:
+            _subtract(r, r[c], ech[c])
+    return pivots, [ech[c] for c in pivots]
 
 
 def rank_exact(rows, ncols: int) -> int:
-    return len(row_reduce(rows, ncols)[0])
+    return len(echelon(rows))
 
 
 def nullspace(rows, ncols: int):
     """Basis of the rational kernel, one vector per free column."""
-    pivots, red = row_reduce(rows, ncols)
+    pivots, red = row_reduce(rows)
     pivset = set(pivots)
     basis = []
     for fc in range(ncols):
@@ -53,7 +89,7 @@ def nullspace(rows, ncols: int):
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
         for prow, pcol in zip(red, pivots):
-            v[pcol] = -prow[fc]
+            v[pcol] = -prow.get(fc, Fraction(0))
         basis.append(v)
     return basis
 
@@ -62,13 +98,18 @@ def solve_particular(rows, rhs, ncols: int):
     """Any solution of rows * x = rhs with free variables set to 0, or None."""
     if not rows:
         return [Fraction(0)] * ncols
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    pivots, red = row_reduce(aug, ncols + 1)
+    aug = []
+    for row, b in zip(rows, rhs):
+        r = _sparse(row)
+        if b:
+            r[ncols] = b
+        aug.append(r)
+    pivots, red = row_reduce(aug)
     if ncols in pivots:
         return None
     x = [Fraction(0)] * ncols
     for prow, pcol in zip(red, pivots):
-        x[pcol] = prow[ncols]
+        x[pcol] = prow.get(ncols, Fraction(0))
     return x
 
 

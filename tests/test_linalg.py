@@ -1,0 +1,201 @@
+"""The sparse exact elimination kernel against dense Gauss-Jordan.
+
+`dense_row_reduce` is the dense Fraction RREF the library used before its
+sparse kernel; it stays here as the oracle.  Particular solutions (free
+variables 0), nullspace bases (one vector per free column) and ranks are
+fixed by the RREF, so the kernel must reproduce them exactly, on random
+sparse rational matrices and on every flow-up system the moment graph builds.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from hesslab import gkm
+from hesslab.gkm import build_gkm, flow_up_class
+from hesslab.hessenberg import enumerate_hessenberg
+from hesslab.linalg import echelon, nullspace, rank_exact, row_reduce, solve_particular
+
+
+def dense_row_reduce(rows, ncols: int):
+    """RREF.  Returns (pivot_columns, reduced_nonzero_rows); input is not modified."""
+    m = [list(r) for r in rows]
+    pivots: list[int] = []
+    rank = 0
+    for col in range(ncols):
+        piv = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        lead = m[rank][col]
+        if lead != 1:
+            m[rank] = [x / lead for x in m[rank]]
+        for r in range(len(m)):
+            if r != rank and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+        pivots.append(col)
+        rank += 1
+        if rank == len(m):
+            break
+    return pivots, m[:rank]
+
+
+def dense_nullspace(rows, ncols: int):
+    pivots, red = dense_row_reduce(rows, ncols)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for prow, pcol in zip(red, pivots):
+            v[pcol] = -prow[fc]
+        basis.append(v)
+    return basis
+
+
+def dense_solve(rows, rhs, ncols: int):
+    if not rows:
+        return [Fraction(0)] * ncols
+    pivots, red = dense_row_reduce([list(r) + [b] for r, b in zip(rows, rhs)], ncols + 1)
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for prow, pcol in zip(red, pivots):
+        x[pcol] = prow[ncols]
+    return x
+
+
+def dense(row, ncols: int):
+    if not isinstance(row, dict):
+        return list(row)
+    out = [Fraction(0)] * ncols
+    for c, v in row.items():
+        out[c] = v
+    return out
+
+
+def random_matrix(rng, nrows: int, ncols: int, density: float):
+    """Sparse rational rows, some of them zero and some combinations of earlier rows."""
+    rows = []
+    for _ in range(nrows):
+        pick = rng.random()
+        if pick < 0.1:
+            rows.append([Fraction(0)] * ncols)
+        elif pick < 0.3 and rows:
+            a, b = rng.choice(rows), rng.choice(rows)
+            s, t = Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+        else:
+            rows.append(
+                [
+                    Fraction(rng.randint(-5, 5), rng.randint(1, 6)) if rng.random() < density else Fraction(0)
+                    for _ in range(ncols)
+                ]
+            )
+    return rows
+
+
+def as_dicts(rows):
+    return [{c: v for c, v in enumerate(r) if v} for r in rows]
+
+
+def assert_same_values(got, want):
+    assert got == want
+    if got is not None:
+        assert all(type(x) is Fraction for x in got)
+
+
+SHAPES = [(0, 0), (0, 4), (3, 0), (1, 1), (4, 4), (6, 3), (3, 7), (12, 9), (9, 15), (20, 16)]
+
+
+@pytest.mark.parametrize("nrows,ncols", SHAPES)
+def test_kernel_matches_dense_on_random_sparse_matrices(nrows, ncols):
+    rng = random.Random(f"linalg:{nrows}x{ncols}")
+    for trial in range(40):
+        density = (0.15, 0.4, 0.8)[trial % 3]
+        rows = random_matrix(rng, nrows, ncols, density)
+        before = [list(r) for r in rows]
+        want_piv, want_red = dense_row_reduce(rows, ncols)
+        for given in (rows, as_dicts(rows)):
+            piv, red = row_reduce(given)
+            assert piv == want_piv
+            assert [dense(r, ncols) for r in red] == want_red
+            assert sorted(echelon(given)) == want_piv
+            assert rank_exact(given, ncols) == len(want_piv)
+            assert nullspace(given, ncols) == dense_nullspace(rows, ncols)
+        assert rows == before
+
+        # a consistent right-hand side: rows times a random x
+        x0 = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(ncols)]
+        rhs = [sum((a * b for a, b in zip(r, x0)), Fraction(0)) for r in rows]
+        want = dense_solve(rows, rhs, ncols)
+        assert want is not None
+        assert_same_values(solve_particular(rows, rhs, ncols), want)
+        assert_same_values(solve_particular(as_dicts(rows), rhs, ncols), want)
+
+        # an arbitrary right-hand side: consistent or not, the answers agree
+        rhs = [Fraction(rng.randint(-3, 3)) for _ in rows]
+        want = dense_solve(rows, rhs, ncols)
+        assert_same_values(solve_particular(as_dicts(rows), rhs, ncols), want)
+
+
+def test_inconsistent_systems_have_no_solution():
+    rng = random.Random("linalg:inconsistent")
+    for _ in range(30):
+        ncols = rng.randint(1, 8)
+        rows = random_matrix(rng, rng.randint(1, 8), ncols, 0.5)
+        rhs = [Fraction(rng.randint(-3, 3)) for _ in rows]
+        # a zero row with a nonzero right-hand side can never be met
+        rows.append([Fraction(0)] * ncols)
+        rhs.append(Fraction(1))
+        # and neither can a duplicated row asking for a different value
+        rows.append(list(rows[0]))
+        rhs.append(rhs[0] + 1)
+        assert dense_solve(rows, rhs, ncols) is None
+        assert solve_particular(rows, rhs, ncols) is None
+        assert solve_particular(as_dicts(rows), rhs, ncols) is None
+
+
+def test_edge_cases():
+    assert solve_particular([], [], 3) == [Fraction(0)] * 3
+    assert solve_particular([[]], [Fraction(0)], 0) == []
+    assert solve_particular([[]], [Fraction(2)], 0) is None
+    assert nullspace([], 2) == [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
+    assert nullspace([[Fraction(0)] * 2], 2) == nullspace([], 2)
+    assert nullspace([[]], 0) == []
+    assert rank_exact([], 0) == 0
+    assert rank_exact([{}, {}], 5) == 0
+    assert row_reduce([[Fraction(0), Fraction(2), Fraction(4)]]) == ([1], [{1: 1, 2: 2}])
+    # integer input still comes out exact
+    assert solve_particular([[2, 1]], [1], 2) == [Fraction(1, 2), Fraction(0)]
+
+
+def flowup_systems(h, monkeypatch):
+    """Every (rows, rhs, ncols, answer) that flow_up_class hands the solver for h."""
+    seen = []
+
+    def record(rows, rhs, ncols):
+        x = solve_particular(rows, rhs, ncols)
+        seen.append((rows, rhs, ncols, x))
+        return x
+
+    g = build_gkm(h)
+    with monkeypatch.context() as patch:
+        patch.setattr(gkm, "solve_particular", record)
+        for vid in range(len(g.vertices)):
+            flow_up_class(g, vid)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "h", [*enumerate_hessenberg(2), *enumerate_hessenberg(3), (2, 3, 4, 4)], ids=str
+)
+def test_flowup_systems_match_dense(h, monkeypatch):
+    systems = flowup_systems(h, monkeypatch)
+    assert systems
+    for rows, rhs, ncols, x in systems:
+        assert all(isinstance(r, dict) for r in rows)
+        assert_same_values(x, dense_solve([dense(r, ncols) for r in rows], rhs, ncols))
