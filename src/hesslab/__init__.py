@@ -1,9 +1,10 @@
 """Exact combinatorics of regular Hessenberg spaces in type A.
 
-Graded symmetric-group characters from chromatic quasisymmetric functions,
-Betti numbers of all regular Hessenberg spaces through invariant subrings, a
-support criterion for which irreducibles can appear, and a moment-graph model
-with certified Poincare duality, hard Lefschetz, and signed primitive forms.
+Graded symmetric-group characters from P-tableaux (the Schur expansion of
+chromatic quasisymmetric functions), Betti numbers of all regular Hessenberg
+spaces through invariant subrings, a support criterion for which irreducibles
+can appear, and a moment-graph model with certified Poincare duality, hard
+Lefschetz, and signed primitive forms.
 All arithmetic is exact (integers and fractions); nothing is floating point.
 """
 

@@ -756,10 +756,15 @@ def poincare_pairing(g: GKMGraph, k: int, J=()):
 
     Entries integrate products of equivariant lifts; the result is independent
     of the lifts because the ambiguity integrates to negative degree.  Raises
-    TheoremViolation if the pairing is singular.
+    TheoremViolation if the pairing is singular, on every call; a nonsingular
+    matrix is memoized per (k, J) and returned as the same object.
     """
     if k % 2 or not 0 <= k <= 2 * g.l:
         raise ValueError(f"need an even degree within 0..{2 * g.l}, got {k}")
+    cache = g._caches.setdefault("pairing", {})
+    key = (k, tuple(sorted(set(J))))
+    if key in cache:
+        return cache[key]
     dd = k // 2
     A = [lift(g, dd, v) for v in invariant_vectors(g, J, dd)]
     B = [lift(g, g.l - dd, v) for v in invariant_vectors(g, J, g.l - dd)]
@@ -774,6 +779,7 @@ def poincare_pairing(g: GKMGraph, k: int, J=()):
             f"singular pairing between degrees {k} and {2 * g.l - k} for h={g.h}, J={tuple(sorted(set(J)))}",
             witness={"h": g.h, "J": sorted(set(J)), "degree": k, "matrix_rank": rank},
         )
+    cache[key] = matrix
     return matrix
 
 

@@ -3,13 +3,12 @@
 Partitions are plain tuples of weakly decreasing positive integers.  Characters
 are computed by recursive border-strip removal (beta-number model) with
 memoization, so every value is an exact integer.  Invariant dimensions for
-Young subgroups are class-by-class averages of character values, again exact.
+Young subgroups are Kostka numbers, counted by peeling horizontal strips.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import cache
 from math import factorial
 
@@ -161,30 +160,45 @@ def young_subgroup_blocks(J, n: int) -> tuple[int, ...]:
 def invariant_dim(lam: Partition, J) -> int:
     """Dimension of the W_J-fixed subspace of the irreducible indexed by lam.
 
-    Averages chi^lam over the Young subgroup, summing class by class: a
-    conjugacy class of a product of symmetric groups is a tuple of per-block
-    cycle types, its size the product of the per-block class sizes, and its
-    cycle type in S_n the sorted concatenation.
+    By Frobenius reciprocity it is the multiplicity of lam in the permutation
+    module on the cosets of W_J, which is the Kostka number K_{lam, mu}: the
+    semistandard tableaux of shape lam and content mu, the sorted block sizes.
     """
     lam = check_partition(lam)
-    n = sum(lam)
-    sizes = young_subgroup_blocks(J, n)
-    return _invariant_dim_cached(lam, tuple(sorted(sizes, reverse=True)))
+    return kostka_number(lam, young_subgroup_content(J, sum(lam)))
+
+
+def young_subgroup_content(J, n: int) -> tuple[int, ...]:
+    """mu(J): the block sizes of W_J sorted decreasing, the content for kostka_number."""
+    return tuple(sorted(young_subgroup_blocks(J, n), reverse=True))
 
 
 @cache
-def _invariant_dim_cached(lam: Partition, sizes: tuple[int, ...]) -> int:
-    order = 1
-    for b in sizes:
-        order *= factorial(b)
-    acc = 0
-    for combo in itertools.product(*(partitions_of(b) for b in sizes)):
-        weight = 1
-        for mu in combo:
-            weight *= conjugacy_class_size(mu)
-        full_type = tuple(sorted((p for mu in combo for p in mu), reverse=True))
-        acc += weight * _mn(lam, full_type)
-    dim = Fraction(acc, order)
-    if dim.denominator != 1 or dim < 0:
-        raise ArithmeticError(f"invariant dimension must be a nonnegative integer, got {dim}")
-    return int(dim)
+def kostka_number(lam: Partition, mu: tuple[int, ...]) -> int:
+    """K_{lam, mu}: semistandard tableaux of shape lam with content mu.
+
+    mu may come in any order.  The largest entry fills a horizontal strip of
+    mu[-1] cells, so peel every such strip and count the rest with content
+    mu[:-1].  Arguments are not validated; invariant_dim is the checked entry.
+    """
+    if not mu:
+        return 1 if not lam else 0
+    return sum(kostka_number(inner, mu[:-1]) for inner in _horizontal_strips(lam, mu[-1]))
+
+
+def _horizontal_strips(lam: Partition, k: int):
+    """Every partition inner with lam / inner a horizontal strip of k cells.
+
+    Row r may lose at most lam[r] - lam[r + 1] cells, so no two removed
+    cells share a column.
+    """
+    if not lam:
+        if k == 0:
+            yield ()
+        return
+    rest = lam[1:]
+    floor = rest[0] if rest else 0
+    for take in range(min(k, lam[0] - floor) + 1):
+        for tail in _horizontal_strips(rest, k - take):
+            row = lam[0] - take
+            yield (row,) + tail if row else tail

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from hesslab import __version__, cli, dotchar
 from hesslab.cli import canonical_json, main
 from hesslab.dotchar import GradedMultiplicity, multiplicities_json
 from hesslab.partitions import partitions_of
+from hesslab.springer import support_violations
 from hesslab.symfunc import q_factorial
 
 
@@ -221,6 +223,17 @@ def test_kahler_threefold(capsys):
     assert report["verdicts"]["all"] is True
 
 
+def test_kahler_bytes_pinned(capsys):
+    # canonical kahler reports at seed 1729, pairing determinants included,
+    # pinned byte for byte
+    text = "".join(
+        run(capsys, "kahler", "--h", h, "--J", J)[1]
+        for h, J in (("2,3,3", ""), ("2,3,3", "1,2"), ("2,3,4,4", "1,3"))
+    )
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "c63a9e692ba6a53519890d92ed7d7c619d98e8cb57d0810241c42c46b35bb181"
+
+
 def test_kahler_custom_lambda(capsys):
     report = run_json(capsys, "kahler", "--h", "2,3,3", "--J", "", "--lambda", "5,1,-2")
     assert report["lambda"] == "5,1,-2"
@@ -306,10 +319,32 @@ def test_cache_warm_analyze_enumerates_no_colorings(tmp_path, capsys, monkeypatc
     assert rc == 0
 
     def refuse(*_args, **_kwargs):
-        raise AssertionError("a warm analyze must not enumerate colorings")
+        raise AssertionError("a warm analyze must not recompute the multiplicity table")
+
+    monkeypatch.setattr(cli, "dot_action_multiplicities", refuse)
+    assert run(capsys, *args) == (0, cold, "")
+
+
+def test_character_paths_reach_no_colorings(monkeypatch):
+    # colorings are the oracle only: tables, the support test and both reports
+    # come from P-tableaux, also for functions whose table is not memoized yet
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("the character route must not enumerate colorings")
 
     monkeypatch.setattr(dotchar, "chromatic_qsym", refuse)
-    assert run(capsys, *args) == (0, cold, "")
+    monkeypatch.setattr(dotchar, "_chromatic_cached", refuse)
+    dotchar._mult_cached.cache_clear()
+    h = (3, 3, 4, 5, 5)
+    assert dotchar.dot_action_multiplicities(h).betti() == [1, 17, 42, 42, 17, 1]
+    assert support_violations(h) == []
+    assert cli.analyze_report(h, seed=1729)["violations"] == []
+    assert cli.verify_report(5, seed=1729)["violations"] == []
+
+
+def test_verify_n7_clean(capsys):
+    report = run_json(capsys, "verify", "--n", "7")
+    assert report["functions"] == 429
+    assert report["violations"] == []
 
 
 def test_analyze_force_n9_from_cache(tmp_path, capsys):

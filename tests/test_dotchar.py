@@ -15,8 +15,8 @@ from hesslab.dotchar import (
 )
 from hesslab.errors import CostGuardError
 from hesslab.hessenberg import dimension, enumerate_hessenberg, incomparability_graph, is_indecomposable
-from hesslab.partitions import dim_irrep, partitions_of, young_subgroup_blocks
-from hesslab.symfunc import QPoly, q_factorial
+from hesslab.partitions import conjugate, dim_irrep, partitions_of, young_subgroup_blocks
+from hesslab.symfunc import QPoly, q_factorial, schur_inner_product
 
 
 def brute_force_csf(h):
@@ -52,6 +52,85 @@ def test_chromatic_cost_guard():
     h = (9,) * 9
     with pytest.raises(CostGuardError):
         chromatic_qsym(h)
+    with pytest.raises(CostGuardError):
+        dot_action_multiplicities(h)
+
+
+def schur_decoded_table(h):
+    """The coloring route: pair the chromatic function against conjugate Schur functions."""
+    X = chromatic_qsym(h)
+    l = dimension(h)
+    return {lam: schur_inner_product(X, conjugate(lam)).coefficient_list(l) for lam in partitions_of(len(h))}
+
+
+def test_tableaux_match_schur_decoded_colorings():
+    for n in range(2, 7):
+        for h in enumerate_hessenberg(n):
+            assert dot_action_multiplicities(h).table == schur_decoded_table(h), h
+
+
+def brute_force_tableaux(h):
+    """{shape: {inv: count}} over every filling of every shape by every permutation.
+
+    Nothing is shared with the library: shapes are generated here, a P-tableau
+    is checked cell by cell (rows strict P-chains, no entry above the entry
+    below it in P), and inv counts incomparable i < j with i in a lower row.
+    """
+    n = len(h)
+
+    def less(i, j):  # i <_P j
+        return j > h[i - 1]
+
+    def shapes(total, cap):
+        if total == 0:
+            yield ()
+        for first in range(min(total, cap), 0, -1):
+            for rest in shapes(total - first, first):
+                yield (first,) + rest
+
+    out = {}
+    for shape in shapes(n, n):
+        hist = {}
+        for perm in itertools.permutations(range(1, n + 1)):
+            rows, pos = [], 0
+            for length in shape:
+                rows.append(perm[pos : pos + length])
+                pos += length
+            if any(not less(row[c], row[c + 1]) for row in rows for c in range(len(row) - 1)):
+                continue
+            if any(
+                less(rows[r + 1][c], rows[r][c]) for r in range(len(rows) - 1) for c in range(len(rows[r + 1]))
+            ):
+                continue
+            row_of = {v: r for r, row in enumerate(rows) for v in row}
+            inv = sum(
+                1
+                for i in range(1, n + 1)
+                for j in range(i + 1, n + 1)
+                if not less(i, j) and row_of[i] > row_of[j]
+            )
+            hist[inv] = hist.get(inv, 0) + 1
+        out[shape] = hist
+    return out
+
+
+def test_tableaux_match_brute_force_count():
+    for n in range(2, 6):
+        for h in enumerate_hessenberg(n):
+            table = dot_action_multiplicities(h).table
+            counted = brute_force_tableaux(h)
+            assert len(counted) == len(table)
+            for shape, hist in counted.items():
+                transpose = tuple(sum(1 for part in shape if part > c) for c in range(shape[0]))
+                row = table[transpose]
+                assert {k: v for k, v in enumerate(row) if v} == hist, (h, shape)
+
+
+def test_tableaux_n7_sum_and_palindromes():
+    for h in enumerate_hessenberg(7):
+        gm = dot_action_multiplicities(h)
+        assert sum(dim_irrep(lam) * sum(row) for lam, row in gm.table.items()) == factorial(7), h
+        assert all(row == row[::-1] for row in gm.table.values()), h
 
 
 def test_flag_variety_pin():

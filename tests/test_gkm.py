@@ -5,8 +5,9 @@ from math import comb, factorial
 
 import pytest
 
+from hesslab import gkm
 from hesslab.dotchar import betti_rs, dot_action_multiplicities, regular_betti
-from hesslab.errors import ConsistencyError
+from hesslab.errors import ConsistencyError, TheoremViolation
 from hesslab.exactpoly import Poly
 from hesslab.gkm import (
     EquivClass,
@@ -322,6 +323,29 @@ def test_poincare_pairing_fixtures():
 
     with pytest.raises(ValueError):
         poincare_pairing(hexagon, 1)
+
+
+def test_pairing_memoized_unless_singular(monkeypatch):
+    calls = []
+
+    def counted(g, c):
+        calls.append(1)
+        return integrate(g, c)
+
+    monkeypatch.setattr(gkm, "integrate", counted)
+    g = build_gkm((2, 3, 4, 4))
+    first = poincare_pairing(g, 2, (1, 3))
+    size = len(first)
+    assert size and len(calls) == size * size
+    assert poincare_pairing(g, 2, [3, 1, 3]) is first
+    assert len(calls) == size * size
+
+    # a singular pairing is recomputed, and raises, on every call
+    monkeypatch.setattr(gkm, "rank_exact", lambda rows, ncols: 0)
+    for k in (1, 2):
+        with pytest.raises(TheoremViolation):
+            poincare_pairing(g, 0, (1, 3))
+        assert len(calls) == size * size + k
 
 
 def test_pairing_independent_of_lift():

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 from math import factorial
 
 import pytest
@@ -201,3 +202,34 @@ def test_induced_module_dimension_count():
                     invariant_dim(lam, J) * dim_irrep(lam) for lam in partitions_of(n)
                 )
                 assert total == factorial(n) // order
+
+
+def class_average_invariant_dim(lam, J) -> int:
+    """dim of the W_J-fixed part of lam as the average of chi^lam over W_J.
+
+    Sums class by class: a class of a product of symmetric groups is a tuple
+    of per-block cycle types, its size the product of the per-block class
+    sizes, and its cycle type in S_n the sorted concatenation.
+    """
+    sizes = young_subgroup_blocks(J, sum(lam))
+    order = 1
+    for b in sizes:
+        order *= factorial(b)
+    acc = 0
+    for combo in itertools.product(*(partitions_of(b) for b in sizes)):
+        weight = 1
+        for mu in combo:
+            weight *= conjugacy_class_size(mu)
+        acc += weight * character_value(lam, tuple(sorted((p for mu in combo for p in mu), reverse=True)))
+    dim = Fraction(acc, order)
+    assert dim.denominator == 1 and dim >= 0
+    return int(dim)
+
+
+def test_invariant_dim_matches_character_average():
+    for n in range(1, 8):
+        for lam in partitions_of(n):
+            for J_size in range(n):
+                for J in itertools.combinations(range(1, n), J_size):
+                    assert invariant_dim(lam, J) == class_average_invariant_dim(lam, J), (lam, J)
+
