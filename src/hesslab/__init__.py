@@ -27,10 +27,7 @@ from .gkm import (
     GKMGraph,
     build_gkm,
     dot_action,
-    equivariant_piece,
     flow_up_class,
-    hard_lefschetz_check,
-    hodge_riemann_check,
     integrate,
     invariant_subring,
     kahler_class,
@@ -59,7 +56,6 @@ from .partitions import (
 from .springer import (
     allowed_irreps,
     generic_jordan_type,
-    jordan_type,
     orbit_meets_annihilator,
     support_violations,
 )
@@ -82,10 +78,7 @@ __all__ = [
     "GKMGraph",
     "build_gkm",
     "dot_action",
-    "equivariant_piece",
     "flow_up_class",
-    "hard_lefschetz_check",
-    "hodge_riemann_check",
     "integrate",
     "invariant_subring",
     "kahler_class",
@@ -108,7 +101,6 @@ __all__ = [
     "partitions_of",
     "allowed_irreps",
     "generic_jordan_type",
-    "jordan_type",
     "orbit_meets_annihilator",
     "support_violations",
     "QPoly",

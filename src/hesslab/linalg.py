@@ -1,8 +1,8 @@
-"""Exact rational linear algebra, plus a fast modular rank certificate.
+"""Exact rational linear algebra.
 
-Everything user-facing runs over Fraction.  Exact elimination has one kernel,
-`echelon`: rows are sparse {column: value} dicts (dense sequences are accepted
-and read as their nonzero entries), and each incoming row is reduced on its
+Everything runs over Fraction.  Elimination has one kernel, `echelon`: rows
+are sparse {column: value} dicts (dense sequences are accepted and read as
+their nonzero entries), and each incoming row is reduced on its
 leading column against the pivot rows found so far, until its leading column
 is new (it becomes a pivot row, scaled to lead with 1) or nothing is left.
 That is an echelon form of the row space, so its pivot columns are exactly
@@ -11,20 +11,14 @@ the RREF from it by one back pass.  `rank_exact`, `nullspace` and
 `solve_particular` all run on this kernel.  The RREF is unique, so with free
 variables set to 0 their answers are the ones dense Gauss-Jordan gives.  The
 moment-graph flow-up systems it serves touch two vertices per row, so the
-dict rows stay short where a dense copy would be mostly zeros.
-
-The one numpy routine computes ranks mod a large prime; by minor-vanishing,
-rank mod p never exceeds the rational rank, which is exactly the one-sided
-bound the callers need.
+dict rows stay short where a dense copy would be mostly zeros.  The dense
+helpers below (`ldlt_pivots`, `inertia`, `det_exact`) serve the small
+symmetric pairing and Gram matrices of the Kahler checks.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-import numpy as np
-
-CERT_PRIMES = (2147483647, 2147483629)
 
 
 def _sparse(row) -> dict:
@@ -74,7 +68,7 @@ def row_reduce(rows):
     return pivots, [ech[c] for c in pivots]
 
 
-def rank_exact(rows, ncols: int) -> int:
+def rank_exact(rows) -> int:
     return len(echelon(rows))
 
 
@@ -111,32 +105,6 @@ def solve_particular(rows, rhs, ncols: int):
     for prow, pcol in zip(red, pivots):
         x[pcol] = prow.get(ncols, Fraction(0))
     return x
-
-
-def rank_mod_p(rows, p: int) -> int:
-    """Rank of an integer matrix over F_p (vectorized elimination)."""
-    if not rows or not rows[0]:
-        return 0
-    A = np.array(rows, dtype=np.int64) % p
-    nrows, ncols = A.shape
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        nz = np.nonzero(A[r:, c])[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            A[[r, piv]] = A[[piv, r]]
-        inv = pow(int(A[r, c]), p - 2, p)
-        A[r] = (A[r] * inv) % p
-        below = A[r + 1 :, c]
-        mask = below != 0
-        if mask.any():
-            A[r + 1 :][mask] = (A[r + 1 :][mask] - np.outer(below[mask], A[r])) % p
-        r += 1
-    return r
 
 
 def ldlt_pivots(G):

@@ -19,61 +19,9 @@ smallest tail finds each k-chain cover.
 
 from __future__ import annotations
 
-import itertools
-from fractions import Fraction
-
 from .dotchar import dot_action_multiplicities
-from .errors import CostGuardError
-from .hessenberg import annihilator_pattern, check_hessenberg
-from .linalg import rank_exact, rank_mod_p
+from .hessenberg import check_hessenberg
 from .partitions import Partition, check_partition, conjugate, dominance_leq, partitions_of
-
-
-def _mat_mul(A, B, p):
-    n = len(A)
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        Ai = A[i]
-        for k in range(n):
-            a = Ai[k]
-            if a:
-                Bk = B[k]
-                row = out[i]
-                for j in range(n):
-                    row[j] += a * Bk[j]
-    if p is not None:
-        out = [[x % p for x in row] for row in out]
-    return out
-
-
-def jordan_type(M, modulus: int | None = None) -> Partition:
-    """Jordan type of a nilpotent matrix from its exact rank sequence.
-
-    With r_k = rank(M^k), the number of blocks of size >= k is r_{k-1} - r_k,
-    and that sequence is the conjugate of the type.  Entries are integers,
-    interpreted in F_modulus when a modulus is given and exactly over the
-    rationals otherwise.  Non-nilpotent input raises.
-    """
-    n = len(M)
-    if any(len(row) != n for row in M):
-        raise ValueError("matrix must be square")
-    ranks = [n]
-    power = M
-    for _ in range(n):
-        if modulus:
-            r = rank_mod_p(power, modulus)
-        else:
-            r = rank_exact([[Fraction(x) for x in row] for row in power], n)
-        ranks.append(r)
-        if r == 0:
-            break
-        power = _mat_mul(power, M, modulus)
-    if ranks[-1] != 0:
-        raise ValueError("matrix is not nilpotent")
-    geq = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))]
-    if any(geq[i] < geq[i + 1] for i in range(len(geq) - 1)):
-        raise ArithmeticError(f"rank sequence {ranks} is not convex")
-    return conjugate(tuple(c for c in geq if c))
 
 
 def generic_jordan_type(h, *, seed: int | None = None) -> Partition:
@@ -151,29 +99,3 @@ def support_violations(h, *, drop_conjugate: bool = False, seed: int | None = No
                 }
             )
     return out
-
-
-def brute_force_orbit_oracle(lam, h, p: int) -> bool:
-    """Exhaustive check over F_p: does any pattern matrix have Jordan type lam?
-
-    Deliberately dumb and exponential (p^|pattern| matrices); only n <= 4 and
-    p in {2, 3, 5} are accepted.  Serves as the independent oracle for
-    orbit_meets_annihilator.
-    """
-    lam = check_partition(lam)
-    h = check_hessenberg(h)
-    n = len(h)
-    if n > 4:
-        raise CostGuardError(f"brute force oracle supports n <= 4, got n = {n}")
-    if p not in (2, 3, 5):
-        raise ValueError(f"p must be one of 2, 3, 5, got {p}")
-    if sum(lam) != n:
-        raise ValueError(f"lam must be a partition of {n}")
-    positions = sorted(annihilator_pattern(h).positions)
-    for values in itertools.product(range(p), repeat=len(positions)):
-        M = [[0] * n for _ in range(n)]
-        for v, (i, j) in zip(values, positions):
-            M[i - 1][j - 1] = v
-        if jordan_type(M, modulus=p) == lam:
-            return True
-    return False

@@ -43,11 +43,6 @@ class QPoly:
     def monomial(cls, k: int, coeff: int = 1) -> "QPoly":
         return cls({k: coeff})
 
-    @classmethod
-    def from_coefficients(cls, coeffs) -> "QPoly":
-        """Build from an ascending coefficient list: [1, 2, 1] -> 1 + 2q + q^2."""
-        return cls({k: v for k, v in enumerate(coeffs)})
-
     def __add__(self, other: "QPoly") -> "QPoly":
         c = dict(self.c)
         for k, v in other.c.items():

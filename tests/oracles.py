@@ -1,0 +1,186 @@
+"""Independent oracles the tests check the library against.
+
+None of this is on a command path.  Each routine is the slow, direct route to
+something the library computes another way: Jordan types from rank sequences
+of matrix powers and an exhaustive finite-field search against the
+Greene-Kleitman `lambda_H`; the full divisibility system against the
+flow-up module basis; and randomly perturbed lifts against lift-independence
+of integration.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+
+from hesslab import gkm
+from hesslab.dotchar import betti_rs
+from hesslab.errors import ConsistencyError, CostGuardError
+from hesslab.exactpoly import Poly, monomials
+from hesslab.hessenberg import annihilator_pattern, check_hessenberg
+from hesslab.linalg import rank_exact
+from hesslab.partitions import Partition, check_partition, conjugate
+
+
+def rank_mod_p(rows, p: int) -> int:
+    """Rank of a dense integer matrix over F_p, by Gaussian elimination."""
+    rows = [[x % p for x in row] for row in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][c], -1, p)
+        prow = rows[rank] = [x * inv % p for x in rows[rank]]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][c]
+            if f:
+                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], prow)]
+        rank += 1
+    return rank
+
+
+def _mat_mul(A, B, p):
+    n = len(A)
+    out = [[sum(A[i][k] * B[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    if p is not None:
+        out = [[x % p for x in row] for row in out]
+    return out
+
+
+def jordan_type(M, modulus: int | None = None) -> Partition:
+    """Jordan type of a nilpotent matrix from its exact rank sequence.
+
+    With r_k = rank(M^k), the number of blocks of size >= k is r_{k-1} - r_k,
+    and that sequence is the conjugate of the type.  Entries are integers,
+    interpreted in F_modulus when a modulus is given and exactly over the
+    rationals otherwise.  Non-nilpotent input raises.
+    """
+    n = len(M)
+    if any(len(row) != n for row in M):
+        raise ValueError("matrix must be square")
+    ranks = [n]
+    power = M
+    for _ in range(n):
+        r = rank_mod_p(power, modulus) if modulus else rank_exact(power)
+        ranks.append(r)
+        if r == 0:
+            break
+        power = _mat_mul(power, M, modulus)
+    if ranks[-1] != 0:
+        raise ValueError("matrix is not nilpotent")
+    geq = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))]
+    if any(geq[i] < geq[i + 1] for i in range(len(geq) - 1)):
+        raise ArithmeticError(f"rank sequence {ranks} is not convex")
+    return conjugate(tuple(c for c in geq if c))
+
+
+def brute_force_orbit_oracle(lam, h, p: int) -> bool:
+    """Exhaustive check over F_p: does any pattern matrix have Jordan type lam?
+
+    Deliberately dumb and exponential (p^|pattern| matrices); only n <= 4 and
+    p in {2, 3, 5} are accepted.  Serves as the independent oracle for
+    orbit_meets_annihilator.
+    """
+    lam = check_partition(lam)
+    h = check_hessenberg(h)
+    n = len(h)
+    if n > 4:
+        raise CostGuardError(f"brute force oracle supports n <= 4, got n = {n}")
+    if p not in (2, 3, 5):
+        raise ValueError(f"p must be one of 2, 3, 5, got {p}")
+    if sum(lam) != n:
+        raise ValueError(f"lam must be a partition of {n}")
+    positions = sorted(annihilator_pattern(h).positions)
+    for values in itertools.product(range(p), repeat=len(positions)):
+        M = [[0] * n for _ in range(n)]
+        for v, (i, j) in zip(values, positions):
+            M[i - 1][j - 1] = v
+        if jordan_type(M, modulus=p) == lam:
+            return True
+    return False
+
+
+def _dimension_of_degree(m: int, d: int) -> int:
+    return len(monomials(m, d)) if d >= 0 else 0
+
+
+def _divisibility_matrix(g, k: int) -> list[dict[int, Fraction]]:
+    """One {column: coefficient} row per edge and output monomial: the values
+    at the two endpoints (D unknowns each) must agree modulo the edge form."""
+    D = _dimension_of_degree(g.nvars, k)
+    rows = []
+    for u, v, _, pair in g.edges():
+        by_out: dict[tuple[int, ...], dict[int, Fraction]] = {}
+        for mi, red in enumerate(gkm._reduction_table(g, pair, k)):
+            for mono, c in red.c.items():
+                row = by_out.setdefault(mono, {})
+                row[u * D + mi] = c
+                row[v * D + mi] = -c
+        rows.extend(by_out.values())
+    return rows
+
+
+def equivariant_dimension(g, k: int) -> int:
+    """Dimension of the degree-k piece of the full divisibility system.
+
+    The free-module prediction sum_j b_j * #monomials(k - j) must equal the
+    exact nullity of the system; anything else raises.
+    """
+    if k < 0:
+        raise ValueError("degree must be nonnegative")
+    betti = betti_rs(g.h)
+    morse = gkm.morse_betti(g)
+    if morse != betti:
+        raise ConsistencyError(f"orientation counts {morse} disagree with character {betti}")
+    expected = sum(
+        betti[j] * _dimension_of_degree(g.nvars, k - j) for j in range(min(k, g.l) + 1)
+    )
+    ncols = len(g.vertices) * _dimension_of_degree(g.nvars, k)
+    nullity = ncols - rank_exact(_divisibility_matrix(g, k))
+    if nullity != expected:
+        raise ConsistencyError(
+            f"divisibility system at degree {k} has dimension {nullity}, free module predicts {expected}"
+        )
+    return expected
+
+
+def equivariant_piece(g, k: int) -> list:
+    """Basis of all degree-k classes: monomial multiples of flow-up classes.
+
+    The returned classes solve the divisibility system exactly; completeness
+    is certified by equivariant_dimension, so the list is an honest basis of
+    the full solution space.
+    """
+    if not 0 <= k <= 2 * g.l + 3:
+        raise ValueError(f"degree must satisfy 0 <= k <= {2 * g.l + 3}, got {k}")
+    expected = equivariant_dimension(g, k)
+    basis = []
+    for vid in g.order:
+        j = g.index[vid]
+        if j > min(k, g.l):
+            continue
+        sigma = gkm.flow_up_class(g, vid)
+        for mono in monomials(g.nvars, k - j):
+            basis.append(sigma * Poly(g.nvars, {mono: Fraction(1)}))
+    if len(basis) != expected:
+        raise ConsistencyError(
+            f"constructed {len(basis)} classes at degree {k}, certificate says {expected}"
+        )
+    return basis
+
+
+def lift_with_noise(g, k: int, vec, rng: random.Random):
+    """A different valid lift of the same ordinary class: adds random multiples
+    of lower flow-up classes by positive-degree monomials."""
+    out = gkm.lift(g, k, vec)
+    for vid in g.order:
+        j = g.index[vid]
+        if j >= k or j > g.l:
+            continue
+        sigma = gkm.flow_up_class(g, vid)
+        for mono in monomials(g.nvars, k - j):
+            coeff = rng.randint(-2, 2)
+            if coeff:
+                out = out + sigma * Poly(g.nvars, {mono: Fraction(coeff)})
+    return out

@@ -16,7 +16,6 @@ from hesslab.gkm import (
     build_gkm,
     integrate,
     lift,
-    lift_with_noise,
     kahler_report,
     morse_betti,
     ordinary_basis,
@@ -27,13 +26,9 @@ from hesslab.partitions import (
     conjugacy_class_size,
     partitions_of,
 )
-from hesslab.springer import (
-    brute_force_orbit_oracle,
-    generic_jordan_type,
-    orbit_meets_annihilator,
-    support_violations,
-)
+from hesslab.springer import generic_jordan_type, orbit_meets_annihilator, support_violations
 from hesslab.symfunc import QPoly, powersum_csf_q1, powersum_to_monomial, q_factorial
+from oracles import brute_force_orbit_oracle, lift_with_noise
 
 
 def announce(num: int, name: str, ok: bool, detail: str = "") -> None:

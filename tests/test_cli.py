@@ -402,3 +402,16 @@ def test_module_entry_point():
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["functions"] == 2 and report["violations"] == []
+
+
+def test_import_loads_only_the_standard_library():
+    # modules the interpreter loads at startup (site hooks) are not counted
+    code = (
+        "import json, sys; before = set(sys.modules); import hesslab; "
+        "print(json.dumps(sorted({m.split('.')[0] for m in set(sys.modules) - before})))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert "hesslab" in loaded
+    assert [m for m in loaded if m != "hesslab" and m not in sys.stdlib_module_names] == []

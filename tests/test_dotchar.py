@@ -167,13 +167,14 @@ def test_hexagon_table():
 
 
 def test_peterson_invariants():
-    row = regular_betti((2, 3, 3), (1, 2))
-    assert row == [1, 2, 1]
-    # product formula: prod over i of [h(i) - i + 1]_q
-    prod = QPoly.one()
-    for i, hi in enumerate((2, 3, 3), start=1):
-        prod = prod * QPoly({k: 1 for k in range(hi - i + 1)})
-    assert row == prod.coefficient_list()
+    assert regular_betti((2, 3, 3), (1, 2)) == [1, 2, 1]
+    # regular nilpotent Betti row: prod over i of [h(i) - i + 1]_q
+    for n in range(2, 8):
+        for h in enumerate_hessenberg(n):
+            prod = QPoly.one()
+            for i, hi in enumerate(h, start=1):
+                prod = prod * QPoly({k: 1 for k in range(hi - i + 1)})
+            assert regular_betti(h, tuple(range(1, n))) == prod.coefficient_list(), h
 
 
 def test_regular_betti_specializations():

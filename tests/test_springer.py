@@ -7,12 +7,11 @@ from hesslab.hessenberg import annihilator_pattern, enumerate_hessenberg
 from hesslab.partitions import conjugate, dominance_leq, partitions_of
 from hesslab.springer import (
     allowed_irreps,
-    brute_force_orbit_oracle,
     generic_jordan_type,
-    jordan_type,
     orbit_meets_annihilator,
     support_violations,
 )
+from oracles import brute_force_orbit_oracle, jordan_type
 
 
 def jordan_block_matrix(blocks):
