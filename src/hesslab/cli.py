@@ -149,7 +149,7 @@ def cache_store(cache_dir: str | None, key: dict, payload) -> None:
         raise
 
 
-def _key(module: str, h, seed: int, J=None) -> dict:
+def _key(module: str, h, seed: int | None = None, J=None) -> dict:
     return {
         "module": module,
         "n": len(h),
@@ -183,14 +183,11 @@ def analyze_report(h, *, seed: int, J=None, use_gkm: bool = False, cache_dir=Non
     correct convention leaves it empty.
     """
     n = len(h)
-    mult = _cached(
-        cache_dir, _key("dotchar", h, seed), lambda: multiplicities_json(dot_action_multiplicities(h, force))
-    )
+    # the multiplicities do not depend on the seed, so it is not part of their key
+    mult = _cached(cache_dir, _key("dotchar", h), lambda: multiplicities_json(dot_action_multiplicities(h, force)))
     gm = multiplicities_from_json(mult)
-    lambda_h = _cached(
-        cache_dir, _key("springer", h, seed), lambda: {"lambda_H": _pstr(generic_jordan_type(h))}
-    )["lambda_H"]
-    lam_H = tuple(int(p) for p in lambda_h.split(","))
+    lam_H = generic_jordan_type(h)
+    lambda_h = _pstr(lam_H)
 
     violations = []
     allowed = []

@@ -13,7 +13,8 @@ subject to the edge divisibility conditions.  The module structure is handled
 through flow-up classes: a fixed generic covector orients every edge, each
 vertex gets a Morse index (its down-degree), and for each vertex we solve a
 small exact linear system for a class of that degree supported strictly above
-it, normalized to the product of its downward weights.  Each row of that
+it, normalized to the product of its downward weights; a system without a
+solution raises ConsistencyError.  Each row of that
 system is one monomial of one edge condition, so it touches the unknowns of
 at most two vertices; the rows go to linalg's sparse exact elimination kernel
 as {column: coefficient} dicts.  The flow-up classes of Morse index k are
@@ -31,6 +32,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache, wraps
 
 from .dotchar import betti_rs, regular_betti
 from .errors import ConsistencyError, TheoremViolation
@@ -57,7 +59,6 @@ class GKMGraph:
     xi: tuple[int, ...]
     phi: list[int]
     order: list[int]
-    position: list[int]
     index: list[int]
     _caches: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -66,13 +67,24 @@ class GKMGraph:
         return self.n - 1
 
     def edges(self):
-        """Each undirected edge once, as (u, v, root_position, canonical_pair)."""
+        """Each undirected edge once, as (u, v, canonical_pair)."""
         for u in range(len(self.vertices)):
-            for r in range(len(self.roots)):
-                v = self.neighbor[u][r]
+            for v, (i, j) in zip(self.neighbor[u], self.weight_pairs[u]):
                 if u < v:
-                    i, j = self.weight_pairs[u][r]
-                    yield u, v, r, (min(i, j), max(i, j))
+                    yield u, v, (min(i, j), max(i, j))
+
+
+def _memo(fn):
+    """Memoize fn(g, *key) in g's own tables; a call that raises stores nothing."""
+
+    @wraps(fn)
+    def memoized(g, *key):
+        table = g._caches.setdefault(fn.__name__, {})
+        if key not in table:
+            table[key] = fn(g, *key)
+        return table[key]
+
+    return memoized
 
 
 @dataclass
@@ -88,13 +100,6 @@ class EquivClass:
             raise ValueError("cannot add classes of different degrees")
         return EquivClass(
             self.graph, self.degree, tuple(a + b for a, b in zip(self.values, other.values))
-        )
-
-    def __sub__(self, other: "EquivClass") -> "EquivClass":
-        if other.degree != self.degree:
-            raise ValueError("cannot subtract classes of different degrees")
-        return EquivClass(
-            self.graph, self.degree, tuple(a - b for a, b in zip(self.values, other.values))
         )
 
     def scale(self, k) -> "EquivClass":
@@ -124,38 +129,28 @@ class EquivClass:
 
     def check_edges(self) -> None:
         g = self.graph
-        for u, v, _, pair in g.edges():
+        for u, v, pair in g.edges():
             diff = self.values[u] - self.values[v]
             if diff.is_zero():
                 continue
-            if not reduce_mod_linear(diff, _pair_form(g, *pair)).is_zero():
+            if not reduce_mod_linear(diff, _pair_form(g.n, *pair)).is_zero():
                 raise ConsistencyError(
                     f"edge condition fails between {g.vertices[u]} and {g.vertices[v]} on {pair}"
                 )
 
 
-def _pair_form_raw(n: int, i: int, j: int) -> Poly:
-    """The linear form t_i - t_j in the n-1 retained variables."""
-    m = n - 1
-    coeffs = [0] * m
+@cache
+def _t(n: int, i: int) -> Poly:
+    """The linear form t_i in the retained variables t_1..t_{n-1}."""
     if i < n:
-        coeffs[i - 1] += 1
-    else:
-        coeffs = [c - 1 for c in coeffs]
-    if j < n:
-        coeffs[j - 1] -= 1
-    else:
-        coeffs = [c + 1 for c in coeffs]
-    return Poly.linear(coeffs)
+        return Poly.variable(n - 1, i - 1)
+    return Poly.linear([-1] * (n - 1))  # t_n = -(t_1 + ... + t_{n-1})
 
 
-def _pair_form(g: GKMGraph, i: int, j: int) -> Poly:
-    cache = g._caches.setdefault("pair_form", {})
-    got = cache.get((i, j))
-    if got is None:
-        got = _pair_form_raw(g.n, i, j)
-        cache[(i, j)] = got
-    return got
+@cache
+def _pair_form(n: int, i: int, j: int) -> Poly:
+    """The linear form t_i - t_j."""
+    return _t(n, i) - _t(n, j)
 
 
 def build_gkm(h, *, seed: int = DEFAULT_SEED) -> GKMGraph:
@@ -193,14 +188,7 @@ def build_gkm(h, *, seed: int = DEFAULT_SEED) -> GKMGraph:
                 raise ConsistencyError("edge endpoints disagree; edge rule is wrong")
 
     rng = random.Random(f"hesslab-gkm:{seed}:{h}")
-    while True:
-        xi = tuple(rng.sample(range(1, 512 * n * n), n))
-        if all(
-            xi[i - 1] != xi[j - 1]
-            for i in range(1, n + 1)
-            for j in range(i + 1, n + 1)
-        ):
-            break
+    xi = tuple(rng.sample(range(1, 512 * n * n), n))  # distinct entries
     rho = tuple(n - a + 1 for a in range(1, n + 1))
     phi = [sum(rho[a] * xi[w[a] - 1] for a in range(n)) for w in vertices]
     index = [
@@ -208,9 +196,6 @@ def build_gkm(h, *, seed: int = DEFAULT_SEED) -> GKMGraph:
         for u in range(len(vertices))
     ]
     order = sorted(range(len(vertices)), key=lambda u: (phi[u], vertices[u]))
-    position = [0] * len(vertices)
-    for pos, u in enumerate(order):
-        position[u] = pos
 
     return GKMGraph(
         h=h,
@@ -225,7 +210,6 @@ def build_gkm(h, *, seed: int = DEFAULT_SEED) -> GKMGraph:
         xi=xi,
         phi=phi,
         order=order,
-        position=position,
         index=index,
     )
 
@@ -238,18 +222,13 @@ def morse_betti(g: GKMGraph) -> list[int]:
     return counts
 
 
-def _reduction_table(g: GKMGraph, pair: tuple[int, int], k: int):
+@cache
+def _reduction_table(n: int, pair: tuple[int, int], k: int):
     """Reductions of all degree-k monomials modulo the form of a canonical pair."""
-    cache = g._caches.setdefault("reduction", {})
-    got = cache.get((pair, k))
-    if got is None:
-        L = _pair_form(g, *pair)
-        got = tuple(
-            reduce_mod_linear(Poly(g.nvars, {mono: Fraction(1)}), L)
-            for mono in monomials(g.nvars, k)
-        )
-        cache[(pair, k)] = got
-    return got
+    L = _pair_form(n, *pair)
+    return tuple(
+        reduce_mod_linear(Poly(n - 1, {mono: Fraction(1)}), L) for mono in monomials(n - 1, k)
+    )
 
 
 def _down_forms(g: GKMGraph, vid: int) -> list[Poly]:
@@ -257,7 +236,7 @@ def _down_forms(g: GKMGraph, vid: int) -> list[Poly]:
     out = []
     for wa, wb in g.weight_pairs[vid]:
         if g.xi[wa - 1] < g.xi[wb - 1]:
-            out.append(_pair_form(g, wa, wb))
+            out.append(_pair_form(g.n, wa, wb))
     return out
 
 
@@ -266,27 +245,24 @@ def flow_up_class(g: GKMGraph, vid: int) -> EquivClass:
 
     Normalized so its value at the vertex is the product of the downward
     tangent weights.  Solved as an affine system over the support
-    {vid} union {phi > phi(vid)}, with a suffix-of-order fallback; the result
-    is verified against every edge condition before being cached.
+    {vid} union {phi > phi(vid)}; a system without a solution raises
+    ConsistencyError, and a solution is verified against every edge
+    condition before being cached.
     """
     if g.n > RING_MAX_N:
         raise ValueError(f"class-level operations support n <= {RING_MAX_N}")
-    cache = g._caches.setdefault("flowup", {})
-    got = cache.get(vid)
-    if got is not None:
-        return got
+    return _flow_up_class(g, vid)
 
+
+@_memo
+def _flow_up_class(g: GKMGraph, vid: int) -> EquivClass:
     k = g.index[vid]
-    m = g.nvars
-    norm = Poly.const(m, 1)
+    norm = Poly.const(g.nvars, 1)
     for f in _down_forms(g, vid):
         norm = norm * f
 
     support = [u for u in range(len(g.vertices)) if u == vid or g.phi[u] > g.phi[vid]]
     solution = _solve_flowup(g, vid, k, norm, support)
-    if solution is None:
-        support = [u for u in g.order if g.position[u] >= g.position[vid]]
-        solution = _solve_flowup(g, vid, k, norm, support)
     if solution is None:
         raise ConsistencyError(f"no flow-up class at vertex {g.vertices[vid]} for h={g.h}")
 
@@ -297,7 +273,6 @@ def flow_up_class(g: GKMGraph, vid: int) -> EquivClass:
             break
         if not solution[u].is_zero():
             raise ConsistencyError("flow-up support leaked below its vertex")
-    cache[vid] = cls
     return cls
 
 
@@ -312,17 +287,17 @@ def _solve_flowup(g, vid, k, norm, support):
 
     rows: list[dict[int, Fraction]] = []
     rhs: list[Fraction] = []
-    for u, v, _, pair in g.edges():
+    for u, v, pair in g.edges():
         if u not in in_support and v not in in_support:
             continue
-        table = _reduction_table(g, pair, k)
+        table = _reduction_table(g.n, pair, k)
         # collect the reduced difference as: sum over unknown cols +- table, plus known part
         entries: dict[tuple[int, ...], dict[int, Fraction]] = {}
         const: dict[tuple[int, ...], Fraction] = {}
 
         def add_vertex(vert, sign):
             if vert == vid:
-                red = reduce_mod_linear(norm, _pair_form(g, *pair))
+                red = reduce_mod_linear(norm, _pair_form(g.n, *pair))
                 for mono, c in red.c.items():
                     const[mono] = const.get(mono, Fraction(0)) + sign * c
             elif vert in in_support:
@@ -402,6 +377,7 @@ def ordinary_project(g: GKMGraph, c: EquivClass) -> list[Fraction]:
     return [coeffs.get(u, Poly.zero(g.nvars)).constant_value() for u in vids]
 
 
+@_memo
 def _integration_factors(g: GKMGraph):
     """Per-vertex signed cofactors: sum f_w * factor_w = (sum f_w / e_w) * prod all forms.
 
@@ -410,9 +386,6 @@ def _integration_factors(g: GKMGraph):
     of a strictly decreasing weight integrate to +1 on the n = 2 flag space,
     and hence keeps all odd powers of the Kahler class positively oriented.
     """
-    got = g._caches.get("integration_factors")
-    if got is not None:
-        return got
     all_pairs = [
         (i, j) for i in range(1, g.n + 1) for j in range(i + 1, g.n + 1)
     ]
@@ -429,9 +402,8 @@ def _integration_factors(g: GKMGraph):
         poly = Poly.const(g.nvars, sign)
         for pair in all_pairs:
             if pair not in covered:
-                poly = poly * _pair_form(g, *pair)
+                poly = poly * _pair_form(g.n, *pair)
         factors.append(poly)
-    g._caches["integration_factors"] = factors
     return factors
 
 
@@ -457,7 +429,7 @@ def integrate(g: GKMGraph, c: EquivClass):
             for j in range(i + 1, g.n + 1):
                 if total.is_zero():
                     break
-                total = divide_linear(total, _pair_form(g, i, j))
+                total = divide_linear(total, _pair_form(g.n, i, j))
                 if total is None:
                     raise ConsistencyError("localization sum failed to be a polynomial")
     expected_degree = c.degree - g.l
@@ -475,25 +447,19 @@ def kahler_class(g: GKMGraph, lam) -> EquivClass:
     lam = tuple(int(x) for x in lam)
     if len(lam) != g.n or any(lam[i] <= lam[i + 1] for i in range(g.n - 1)):
         raise ValueError(f"lambda must be strictly decreasing of length {g.n}, got {lam}")
-    cache = g._caches.setdefault("kahler", {})
-    got = cache.get(lam)
-    if got is not None:
-        return got
-    m = g.nvars
+    return _kahler_class(g, lam)
+
+
+@_memo
+def _kahler_class(g: GKMGraph, lam: tuple[int, ...]) -> EquivClass:
     values = []
     for w in g.vertices:
-        coeffs = [Fraction(0)] * m
-        for a in range(g.n):
-            target = w[a]
-            if target < g.n:
-                coeffs[target - 1] += lam[a]
-            else:
-                for u in range(m):
-                    coeffs[u] -= lam[a]
-        values.append(Poly.linear(coeffs))
+        value = Poly.zero(g.nvars)
+        for coeff, target in zip(lam, w):
+            value = value + _t(g.n, target).scale(coeff)
+        values.append(value)
     cls = EquivClass(g, 1, tuple(values))
     cls.check_edges()
-    cache[lam] = cls
     return cls
 
 
@@ -501,16 +467,11 @@ def default_kahler_weight(n: int) -> tuple[int, ...]:
     return tuple(range(n - 1, -1, -1))
 
 
+@_memo
 def _kahler_power(g: GKMGraph, lam: tuple[int, ...], e: int) -> EquivClass:
-    cache = g._caches.setdefault("kahler_power", {})
-    got = cache.get((lam, e))
-    if got is None:
-        if e == 0:
-            got = EquivClass(g, 0, tuple(Poly.const(g.nvars, 1) for _ in g.vertices))
-        else:
-            got = _kahler_power(g, lam, e - 1) * kahler_class(g, lam)
-        cache[(lam, e)] = got
-    return got
+    if e == 0:
+        return EquivClass(g, 0, tuple(Poly.const(g.nvars, 1) for _ in g.vertices))
+    return _kahler_power(g, lam, e - 1) * kahler_class(g, lam)
 
 
 def permutation_inverse(w: tuple[int, ...]) -> tuple[int, ...]:
@@ -532,23 +493,6 @@ def transposition(n: int, j: int) -> tuple[int, ...]:
     return tuple(w)
 
 
-def _perm_images(g: GKMGraph, w: tuple[int, ...]):
-    cache = g._caches.setdefault("perm_images", {})
-    got = cache.get(w)
-    if got is None:
-        m = g.nvars
-        images = []
-        for i in range(1, g.n):
-            target = w[i - 1]
-            if target < g.n:
-                images.append(Poly.variable(m, target - 1))
-            else:
-                images.append(Poly.linear([-1] * m))
-        got = tuple(images)
-        cache[w] = got
-    return got
-
-
 def dot_action(g: GKMGraph, w, c: EquivClass) -> EquivClass:
     """Weyl dot action: (w . f) at u equals w applied to f at w^{-1} u.
 
@@ -560,11 +504,11 @@ def dot_action(g: GKMGraph, w, c: EquivClass) -> EquivClass:
     if sorted(w) != list(range(1, g.n + 1)):
         raise ValueError(f"not a permutation of 1..{g.n}: {w}")
     winv = permutation_inverse(w)
-    images = _perm_images(g, w)
+    images = [_t(g.n, target) for target in w[:-1]]
     values = []
     for u in g.vertices:
         src = g.vindex[compose(winv, u)]
-        values.append(c.values[src].substitute(list(images)))
+        values.append(c.values[src].substitute(images))
     out = EquivClass(g, c.degree, tuple(values))
     out.check_edges()
     return out
@@ -580,17 +524,13 @@ def lift(g: GKMGraph, k: int, vec) -> EquivClass:
     return out
 
 
+@_memo
 def _dot_matrix(g: GKMGraph, j: int, k: int):
     """Matrix of the adjacent-swap generator s_j on the degree-k ordinary piece."""
-    cache = g._caches.setdefault("dot_matrix", {})
-    got = cache.get((j, k))
-    if got is None:
-        w = transposition(g.n, j)
-        basis = ordinary_basis(g, k)
-        cols = [ordinary_project(g, dot_action(g, w, cls)) for cls in basis]
-        got = [[cols[c][r] for c in range(len(cols))] for r in range(len(basis))]
-        cache[(j, k)] = got
-    return got
+    w = transposition(g.n, j)
+    basis = ordinary_basis(g, k)
+    cols = [ordinary_project(g, dot_action(g, w, cls)) for cls in basis]
+    return [[cols[c][r] for c in range(len(cols))] for r in range(len(basis))]
 
 
 def invariant_vectors(g: GKMGraph, J, k: int):
@@ -598,24 +538,18 @@ def invariant_vectors(g: GKMGraph, J, k: int):
     J = tuple(sorted(set(int(j) for j in J)))
     if any(not 1 <= j <= g.n - 1 for j in J):
         raise ValueError(f"J must be a subset of 1..{g.n - 1}: {J}")
-    cache = g._caches.setdefault("invariant_vectors", {})
-    got = cache.get((J, k))
-    if got is not None:
-        return got
+    return _invariant_vectors(g, J, k)
+
+
+@_memo
+def _invariant_vectors(g: GKMGraph, J: tuple[int, ...], k: int):
     dim = len(ordinary_basis(g, k))
-    if not J:
-        vecs = [[Fraction(1 if r == c else 0) for c in range(dim)] for r in range(dim)]
-    elif dim == 0:
-        vecs = []
-    else:
-        rows = []
-        for j in J:
-            M = _dot_matrix(g, j, k)
-            for r in range(dim):
-                rows.append([M[r][c] - (1 if r == c else 0) for c in range(dim)])
-        vecs = nullspace(rows, dim)
-    cache[(J, k)] = vecs
-    return vecs
+    rows = []
+    for j in J:
+        M = _dot_matrix(g, j, k)
+        for r in range(dim):
+            rows.append([M[r][c] - (1 if r == c else 0) for c in range(dim)])
+    return nullspace(rows, dim)
 
 
 def invariant_subring(g: GKMGraph, J) -> list[list[list[Fraction]]]:
@@ -644,10 +578,11 @@ def poincare_pairing(g: GKMGraph, k: int, J=()):
     """
     if k % 2 or not 0 <= k <= 2 * g.l:
         raise ValueError(f"need an even degree within 0..{2 * g.l}, got {k}")
-    cache = g._caches.setdefault("pairing", {})
-    key = (k, tuple(sorted(set(J))))
-    if key in cache:
-        return cache[key]
+    return _poincare_pairing(g, k, tuple(sorted(set(J))))
+
+
+@_memo
+def _poincare_pairing(g: GKMGraph, k: int, J: tuple[int, ...]):
     dd = k // 2
     A = [lift(g, dd, v) for v in invariant_vectors(g, J, dd)]
     B = [lift(g, g.l - dd, v) for v in invariant_vectors(g, J, g.l - dd)]
@@ -659,10 +594,9 @@ def poincare_pairing(g: GKMGraph, k: int, J=()):
     rank = rank_exact(matrix)
     if rank != len(A):
         raise TheoremViolation(
-            f"singular pairing between degrees {k} and {2 * g.l - k} for h={g.h}, J={tuple(sorted(set(J)))}",
-            witness={"h": g.h, "J": sorted(set(J)), "degree": k, "matrix_rank": rank},
+            f"singular pairing between degrees {k} and {2 * g.l - k} for h={g.h}, J={J}",
+            witness={"h": g.h, "J": list(J), "degree": k, "matrix_rank": rank},
         )
-    cache[key] = matrix
     return matrix
 
 
@@ -676,14 +610,12 @@ def kahler_report(g: GKMGraph, J=(), lam=None) -> dict:
     if g.n > RING_MAX_N:
         raise ValueError(f"Kahler package checks support n <= {RING_MAX_N}")
     J = tuple(sorted(set(int(j) for j in J)))
-    if lam is None:
-        lam = default_kahler_weight(g.n)
-    lam = tuple(int(x) for x in lam)
-    cache = g._caches.setdefault("kahler_report", {})
-    key = (J, lam)
-    if key in cache:
-        return cache[key]
+    lam = default_kahler_weight(g.n) if lam is None else tuple(int(x) for x in lam)
+    return _kahler_report(g, J, lam)
 
+
+@_memo
+def _kahler_report(g: GKMGraph, J: tuple[int, ...], lam: tuple[int, ...]) -> dict:
     inv = invariant_subring(g, J)
     dims = [len(v) for v in inv]
     report: dict = {
@@ -716,9 +648,6 @@ def kahler_report(g: GKMGraph, J=(), lam=None) -> dict:
     for dd in range(0, g.l // 2 + 1):
         power = g.l - 2 * dd
         domain = inv[dd]
-        if not domain:
-            report["hard_lefschetz"][str(2 * dd)] = {"power": power, "rank": 0, "dim": 0, "full": True}
-            continue
         omega_pow = _kahler_power(g, lam, power)
         images = [ordinary_project(g, lift(g, dd, v) * omega_pow) for v in domain]
         rank = rank_exact(images)
@@ -738,35 +667,15 @@ def kahler_report(g: GKMGraph, J=(), lam=None) -> dict:
         if not domain:
             continue
         sign = 1 if dd % 2 == 0 else -1
-        lifts = [lift(g, dd, v) for v in domain]
         # primitive part: kernel of one more power of omega than hard Lefschetz uses
         killer = _kahler_power(g, lam, g.l - 2 * dd + 1)
-        proj_rows = []
-        images = [ordinary_project(g, cls * killer) for cls in lifts]
-        width = len(images[0]) if images else 0
-        for r in range(width):
-            proj_rows.append([images[c][r] for c in range(len(images))])
-        if width == 0:
-            prim = [[Fraction(1 if i == c else 0) for c in range(len(domain))] for i in range(len(domain))]
-        else:
-            prim = nullspace(proj_rows, len(domain))
-        if not prim:
-            report["hodge_riemann"][str(k)] = {
-                "dim_primitive": 0,
-                "sign": sign,
-                "pivots": [],
-                "signature": [0, 0, 0],
-                "definite": True,
-            }
-            continue
+        images = [ordinary_project(g, lift(g, dd, v) * killer) for v in domain]
+        prim = nullspace(list(zip(*images)), len(domain))
         multiplier = _kahler_power(g, lam, g.l - 2 * dd)
-        prim_lifts = []
-        for v in prim:
-            acc = EquivClass(g, dd, tuple(Poly.zero(g.nvars) for _ in g.vertices))
-            for coeff, cls in zip(v, lifts):
-                if coeff:
-                    acc = acc + cls.scale(coeff)
-            prim_lifts.append(acc)
+        prim_lifts = [
+            lift(g, dd, [sum(x * e for x, e in zip(p, col)) for col in zip(*domain)])
+            for p in prim
+        ]
         scaled = [b * multiplier for b in prim_lifts]
         gram = [[sign * integrate(g, a * b) for b in scaled] for a in prim_lifts]
         definite, pivots = ldlt_pivots(gram)
@@ -786,5 +695,4 @@ def kahler_report(g: GKMGraph, J=(), lam=None) -> dict:
         "hodge_riemann": hr_ok,
         "all": pairing_ok and hl_ok and hr_ok,
     }
-    cache[key] = report
     return report

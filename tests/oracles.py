@@ -110,9 +110,9 @@ def _divisibility_matrix(g, k: int) -> list[dict[int, Fraction]]:
     at the two endpoints (D unknowns each) must agree modulo the edge form."""
     D = _dimension_of_degree(g.nvars, k)
     rows = []
-    for u, v, _, pair in g.edges():
+    for u, v, pair in g.edges():
         by_out: dict[tuple[int, ...], dict[int, Fraction]] = {}
-        for mi, red in enumerate(gkm._reduction_table(g, pair, k)):
+        for mi, red in enumerate(gkm._reduction_table(g.n, pair, k)):
             for mono, c in red.c.items():
                 row = by_out.setdefault(mono, {})
                 row[u * D + mi] = c

@@ -303,7 +303,7 @@ def test_cache_corrupt_entries_are_rewritten(tmp_path, capsys):
     args = ("analyze", "--h", "2,3,3", "--gkm", "--cache-dir", str(cache))
     rc, cold, _ = run(capsys, *args)
     entries = sorted(cache.iterdir())
-    assert rc == 0 and len(entries) == 3
+    assert rc == 0 and len(entries) == 2
     valid = {path: path.read_bytes() for path in entries}
     for path in entries:
         path.write_bytes(valid[path][: len(valid[path]) // 2])
@@ -323,6 +323,20 @@ def test_cache_warm_analyze_enumerates_no_colorings(tmp_path, capsys, monkeypatc
 
     monkeypatch.setattr(cli, "dot_action_multiplicities", refuse)
     assert run(capsys, *args) == (0, cold, "")
+
+
+def test_cache_warm_analyze_at_another_seed(tmp_path, capsys, monkeypatch):
+    # the multiplicity table does not depend on the seed, so one entry serves every seed
+    args = ("analyze", "--h", "2,3,4,4", "--cache-dir", str(tmp_path))
+    assert run(capsys, *args, "--seed", "1")[0] == 0
+    rc, expected, _ = run(capsys, *args[:3], "--seed", "2")
+    assert rc == 0
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a warm analyze must not recompute the multiplicity table")
+
+    monkeypatch.setattr(cli, "dot_action_multiplicities", refuse)
+    assert run(capsys, *args, "--seed", "2") == (0, expected, "")
 
 
 def test_character_paths_reach_no_colorings(monkeypatch):
@@ -354,7 +368,7 @@ def test_analyze_force_n9_from_cache(tmp_path, capsys):
     table = {lam: [0] * 37 for lam in partitions_of(9)}
     table[(9,)] = factorial_row
     payload = multiplicities_json(GradedMultiplicity(n=9, h=h, l=36, table=table))
-    cli.cache_store(str(tmp_path), cli._key("dotchar", h, 1729), payload)
+    cli.cache_store(str(tmp_path), cli._key("dotchar", h), payload)
     report = run_json(capsys, "analyze", "--h", ",".join(["9"] * 9), "--force", "--cache-dir", str(tmp_path))
     assert report["violations"] == []
     assert len(report["regular"]) == 2 ** 8

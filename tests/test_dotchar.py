@@ -14,7 +14,7 @@ from hesslab.dotchar import (
     regular_betti,
 )
 from hesslab.errors import CostGuardError
-from hesslab.hessenberg import dimension, enumerate_hessenberg, incomparability_graph, is_indecomposable
+from hesslab.hessenberg import dimension, enumerate_hessenberg
 from hesslab.partitions import conjugate, dim_irrep, partitions_of, young_subgroup_blocks
 from hesslab.symfunc import QPoly, q_factorial, schur_inner_product
 

@@ -1,7 +1,6 @@
 import pytest
 
-from hesslab.errors import ConsistencyError
-from hesslab.partitions import character_value, partitions_of, z_order
+from hesslab.partitions import character_value, partitions_of
 from hesslab.symfunc import (
     MONOMIAL,
     POWERSUM,
