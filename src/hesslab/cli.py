@@ -334,21 +334,21 @@ def verify_report(
 
 # --- kahler -----------------------------------------------------------------
 
-def _kahler_payload(h, J, lam, seed: int) -> dict:
-    g = build_gkm(h, seed=seed)
-    payload = kahler_report(g, J, lam)
-    # pairing determinants for the audit trail
+def kahler_payload(g, J=(), lam=None) -> dict:
+    """kahler_report on g as JSON-safe data, with pairing determinants for the
+    audit trail; the memoized report itself is left untouched."""
+    payload = _sanitize(kahler_report(g, J, lam))  # a deep copy
     for k_str, entry in payload["poincare"].items():
         if entry["nondegenerate"]:
             entry["det"] = str(det_exact(poincare_pairing(g, int(k_str), J)))
-    return _sanitize(payload)
+    return payload
 
 
 def kahler_cli_report(h, J, lam, *, seed: int, cache_dir=None) -> dict:
     key = _key("gkm-kahler", h, seed, J)
     if lam is not None:
         key["lambda"] = _pstr(lam)
-    payload = _cached(cache_dir, key, lambda: _kahler_payload(h, J, lam, seed))
+    payload = _cached(cache_dir, key, lambda: kahler_payload(build_gkm(h, seed=seed), J, lam))
     report = dict(payload)
     report.update(
         {

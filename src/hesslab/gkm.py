@@ -24,6 +24,15 @@ raises instead of passing silently.  That monomial multiples of flow-up
 classes span every equivariant degree piece is a free-module statement the
 test suite certifies against the exact nullity of the full divisibility
 system.
+
+The Kahler forms are read off two kinds of per-graph matrix, computed once
+and shared by every J: the intersection matrix of flow-up classes of
+complementary Morse index (each entry one polynomial localization integral
+of a flow-up pair, with all of integrate's checks), and the Lefschetz matrix
+of an omega power on flow-up coordinates (one projection per flow-up class).
+Integration is bilinear over the torus ring and a product of degree below l
+integrates to 0, so pairings, hard Lefschetz images and Hodge-Riemann Gram
+matrices on the W_J-invariant subring are exact Fraction matrix products.
 """
 
 from __future__ import annotations
@@ -315,7 +324,10 @@ def _solve_flowup(g, vid, k, norm, support):
             rows.append(entries.get(mono, {}))
             rhs.append(-const.get(mono, Fraction(0)))
 
-    x = solve_particular(rows, rhs, ncols)
+    # Largest column first: the elimination pivots on leftmost columns, so this
+    # order keeps the fill small.  The RREF, hence the solution, is unchanged.
+    perm = sorted(range(len(rows)), key=lambda i: max(rows[i], default=-1), reverse=True)
+    x = solve_particular([rows[i] for i in perm], [rhs[i] for i in perm], ncols)
     if x is None:
         return None
     values = [Poly.zero(m)] * len(g.vertices)
@@ -568,11 +580,48 @@ def invariant_subring(g: GKMGraph, J) -> list[list[list[Fraction]]]:
     return out
 
 
+def _transpose(M):
+    return [list(col) for col in zip(*M)]
+
+
+def _matmul(A, B):
+    """Exact product of row-list matrices; B needs at least one row."""
+    cols = list(zip(*B))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in A]
+
+
+@_memo
+def _intersection_matrix(g: GKMGraph, dd: int):
+    """Entry [i][j] is the integral of sigma_i sigma_j, for the flow-up classes
+    sigma_i of Morse index dd and sigma_j of index l - dd, both in moment order.
+
+    Integration is bilinear over the torus ring, and a product of degree below
+    l integrates to 0, so for ordinary classes a, b in flow-up coordinates the
+    integral of any lifts of a and b is a M b^T.
+    """
+    if 2 * dd > g.l:
+        return _transpose(_intersection_matrix(g, g.l - dd))
+    B = ordinary_basis(g, g.l - dd)
+    return [[integrate(g, a * b) for b in B] for a in ordinary_basis(g, dd)]
+
+
+@_memo
+def _lefschetz_matrix(g: GKMGraph, lam: tuple[int, ...], p: int, dd: int):
+    """Row i is the flow-up coordinate vector of sigma_i omega^p in H^{2(dd+p)},
+    for the flow-up classes sigma_i of Morse index dd; omega is the ample class
+    of lam.  Positive-degree multiples project to 0, so an ordinary class v of
+    degree dd maps to v L."""
+    omega_pow = _kahler_power(g, lam, p)
+    return [ordinary_project(g, s * omega_pow) for s in ordinary_basis(g, dd)]
+
+
 def poincare_pairing(g: GKMGraph, k: int, J=()):
     """Pairing matrix between degrees k and 2l-k (honest even degrees).
 
-    Entries integrate products of equivariant lifts; the result is independent
-    of the lifts because the ambiguity integrates to negative degree.  Raises
+    Entry [a][b] integrates the product of lifts of the a-th and b-th
+    W_J-invariant basis vectors; it is read off the per-graph intersection
+    matrix of flow-up classes as A M B^T, and is independent of the lifts
+    because the ambiguity integrates to negative degree.  Raises
     TheoremViolation if the pairing is singular, on every call; a nonsingular
     matrix is memoized per (k, J) and returned as the same object.
     """
@@ -584,13 +633,13 @@ def poincare_pairing(g: GKMGraph, k: int, J=()):
 @_memo
 def _poincare_pairing(g: GKMGraph, k: int, J: tuple[int, ...]):
     dd = k // 2
-    A = [lift(g, dd, v) for v in invariant_vectors(g, J, dd)]
-    B = [lift(g, g.l - dd, v) for v in invariant_vectors(g, J, g.l - dd)]
+    A = invariant_vectors(g, J, dd)
+    B = invariant_vectors(g, J, g.l - dd)
     if len(A) != len(B):
         raise ConsistencyError(
             f"pairing blocks have mismatched dimensions {len(A)} vs {len(B)}"
         )
-    matrix = [[integrate(g, a * b) for b in B] for a in A]
+    matrix = _matmul(_matmul(A, _intersection_matrix(g, dd)), _transpose(B))
     rank = rank_exact(matrix)
     if rank != len(A):
         raise TheoremViolation(
@@ -600,10 +649,31 @@ def _poincare_pairing(g: GKMGraph, k: int, J: tuple[int, ...]):
     return matrix
 
 
+def _lefschetz_images(g: GKMGraph, J: tuple[int, ...], lam: tuple[int, ...], dd: int, p: int):
+    """Flow-up coordinates of v omega^p for each W_J-invariant basis vector v of degree dd."""
+    return _matmul(invariant_vectors(g, J, dd), _lefschetz_matrix(g, lam, p, dd))
+
+
+def _primitive_form(g: GKMGraph, J: tuple[int, ...], lam: tuple[int, ...], dd: int):
+    """Gram matrix of (a, b) -> integral of a b omega^(l-2dd) on the primitive
+    W_J-invariant classes of degree dd (the kernel of omega^(l-2dd+1)), in the
+    nullspace basis; unsigned.  Needs 2 dd <= l."""
+    domain = invariant_vectors(g, J, dd)
+    killed = _lefschetz_images(g, J, lam, dd, g.l - 2 * dd + 1)
+    prim = nullspace(_transpose(killed), len(domain))
+    C = _matmul(prim, domain)
+    scaled = _matmul(C, _lefschetz_matrix(g, lam, g.l - 2 * dd, dd))
+    return _matmul(_matmul(C, _intersection_matrix(g, dd)), _transpose(scaled))
+
+
 def kahler_report(g: GKMGraph, J=(), lam=None) -> dict:
     """Run duality, hard Lefschetz, and the signed primitive forms on the
     W_J-invariant subring; returns verdicts plus raw ranks, pivots, signatures.
 
+    Every form is an exact matrix product of the W_J-invariant vectors with
+    two kinds of per-graph table shared by all J: the intersection matrices
+    of flow-up classes (the only integrals, through integrate and its checks)
+    and the Lefschetz matrices of omega powers.
     The sign in honest degree k is (-1)^(k/2), pinned by top-power positivity
     in degree 0 and the classical surface signature in the middle.
     """
@@ -616,8 +686,7 @@ def kahler_report(g: GKMGraph, J=(), lam=None) -> dict:
 
 @_memo
 def _kahler_report(g: GKMGraph, J: tuple[int, ...], lam: tuple[int, ...]) -> dict:
-    inv = invariant_subring(g, J)
-    dims = [len(v) for v in inv]
+    dims = [len(v) for v in invariant_subring(g, J)]
     report: dict = {
         "h": list(g.h),
         "J": list(J),
@@ -647,42 +716,27 @@ def _kahler_report(g: GKMGraph, J: tuple[int, ...], lam: tuple[int, ...]) -> dic
     hl_ok = True
     for dd in range(0, g.l // 2 + 1):
         power = g.l - 2 * dd
-        domain = inv[dd]
-        omega_pow = _kahler_power(g, lam, power)
-        images = [ordinary_project(g, lift(g, dd, v) * omega_pow) for v in domain]
-        rank = rank_exact(images)
-        full = rank == len(domain)
+        rank = rank_exact(_lefschetz_images(g, J, lam, dd, power))
+        full = rank == dims[dd]
         hl_ok = hl_ok and full
         report["hard_lefschetz"][str(2 * dd)] = {
             "power": power,
             "rank": rank,
-            "dim": len(domain),
+            "dim": dims[dd],
             "full": full,
         }
 
     hr_ok = True
     for dd in range(0, g.l // 2 + 1):
-        k = 2 * dd
-        domain = inv[dd]
-        if not domain:
+        if not dims[dd]:
             continue
         sign = 1 if dd % 2 == 0 else -1
-        # primitive part: kernel of one more power of omega than hard Lefschetz uses
-        killer = _kahler_power(g, lam, g.l - 2 * dd + 1)
-        images = [ordinary_project(g, lift(g, dd, v) * killer) for v in domain]
-        prim = nullspace(list(zip(*images)), len(domain))
-        multiplier = _kahler_power(g, lam, g.l - 2 * dd)
-        prim_lifts = [
-            lift(g, dd, [sum(x * e for x, e in zip(p, col)) for col in zip(*domain)])
-            for p in prim
-        ]
-        scaled = [b * multiplier for b in prim_lifts]
-        gram = [[sign * integrate(g, a * b) for b in scaled] for a in prim_lifts]
+        gram = [[sign * x for x in row] for row in _primitive_form(g, J, lam, dd)]
         definite, pivots = ldlt_pivots(gram)
         signature = inertia(gram)
         hr_ok = hr_ok and definite
-        report["hodge_riemann"][str(k)] = {
-            "dim_primitive": len(prim),
+        report["hodge_riemann"][str(2 * dd)] = {
+            "dim_primitive": len(gram),
             "sign": sign,
             "pivots": [str(p) for p in pivots],
             "signature": list(signature),

@@ -4,8 +4,10 @@ None of this is on a command path.  Each routine is the slow, direct route to
 something the library computes another way: Jordan types from rank sequences
 of matrix powers and an exhaustive finite-field search against the
 Greene-Kleitman `lambda_H`; the full divisibility system against the
-flow-up module basis; and randomly perturbed lifts against lift-independence
-of integration.
+flow-up module basis; randomly perturbed lifts against lift-independence
+of integration; and, for the Kahler forms the library reads off per-graph
+intersection and Lefschetz matrices, one polynomial integral or projection of
+freshly lifted products per entry.
 """
 
 import itertools
@@ -17,7 +19,7 @@ from hesslab.dotchar import betti_rs
 from hesslab.errors import ConsistencyError, CostGuardError
 from hesslab.exactpoly import Poly, monomials
 from hesslab.hessenberg import annihilator_pattern, check_hessenberg
-from hesslab.linalg import rank_exact
+from hesslab.linalg import nullspace, rank_exact
 from hesslab.partitions import Partition, check_partition, conjugate
 
 
@@ -184,3 +186,43 @@ def lift_with_noise(g, k: int, vec, rng: random.Random):
             if coeff:
                 out = out + sigma * Poly(g.nvars, {mono: Fraction(coeff)})
     return out
+
+
+def _omega_power(g, lam, p: int):
+    out = gkm.EquivClass(g, 0, tuple(Poly.const(g.nvars, 1) for _ in g.vertices))
+    for _ in range(p):
+        out = out * gkm.kahler_class(g, lam)
+    return out
+
+
+def pairing_by_lifts(g, k: int, J):
+    """Poincare pairing with one polynomial integral of lifted invariant
+    classes per entry: integrate(lift(a) * lift(b))."""
+    dd = k // 2
+    A = [gkm.lift(g, dd, v) for v in gkm.invariant_vectors(g, J, dd)]
+    B = [gkm.lift(g, g.l - dd, v) for v in gkm.invariant_vectors(g, J, g.l - dd)]
+    return [[gkm.integrate(g, a * b) for b in B] for a in A]
+
+
+def lefschetz_images_by_lifts(g, J, lam, dd: int, p: int):
+    """ordinary_project(lift(v) * omega^p) for each W_J-invariant v of degree dd."""
+    omega_pow = _omega_power(g, lam, p)
+    return [
+        gkm.ordinary_project(g, gkm.lift(g, dd, v) * omega_pow)
+        for v in gkm.invariant_vectors(g, J, dd)
+    ]
+
+
+def primitive_form_by_lifts(g, J, lam, dd: int):
+    """Unsigned Hodge-Riemann Gram matrix integrate(a * b * omega^(l-2dd)) over
+    lifts of the primitive invariant basis, itself taken from the kernel of
+    lefschetz_images_by_lifts at one more power."""
+    domain = gkm.invariant_vectors(g, J, dd)
+    images = lefschetz_images_by_lifts(g, J, lam, dd, g.l - 2 * dd + 1)
+    prim = nullspace(list(zip(*images)), len(domain))
+    lifts = [
+        gkm.lift(g, dd, [sum(x * e for x, e in zip(p, col)) for col in zip(*domain)])
+        for p in prim
+    ]
+    omega_pow = _omega_power(g, lam, g.l - 2 * dd)
+    return [[gkm.integrate(g, a * b * omega_pow) for b in lifts] for a in lifts]

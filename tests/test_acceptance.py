@@ -5,18 +5,19 @@ Every check is exact (integers and rationals); the only tolerances are the
 wall-clock budgets, which are asserted too.
 """
 
+import hashlib
 import itertools
 import random
 import time
 from fractions import Fraction
 from math import factorial
 
+from hesslab.cli import canonical_json, kahler_payload
 from hesslab.dotchar import betti_rs, chromatic_qsym, dot_action_multiplicities, regular_betti
 from hesslab.gkm import (
     build_gkm,
     integrate,
     lift,
-    kahler_report,
     morse_betti,
     ordinary_basis,
 )
@@ -136,25 +137,30 @@ def test_acceptance_6_dual_route_betti():
 
 
 def test_acceptance_7_kahler_package_desk_scale():
+    # also pins the bytes: the canonical JSON of every report at seed 1729,
+    # pairing determinants included, hashed in order
     start = time.monotonic()
     cases = 0
     failures = []
+    digest = hashlib.sha256()
     for n in range(2, 5):
         for h in enumerate_hessenberg(n):
             g = build_gkm(h)
             for r in range(n):
                 for J in itertools.combinations(range(1, n), r):
                     cases += 1
-                    report = kahler_report(g, J)
-                    if not report["verdicts"]["all"]:
-                        failures.append((h, J, report["verdicts"]))
+                    payload = kahler_payload(g, J)
+                    digest.update(canonical_json(payload).encode())
+                    if not payload["verdicts"]["all"]:
+                        failures.append((h, J, payload["verdicts"]))
     elapsed = time.monotonic() - start
-    ok = not failures and cases == 2 * 2 + 5 * 4 + 14 * 8 and elapsed < 900
+    pinned = digest.hexdigest() == "9efebf6529e94587e2319cee1179179fa6dad87e569477bda61e8d5328928e81"
+    ok = not failures and pinned and cases == 2 * 2 + 5 * 4 + 14 * 8 and elapsed < 900
     announce(
         7,
         "kahler package desk scale",
         ok,
-        f"{cases} (h, J) cases, {len(failures)} failures, {elapsed:.1f}s < 900s",
+        f"{cases} (h, J) cases, {len(failures)} failures, bytes pinned: {pinned}, {elapsed:.1f}s < 900s",
     )
     assert ok, failures
 

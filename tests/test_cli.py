@@ -8,6 +8,7 @@ import pytest
 from hesslab import __version__, cli, dotchar
 from hesslab.cli import canonical_json, main
 from hesslab.dotchar import GradedMultiplicity, multiplicities_json
+from hesslab.gkm import build_gkm, kahler_report
 from hesslab.partitions import partitions_of
 from hesslab.springer import support_violations
 from hesslab.symfunc import q_factorial
@@ -232,6 +233,19 @@ def test_kahler_bytes_pinned(capsys):
     )
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == "c63a9e692ba6a53519890d92ed7d7c619d98e8cb57d0810241c42c46b35bb181"
+
+
+def test_kahler_payload_leaves_report_untouched(capsys):
+    # the payload adds determinants to a copy: the memoized report on the same
+    # graph stays free of them, and the CLI bytes do not change
+    g = build_gkm((2, 3, 3))
+    first = cli.kahler_payload(g, (1, 2))
+    assert first["poincare"]["2"]["det"] == "-3"
+    report = kahler_report(g, (1, 2))
+    assert all("det" not in entry for entry in report["poincare"].values())
+    assert cli.kahler_payload(g, (1, 2)) == first
+    cli_report = run_json(capsys, "kahler", "--h", "2,3,3", "--J", "1,2")
+    assert {k: cli_report[k] for k in first} == {**first, "h": "2,3,3", "J": "1,2", "lambda": "2,1,0"}
 
 
 def test_kahler_custom_lambda(capsys):

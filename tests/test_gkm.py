@@ -28,7 +28,14 @@ from hesslab.gkm import (
 from hesslab.hessenberg import dimension, enumerate_hessenberg
 from hesslab.linalg import inertia
 from hesslab.partitions import character_value
-from oracles import equivariant_dimension, equivariant_piece, lift_with_noise
+from oracles import (
+    equivariant_dimension,
+    equivariant_piece,
+    lefschetz_images_by_lifts,
+    lift_with_noise,
+    pairing_by_lifts,
+    primitive_form_by_lifts,
+)
 
 
 def cycle_type(w):
@@ -325,7 +332,7 @@ def test_poincare_pairing_fixtures():
         poincare_pairing(hexagon, 1)
 
 
-def test_pairing_memoized_unless_singular(monkeypatch):
+def count_integrals(monkeypatch):
     calls = []
 
     def counted(g, c):
@@ -333,19 +340,65 @@ def test_pairing_memoized_unless_singular(monkeypatch):
         return integrate(g, c)
 
     monkeypatch.setattr(gkm, "integrate", counted)
-    g = build_gkm((2, 3, 4, 4))
-    first = poincare_pairing(g, 2, (1, 3))
-    size = len(first)
-    assert size and len(calls) == size * size
-    assert poincare_pairing(g, 2, [3, 1, 3]) is first
-    assert len(calls) == size * size
+    return calls
 
-    # a singular pairing is recomputed, and raises, on every call
+
+def test_pairing_memoized_unless_singular(monkeypatch):
+    calls = count_integrals(monkeypatch)
+    g = build_gkm((2, 3, 4, 4))
+    b = betti_rs(g.h)
+    # the first pairing integrates every flow-up pair of degrees 1 and 2 once
+    # (the intersection matrix), whatever the size of the invariant block
+    first = poincare_pairing(g, 2, (1, 3))
+    assert first and b[1] * b[2] == 121
+    assert len(calls) == 121
+    assert poincare_pairing(g, 2, [3, 1, 3]) is first
+    assert len(calls) == 121
+
+    # a singular pairing is recomputed, and raises, on every call; its
+    # intersection matrix (one integral) is computed on the first call only
     monkeypatch.setattr(gkm, "rank_exact", lambda rows: 0)
-    for k in (1, 2):
+    for _ in range(2):
         with pytest.raises(TheoremViolation):
             poincare_pairing(g, 0, (1, 3))
-        assert len(calls) == size * size + k
+        assert len(calls) == 121 + b[0] * b[3]
+
+
+def test_kahler_report_integrates_flow_up_pairs_once(monkeypatch):
+    calls = count_integrals(monkeypatch)
+    g = build_gkm((2, 3, 4, 4))
+    b = betti_rs(g.h)
+    for r in range(4):
+        for J in itertools.combinations(range(1, 4), r):
+            assert kahler_report(g, J)["verdicts"]["all"] is True
+    expected = sum(b[dd] * b[g.l - dd] for dd in range(g.l // 2 + 1))
+    assert expected == 122 and len(calls) == expected
+
+
+KAHLER_ORACLE_FUNCTIONS = [h for n in (2, 3) for h in enumerate_hessenberg(n)] + [
+    (1, 4, 4, 4),
+    (2, 3, 4, 4),
+    (3, 3, 3, 4),
+    (2, 4, 4, 4),  # l = 4: a middle degree with omega^0
+]
+
+
+@pytest.mark.parametrize("h", KAHLER_ORACLE_FUNCTIONS, ids=lambda h: "".join(map(str, h)))
+def test_kahler_forms_match_lifted_products(h):
+    g = build_gkm(h)
+    lam = default_kahler_weight(g.n)
+    for r in range(g.n):
+        for J in itertools.combinations(range(1, g.n), r):
+            for k in range(0, 2 * g.l + 1, 2):
+                assert poincare_pairing(g, k, J) == pairing_by_lifts(g, k, J), (J, k)
+            for dd in range(g.l // 2 + 1):
+                for p in (g.l - 2 * dd, g.l - 2 * dd + 1):
+                    assert gkm._lefschetz_images(g, J, lam, dd, p) == lefschetz_images_by_lifts(
+                        g, J, lam, dd, p
+                    ), (J, dd, p)
+                assert gkm._primitive_form(g, J, lam, dd) == primitive_form_by_lifts(
+                    g, J, lam, dd
+                ), (J, dd)
 
 
 def test_pairing_independent_of_lift():
