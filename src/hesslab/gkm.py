@@ -28,10 +28,12 @@ system.
 The Kahler forms are read off two kinds of per-graph matrix, computed once
 and shared by every J: the intersection matrix of flow-up classes of
 complementary Morse index (each entry one polynomial localization integral
-of a flow-up pair, with all of integrate's checks), and the Lefschetz matrix
-of an omega power on flow-up coordinates (one projection per flow-up class).
-Integration is bilinear over the torus ring and a product of degree below l
-integrates to 0, so pairings, hard Lefschetz images and Hodge-Riemann Gram
+of a flow-up pair, with all of integrate's checks), and one Lefschetz matrix
+per degree, multiplication by omega on flow-up coordinates (one projection
+per flow-up class).  Integration is bilinear over the torus ring and a
+product of degree below l integrates to 0; projection kills positive-degree
+multiples, so it is a ring map and omega^p is the chained product of p
+Lefschetz matrices.  Pairings, hard Lefschetz images and Hodge-Riemann Gram
 matrices on the W_J-invariant subring are exact Fraction matrix products.
 """
 
@@ -308,14 +310,12 @@ def _solve_flowup(g, vid, k, norm, support):
             if vert == vid:
                 red = reduce_mod_linear(norm, _pair_form(g.n, *pair))
                 for mono, c in red.c.items():
-                    const[mono] = const.get(mono, Fraction(0)) + sign * c
+                    const[mono] = sign * c
             elif vert in in_support:
                 base = col_of[vert]
                 for mi in range(D):
                     for mono, c in table[mi].c.items():
-                        entries.setdefault(mono, {})[base + mi] = (
-                            entries.get(mono, {}).get(base + mi, Fraction(0)) + sign * c
-                        )
+                        entries.setdefault(mono, {})[base + mi] = sign * c
             # vertices outside the support contribute zero
 
         add_vertex(u, Fraction(1))
@@ -428,22 +428,17 @@ def integrate(g: GKMGraph, c: EquivClass):
     polynomiality raises instead of approximating.  Degree-l input yields a
     rational number.
     """
-    if g.l == 0:
-        total = Poly.zero(g.nvars)
-        for val in c.values:
-            total = total + val
-    else:
-        total = Poly.zero(g.nvars)
-        for val, factor in zip(c.values, _integration_factors(g)):
-            if not val.is_zero():
-                total = total + val * factor
-        for i in range(1, g.n + 1):
-            for j in range(i + 1, g.n + 1):
-                if total.is_zero():
-                    break
-                total = divide_linear(total, _pair_form(g.n, i, j))
-                if total is None:
-                    raise ConsistencyError("localization sum failed to be a polynomial")
+    total = Poly.zero(g.nvars)
+    for val, factor in zip(c.values, _integration_factors(g)):
+        if not val.is_zero():
+            total = total + val * factor
+    for i in range(1, g.n + 1):
+        for j in range(i + 1, g.n + 1):
+            if total.is_zero():
+                break
+            total = divide_linear(total, _pair_form(g.n, i, j))
+            if total is None:
+                raise ConsistencyError("localization sum failed to be a polynomial")
     expected_degree = c.degree - g.l
     if not total.is_zero() and total.degree != expected_degree:
         raise ConsistencyError(
@@ -477,13 +472,6 @@ def _kahler_class(g: GKMGraph, lam: tuple[int, ...]) -> EquivClass:
 
 def default_kahler_weight(n: int) -> tuple[int, ...]:
     return tuple(range(n - 1, -1, -1))
-
-
-@_memo
-def _kahler_power(g: GKMGraph, lam: tuple[int, ...], e: int) -> EquivClass:
-    if e == 0:
-        return EquivClass(g, 0, tuple(Poly.const(g.nvars, 1) for _ in g.vertices))
-    return _kahler_power(g, lam, e - 1) * kahler_class(g, lam)
 
 
 def permutation_inverse(w: tuple[int, ...]) -> tuple[int, ...]:
@@ -606,13 +594,14 @@ def _intersection_matrix(g: GKMGraph, dd: int):
 
 
 @_memo
-def _lefschetz_matrix(g: GKMGraph, lam: tuple[int, ...], p: int, dd: int):
-    """Row i is the flow-up coordinate vector of sigma_i omega^p in H^{2(dd+p)},
+def _lefschetz_matrix(g: GKMGraph, lam: tuple[int, ...], dd: int):
+    """Row i is the flow-up coordinate vector of sigma_i omega in H^{2(dd+1)},
     for the flow-up classes sigma_i of Morse index dd; omega is the ample class
-    of lam.  Positive-degree multiples project to 0, so an ordinary class v of
-    degree dd maps to v L."""
-    omega_pow = _kahler_power(g, lam, p)
-    return [ordinary_project(g, s * omega_pow) for s in ordinary_basis(g, dd)]
+    of lam.  Positive-degree multiples project to 0, so projection is a ring
+    map: an ordinary class v of degree dd maps to v L_dd, and omega^p to the
+    chained product L_dd L_{dd+1} ... L_{dd+p-1}."""
+    omega = kahler_class(g, lam)
+    return [ordinary_project(g, s * omega) for s in ordinary_basis(g, dd)]
 
 
 def poincare_pairing(g: GKMGraph, k: int, J=()):
@@ -651,7 +640,10 @@ def _poincare_pairing(g: GKMGraph, k: int, J: tuple[int, ...]):
 
 def _lefschetz_images(g: GKMGraph, J: tuple[int, ...], lam: tuple[int, ...], dd: int, p: int):
     """Flow-up coordinates of v omega^p for each W_J-invariant basis vector v of degree dd."""
-    return _matmul(invariant_vectors(g, J, dd), _lefschetz_matrix(g, lam, p, dd))
+    images = invariant_vectors(g, J, dd)
+    for k in range(dd, dd + p):
+        images = _matmul(images, _lefschetz_matrix(g, lam, k))
+    return images
 
 
 def _primitive_form(g: GKMGraph, J: tuple[int, ...], lam: tuple[int, ...], dd: int):
@@ -659,10 +651,11 @@ def _primitive_form(g: GKMGraph, J: tuple[int, ...], lam: tuple[int, ...], dd: i
     W_J-invariant classes of degree dd (the kernel of omega^(l-2dd+1)), in the
     nullspace basis; unsigned.  Needs 2 dd <= l."""
     domain = invariant_vectors(g, J, dd)
-    killed = _lefschetz_images(g, J, lam, dd, g.l - 2 * dd + 1)
+    hl = _lefschetz_images(g, J, lam, dd, g.l - 2 * dd)
+    killed = _matmul(hl, _lefschetz_matrix(g, lam, g.l - dd))
     prim = nullspace(_transpose(killed), len(domain))
+    scaled = _matmul(prim, hl)
     C = _matmul(prim, domain)
-    scaled = _matmul(C, _lefschetz_matrix(g, lam, g.l - 2 * dd, dd))
     return _matmul(_matmul(C, _intersection_matrix(g, dd)), _transpose(scaled))
 
 
@@ -673,7 +666,9 @@ def kahler_report(g: GKMGraph, J=(), lam=None) -> dict:
     Every form is an exact matrix product of the W_J-invariant vectors with
     two kinds of per-graph table shared by all J: the intersection matrices
     of flow-up classes (the only integrals, through integrate and its checks)
-    and the Lefschetz matrices of omega powers.
+    and one omega-multiplication table per degree; a power of omega is the
+    chained product of those tables.  One pass per degree k <= l fills the
+    duality, hard Lefschetz and Hodge-Riemann entries.
     The sign in honest degree k is (-1)^(k/2), pinned by top-power positivity
     in degree 0 and the classical surface signature in the middle.
     """
@@ -697,7 +692,7 @@ def _kahler_report(g: GKMGraph, J: tuple[int, ...], lam: tuple[int, ...]) -> dic
         "hodge_riemann": {},
     }
 
-    pairing_ok = True
+    verdicts = {"poincare": True, "hard_lefschetz": True, "hodge_riemann": True}
     for dd in range(0, g.l // 2 + 1):
         k = 2 * dd
         try:
@@ -710,43 +705,33 @@ def _kahler_report(g: GKMGraph, J: tuple[int, ...], lam: tuple[int, ...]) -> dic
                 "rank": exc.witness.get("matrix_rank"),
                 "nondegenerate": False,
             }
-            pairing_ok = False
         report["poincare"][str(k)] = entry
+        verdicts["poincare"] &= entry["nondegenerate"]
 
-    hl_ok = True
-    for dd in range(0, g.l // 2 + 1):
         power = g.l - 2 * dd
         rank = rank_exact(_lefschetz_images(g, J, lam, dd, power))
         full = rank == dims[dd]
-        hl_ok = hl_ok and full
-        report["hard_lefschetz"][str(2 * dd)] = {
+        report["hard_lefschetz"][str(k)] = {
             "power": power,
             "rank": rank,
             "dim": dims[dd],
             "full": full,
         }
+        verdicts["hard_lefschetz"] &= full
 
-    hr_ok = True
-    for dd in range(0, g.l // 2 + 1):
         if not dims[dd]:
             continue
         sign = 1 if dd % 2 == 0 else -1
         gram = [[sign * x for x in row] for row in _primitive_form(g, J, lam, dd)]
         definite, pivots = ldlt_pivots(gram)
-        signature = inertia(gram)
-        hr_ok = hr_ok and definite
-        report["hodge_riemann"][str(2 * dd)] = {
+        report["hodge_riemann"][str(k)] = {
             "dim_primitive": len(gram),
             "sign": sign,
             "pivots": [str(p) for p in pivots],
-            "signature": list(signature),
+            "signature": list(inertia(gram)),
             "definite": definite,
         }
+        verdicts["hodge_riemann"] &= definite
 
-    report["verdicts"] = {
-        "poincare": pairing_ok,
-        "hard_lefschetz": hl_ok,
-        "hodge_riemann": hr_ok,
-        "all": pairing_ok and hl_ok and hr_ok,
-    }
+    report["verdicts"] = {**verdicts, "all": all(verdicts.values())}
     return report

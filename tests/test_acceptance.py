@@ -16,6 +16,7 @@ from hesslab.cli import canonical_json, kahler_payload
 from hesslab.dotchar import betti_rs, chromatic_qsym, dot_action_multiplicities, regular_betti
 from hesslab.gkm import (
     build_gkm,
+    flow_up_class,
     integrate,
     lift,
     morse_betti,
@@ -138,11 +139,13 @@ def test_acceptance_6_dual_route_betti():
 
 def test_acceptance_7_kahler_package_desk_scale():
     # also pins the bytes: the canonical JSON of every report at seed 1729,
-    # pairing determinants included, hashed in order
+    # pairing determinants included, hashed in order; and, separately, the
+    # exact values of every flow-up class, each graph's in moment order
     start = time.monotonic()
     cases = 0
     failures = []
     digest = hashlib.sha256()
+    flowups = hashlib.sha256()
     for n in range(2, 5):
         for h in enumerate_hessenberg(n):
             g = build_gkm(h)
@@ -153,8 +156,16 @@ def test_acceptance_7_kahler_package_desk_scale():
                     digest.update(canonical_json(payload).encode())
                     if not payload["verdicts"]["all"]:
                         failures.append((h, J, payload["verdicts"]))
+            for u in g.order:
+                values = flow_up_class(g, u).values
+                terms = [[[list(m), str(c)] for m, c in sorted(v.c.items())] for v in values]
+                flowups.update(canonical_json(terms).encode())
     elapsed = time.monotonic() - start
-    pinned = digest.hexdigest() == "9efebf6529e94587e2319cee1179179fa6dad87e569477bda61e8d5328928e81"
+    pinned = (
+        digest.hexdigest() == "9efebf6529e94587e2319cee1179179fa6dad87e569477bda61e8d5328928e81"
+        and flowups.hexdigest()
+        == "858190a573da974184f6be31a8be9f441b64313c78f24aa018a54730b312aa91"
+    )
     ok = not failures and pinned and cases == 2 * 2 + 5 * 4 + 14 * 8 and elapsed < 900
     announce(
         7,

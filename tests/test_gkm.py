@@ -382,23 +382,30 @@ KAHLER_ORACLE_FUNCTIONS = [h for n in (2, 3) for h in enumerate_hessenberg(n)] +
     (2, 4, 4, 4),  # l = 4: a middle degree with omega^0
 ]
 
+# a second strictly decreasing weight, checked besides the default one
+KAHLER_ORACLE_ALT_WEIGHT = {h: (7, 2, -1) for h in enumerate_hessenberg(3)}
+KAHLER_ORACLE_ALT_WEIGHT[(2, 3, 4, 4)] = (5, 3, 0, -4)
+
 
 @pytest.mark.parametrize("h", KAHLER_ORACLE_FUNCTIONS, ids=lambda h: "".join(map(str, h)))
 def test_kahler_forms_match_lifted_products(h):
     g = build_gkm(h)
-    lam = default_kahler_weight(g.n)
+    weights = [default_kahler_weight(g.n)]
+    if h in KAHLER_ORACLE_ALT_WEIGHT:
+        weights.append(KAHLER_ORACLE_ALT_WEIGHT[h])
     for r in range(g.n):
         for J in itertools.combinations(range(1, g.n), r):
             for k in range(0, 2 * g.l + 1, 2):
                 assert poincare_pairing(g, k, J) == pairing_by_lifts(g, k, J), (J, k)
-            for dd in range(g.l // 2 + 1):
-                for p in (g.l - 2 * dd, g.l - 2 * dd + 1):
-                    assert gkm._lefschetz_images(g, J, lam, dd, p) == lefschetz_images_by_lifts(
-                        g, J, lam, dd, p
-                    ), (J, dd, p)
-                assert gkm._primitive_form(g, J, lam, dd) == primitive_form_by_lifts(
-                    g, J, lam, dd
-                ), (J, dd)
+            for lam in weights:
+                for dd in range(g.l // 2 + 1):
+                    for p in (g.l - 2 * dd, g.l - 2 * dd + 1):
+                        assert gkm._lefschetz_images(
+                            g, J, lam, dd, p
+                        ) == lefschetz_images_by_lifts(g, J, lam, dd, p), (J, lam, dd, p)
+                    assert gkm._primitive_form(g, J, lam, dd) == primitive_form_by_lifts(
+                        g, J, lam, dd
+                    ), (J, lam, dd)
 
 
 def test_pairing_independent_of_lift():
