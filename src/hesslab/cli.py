@@ -562,6 +562,9 @@ def main(argv=None) -> int:
                     parser.error(f"lambda must be strictly decreasing, got {args.lam}")
             report = kahler_cli_report(args.h, args.J, args.lam, seed=args.seed, cache_dir=cache_dir)
             failed = not report["verdicts"]["all"]
+        if args.timing:
+            report["timing"] = {"seconds": round(time.monotonic() - started, 3)}
+        _emit(render(report, args.format), args.out)
     except TheoremViolation as exc:
         witness = {"error": "theorem-violation", "detail": str(exc), "witness": _sanitize(exc.witness)}
         sys.stdout.write(canonical_json(witness))
@@ -569,13 +572,10 @@ def main(argv=None) -> int:
     except CostGuardError as exc:
         print(f"hesslab: {exc}", file=sys.stderr)
         return 2
-    except HesslabError as exc:
+    except (HesslabError, OSError) as exc:
+        # OSError: the report or a cache entry could not be written
         print(f"hesslab: {exc}", file=sys.stderr)
         return 1
-
-    if args.timing:
-        report["timing"] = {"seconds": round(time.monotonic() - started, 3)}
-    _emit(render(report, args.format), args.out)
     return 3 if failed else 0
 
 

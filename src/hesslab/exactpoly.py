@@ -2,7 +2,11 @@
 
 Coordinates for the moment-graph engine: polynomials live in m = n-1 variables
 t_1..t_{n-1}, with t_n represented as -(t_1 + ... + t_{n-1}).  Everything is a
-dict from exponent tuple to Fraction; no floats anywhere.
+dict from exponent tuple to Fraction; no floats anywhere.  Division by a
+linear form has one routine, `divmod_linear`, giving both the quotient and the
+remainder: edge conditions test the remainder, flow-up decomposition and
+localization integrals take the quotient of an exact division.
+`Poly.substitute` is the ring map the Weyl dot action permutes variables by.
 """
 
 from __future__ import annotations
@@ -116,9 +120,6 @@ class Poly:
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.nvars == other.nvars and self.c == other.c
 
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.c.items())))
-
     def is_zero(self) -> bool:
         return not self.c
 
@@ -181,67 +182,35 @@ class Poly:
         return "Poly(" + " + ".join(bits) + ")"
 
 
-def reduce_mod_linear(P: Poly, L: Poly) -> Poly:
-    """Remainder of P modulo the linear form L (restriction to the hyperplane L = 0)."""
-    images = _hyperplane_images(L)
-    return P.substitute(images)
+def divmod_linear(P: Poly, L: Poly) -> tuple[Poly, Poly]:
+    """(Q, R) with P = Q*L + R and R free of the pivot variable of L.
 
-
-@cache
-def _hyperplane_images(L: Poly) -> tuple[Poly, ...]:
-    m = L.nvars
-    coeffs = [L.c.get(tuple(1 if k == i else 0 for k in range(m)), Fraction(0)) for i in range(m)]
-    if L.degree != 1 or any(sum(mono) != 1 for mono in L.c):
-        raise ValueError(f"not a linear form: {L!r}")
-    v = next(i for i in range(m) if coeffs[i])
-    images = []
-    for i in range(m):
-        if i != v:
-            images.append(Poly.variable(m, i))
-        else:
-            images.append(
-                Poly(
-                    m,
-                    {
-                        tuple(1 if k == u else 0 for k in range(m)): -coeffs[u] / coeffs[v]
-                        for u in range(m)
-                        if u != v and coeffs[u]
-                    },
-                )
-            )
-    return tuple(images)
-
-
-def divide_linear(P: Poly, L: Poly) -> Poly | None:
-    """Exact quotient P / L, or None when L does not divide P.
-
-    Synthetic division in the pivot variable of L: repeatedly cancel the term
-    with the highest pivot exponent.  The loop terminates because the leading
-    (pivot-degree, monomial) key strictly decreases.
+    The pivot is the first variable with a nonzero coefficient in L; the two
+    conditions fix R, which is P restricted to the hyperplane L = 0 written in
+    the other variables, so L divides P exactly when R is zero.  Synthetic
+    division, one pivot exponent at a time from the top: cancelling a term of
+    pivot exponent d only touches terms of pivot exponent d - 1.
     """
     m = L.nvars
-    coeffs = [L.c.get(tuple(1 if k == i else 0 for k in range(m)), Fraction(0)) for i in range(m)]
-    v = next((i for i in range(m) if coeffs[i]), None)
-    if v is None or L.degree != 1:
+    if not L.c or any(sum(mono) != 1 for mono in L.c):
         raise ValueError(f"not a linear form: {L!r}")
+    coeffs = [L.c.get(tuple(1 if k == i else 0 for k in range(m)), Fraction(0)) for i in range(m)]
+    v = next(i for i in range(m) if coeffs[i])
     cv = coeffs[v]
     rest = [(u, cu) for u, cu in enumerate(coeffs) if cu and u != v]
     R = dict(P.c)
     Q: dict[tuple[int, ...], Fraction] = {}
-    while R:
-        mono, coeff = max(R.items(), key=lambda kv: (kv[0][v], kv[0]))
-        d = mono[v]
-        if d == 0:
-            return None
-        qmono = tuple(e - 1 if i == v else e for i, e in enumerate(mono))
-        qc = coeff / cv
-        Q[qmono] = Q.get(qmono, Fraction(0)) + qc
-        del R[mono]
-        for u, cu in rest:
-            tm = tuple(e + 1 if i == u else e for i, e in enumerate(qmono))
-            s = R.get(tm, Fraction(0)) - qc * cu
-            if s:
-                R[tm] = s
-            else:
-                R.pop(tm, None)
-    return Poly(m, Q)
+    for d in range(max((mono[v] for mono in R), default=0), 0, -1):
+        for mono in [mono for mono in R if mono[v] == d]:
+            qmono = tuple(e - 1 if i == v else e for i, e in enumerate(mono))
+            qc = Q[qmono] = R.pop(mono) / cv
+            for u, cu in rest:
+                tm = tuple(e + 1 if i == u else e for i, e in enumerate(qmono))
+                s = R.get(tm, 0) - qc * cu
+                if s:
+                    R[tm] = s
+                else:
+                    R.pop(tm, None)
+    q, r = Poly(m), Poly(m)
+    q.c, r.c = Q, R
+    return q, r

@@ -14,16 +14,16 @@ through flow-up classes: a fixed generic covector orients every edge, each
 vertex gets a Morse index (its down-degree), and for each vertex we solve a
 small exact linear system for a class of that degree supported strictly above
 it, normalized to the product of its downward weights; a system without a
-solution raises ConsistencyError.  Each row of that
-system is one monomial of one edge condition, so it touches the unknowns of
-at most two vertices; the rows go to linalg's sparse exact elimination kernel
-as {column: coefficient} dicts.  The flow-up classes of Morse index k are
-the basis of the ordinary degree-k piece; ordinary_basis counts them against
-the Betti numbers from the character side, so a missing or extra class
-raises instead of passing silently.  That monomial multiples of flow-up
-classes span every equivariant degree piece is a free-module statement the
-test suite certifies against the exact nullity of the full divisibility
-system.
+solution raises ConsistencyError.  The edge rows of each degree are built
+once per graph, one {column: coefficient} row per edge and output monomial,
+touching the unknowns of two vertices; each vertex's system restricts them to
+the vertices above it, for linalg's sparse exact elimination kernel.  The
+flow-up classes of Morse index k are the basis of the ordinary degree-k
+piece; ordinary_basis counts them against the Betti numbers from the
+character side, so a missing or extra class raises instead of passing
+silently.  That monomial multiples of flow-up classes span every equivariant
+degree piece is a free-module statement the test suite certifies against the
+exact nullity of the full divisibility system.
 
 The Kahler forms are read off two kinds of per-graph matrix, computed once
 and shared by every J: the intersection matrix of flow-up classes of
@@ -47,9 +47,9 @@ from functools import cache, wraps
 
 from .dotchar import betti_rs, regular_betti
 from .errors import ConsistencyError, TheoremViolation
-from .exactpoly import Poly, divide_linear, monomials, reduce_mod_linear
+from .exactpoly import Poly, divmod_linear, monomials
 from .hessenberg import check_hessenberg, dimension
-from .linalg import inertia, ldlt_pivots, nullspace, rank_exact, solve_particular
+from .linalg import inertia, nullspace, rank_exact, solve_particular
 
 DEFAULT_SEED = 1729
 GRAPH_MAX_N = 5
@@ -144,7 +144,7 @@ class EquivClass:
             diff = self.values[u] - self.values[v]
             if diff.is_zero():
                 continue
-            if not reduce_mod_linear(diff, _pair_form(g.n, *pair)).is_zero():
+            if not divmod_linear(diff, _pair_form(g.n, *pair))[1].is_zero():
                 raise ConsistencyError(
                     f"edge condition fails between {g.vertices[u]} and {g.vertices[v]} on {pair}"
                 )
@@ -235,10 +235,10 @@ def morse_betti(g: GKMGraph) -> list[int]:
 
 @cache
 def _reduction_table(n: int, pair: tuple[int, int], k: int):
-    """Reductions of all degree-k monomials modulo the form of a canonical pair."""
+    """Remainders of all degree-k monomials modulo the form of a canonical pair."""
     L = _pair_form(n, *pair)
     return tuple(
-        reduce_mod_linear(Poly(n - 1, {mono: Fraction(1)}), L) for mono in monomials(n - 1, k)
+        divmod_linear(Poly(n - 1, {mono: Fraction(1)}), L)[1] for mono in monomials(n - 1, k)
     )
 
 
@@ -272,8 +272,7 @@ def _flow_up_class(g: GKMGraph, vid: int) -> EquivClass:
     for f in _down_forms(g, vid):
         norm = norm * f
 
-    support = [u for u in range(len(g.vertices)) if u == vid or g.phi[u] > g.phi[vid]]
-    solution = _solve_flowup(g, vid, k, norm, support)
+    solution = _solve_flowup(g, vid, k, norm)
     if solution is None:
         raise ConsistencyError(f"no flow-up class at vertex {g.vertices[vid]} for h={g.h}")
 
@@ -287,42 +286,48 @@ def _flow_up_class(g: GKMGraph, vid: int) -> EquivClass:
     return cls
 
 
-def _solve_flowup(g, vid, k, norm, support):
+@_memo
+def _edge_rows(g: GKMGraph, k: int) -> list[dict[int, Fraction]]:
+    """Degree-k edge conditions, one row per edge and output monomial: the two
+    endpoint values (vertex u's D coefficients in columns u*D...) agree mod the edge form."""
+    D = len(monomials(g.nvars, k))
+    rows = []
+    for u, v, pair in g.edges():
+        by_out: dict[tuple[int, ...], dict[int, Fraction]] = {}
+        for mi, red in enumerate(_reduction_table(g.n, pair, k)):
+            for mono, c in red.c.items():
+                row = by_out.setdefault(mono, {})
+                row[u * D + mi] = c
+                row[v * D + mi] = -c
+        rows.extend(by_out.values())
+    return rows
+
+
+def _solve_flowup(g, vid, k, norm):
+    """The edge rows restricted to the vertices above vid; the vid block, at the
+    coefficients of norm, is the right-hand side."""
     m = g.nvars
     monos = monomials(m, k)
     D = len(monos)
-    unknown_ids = [u for u in support if u != vid]
+    unknown_ids = [u for u in range(len(g.vertices)) if g.phi[u] > g.phi[vid]]
     col_of = {u: i * D for i, u in enumerate(unknown_ids)}
-    in_support = set(support)
     ncols = len(unknown_ids) * D
+    known = [norm.c.get(mono, 0) for mono in monos]
 
     rows: list[dict[int, Fraction]] = []
     rhs: list[Fraction] = []
-    for u, v, pair in g.edges():
-        if u not in in_support and v not in in_support:
-            continue
-        table = _reduction_table(g.n, pair, k)
-        # collect the reduced difference as: sum over unknown cols +- table, plus known part
-        entries: dict[tuple[int, ...], dict[int, Fraction]] = {}
-        const: dict[tuple[int, ...], Fraction] = {}
-
-        def add_vertex(vert, sign):
-            if vert == vid:
-                red = reduce_mod_linear(norm, _pair_form(g.n, *pair))
-                for mono, c in red.c.items():
-                    const[mono] = sign * c
-            elif vert in in_support:
-                base = col_of[vert]
-                for mi in range(D):
-                    for mono, c in table[mi].c.items():
-                        entries.setdefault(mono, {})[base + mi] = sign * c
-            # vertices outside the support contribute zero
-
-        add_vertex(u, Fraction(1))
-        add_vertex(v, Fraction(-1))
-        for mono in set(entries) | set(const):
-            rows.append(entries.get(mono, {}))
-            rhs.append(-const.get(mono, Fraction(0)))
+    for full in _edge_rows(g, k):
+        row = {}
+        b = Fraction(0)
+        for c, x in full.items():
+            u, mi = divmod(c, D)
+            if u == vid:
+                b -= x * known[mi]
+            elif u in col_of:
+                row[col_of[u] + mi] = x
+        if row or b:
+            rows.append(row)
+            rhs.append(b)
 
     # Largest column first: the elimination pivots on leftmost columns, so this
     # order keeps the fill small.  The RREF, hence the solution, is unchanged.
@@ -369,8 +374,8 @@ def _decompose(g: GKMGraph, c: EquivClass) -> dict[int, Poly]:
             raise ConsistencyError("class is not in the span of flow-up multiples")
         q = r
         for f in _down_forms(g, vid):
-            q = divide_linear(q, f)
-            if q is None:
+            q, rem = divmod_linear(q, f)
+            if not rem.is_zero():
                 raise ConsistencyError("flow-up decomposition hit a non-divisible residual")
         out[vid] = q
         sigma = flow_up_class(g, vid)
@@ -436,8 +441,8 @@ def integrate(g: GKMGraph, c: EquivClass):
         for j in range(i + 1, g.n + 1):
             if total.is_zero():
                 break
-            total = divide_linear(total, _pair_form(g.n, i, j))
-            if total is None:
+            total, rem = divmod_linear(total, _pair_form(g.n, i, j))
+            if not rem.is_zero():
                 raise ConsistencyError("localization sum failed to be a polynomial")
     expected_degree = c.degree - g.l
     if not total.is_zero() and total.degree != expected_degree:
@@ -723,12 +728,13 @@ def _kahler_report(g: GKMGraph, J: tuple[int, ...], lam: tuple[int, ...]) -> dic
             continue
         sign = 1 if dd % 2 == 0 else -1
         gram = [[sign * x for x in row] for row in _primitive_form(g, J, lam, dd)]
-        definite, pivots = ldlt_pivots(gram)
+        signature, pivots = inertia(gram)
+        definite = signature[0] == len(gram)
         report["hodge_riemann"][str(k)] = {
             "dim_primitive": len(gram),
             "sign": sign,
             "pivots": [str(p) for p in pivots],
-            "signature": list(inertia(gram)),
+            "signature": list(signature),
             "definite": definite,
         }
         verdicts["hodge_riemann"] &= definite

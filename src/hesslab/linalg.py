@@ -12,8 +12,9 @@ the RREF from it by one back pass.  `rank_exact`, `nullspace` and
 variables set to 0 their answers are the ones dense Gauss-Jordan gives.  The
 moment-graph flow-up systems it serves touch two vertices per row, so the
 dict rows stay short where a dense copy would be mostly zeros.  The dense
-helpers below (`ldlt_pivots`, `inertia`, `det_exact`) serve the small
-symmetric pairing and Gram matrices of the Kahler checks.
+helpers below serve the small symmetric pairing and Gram matrices of the
+Kahler checks: `inertia` reads the signature and the leading pivots off one
+congruence pass, and `det_exact` gives pairing determinants.
 """
 
 from __future__ import annotations
@@ -107,41 +108,25 @@ def solve_particular(rows, rhs, ncols: int):
     return x
 
 
-def ldlt_pivots(G):
-    """(is_positive_definite, pivots) by pivot-free LDL^T elimination.
-
-    A symmetric rational matrix is positive definite iff elimination runs to
-    completion with every pivot strictly positive; the first nonpositive pivot
-    stops the scan and is included as the witness.
-    """
-    A = [list(row) for row in G]
-    n = len(A)
-    pivots: list[Fraction] = []
-    for i in range(n):
-        d = A[i][i]
-        pivots.append(d)
-        if d <= 0:
-            return False, pivots
-        for r in range(i + 1, n):
-            if A[r][i]:
-                f = A[r][i] / d
-                for c in range(i, n):
-                    A[r][c] -= f * A[i][c]
-    return True, pivots
-
-
 def inertia(G):
-    """Signature (positive, negative, zero) of a symmetric rational matrix.
+    """(signature, pivots) of a symmetric rational matrix.
 
-    Lagrange congruence diagonalization; when every active diagonal entry is
-    zero but some off-diagonal is not, a row+column add restores a usable
-    pivot without leaving exact arithmetic.
+    The signature (positive, negative, zero) comes from Lagrange congruence
+    diagonalization; when every active diagonal entry is zero but some
+    off-diagonal is not, a row+column add restores a usable pivot without
+    leaving exact arithmetic.  The pivots are the diagonal entries met in
+    index order, up to and including the first one that is not positive:
+    while they stay positive they are the LDL^T pivots, and the matrix is
+    positive definite exactly when all n of them are.
     """
     A = [[Fraction(x) for x in row] for row in G]
     n = len(A)
     pos = neg = zero = 0
+    pivots: list[Fraction] = []
     active = list(range(n))
     while active:
+        if not pivots or pivots[-1] > 0:
+            pivots.append(A[active[0]][active[0]])
         d = next((i for i in active if A[i][i] != 0), None)
         if d is None:
             pair = next(
@@ -169,7 +154,7 @@ def inertia(G):
                     A[i][k] -= f * A[d][k]
                 for k in range(n):
                     A[k][i] -= f * A[k][d]
-    return pos, neg, zero
+    return (pos, neg, zero), pivots
 
 
 def det_exact(matrix) -> Fraction:

@@ -107,22 +107,6 @@ def _dimension_of_degree(m: int, d: int) -> int:
     return len(monomials(m, d)) if d >= 0 else 0
 
 
-def _divisibility_matrix(g, k: int) -> list[dict[int, Fraction]]:
-    """One {column: coefficient} row per edge and output monomial: the values
-    at the two endpoints (D unknowns each) must agree modulo the edge form."""
-    D = _dimension_of_degree(g.nvars, k)
-    rows = []
-    for u, v, pair in g.edges():
-        by_out: dict[tuple[int, ...], dict[int, Fraction]] = {}
-        for mi, red in enumerate(gkm._reduction_table(g.n, pair, k)):
-            for mono, c in red.c.items():
-                row = by_out.setdefault(mono, {})
-                row[u * D + mi] = c
-                row[v * D + mi] = -c
-        rows.extend(by_out.values())
-    return rows
-
-
 def equivariant_dimension(g, k: int) -> int:
     """Dimension of the degree-k piece of the full divisibility system.
 
@@ -139,7 +123,7 @@ def equivariant_dimension(g, k: int) -> int:
         betti[j] * _dimension_of_degree(g.nvars, k - j) for j in range(min(k, g.l) + 1)
     )
     ncols = len(g.vertices) * _dimension_of_degree(g.nvars, k)
-    nullity = ncols - rank_exact(_divisibility_matrix(g, k))
+    nullity = ncols - rank_exact(gkm._edge_rows(g, k))
     if nullity != expected:
         raise ConsistencyError(
             f"divisibility system at degree {k} has dimension {nullity}, free module predicts {expected}"

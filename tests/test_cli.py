@@ -294,6 +294,24 @@ def test_out_file(tmp_path, capsys):
     assert target.read_text() == direct
 
 
+@pytest.mark.parametrize("parent", ["missing", "file"])
+def test_out_file_unwritable(tmp_path, capsys, parent):
+    (tmp_path / "file").write_text("")
+    target = tmp_path / parent / "report.json"
+    rc, out, err = run(capsys, "analyze", "--h", "2,3,3", "--out", str(target))
+    assert rc == 1 and out == ""
+    assert err.startswith("hesslab: ") and err.count("\n") == 1
+    assert not target.exists()
+
+
+def test_cache_dir_under_a_file(tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    cache = tmp_path / "file" / "sub"
+    rc, out, err = run(capsys, "analyze", "--h", "2,3,3", "--cache-dir", str(cache))
+    assert rc == 1 and out == ""
+    assert err.startswith("hesslab: ") and err.count("\n") == 1
+
+
 def test_byte_stability(capsys):
     _, first, _ = run(capsys, "analyze", "--h", "2,3,4,4")
     _, second, _ = run(capsys, "analyze", "--h", "2,3,4,4")

@@ -326,7 +326,7 @@ def test_poincare_pairing_fixtures():
     middle = poincare_pairing(hexagon, 2)
     assert len(middle) == 4
     assert middle == [list(row) for row in zip(*middle)]  # middle degree: symmetric
-    assert tuple(inertia(middle)) == (1, 3, 0)  # surface intersection form
+    assert inertia(middle)[0] == (1, 3, 0)  # surface intersection form
 
     with pytest.raises(ValueError):
         poincare_pairing(hexagon, 1)

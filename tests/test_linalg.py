@@ -1,12 +1,17 @@
-"""The sparse exact elimination kernel against dense Gauss-Jordan.
+"""The sparse exact elimination kernel against dense Gauss-Jordan, and the
+dense symmetric helpers against closed formulas.
 
 `dense_row_reduce` is the dense Fraction RREF the library used before its
 sparse kernel; it stays here as the oracle.  Particular solutions (free
 variables 0), nullspace bases (one vector per free column) and ranks are
 fixed by the RREF, so the kernel must reproduce them exactly, on random
 sparse rational matrices and on every flow-up system the moment graph builds.
+`inertia` is checked against Descartes' rule of signs on the exact
+characteristic polynomial and against ratios of leading principal minors,
+and `det_exact` against the Leibniz expansion.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -15,7 +20,15 @@ import pytest
 from hesslab import gkm
 from hesslab.gkm import build_gkm, flow_up_class
 from hesslab.hessenberg import enumerate_hessenberg
-from hesslab.linalg import echelon, nullspace, rank_exact, row_reduce, solve_particular
+from hesslab.linalg import (
+    det_exact,
+    echelon,
+    inertia,
+    nullspace,
+    rank_exact,
+    row_reduce,
+    solve_particular,
+)
 
 
 def dense_row_reduce(rows, ncols: int):
@@ -199,3 +212,147 @@ def test_flowup_systems_match_dense(h, monkeypatch):
     for rows, rhs, ncols, x in systems:
         assert all(isinstance(r, dict) for r in rows)
         assert_same_values(x, dense_solve([dense(r, ncols) for r in rows], rhs, ncols))
+
+
+def leibniz_det(A):
+    """Determinant as the signed sum over all permutations."""
+    n = len(A)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i in range(n):
+            term *= A[i][perm[i]]
+        total += term
+    return total
+
+
+def charpoly(A):
+    """Coefficients c_0..c_n of det(x I - A), lowest degree first, by
+    Faddeev-LeVerrier over Fraction."""
+    n = len(A)
+    coeffs = [Fraction(0)] * n + [Fraction(1)]
+    M = [[Fraction(0)] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        # M_k = A M_{k-1} + c_{n-k+1} I, and c_{n-k} = -tr(A M_k) / k
+        M = [
+            [sum((A[i][j] * M[j][c] for j in range(n)), Fraction(0)) for c in range(n)]
+            for i in range(n)
+        ]
+        for i in range(n):
+            M[i][i] += coeffs[n - k + 1]
+        trace_am = sum(A[i][j] * M[j][i] for i in range(n) for j in range(n))
+        coeffs[n - k] = -Fraction(trace_am) / k
+    return coeffs
+
+
+def sign_changes(coeffs) -> int:
+    signs = [c > 0 for c in coeffs if c]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def descartes_signature(A):
+    """(positive, negative, zero) eigenvalue counts of a symmetric matrix.
+
+    Its characteristic polynomial is real-rooted, so Descartes' rule of signs
+    counts the positive roots exactly, and on p(-x) the negative ones."""
+    coeffs = charpoly(A)
+    zero = next(i for i, c in enumerate(coeffs) if c)
+    reflected = [c if i % 2 == 0 else -c for i, c in enumerate(coeffs)]
+    return sign_changes(coeffs), sign_changes(reflected), zero
+
+
+def minor_pivots(A):
+    """D_k / D_{k-1} for the leading principal minors, up to and including
+    the first ratio that is not positive."""
+    pivots = []
+    prev = Fraction(1)
+    for k in range(1, len(A) + 1):
+        D = leibniz_det([row[:k] for row in A[:k]])
+        pivots.append(D / prev)
+        if pivots[-1] <= 0:
+            break
+        prev = D
+    return pivots
+
+
+def random_symmetric(rng, n: int, kind: str):
+    """Random symmetric integer matrix of the given kind."""
+    if kind == "definite":
+        # B^T B + I: positive definite
+        B = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        return [
+            [sum(B[k][i] * B[k][j] for k in range(n)) + (i == j) for j in range(n)]
+            for i in range(n)
+        ]
+    if kind == "singular":
+        # B^T D B with a rank-deficient B and a signed diagonal D
+        r = rng.randint(0, n - 1)
+        B = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)]
+        D = [rng.choice((-2, -1, 1, 3)) for _ in range(r)]
+        return [[sum(D[k] * B[k][i] * B[k][j] for k in range(r)) for j in range(n)] for i in range(n)]
+    A = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            A[i][j] = A[j][i] = rng.randint(-5, 5)
+    if kind == "zero-diagonal":
+        for i in range(n):
+            A[i][i] = 0
+    elif n > 1:
+        # a positive and a negative diagonal entry make it indefinite
+        A[0][0], A[n - 1][n - 1] = rng.randint(1, 5), -rng.randint(1, 5)
+    return A
+
+
+KINDS = ["definite", "indefinite", "singular", "zero-diagonal"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_inertia_signature_and_pivots(kind):
+    rng = random.Random(f"linalg:inertia:{kind}")
+    for trial in range(30):
+        n = 1 + trial % 6
+        A = random_symmetric(rng, n, kind)
+        before = [list(r) for r in A]
+        signature, pivots = inertia(A)
+        assert A == before
+        assert signature == descartes_signature([[Fraction(x) for x in r] for r in A]), A
+        assert pivots == minor_pivots(A), A
+        assert all(type(p) is Fraction for p in pivots)
+        if kind == "definite":
+            assert signature == (n, 0, 0) and len(pivots) == n
+        if kind == "indefinite" and n > 1:
+            assert signature[0] and signature[1]
+        if kind == "singular":
+            assert signature[2] > 0
+        if kind == "zero-diagonal":
+            assert pivots == [0]
+
+
+def test_inertia_fixtures():
+    assert inertia([]) == ((0, 0, 0), [])
+    assert inertia([[0, 1], [1, 0]]) == ((1, 1, 0), [0])
+    assert inertia([[2, 1], [1, 2]]) == ((2, 0, 0), [2, Fraction(3, 2)])
+    assert inertia([[1, 0, 0], [0, -1, 0], [0, 0, 5]]) == ((2, 1, 0), [1, -1])
+    assert inertia([[0, 0], [0, 0]]) == ((0, 0, 2), [0])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_det_exact_matches_leibniz(kind):
+    rng = random.Random(f"linalg:det:{kind}")
+    for trial in range(30):
+        n = 1 + trial % 6
+        A = random_symmetric(rng, n, kind)
+        assert det_exact(A) == leibniz_det(A), A
+    # not only symmetric input, and rational entries
+    for n in range(1, 6):
+        A = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
+        assert det_exact(A) == leibniz_det(A)
+
+
+def test_det_exact_edge_cases():
+    assert det_exact([]) == 1
+    assert det_exact([[0, 1], [1, 0]]) == -1
+    assert type(det_exact([[2]])) is Fraction
+    with pytest.raises(ValueError):
+        det_exact([[1, 2]])
