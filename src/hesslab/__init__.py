@@ -28,7 +28,6 @@ from .gkm import (
     build_gkm,
     dot_action,
     flow_up_class,
-    integrate,
     invariant_subring,
     kahler_class,
     kahler_report,
@@ -79,7 +78,6 @@ __all__ = [
     "build_gkm",
     "dot_action",
     "flow_up_class",
-    "integrate",
     "invariant_subring",
     "kahler_class",
     "kahler_report",

@@ -525,6 +525,8 @@ def main(argv=None) -> int:
                 parser.error(f"analyze supports n <= {ANALYZE_MAX_N}, also with --force (got n = {len(args.h)})")
             if args.J is not None and any(j > len(args.h) - 1 for j in args.J):
                 parser.error(f"J entries must be <= n-1 = {len(args.h) - 1}")
+            if args.gkm and not 2 <= len(args.h) <= GRAPH_MAX_N:
+                parser.error(f"--gkm supports 2 <= n <= {GRAPH_MAX_N} (got n = {len(args.h)})")
             report = analyze_report(
                 args.h,
                 seed=args.seed,
@@ -551,8 +553,8 @@ def main(argv=None) -> int:
             else:
                 failed = bool(report["violations"])
         else:
-            if len(args.h) > RING_MAX_N:
-                parser.error(f"kahler checks support n <= {RING_MAX_N}")
+            if not 2 <= len(args.h) <= RING_MAX_N:
+                parser.error(f"kahler checks support 2 <= n <= {RING_MAX_N}")
             if any(j > len(args.h) - 1 for j in args.J):
                 parser.error(f"J entries must be <= n-1 = {len(args.h) - 1}")
             if args.lam is not None:

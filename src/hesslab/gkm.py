@@ -27,14 +27,16 @@ exact nullity of the full divisibility system.
 
 The Kahler forms are read off two kinds of per-graph matrix, computed once
 and shared by every J: the intersection matrix of flow-up classes of
-complementary Morse index (each entry one polynomial localization integral
-of a flow-up pair, with all of integrate's checks), and one Lefschetz matrix
-per degree, multiplication by omega on flow-up coordinates (one projection
-per flow-up class).  Integration is bilinear over the torus ring and a
-product of degree below l integrates to 0; projection kills positive-degree
-multiples, so it is a ring map and omega^p is the chained product of p
-Lefschetz matrices.  Pairings, hard Lefschetz images and Hodge-Riemann Gram
-matrices on the W_J-invariant subring are exact Fraction matrix products.
+complementary Morse index, and one Lefschetz matrix per degree,
+multiplication by omega on flow-up coordinates (one projection per flow-up
+class).  An intersection number, the localization sum of a degree-l product
+of two classes that pass the edge conditions, is a constant, read off at two
+rational points where no tangent weight vanishes; the two must agree.
+Integration is bilinear over the torus ring and a product of degree below l
+integrates to 0; projection kills positive-degree multiples, so it is a ring
+map and omega^p is the chained product of p Lefschetz matrices.  Pairings,
+hard Lefschetz images and Hodge-Riemann Gram matrices on the W_J-invariant
+subring are exact Fraction matrix products.
 """
 
 from __future__ import annotations
@@ -44,6 +46,8 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, wraps
+from math import lcm
+from operator import mul
 
 from .dotchar import betti_rs, regular_betti
 from .errors import ConsistencyError, TheoremViolation
@@ -54,6 +58,14 @@ from .linalg import inertia, nullspace, rank_exact, solve_particular
 DEFAULT_SEED = 1729
 GRAPH_MAX_N = 5
 RING_MAX_N = 4
+
+# Two rational points (t_1, ..., t_4); for n variables the first n - 1 entries
+# are t_1..t_{n-1}, and with t_n = -(t_1 + ... + t_{n-1}) all n coordinates are
+# distinct for every n <= GRAPH_MAX_N, so no tangent weight vanishes there.
+LOCALIZATION_POINTS = (
+    (Fraction(3, 7), Fraction(-5, 11), Fraction(9, 13), Fraction(2, 17)),
+    (Fraction(-4, 5), Fraction(7, 3), Fraction(1, 19), Fraction(-8, 23)),
+)
 
 
 @dataclass
@@ -394,66 +406,6 @@ def ordinary_project(g: GKMGraph, c: EquivClass) -> list[Fraction]:
     return [coeffs.get(u, Poly.zero(g.nvars)).constant_value() for u in vids]
 
 
-@_memo
-def _integration_factors(g: GKMGraph):
-    """Per-vertex signed cofactors: sum f_w * factor_w = (sum f_w / e_w) * prod all forms.
-
-    The Euler class e_w multiplies t_{w(b)} - t_{w(a)} over the defining slots
-    (a, b).  This orientation is pinned by positivity: it makes the ample class
-    of a strictly decreasing weight integrate to +1 on the n = 2 flag space,
-    and hence keeps all odd powers of the Kahler class positively oriented.
-    """
-    all_pairs = [
-        (i, j) for i in range(1, g.n + 1) for j in range(i + 1, g.n + 1)
-    ]
-    factors = []
-    for u in range(len(g.vertices)):
-        sign = 1
-        covered = set()
-        for wa, wb in g.weight_pairs[u]:
-            if wb < wa:
-                covered.add((wb, wa))
-            else:
-                covered.add((wa, wb))
-                sign = -sign
-        poly = Poly.const(g.nvars, sign)
-        for pair in all_pairs:
-            if pair not in covered:
-                poly = poly * _pair_form(g.n, *pair)
-        factors.append(poly)
-    return factors
-
-
-def integrate(g: GKMGraph, c: EquivClass):
-    """Localization sum over fixed points: sum_w f_w / prod(tangent weights at w).
-
-    The sum of rational functions must collapse to a polynomial of degree
-    (deg c) - l; the implementation multiplies through by the product of all
-    root forms and performs exact linear-form divisions, so any failure of
-    polynomiality raises instead of approximating.  Degree-l input yields a
-    rational number.
-    """
-    total = Poly.zero(g.nvars)
-    for val, factor in zip(c.values, _integration_factors(g)):
-        if not val.is_zero():
-            total = total + val * factor
-    for i in range(1, g.n + 1):
-        for j in range(i + 1, g.n + 1):
-            if total.is_zero():
-                break
-            total, rem = divmod_linear(total, _pair_form(g.n, i, j))
-            if not rem.is_zero():
-                raise ConsistencyError("localization sum failed to be a polynomial")
-    expected_degree = c.degree - g.l
-    if not total.is_zero() and total.degree != expected_degree:
-        raise ConsistencyError(
-            f"integral has degree {total.degree}, expected {expected_degree}"
-        )
-    if expected_degree <= 0:
-        return total.constant_value()
-    return total
-
-
 def kahler_class(g: GKMGraph, lam) -> EquivClass:
     """Equivariant ample class: value at w is the w-translate of a strictly decreasing lam."""
     lam = tuple(int(x) for x in lam)
@@ -588,14 +540,56 @@ def _intersection_matrix(g: GKMGraph, dd: int):
     """Entry [i][j] is the integral of sigma_i sigma_j, for the flow-up classes
     sigma_i of Morse index dd and sigma_j of index l - dd, both in moment order.
 
-    Integration is bilinear over the torus ring, and a product of degree below
-    l integrates to 0, so for ordinary classes a, b in flow-up coordinates the
-    integral of any lifts of a and b is a M b^T.
+    The product has degree l and passes the edge conditions, so its
+    localization sum is a constant; it is evaluated at both
+    LOCALIZATION_POINTS, which must agree.  Integration is bilinear over the
+    torus ring, and a product of degree below l integrates to 0, so for
+    ordinary classes a, b in flow-up coordinates the integral of any lifts of
+    a and b is a M b^T.
     """
     if 2 * dd > g.l:
         return _transpose(_intersection_matrix(g, g.l - dd))
+    A = ordinary_basis(g, dd)
     B = ordinary_basis(g, g.l - dd)
-    return [[integrate(g, a * b) for b in B] for a in ordinary_basis(g, dd)]
+    first, second = (_localized_products(g, A, B, p) for p in LOCALIZATION_POINTS)
+    if first != second:
+        raise ConsistencyError(
+            f"localization sums at degree {dd} differ between the evaluation points for h={g.h}"
+        )
+    return first
+
+
+def _localized_products(g: GKMGraph, A, B, point):
+    """A diag(1/e_w) B^T at one point, over the values of the classes in A and
+    B: the localization sums of their products.
+
+    The Euler class e_w multiplies t_{w(b)} - t_{w(a)} over the defining slots
+    (a, b).  This orientation is pinned by positivity: it makes the ample class
+    of a strictly decreasing weight integrate to +1 on the n = 2 flag space,
+    and hence keeps all odd powers of the Kahler class positively oriented.
+    """
+    x = point[: g.nvars]
+    t = [_t(g.n, i).eval_at(x) for i in range(1, g.n + 1)]
+    inv_euler = []
+    for pairs in g.weight_pairs:
+        e = Fraction(1)
+        for wa, wb in pairs:
+            e *= t[wb - 1] - t[wa - 1]
+        if not e:
+            raise ConsistencyError(f"a tangent weight vanishes at the evaluation point {t}")
+        inv_euler.append(1 / e)
+    left, dl = _over_common_denominator(
+        [[v.eval_at(x) * e for v, e in zip(a.values, inv_euler)] for a in A]
+    )
+    right, dr = _over_common_denominator([[v.eval_at(x) for v in b.values] for b in B])
+    return [[Fraction(sum(map(mul, row, col)), dl * dr) for col in right] for row in left]
+
+
+def _over_common_denominator(rows):
+    """Integer rows and one denominator d with rows[i][j] = out[i][j] / d, so the
+    dot products run on integers."""
+    d = lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
 
 
 @_memo
@@ -614,8 +608,8 @@ def poincare_pairing(g: GKMGraph, k: int, J=()):
 
     Entry [a][b] integrates the product of lifts of the a-th and b-th
     W_J-invariant basis vectors; it is read off the per-graph intersection
-    matrix of flow-up classes as A M B^T, and is independent of the lifts
-    because the ambiguity integrates to negative degree.  Raises
+    matrix of flow-up classes (point-evaluated) as A M B^T, and is independent
+    of the lifts because the ambiguity integrates to negative degree.  Raises
     TheoremViolation if the pairing is singular, on every call; a nonsingular
     matrix is memoized per (k, J) and returned as the same object.
     """
@@ -670,10 +664,10 @@ def kahler_report(g: GKMGraph, J=(), lam=None) -> dict:
 
     Every form is an exact matrix product of the W_J-invariant vectors with
     two kinds of per-graph table shared by all J: the intersection matrices
-    of flow-up classes (the only integrals, through integrate and its checks)
-    and one omega-multiplication table per degree; a power of omega is the
-    chained product of those tables.  One pass per degree k <= l fills the
-    duality, hard Lefschetz and Hodge-Riemann entries.
+    of flow-up classes (localization sums evaluated at two rational points,
+    which must agree) and one omega-multiplication table per degree; a power
+    of omega is the chained product of those tables.  One pass per degree
+    k <= l fills the duality, hard Lefschetz and Hodge-Riemann entries.
     The sign in honest degree k is (-1)^(k/2), pinned by top-power positivity
     in degree 0 and the classical surface signature in the middle.
     """

@@ -5,9 +5,12 @@ something the library computes another way: Jordan types from rank sequences
 of matrix powers and an exhaustive finite-field search against the
 Greene-Kleitman `lambda_H`; the full divisibility system against the
 flow-up module basis; randomly perturbed lifts against lift-independence
-of integration; and, for the Kahler forms the library reads off per-graph
-intersection and Lefschetz matrices, one polynomial integral or projection of
-freshly lifted products per entry.
+of integration; polynomial localization integrals (the sum over fixed points
+cleared of denominators by exact linear-form divisions) against the library's
+intersection numbers, which it reads off point evaluations; and, for the
+Kahler forms the library reads off per-graph intersection and Lefschetz
+matrices, one polynomial integral or projection of freshly lifted products
+per entry.
 """
 
 import itertools
@@ -17,7 +20,7 @@ from fractions import Fraction
 from hesslab import gkm
 from hesslab.dotchar import betti_rs
 from hesslab.errors import ConsistencyError, CostGuardError
-from hesslab.exactpoly import Poly, monomials
+from hesslab.exactpoly import Poly, divmod_linear, monomials
 from hesslab.hessenberg import annihilator_pattern, check_hessenberg
 from hesslab.linalg import nullspace, rank_exact
 from hesslab.partitions import Partition, check_partition, conjugate
@@ -156,6 +159,66 @@ def equivariant_piece(g, k: int) -> list:
     return basis
 
 
+@gkm._memo
+def _integration_factors(g: gkm.GKMGraph):
+    """Per-vertex signed cofactors: sum f_w * factor_w = (sum f_w / e_w) * prod all forms.
+
+    The Euler class e_w multiplies t_{w(b)} - t_{w(a)} over the defining slots
+    (a, b).  This orientation is pinned by positivity: it makes the ample class
+    of a strictly decreasing weight integrate to +1 on the n = 2 flag space,
+    and hence keeps all odd powers of the Kahler class positively oriented.
+    """
+    all_pairs = [
+        (i, j) for i in range(1, g.n + 1) for j in range(i + 1, g.n + 1)
+    ]
+    factors = []
+    for u in range(len(g.vertices)):
+        sign = 1
+        covered = set()
+        for wa, wb in g.weight_pairs[u]:
+            if wb < wa:
+                covered.add((wb, wa))
+            else:
+                covered.add((wa, wb))
+                sign = -sign
+        poly = Poly.const(g.nvars, sign)
+        for pair in all_pairs:
+            if pair not in covered:
+                poly = poly * gkm._pair_form(g.n, *pair)
+        factors.append(poly)
+    return factors
+
+
+def integrate(g: gkm.GKMGraph, c: gkm.EquivClass):
+    """Localization sum over fixed points: sum_w f_w / prod(tangent weights at w).
+
+    The sum of rational functions must collapse to a polynomial of degree
+    (deg c) - l; the implementation multiplies through by the product of all
+    root forms and performs exact linear-form divisions, so any failure of
+    polynomiality raises instead of approximating.  Degree-l input yields a
+    rational number.
+    """
+    total = Poly.zero(g.nvars)
+    for val, factor in zip(c.values, _integration_factors(g)):
+        if not val.is_zero():
+            total = total + val * factor
+    for i in range(1, g.n + 1):
+        for j in range(i + 1, g.n + 1):
+            if total.is_zero():
+                break
+            total, rem = divmod_linear(total, gkm._pair_form(g.n, i, j))
+            if not rem.is_zero():
+                raise ConsistencyError("localization sum failed to be a polynomial")
+    expected_degree = c.degree - g.l
+    if not total.is_zero() and total.degree != expected_degree:
+        raise ConsistencyError(
+            f"integral has degree {total.degree}, expected {expected_degree}"
+        )
+    if expected_degree <= 0:
+        return total.constant_value()
+    return total
+
+
 def lift_with_noise(g, k: int, vec, rng: random.Random):
     """A different valid lift of the same ordinary class: adds random multiples
     of lower flow-up classes by positive-degree monomials."""
@@ -185,7 +248,14 @@ def pairing_by_lifts(g, k: int, J):
     dd = k // 2
     A = [gkm.lift(g, dd, v) for v in gkm.invariant_vectors(g, J, dd)]
     B = [gkm.lift(g, g.l - dd, v) for v in gkm.invariant_vectors(g, J, g.l - dd)]
-    return [[gkm.integrate(g, a * b) for b in B] for a in A]
+    return [[integrate(g, a * b) for b in B] for a in A]
+
+
+def intersection_matrix_by_integrals(g, dd: int):
+    """integrate(sigma_i * sigma_j) for the flow-up classes of Morse index dd
+    and l - dd, both in moment order."""
+    B = gkm.ordinary_basis(g, g.l - dd)
+    return [[integrate(g, a * b) for b in B] for a in gkm.ordinary_basis(g, dd)]
 
 
 def lefschetz_images_by_lifts(g, J, lam, dd: int, p: int):
@@ -209,4 +279,4 @@ def primitive_form_by_lifts(g, J, lam, dd: int):
         for p in prim
     ]
     omega_pow = _omega_power(g, lam, g.l - 2 * dd)
-    return [[gkm.integrate(g, a * b * omega_pow) for b in lifts] for a in lifts]
+    return [[integrate(g, a * b * omega_pow) for b in lifts] for a in lifts]

@@ -12,12 +12,12 @@ import time
 from fractions import Fraction
 from math import factorial
 
+from hesslab import gkm
 from hesslab.cli import canonical_json, kahler_payload
 from hesslab.dotchar import betti_rs, chromatic_qsym, dot_action_multiplicities, regular_betti
 from hesslab.gkm import (
     build_gkm,
     flow_up_class,
-    integrate,
     lift,
     morse_betti,
     ordinary_basis,
@@ -30,7 +30,12 @@ from hesslab.partitions import (
 )
 from hesslab.springer import generic_jordan_type, orbit_meets_annihilator, support_violations
 from hesslab.symfunc import QPoly, powersum_csf_q1, powersum_to_monomial, q_factorial
-from oracles import brute_force_orbit_oracle, lift_with_noise
+from oracles import (
+    brute_force_orbit_oracle,
+    integrate,
+    intersection_matrix_by_integrals,
+    lift_with_noise,
+)
 
 
 def announce(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -140,10 +145,13 @@ def test_acceptance_6_dual_route_betti():
 def test_acceptance_7_kahler_package_desk_scale():
     # also pins the bytes: the canonical JSON of every report at seed 1729,
     # pairing determinants included, hashed in order; and, separately, the
-    # exact values of every flow-up class, each graph's in moment order
+    # exact values of every flow-up class, each graph's in moment order; the
+    # point-evaluated intersection matrices are checked against polynomial
+    # localization integrals
     start = time.monotonic()
     cases = 0
     failures = []
+    matrices = 0
     digest = hashlib.sha256()
     flowups = hashlib.sha256()
     for n in range(2, 5):
@@ -156,6 +164,10 @@ def test_acceptance_7_kahler_package_desk_scale():
                     digest.update(canonical_json(payload).encode())
                     if not payload["verdicts"]["all"]:
                         failures.append((h, J, payload["verdicts"]))
+            for dd in range(g.l // 2 + 1):
+                matrices += 1
+                if gkm._intersection_matrix(g, dd) != intersection_matrix_by_integrals(g, dd):
+                    failures.append((h, "intersection matrix", dd))
             for u in g.order:
                 values = flow_up_class(g, u).values
                 terms = [[[list(m), str(c)] for m, c in sorted(v.c.items())] for v in values]
@@ -166,12 +178,19 @@ def test_acceptance_7_kahler_package_desk_scale():
         and flowups.hexdigest()
         == "858190a573da974184f6be31a8be9f441b64313c78f24aa018a54730b312aa91"
     )
-    ok = not failures and pinned and cases == 2 * 2 + 5 * 4 + 14 * 8 and elapsed < 900
+    ok = (
+        not failures
+        and pinned
+        and cases == 2 * 2 + 5 * 4 + 14 * 8
+        and matrices == 38
+        and elapsed < 900
+    )
     announce(
         7,
         "kahler package desk scale",
         ok,
-        f"{cases} (h, J) cases, {len(failures)} failures, bytes pinned: {pinned}, {elapsed:.1f}s < 900s",
+        f"{cases} (h, J) cases, {matrices} intersection matrices vs integrals, "
+        f"{len(failures)} failures, bytes pinned: {pinned}, {elapsed:.1f}s < 900s",
     )
     assert ok, failures
 

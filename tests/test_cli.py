@@ -8,7 +8,7 @@ import pytest
 from hesslab import __version__, cli, dotchar
 from hesslab.cli import canonical_json, main
 from hesslab.dotchar import GradedMultiplicity, multiplicities_json
-from hesslab.gkm import build_gkm, kahler_report
+from hesslab.gkm import GRAPH_MAX_N, RING_MAX_N, build_gkm, kahler_report
 from hesslab.partitions import partitions_of
 from hesslab.springer import support_violations
 from hesslab.symfunc import q_factorial
@@ -265,6 +265,26 @@ def test_kahler_usage_errors(capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
+
+
+@pytest.mark.parametrize(
+    "argv, limit",
+    [
+        (["analyze", "--h", "2,3,4,5,6,6", "--gkm"], f"n <= {GRAPH_MAX_N}"),
+        (["analyze", "--h", "9,9,9,9,9,9,9,9,9", "--gkm"], f"n <= {GRAPH_MAX_N}"),
+        (["analyze", "--h", "1", "--gkm"], f"n <= {GRAPH_MAX_N}"),
+        (["kahler", "--h", "1"], f"n <= {RING_MAX_N}"),
+    ],
+    ids=["analyze-gkm-n6", "analyze-gkm-n9", "analyze-gkm-n1", "kahler-n1"],
+)
+def test_moment_graph_size_refused(argv, limit):
+    # a usage error naming the limit, not a traceback from build_gkm
+    proc = subprocess.run(
+        [sys.executable, "-m", "hesslab", *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and limit in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_csv_format(capsys):

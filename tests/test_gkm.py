@@ -7,7 +7,7 @@ import pytest
 
 from hesslab import gkm
 from hesslab.dotchar import betti_rs, dot_action_multiplicities, regular_betti
-from hesslab.errors import TheoremViolation
+from hesslab.errors import ConsistencyError, TheoremViolation
 from hesslab.exactpoly import Poly
 from hesslab.gkm import (
     EquivClass,
@@ -15,7 +15,6 @@ from hesslab.gkm import (
     default_kahler_weight,
     dot_action,
     flow_up_class,
-    integrate,
     invariant_subring,
     kahler_class,
     kahler_report,
@@ -31,6 +30,7 @@ from hesslab.partitions import character_value
 from oracles import (
     equivariant_dimension,
     equivariant_piece,
+    integrate,
     lefschetz_images_by_lifts,
     lift_with_noise,
     pairing_by_lifts,
@@ -332,47 +332,86 @@ def test_poincare_pairing_fixtures():
         poincare_pairing(hexagon, 1)
 
 
-def count_integrals(monkeypatch):
+def count_intersection_matrices(monkeypatch):
+    """Reinstall gkm._intersection_matrix with its memo around a body that
+    records the degree dd of every matrix it computes."""
     calls = []
+    body = gkm._intersection_matrix.__wrapped__
 
-    def counted(g, c):
-        calls.append(1)
-        return integrate(g, c)
+    def _intersection_matrix(g, dd):
+        calls.append(dd)
+        return body(g, dd)
 
-    monkeypatch.setattr(gkm, "integrate", counted)
+    monkeypatch.setattr(gkm, "_intersection_matrix", gkm._memo(_intersection_matrix))
     return calls
 
 
 def test_pairing_memoized_unless_singular(monkeypatch):
-    calls = count_integrals(monkeypatch)
+    calls = count_intersection_matrices(monkeypatch)
     g = build_gkm((2, 3, 4, 4))
-    b = betti_rs(g.h)
-    # the first pairing integrates every flow-up pair of degrees 1 and 2 once
-    # (the intersection matrix), whatever the size of the invariant block
+    # the first pairing computes the intersection matrix of degrees 1 and 2,
+    # whatever the size of the invariant block
     first = poincare_pairing(g, 2, (1, 3))
-    assert first and b[1] * b[2] == 121
-    assert len(calls) == 121
+    assert first and calls == [1]
     assert poincare_pairing(g, 2, [3, 1, 3]) is first
-    assert len(calls) == 121
+    assert calls == [1]
 
     # a singular pairing is recomputed, and raises, on every call; its
-    # intersection matrix (one integral) is computed on the first call only
+    # intersection matrix is computed on the first call only
     monkeypatch.setattr(gkm, "rank_exact", lambda rows: 0)
     for _ in range(2):
         with pytest.raises(TheoremViolation):
             poincare_pairing(g, 0, (1, 3))
-        assert len(calls) == 121 + b[0] * b[3]
+        assert calls == [1, 0]
 
 
-def test_kahler_report_integrates_flow_up_pairs_once(monkeypatch):
-    calls = count_integrals(monkeypatch)
+def test_kahler_report_computes_intersection_matrices_once(monkeypatch):
+    calls = count_intersection_matrices(monkeypatch)
     g = build_gkm((2, 3, 4, 4))
-    b = betti_rs(g.h)
     for r in range(4):
         for J in itertools.combinations(range(1, 4), r):
             assert kahler_report(g, J)["verdicts"]["all"] is True
-    expected = sum(b[dd] * b[g.l - dd] for dd in range(g.l // 2 + 1))
-    assert expected == 122 and len(calls) == expected
+    # l = 3: one matrix for each dd <= l/2, shared by all 8 J
+    assert calls == [0, 1]
+
+
+def _corrupt_flow_up(g, vid, values):
+    """Replace the memoized flow-up class of vid, which is not checked again."""
+    g._caches["_flow_up_class"][(vid,)] = EquivClass(g, g.index[vid], tuple(values))
+
+
+def test_intersection_matrix_rejects_a_non_constant_localization_sum():
+    # a constant added at one vertex breaks the edge conditions there (which
+    # the memo does not recheck), so the localization sum is no longer constant
+    g = build_gkm((2, 3, 3))
+    top = g.order[-1]
+    values = list(flow_up_class(g, top).values)
+    values[g.order[0]] = values[g.order[0]] + Poly.const(g.nvars, 1)
+    with pytest.raises(ConsistencyError):
+        EquivClass(g, g.l, tuple(values)).check_edges()
+    _corrupt_flow_up(g, top, values)
+    with pytest.raises(ConsistencyError, match="differ between the evaluation points"):
+        gkm._intersection_matrix(g, 0)
+
+    # a class plus a degree-higher multiple of itself passes every edge
+    # condition, but its product with the dual class integrates to a
+    # non-constant polynomial
+    g = build_gkm((2, 3, 3))
+    vid = next(u for u in g.order if g.index[u] == 1)
+    sigma = flow_up_class(g, vid)
+    values = [v + v * Poly.variable(g.nvars, 0) for v in sigma.values]
+    EquivClass(g, 1, tuple(values)).check_edges()
+    _corrupt_flow_up(g, vid, values)
+    with pytest.raises(ConsistencyError, match="differ between the evaluation points"):
+        gkm._intersection_matrix(g, 1)
+
+
+def test_localization_points_separate_coordinates():
+    for n in range(2, gkm.GRAPH_MAX_N + 1):
+        for point in gkm.LOCALIZATION_POINTS:
+            t = list(point[: n - 1])
+            t.append(-sum(t))
+            assert len(set(t)) == n, (n, point)
 
 
 KAHLER_ORACLE_FUNCTIONS = [h for n in (2, 3) for h in enumerate_hessenberg(n)] + [
