@@ -474,7 +474,8 @@ def _emit(text: str, out_path: str | None) -> None:
 
 # --- entry point --------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="hesslab",
         description="Exact graded characters, Betti numbers, and Kahler-package checks "
@@ -511,22 +512,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ka.add_argument("--h", required=True, type=_parse_h, metavar="H", dest="h")
     p_ka.add_argument("--J", type=_parse_J, default=())
     p_ka.add_argument("--lambda", type=_parse_lambda, default=None, dest="lam")
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
+    # checks made after parsing are usage errors of the subcommand
+    usage_error = commands[args.command].error
     started = time.monotonic()
     cache_dir = _cache_dir(args)
     try:
         if args.command == "analyze":
             if len(args.h) > ANALYZE_MAX_N:
-                parser.error(f"analyze supports n <= {ANALYZE_MAX_N}, also with --force (got n = {len(args.h)})")
+                usage_error(f"analyze supports n <= {ANALYZE_MAX_N}, also with --force (got n = {len(args.h)})")
             if args.J is not None and any(j > len(args.h) - 1 for j in args.J):
-                parser.error(f"J entries must be <= n-1 = {len(args.h) - 1}")
+                usage_error(f"J entries must be <= n-1 = {len(args.h) - 1}")
             if args.gkm and not 2 <= len(args.h) <= GRAPH_MAX_N:
-                parser.error(f"--gkm supports 2 <= n <= {GRAPH_MAX_N} (got n = {len(args.h)})")
+                usage_error(f"--gkm supports 2 <= n <= {GRAPH_MAX_N} (got n = {len(args.h)})")
             report = analyze_report(
                 args.h,
                 seed=args.seed,
@@ -539,7 +542,7 @@ def main(argv=None) -> int:
         elif args.command == "verify":
             limit = VERIFY_FORCE_MAX_N if args.force else VERIFY_MAX_N
             if not 2 <= args.n <= limit:
-                parser.error(f"need 2 <= n <= {limit} (got n = {args.n})")
+                usage_error(f"need 2 <= n <= {limit} (got n = {args.n})")
             report = verify_report(
                 args.n,
                 seed=args.seed,
@@ -554,14 +557,14 @@ def main(argv=None) -> int:
                 failed = bool(report["violations"])
         else:
             if not 2 <= len(args.h) <= RING_MAX_N:
-                parser.error(f"kahler checks support 2 <= n <= {RING_MAX_N}")
+                usage_error(f"kahler checks support 2 <= n <= {RING_MAX_N}")
             if any(j > len(args.h) - 1 for j in args.J):
-                parser.error(f"J entries must be <= n-1 = {len(args.h) - 1}")
+                usage_error(f"J entries must be <= n-1 = {len(args.h) - 1}")
             if args.lam is not None:
                 if len(args.lam) != len(args.h):
-                    parser.error(f"lambda must have n = {len(args.h)} entries")
+                    usage_error(f"lambda must have n = {len(args.h)} entries")
                 if any(a <= b for a, b in zip(args.lam, args.lam[1:])):
-                    parser.error(f"lambda must be strictly decreasing, got {args.lam}")
+                    usage_error(f"lambda must be strictly decreasing, got {args.lam}")
             report = kahler_cli_report(args.h, args.J, args.lam, seed=args.seed, cache_dir=cache_dir)
             failed = not report["verdicts"]["all"]
         if args.timing:

@@ -36,7 +36,8 @@ Integration is bilinear over the torus ring and a product of degree below l
 integrates to 0; projection kills positive-degree multiples, so it is a ring
 map and omega^p is the chained product of p Lefschetz matrices.  Pairings,
 hard Lefschetz images and Hodge-Riemann Gram matrices on the W_J-invariant
-subring are exact Fraction matrix products.
+subring are exact matrix products, taken on integers over one common
+denominator per factor.
 """
 
 from __future__ import annotations
@@ -530,9 +531,13 @@ def _transpose(M):
 
 
 def _matmul(A, B):
-    """Exact product of row-list matrices; B needs at least one row."""
-    cols = list(zip(*B))
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in A]
+    """Exact product of row-list matrices of int or Fraction entries; B needs
+    at least one row.  The rows of A and the columns of B are each put over
+    one common denominator, so the dot products run on integers."""
+    left, dl = _over_common_denominator(A)
+    right, dr = _over_common_denominator(_transpose(B))
+    d = dl * dr
+    return [[Fraction(sum(map(mul, row, col)), d) for col in right] for row in left]
 
 
 @_memo
@@ -578,16 +583,13 @@ def _localized_products(g: GKMGraph, A, B, point):
         if not e:
             raise ConsistencyError(f"a tangent weight vanishes at the evaluation point {t}")
         inv_euler.append(1 / e)
-    left, dl = _over_common_denominator(
-        [[v.eval_at(x) * e for v, e in zip(a.values, inv_euler)] for a in A]
-    )
-    right, dr = _over_common_denominator([[v.eval_at(x) for v in b.values] for b in B])
-    return [[Fraction(sum(map(mul, row, col)), dl * dr) for col in right] for row in left]
+    left = [[v.eval_at(x) * e for v, e in zip(a.values, inv_euler)] for a in A]
+    right = [[v.eval_at(x) for v in b.values] for b in B]
+    return _matmul(left, _transpose(right))
 
 
 def _over_common_denominator(rows):
-    """Integer rows and one denominator d with rows[i][j] = out[i][j] / d, so the
-    dot products run on integers."""
+    """Integer rows and one denominator d with rows[i][j] = out[i][j] / d."""
     d = lcm(*(x.denominator for row in rows for x in row))
     return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
 

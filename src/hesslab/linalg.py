@@ -1,13 +1,21 @@
 """Exact rational linear algebra.
 
-Everything runs over Fraction.  Elimination has one kernel, `echelon`: rows
-are sparse {column: value} dicts (dense sequences are accepted and read as
-their nonzero entries), and each incoming row is reduced on its
-leading column against the pivot rows found so far, until its leading column
-is new (it becomes a pivot row, scaled to lead with 1) or nothing is left.
-That is an echelon form of the row space, so its pivot columns are exactly
-the pivot columns of the reduced row echelon form (RREF); `row_reduce` gets
-the RREF from it by one back pass.  `rank_exact`, `nullspace` and
+Elimination has one kernel, `_integer_echelon`, and it runs on Python
+integers.  Rows are sparse {column: value} dicts (dense sequences are
+accepted and read as their nonzero entries) of int or Fraction entries.  Each
+incoming row is scaled to a primitive integer row: times the lcm of its
+denominators, then divided by the gcd of its entries.  It is reduced on its
+leading column against the pivot rows found so far, fraction-free: with
+a = r[lead], p = prow[lead] and g = gcd(a, p), r <- (p/g) r - (a/g) prow, and
+the gcd of the result is divided out, which keeps the integers from growing
+(Bareiss, Math. Comp. 22, 1968, divides by the previous pivot instead).  When
+the leading column is new the row becomes a pivot row, kept primitive, else
+nothing is left.  That is an echelon form of the row space, so its pivot
+columns are exactly the pivot columns of the reduced row echelon form (RREF);
+`row_reduce` gets the RREF from it by one integer back pass.  Each row is a
+rational multiple of the row a Fraction elimination would hold, so dividing
+by the pivot, done only where rows or values leave the module, gives the same
+rows with the same Fraction entries.  `rank_exact`, `nullspace` and
 `solve_particular` all run on this kernel.  The RREF is unique, so with free
 variables set to 0 their answers are the ones dense Gauss-Jordan gives.  The
 moment-graph flow-up systems it serves touch two vertices per row, so the
@@ -20,71 +28,122 @@ congruence pass, and `det_exact` gives pairing determinants.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
-def _sparse(row) -> dict:
-    """The nonzero entries of a dict or dense row, as a fresh {column: value} dict."""
-    items = row.items() if isinstance(row, dict) else enumerate(row)
-    return {c: v for c, v in items if v}
+def _entries(row):
+    """(column, value) pairs of a dict or dense row."""
+    return row.items() if isinstance(row, dict) else enumerate(row)
 
 
-def _subtract(r: dict, f, prow: dict) -> None:
-    """r -= f * prow in place, dropping entries that cancel."""
+def _primitive(row) -> dict[int, int]:
+    """A dict or dense row of int or Fraction entries as a fresh primitive
+    integer {column: value} dict: its nonzero entries times the lcm of their
+    denominators, divided by the gcd of the products."""
+    nonzero = [(c, v) for c, v in _entries(row) if v]
+    d = lcm(*(v.denominator for _, v in nonzero))
+    r = {c: v.numerator * (d // v.denominator) for c, v in nonzero}
+    _divide_content(r)
+    return r
+
+
+def _divide_content(r: dict[int, int]) -> None:
+    """Divide an integer row by the gcd of its entries, in place."""
+    g = gcd(*r.values())
+    if g > 1:
+        for c in r:
+            r[c] //= g
+
+
+def _eliminate(r: dict[int, int], col: int, prow: dict[int, int]) -> None:
+    """Clear column col of r against prow, whose entry there is its pivot:
+    r <- (p/g) r - (a/g) prow with a = r[col], p = prow[col] and g = gcd(a, p)
+    signed like p, in place, dropping entries that cancel and dividing out
+    the content."""
+    a, p = r[col], prow[col]
+    # With g signed like p, p/g > 0, so a pivot of -1 needs no scaling either;
+    # r may change sign, which dividing by the pivot undoes.
+    g = gcd(a, p) if p > 0 else -gcd(a, p)
+    a //= g
+    p //= g
+    if p != 1:
+        for c in r:
+            r[c] *= p
+    get = r.get
     for c, v in prow.items():
-        x = r.get(c, 0) - f * v
+        x = get(c, 0) - a * v
         if x:
             r[c] = x
         else:
             del r[c]
+    _divide_content(r)
+
+
+def _integer_echelon(rows) -> dict[int, dict[int, int]]:
+    """Echelon form as {pivot column: primitive integer row}; each row is 0
+    left of its pivot column.  The input rows are not modified."""
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        r = _primitive(row)
+        while r:
+            lead = min(r)
+            prow = pivots.get(lead)
+            if prow is None:
+                pivots[lead] = r
+                break
+            _eliminate(r, lead, prow)
+    return pivots
+
+
+def _monic(r: dict[int, int], col: int) -> dict[int, Fraction]:
+    """r divided by its entry at col."""
+    p = r[col]
+    return {c: Fraction(v, p) for c, v in r.items()}
 
 
 def echelon(rows) -> dict[int, dict[int, Fraction]]:
     """Echelon form as {pivot column: row}; each row is 1 at its pivot column
     and 0 left of it.  The input rows are not modified."""
-    pivots: dict[int, dict[int, Fraction]] = {}
-    for row in rows:
-        r = _sparse(row)
-        while r:
-            lead = min(r)
-            prow = pivots.get(lead)
-            if prow is None:
-                inv = 1 / Fraction(r[lead])
-                pivots[lead] = {c: v * inv for c, v in r.items()}
-                break
-            _subtract(r, r[lead], prow)
-    return pivots
+    return {col: _monic(r, col) for col, r in _integer_echelon(rows).items()}
+
+
+def _integer_rref(rows):
+    """(pivot_columns ascending, {pivot column: integer row}): every row is 0
+    at the other pivot columns, so divided by its pivot it is an RREF row."""
+    ech = _integer_echelon(rows)
+    pivots = sorted(ech)
+    # Right to left: the pivot rows right of col are already reduced, so
+    # eliminating them clears every other pivot column in one pass.
+    for col in reversed(pivots):
+        r = ech[col]
+        for c in [c for c in r if c != col and c in ech]:
+            _eliminate(r, c, ech[c])
+    return pivots, ech
 
 
 def row_reduce(rows):
     """RREF.  Returns (pivot_columns, reduced_nonzero_rows): columns ascending,
     rows as sparse dicts in the same order.  The input rows are not modified."""
-    ech = echelon(rows)
-    pivots = sorted(ech)
-    # Right to left: the pivot rows right of col are already reduced, so
-    # subtracting them clears every other pivot column in one pass.
-    for col in reversed(pivots):
-        r = ech[col]
-        for c in [c for c in r if c != col and c in ech]:
-            _subtract(r, r[c], ech[c])
-    return pivots, [ech[c] for c in pivots]
+    pivots, red = _integer_rref(rows)
+    return pivots, [_monic(red[c], c) for c in pivots]
 
 
 def rank_exact(rows) -> int:
-    return len(echelon(rows))
+    return len(_integer_echelon(rows))
 
 
 def nullspace(rows, ncols: int):
     """Basis of the rational kernel, one vector per free column."""
-    pivots, red = row_reduce(rows)
-    pivset = set(pivots)
+    pivots, red = _integer_rref(rows)
     basis = []
     for fc in range(ncols):
-        if fc in pivset:
+        if fc in red:
             continue
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
-        for prow, pcol in zip(red, pivots):
-            v[pcol] = -prow.get(fc, Fraction(0))
+        for pcol in pivots:
+            prow = red[pcol]
+            v[pcol] = Fraction(-prow.get(fc, 0), prow[pcol])
         basis.append(v)
     return basis
 
@@ -95,16 +154,16 @@ def solve_particular(rows, rhs, ncols: int):
         return [Fraction(0)] * ncols
     aug = []
     for row, b in zip(rows, rhs):
-        r = _sparse(row)
-        if b:
-            r[ncols] = b
+        r = dict(_entries(row))
+        r[ncols] = b
         aug.append(r)
-    pivots, red = row_reduce(aug)
-    if ncols in pivots:
+    pivots, red = _integer_rref(aug)
+    if ncols in red:
         return None
     x = [Fraction(0)] * ncols
-    for prow, pcol in zip(red, pivots):
-        x[pcol] = prow.get(ncols, Fraction(0))
+    for pcol in pivots:
+        prow = red[pcol]
+        x[pcol] = Fraction(prow.get(ncols, 0), prow[pcol])
     return x
 
 

@@ -268,6 +268,26 @@ def test_kahler_usage_errors(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["kahler", "--h", "2,3,4,4", "--J", "4"],
+        ["kahler", "--h", "2,3,4,4", "--lambda", "1,2,3,4"],
+        ["kahler", "--h", "2,3,4,4", "--J", "0"],  # refused while parsing
+        ["analyze", "--h", "2,3,3", "--J", "3"],
+        ["verify", "--n", "9"],
+    ],
+    ids=["kahler-J", "kahler-lambda", "kahler-J-parse", "analyze-J", "verify-n"],
+)
+def test_usage_errors_name_the_subcommand(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: hesslab {argv[0]} ")
+    assert f"hesslab {argv[0]}: error:" in err
+
+
+@pytest.mark.parametrize(
     "argv, limit",
     [
         (["analyze", "--h", "2,3,4,5,6,6", "--gkm"], f"n <= {GRAPH_MAX_N}"),

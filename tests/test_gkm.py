@@ -414,6 +414,34 @@ def test_localization_points_separate_coordinates():
             assert len(set(t)) == n, (n, point)
 
 
+def naive_product(A, B):
+    """Row-list matrix product summed over Fraction."""
+    return [
+        [sum((Fraction(a) * b for a, b in zip(row, col)), Fraction(0)) for col in zip(*B)]
+        for row in A
+    ]
+
+
+@pytest.mark.parametrize(
+    "A, B",
+    [
+        (
+            [[1, Fraction(-2, 3), 0], [Fraction(5, 4), 7, Fraction(1, 6)]],
+            [[Fraction(3, 5), -1], [2, Fraction(9, 14)], [Fraction(-1, 2), 0]],
+        ),
+        ([[2, -3], [0, 5], [4, 1]], [[1, 0, -2], [3, 7, 1]]),
+        ([[Fraction(4), Fraction(-6)]], [[Fraction(1), Fraction(2)], [Fraction(3), Fraction(8)]]),
+        ([], [[1, Fraction(1, 2)], [0, 3]]),
+        ([[Fraction(1, 10**9 + 7), Fraction(-1, 3)]], [[Fraction(10**9 + 7, 2)], [Fraction(3, 10**12)]]),
+    ],
+    ids=["mixed", "all-int", "fraction-with-denominator-1", "A-without-rows", "large-denominators"],
+)
+def test_matmul_matches_fraction_product(A, B):
+    got = gkm._matmul(A, B)
+    assert got == naive_product(A, B)
+    assert all(type(x) is Fraction for row in got for x in row)
+
+
 KAHLER_ORACLE_FUNCTIONS = [h for n in (2, 3) for h in enumerate_hessenberg(n)] + [
     (1, 4, 4, 4),
     (2, 3, 4, 4),

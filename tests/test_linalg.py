@@ -186,6 +186,92 @@ def test_edge_cases():
     assert solve_particular([[2, 1]], [1], 2) == [Fraction(1, 2), Fraction(0)]
 
 
+def hilbert_block(n: int, shift: int = 0):
+    """Rows 1 / (i + j + 1 + shift): a Cauchy matrix, so nonsingular, and with
+    a large shift its denominators are large and its pivots tiny."""
+    return [[Fraction(1, i + j + 1 + shift) for j in range(n)] for i in range(n)]
+
+
+def widened_hilbert():
+    """The 8x8 Hilbert block with two zero columns put in the middle, and the
+    sum of its first two rows appended."""
+    rows = [row[:4] + [0, 0] + row[4:] for row in hilbert_block(8)]
+    return rows + [[a + b for a, b in zip(rows[0], rows[1])]]
+
+
+# Inputs the fraction-free kernel must scale or pivot with care.
+KERNEL_FIXTURES = {
+    "mixed-int-fraction": [
+        [2, Fraction(1, 3), 0, -1, Fraction(5, 7)],
+        [Fraction(4), 5, Fraction(-7, 2), 0, 1],
+        [0, 0, 3, Fraction(1, 6), Fraction(-2, 9)],
+        [1, Fraction(2, 3), Fraction(1, 2), 1, 0],
+        [3, Fraction(16, 3), -3, 0, Fraction(12, 7)],
+    ],
+    "hilbert-8": hilbert_block(8),
+    "hilbert-8-large-denominators": hilbert_block(8, shift=10**12),
+    "hilbert-8-widened-plus-a-dependent-row": widened_hilbert(),
+    "negative-and-two-pivots": [
+        [-2, 4, 0, 1, 0],
+        [2, 0, -6, 0, 3],
+        [0, -2, 2, 0, -1],
+        [-1, 0, 0, 2, 2],
+        [0, 0, -2, -2, 4],
+    ],
+    "edge-form-like": [
+        {0: 2, 3: -2, 5: 1},
+        {0: 1, 3: -1, 4: 2},
+        {1: -2, 4: 2},
+        {1: 1, 2: -2, 5: Fraction(1, 2)},
+        {2: 2, 5: -1},
+    ],
+    "proportional-once-scaled": [
+        [Fraction(1, 2), Fraction(1, 3), Fraction(1, 6), 0],
+        [3, 2, 1, 0],
+        [Fraction(-3, 4), Fraction(-1, 2), Fraction(-1, 4), 0],
+        [0, Fraction(2, 5), 0, Fraction(4, 5)],
+        [0, -1, 0, -2],
+        [Fraction(6, 1), 4, 2, 0],
+    ],
+}
+
+
+def fixture_ncols(rows) -> int:
+    return max((max(r, default=-1) + 1 if isinstance(r, dict) else len(r)) for r in rows)
+
+
+@pytest.mark.parametrize("name", KERNEL_FIXTURES)
+def test_kernel_matches_dense_on_fixtures(name):
+    rows = KERNEL_FIXTURES[name]
+    ncols = fixture_ncols(rows)
+    dense_rows = [[Fraction(x) for x in dense(r, ncols)] for r in rows]
+    before = [dict(r) if isinstance(r, dict) else list(r) for r in rows]
+    want_piv, want_red = dense_row_reduce(dense_rows, ncols)
+    for given in (rows, as_dicts(dense_rows), dense_rows):
+        piv, red = row_reduce(given)
+        assert piv == want_piv
+        assert [dense(r, ncols) for r in red] == want_red
+        assert all(type(x) is Fraction for r in red for x in r.values())
+        ech = echelon(given)
+        assert sorted(ech) == want_piv
+        for col, r in ech.items():
+            assert min(r) == col
+            assert type(r[col]) is Fraction and r[col] == 1
+            assert all(type(x) is Fraction for x in r.values())
+        assert rank_exact(given) == len(want_piv)
+        assert nullspace(given, ncols) == dense_nullspace(dense_rows, ncols)
+        x0 = [Fraction(k - 2, k + 1) for k in range(ncols)]
+        rhs = [sum((a * b for a, b in zip(r, x0)), Fraction(0)) for r in dense_rows]
+        assert_same_values(solve_particular(given, rhs, ncols), dense_solve(dense_rows, rhs, ncols))
+        rhs = [Fraction(i % 3 - 1, 2) for i in range(len(rows))]
+        assert_same_values(solve_particular(given, rhs, ncols), dense_solve(dense_rows, rhs, ncols))
+    assert rows == before
+    if name.startswith("hilbert-8"):
+        assert len(want_piv) == 8
+    if name == "proportional-once-scaled":
+        assert want_piv == [0, 1]
+
+
 def flowup_systems(h, monkeypatch):
     """Every (rows, rhs, ncols, answer) that flow_up_class hands the solver for h."""
     seen = []
