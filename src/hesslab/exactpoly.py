@@ -4,9 +4,11 @@ Coordinates for the moment-graph engine: polynomials live in m = n-1 variables
 t_1..t_{n-1}, with t_n represented as -(t_1 + ... + t_{n-1}).  Everything is a
 dict from exponent tuple to Fraction; no floats anywhere.  Division by a
 linear form has one routine, `divmod_linear`, giving both the quotient and the
-remainder: edge conditions test the remainder, flow-up decomposition and
-localization integrals take the quotient of an exact division.
-`Poly.substitute` is the ring map the Weyl dot action permutes variables by.
+remainder: edge conditions test the remainder, and the polynomial oracles in
+the test suite (flow-up decomposition, localization integrals) take the
+quotient of an exact division.  `Poly.substitute` is the ring map the public
+Weyl dot action `gkm.dot_action` permutes variables by; the Kahler checks
+evaluate at permuted points instead.
 """
 
 from __future__ import annotations

@@ -25,19 +25,24 @@ silently.  That monomial multiples of flow-up classes span every equivariant
 degree piece is a free-module statement the test suite certifies against the
 exact nullity of the full divisibility system.
 
-The Kahler forms are read off two kinds of per-graph matrix, computed once
-and shared by every J: the intersection matrix of flow-up classes of
-complementary Morse index, and one Lefschetz matrix per degree,
-multiplication by omega on flow-up coordinates (one projection per flow-up
-class).  An intersection number, the localization sum of a degree-l product
-of two classes that pass the edge conditions, is a constant, read off at two
-rational points where no tangent weight vanishes; the two must agree.
-Integration is bilinear over the torus ring and a product of degree below l
-integrates to 0; projection kills positive-degree multiples, so it is a ring
-map and omega^p is the chained product of p Lefschetz matrices.  Pairings,
-hard Lefschetz images and Hodge-Riemann Gram matrices on the W_J-invariant
-subring are exact matrix products, taken on integers over one common
-denominator per factor.
+The dot action and the Kahler forms are read off per-graph matrices,
+computed once and shared by every J: the intersection matrix of flow-up
+classes of complementary Morse index, one matrix per generator s_j and
+degree, and one Lefschetz matrix per degree, multiplication by omega on
+flow-up coordinates.  All of them come from point evaluations.  A
+localization sum of a degree-l product of two classes that pass the edge
+conditions is a constant, read off at two rational points where no tangent
+weight vanishes; the two must agree.  The values of the flow-up classes at
+both points are one integer table per index; s_j . sigma and sigma omega
+take their values from it (at a permuted point for s_j), and their flow-up
+coordinates solve a linear system against the intersection matrix, because
+integrating a degree-k class against the flow-up classes of index l - k
+sees only its index-k coordinates.  Integration is bilinear over the torus
+ring and a product of degree below l integrates to 0; projection kills
+positive-degree multiples, so it is a ring map and omega^p is the chained
+product of p Lefschetz matrices.  Pairings, hard Lefschetz images and
+Hodge-Riemann Gram matrices on the W_J-invariant subring are exact matrix
+products, taken on integers over one common denominator per factor.
 """
 
 from __future__ import annotations
@@ -47,14 +52,14 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, wraps
-from math import lcm
+from math import lcm, prod
 from operator import mul
 
 from .dotchar import betti_rs, regular_betti
 from .errors import ConsistencyError, TheoremViolation
 from .exactpoly import Poly, divmod_linear, monomials
 from .hessenberg import check_hessenberg, dimension
-from .linalg import inertia, nullspace, rank_exact, solve_particular
+from .linalg import inertia, nullspace, rank_exact, row_reduce, solve_particular
 
 DEFAULT_SEED = 1729
 GRAPH_MAX_N = 5
@@ -369,44 +374,6 @@ def ordinary_basis(g: GKMGraph, k: int) -> list[EquivClass]:
     return basis
 
 
-def _decompose(g: GKMGraph, c: EquivClass) -> dict[int, Poly]:
-    """Expand c over monomial multiples of flow-up classes (free-module coordinates).
-
-    Walks vertices in moment order: the residual value at each vertex must be
-    divisible by that vertex's downward-weight product, the quotient is the
-    polynomial coefficient of its flow-up class, and the multiple is
-    subtracted.  Exactness of every division certifies membership.
-    """
-    residual = list(c.values)
-    out: dict[int, Poly] = {}
-    for vid in g.order:
-        r = residual[vid]
-        if r.is_zero():
-            continue
-        if g.index[vid] > c.degree:
-            raise ConsistencyError("class is not in the span of flow-up multiples")
-        q = r
-        for f in _down_forms(g, vid):
-            q, rem = divmod_linear(q, f)
-            if not rem.is_zero():
-                raise ConsistencyError("flow-up decomposition hit a non-divisible residual")
-        out[vid] = q
-        sigma = flow_up_class(g, vid)
-        for u, val in enumerate(sigma.values):
-            if not val.is_zero():
-                residual[u] = residual[u] - q * val
-    if any(not r.is_zero() for r in residual):
-        raise ConsistencyError("flow-up decomposition left a nonzero residual")
-    return out
-
-
-def ordinary_project(g: GKMGraph, c: EquivClass) -> list[Fraction]:
-    """Coordinates of the image of c in H^{2 degree} w.r.t. the flow-up basis."""
-    coeffs = _decompose(g, c)
-    vids = [u for u in g.order if g.index[u] == c.degree]
-    return [coeffs.get(u, Poly.zero(g.nvars)).constant_value() for u in vids]
-
-
 def kahler_class(g: GKMGraph, lam) -> EquivClass:
     """Equivariant ample class: value at w is the w-translate of a strictly decreasing lam."""
     lam = tuple(int(x) for x in lam)
@@ -483,12 +450,44 @@ def lift(g: GKMGraph, k: int, vec) -> EquivClass:
 
 
 @_memo
+def _dot_sources(g: GKMGraph, j: int) -> list[int]:
+    """The vertex map u -> s_j^{-1} u of the dot action of s_j, checked to be
+    a moment-graph automorphism that carries weights to weights: the edge of
+    each root at s_j^{-1} u ends at s_j^{-1} of u's neighbor along that root,
+    and s_j sends its weight pair to u's.  So s_j . c passes every edge
+    condition that c passes, and acted classes need no edge check of their own."""
+    w = transposition(g.n, j)  # its own inverse
+    sources = [g.vindex[compose(w, u)] for u in g.vertices]
+    for u, src in enumerate(sources):
+        for v, (a, b), end, (sa, sb) in zip(
+            g.neighbor[u], g.weight_pairs[u], g.neighbor[src], g.weight_pairs[src]
+        ):
+            if end != sources[v] or (w[sa - 1], w[sb - 1]) != (a, b):
+                raise ConsistencyError(
+                    f"s_{j} is not a weight-preserving automorphism of the moment graph of h={g.h}"
+                )
+    return sources
+
+
+@_memo
 def _dot_matrix(g: GKMGraph, j: int, k: int):
-    """Matrix of the adjacent-swap generator s_j on the degree-k ordinary piece."""
+    """Matrix of the adjacent-swap generator s_j on the degree-k ordinary piece:
+    column c holds the flow-up coordinates of s_j . sigma_c.
+
+    At vertex u and point x, s_j . sigma_c takes the value of sigma_c at
+    s_j^{-1} u, evaluated at the permuted point (t_{s_j(1)}(x), ...,
+    t_{s_j(n-1)}(x)).  Those values are computed here and not kept; the
+    coordinates come from their localization sums (_flow_up_coordinates).
+    """
+    sources = _dot_sources(g, j)
     w = transposition(g.n, j)
     basis = ordinary_basis(g, k)
-    cols = [ordinary_project(g, dot_action(g, w, cls)) for cls in basis]
-    return [[cols[c][r] for c in range(len(cols))] for r in range(len(basis))]
+    acted = []
+    for point in LOCALIZATION_POINTS:
+        T, D = _integer_point(g.n, point)
+        rows, den = _class_values(basis, tuple(T[w[i] - 1] for i in range(g.nvars)), D)
+        acted.append(([[row[src] for src in sources] for row in rows], den))
+    return _transpose(_flow_up_coordinates(g, k, acted))
 
 
 def invariant_vectors(g: GKMGraph, J, k: int):
@@ -554,38 +553,78 @@ def _intersection_matrix(g: GKMGraph, dd: int):
     """
     if 2 * dd > g.l:
         return _transpose(_intersection_matrix(g, g.l - dd))
-    A = ordinary_basis(g, dd)
-    B = ordinary_basis(g, g.l - dd)
-    first, second = (_localized_products(g, A, B, p) for p in LOCALIZATION_POINTS)
-    if first != second:
-        raise ConsistencyError(
-            f"localization sums at degree {dd} differ between the evaluation points for h={g.h}"
-        )
-    return first
+    return _constant_sums(g, dd, [_flow_up_values(g, dd, p) for p in LOCALIZATION_POINTS])
 
 
-def _localized_products(g: GKMGraph, A, B, point):
-    """A diag(1/e_w) B^T at one point, over the values of the classes in A and
-    B: the localization sums of their products.
+@cache
+def _integer_point(n: int, point) -> tuple[tuple[int, ...], int]:
+    """(T, D) with t_i = T[i - 1] / D at point for i = 1..n: integers T and D > 0."""
+    x = point[: n - 1]
+    D = lcm(*(c.denominator for c in x))
+    T = [c.numerator * (D // c.denominator) for c in x]
+    return (*T, -sum(T)), D
+
+
+@cache
+def _monomial_values(X: tuple[int, ...], e: int) -> tuple[int, ...]:
+    """The values at the integer point X of the degree-e monomials, in monomials order."""
+    return tuple(prod(x**k for x, k in zip(X, mono)) for mono in monomials(len(X), e))
+
+
+def _class_values(classes, X: tuple[int, ...], D: int):
+    """Value table (rows, den) of classes at the point X / D, X integers:
+    rows[i][u] / den is the value of classes[i] at vertex u.
+
+    Coefficients go over their lcm and the monomials of degree e over D^top,
+    top the highest degree present, so every value is an integer dot product
+    against the monomial values.  Every monomial is evaluated, whatever its
+    degree, so a class that is not homogeneous gets its true values.
+    """
+    polys = [p for c in classes for p in c.values]
+    top = max([0, *(p.degree for p in polys)])
+    d = lcm(*(x.denominator for p in polys for x in p.c.values()))
+    scaled = {}
+    for e in range(top + 1):
+        s = D ** (top - e)
+        scaled.update(zip(monomials(len(X), e), (v * s for v in _monomial_values(X, e))))
+
+    def value(p: Poly) -> int:
+        return sum(x.numerator * (d // x.denominator) * scaled[m] for m, x in p.c.items())
+
+    return [[value(p) for p in c.values] for c in classes], d * D**top
+
+
+@_memo
+def _flow_up_values(g: GKMGraph, k: int, point):
+    """Value table (_class_values) of the flow-up classes of Morse index k at
+    point, in moment order."""
+    T, D = _integer_point(g.n, point)
+    return _class_values(ordinary_basis(g, k), T[:-1], D)
+
+
+def _localized_products(g: GKMGraph, left_values, right_values, point):
+    """A diag(1/e_w) B^T at one point, for the value tables (A, da) and (B, db)
+    of two lists of classes there: the localization sums of their products.
 
     The Euler class e_w multiplies t_{w(b)} - t_{w(a)} over the defining slots
     (a, b).  This orientation is pinned by positivity: it makes the ample class
     of a strictly decreasing weight integrate to +1 on the n = 2 flag space,
     and hence keeps all odd powers of the Kahler class positively oriented.
+    At t = T / D it is E_w / D^l with an integer numerator E_w; the numerators
+    go over their lcm L, so 1/e_w = D^l (L / E_w) / L and the sums run on
+    integers.
     """
-    x = point[: g.nvars]
-    t = [_t(g.n, i).eval_at(x) for i in range(1, g.n + 1)]
-    inv_euler = []
-    for pairs in g.weight_pairs:
-        e = Fraction(1)
-        for wa, wb in pairs:
-            e *= t[wb - 1] - t[wa - 1]
-        if not e:
-            raise ConsistencyError(f"a tangent weight vanishes at the evaluation point {t}")
-        inv_euler.append(1 / e)
-    left = [[v.eval_at(x) * e for v, e in zip(a.values, inv_euler)] for a in A]
-    right = [[v.eval_at(x) for v in b.values] for b in B]
-    return _matmul(left, _transpose(right))
+    T, D = _integer_point(g.n, point)
+    euler = [prod(T[wb - 1] - T[wa - 1] for wa, wb in pairs) for pairs in g.weight_pairs]
+    if not all(euler):
+        raise ConsistencyError(
+            f"a tangent weight vanishes at the evaluation point {[Fraction(x, D) for x in T]}"
+        )
+    L = lcm(*euler)
+    (A, da), (B, db) = left_values, right_values
+    weighted = [[x * (L // e) for x, e in zip(row, euler)] for row in A]
+    scale, d = D**g.l, da * db * L
+    return [[Fraction(scale * sum(map(mul, row, col)), d) for col in B] for row in weighted]
 
 
 def _over_common_denominator(rows):
@@ -594,15 +633,62 @@ def _over_common_denominator(rows):
     return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
 
 
+def _constant_sums(g: GKMGraph, k: int, tables):
+    """Localization sums of the products of degree-k classes, given by their
+    value tables tables[p] at LOCALIZATION_POINTS[p], with the flow-up classes
+    of index l - k.  The products have degree l and pass the edge
+    conditions, so the sums are constants: both points must agree."""
+    first, second = (
+        _localized_products(g, values, _flow_up_values(g, g.l - k, p), p)
+        for values, p in zip(tables, LOCALIZATION_POINTS)
+    )
+    if first != second:
+        raise ConsistencyError(
+            f"localization sums at degree {k} differ between the evaluation points for h={g.h}"
+        )
+    return first
+
+
+def _flow_up_coordinates(g: GKMGraph, k: int, acted):
+    """Flow-up coordinates in H^{2k} of degree-k classes, one row per class,
+    given by their value tables acted[p] at LOCALIZATION_POINTS[p].
+
+    Q holds their integrals against the flow-up classes of index l - k.  A
+    class sum_v q_v sigma_v integrates against sigma_j to the sum of
+    const(q_v) M_k[v][j] over the v of index k: lower v carry positive-degree
+    q_v, whose terms integrate to 0.  So Q = X M_k for the coordinates X and
+    the intersection matrix M_k, solved by one row reduction of
+    [M_k^T | Q^T]; a singular M_k raises.
+    """
+    Q = _constant_sums(g, k, acted)
+    M = _intersection_matrix(g, k)
+    pivots, rows = row_reduce([m + q for m, q in zip(_transpose(M), _transpose(Q))])
+    if pivots != list(range(len(M))):
+        raise ConsistencyError(f"singular intersection matrix at degree {k} for h={g.h}")
+    return [[r.get(len(M) + c, Fraction(0)) for r in rows] for c in range(len(Q))]
+
+
 @_memo
 def _lefschetz_matrix(g: GKMGraph, lam: tuple[int, ...], dd: int):
     """Row i is the flow-up coordinate vector of sigma_i omega in H^{2(dd+1)},
     for the flow-up classes sigma_i of Morse index dd; omega is the ample class
     of lam.  Positive-degree multiples project to 0, so projection is a ring
     map: an ordinary class v of degree dd maps to v L_dd, and omega^p to the
-    chained product L_dd L_{dd+1} ... L_{dd+p-1}."""
+    chained product L_dd L_{dd+1} ... L_{dd+p-1}.
+
+    The value of sigma_i omega at a vertex is sigma_i's value there times
+    omega's; the coordinates come from the localization sums of these
+    products (_flow_up_coordinates)."""
     omega = kahler_class(g, lam)
-    return [ordinary_project(g, s * omega) for s in ordinary_basis(g, dd)]
+    if dd >= g.l:
+        return [[] for _ in ordinary_basis(g, dd)]
+    acted = []
+    for point in LOCALIZATION_POINTS:
+        T, D = _integer_point(g.n, point)
+        (w,), dw = _class_values([omega], T[:-1], D)
+        rows, den = _flow_up_values(g, dd, point)
+        acted.append(([list(map(mul, row, w)) for row in rows], den * dw))
+    return _flow_up_coordinates(g, dd + 1, acted)
 
 
 def poincare_pairing(g: GKMGraph, k: int, J=()):

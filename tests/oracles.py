@@ -7,10 +7,12 @@ Greene-Kleitman `lambda_H`; the full divisibility system against the
 flow-up module basis; randomly perturbed lifts against lift-independence
 of integration; polynomial localization integrals (the sum over fixed points
 cleared of denominators by exact linear-form divisions) against the library's
-intersection numbers, which it reads off point evaluations; and, for the
-Kahler forms the library reads off per-graph intersection and Lefschetz
-matrices, one polynomial integral or projection of freshly lifted products
-per entry.
+intersection numbers, which it reads off point evaluations; flow-up
+decomposition of the polynomial dot action and of products with omega
+(exact divisions by downward weights) against the library's dot and
+Lefschetz matrices, which it solves from point-evaluated localization sums;
+and, for the Kahler forms the library reads off those per-graph matrices,
+one polynomial integral or projection of freshly lifted products per entry.
 """
 
 import itertools
@@ -219,6 +221,59 @@ def integrate(g: gkm.GKMGraph, c: gkm.EquivClass):
     return total
 
 
+def _decompose(g, c) -> dict:
+    """Expand c over monomial multiples of flow-up classes (free-module coordinates).
+
+    Walks vertices in moment order: the residual value at each vertex must be
+    divisible by that vertex's downward-weight product, the quotient is the
+    polynomial coefficient of its flow-up class, and the multiple is
+    subtracted.  Exactness of every division certifies membership.
+    """
+    residual = list(c.values)
+    out = {}
+    for vid in g.order:
+        r = residual[vid]
+        if r.is_zero():
+            continue
+        if g.index[vid] > c.degree:
+            raise ConsistencyError("class is not in the span of flow-up multiples")
+        q = r
+        for f in gkm._down_forms(g, vid):
+            q, rem = divmod_linear(q, f)
+            if not rem.is_zero():
+                raise ConsistencyError("flow-up decomposition hit a non-divisible residual")
+        out[vid] = q
+        sigma = gkm.flow_up_class(g, vid)
+        for u, val in enumerate(sigma.values):
+            if not val.is_zero():
+                residual[u] = residual[u] - q * val
+    if any(not r.is_zero() for r in residual):
+        raise ConsistencyError("flow-up decomposition left a nonzero residual")
+    return out
+
+
+def ordinary_project(g, c) -> list:
+    """Coordinates of the image of c in H^{2 degree} w.r.t. the flow-up basis."""
+    coeffs = _decompose(g, c)
+    vids = [u for u in g.order if g.index[u] == c.degree]
+    return [coeffs.get(u, Poly.zero(g.nvars)).constant_value() for u in vids]
+
+
+def dot_matrix_by_projection(g, j: int, k: int):
+    """Matrix of s_j on the degree-k piece: column c is
+    ordinary_project(dot_action(s_j, sigma_c)) for the c-th flow-up class."""
+    w = gkm.transposition(g.n, j)
+    cols = [ordinary_project(g, gkm.dot_action(g, w, s)) for s in gkm.ordinary_basis(g, k)]
+    return [list(row) for row in zip(*cols)]
+
+
+def lefschetz_matrix_by_projection(g, lam, dd: int):
+    """Row i is ordinary_project(sigma_i * omega) for the flow-up classes
+    sigma_i of Morse index dd and the ample class omega of lam."""
+    omega = gkm.kahler_class(g, lam)
+    return [ordinary_project(g, s * omega) for s in gkm.ordinary_basis(g, dd)]
+
+
 def lift_with_noise(g, k: int, vec, rng: random.Random):
     """A different valid lift of the same ordinary class: adds random multiples
     of lower flow-up classes by positive-degree monomials."""
@@ -262,7 +317,7 @@ def lefschetz_images_by_lifts(g, J, lam, dd: int, p: int):
     """ordinary_project(lift(v) * omega^p) for each W_J-invariant v of degree dd."""
     omega_pow = _omega_power(g, lam, p)
     return [
-        gkm.ordinary_project(g, gkm.lift(g, dd, v) * omega_pow)
+        ordinary_project(g, gkm.lift(g, dd, v) * omega_pow)
         for v in gkm.invariant_vectors(g, J, dd)
     ]
 

@@ -32,10 +32,15 @@ from hesslab.springer import generic_jordan_type, orbit_meets_annihilator, suppo
 from hesslab.symfunc import QPoly, powersum_csf_q1, powersum_to_monomial, q_factorial
 from oracles import (
     brute_force_orbit_oracle,
+    dot_matrix_by_projection,
     integrate,
     intersection_matrix_by_integrals,
+    lefschetz_matrix_by_projection,
     lift_with_noise,
 )
+
+# a second strictly decreasing Kahler weight per n, besides the default one
+ALTERNATE_KAHLER_WEIGHT = {2: (5, -2), 3: (7, 2, -1), 4: (5, 3, 0, -4)}
 
 
 def announce(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -147,11 +152,14 @@ def test_acceptance_7_kahler_package_desk_scale():
     # pairing determinants included, hashed in order; and, separately, the
     # exact values of every flow-up class, each graph's in moment order; the
     # point-evaluated intersection matrices are checked against polynomial
-    # localization integrals
+    # localization integrals, and the point-evaluated dot and Lefschetz tables
+    # (every j and degree; the default and one alternate weight) against
+    # projections of the polynomial products
     start = time.monotonic()
     cases = 0
     failures = []
     matrices = 0
+    tables = 0
     digest = hashlib.sha256()
     flowups = hashlib.sha256()
     for n in range(2, 5):
@@ -168,6 +176,15 @@ def test_acceptance_7_kahler_package_desk_scale():
                 matrices += 1
                 if gkm._intersection_matrix(g, dd) != intersection_matrix_by_integrals(g, dd):
                     failures.append((h, "intersection matrix", dd))
+            for k in range(g.l + 1):
+                for j in range(1, n):
+                    tables += 1
+                    if gkm._dot_matrix(g, j, k) != dot_matrix_by_projection(g, j, k):
+                        failures.append((h, "dot matrix", j, k))
+                for lam in (gkm.default_kahler_weight(n), ALTERNATE_KAHLER_WEIGHT[n]):
+                    tables += 1
+                    if gkm._lefschetz_matrix(g, lam, k) != lefschetz_matrix_by_projection(g, lam, k):
+                        failures.append((h, "lefschetz matrix", lam, k))
             for u in g.order:
                 values = flow_up_class(g, u).values
                 terms = [[[list(m), str(c)] for m, c in sorted(v.c.items())] for v in values]
@@ -183,6 +200,7 @@ def test_acceptance_7_kahler_package_desk_scale():
         and pinned
         and cases == 2 * 2 + 5 * 4 + 14 * 8
         and matrices == 38
+        and tables == 312
         and elapsed < 900
     )
     announce(
@@ -190,6 +208,7 @@ def test_acceptance_7_kahler_package_desk_scale():
         "kahler package desk scale",
         ok,
         f"{cases} (h, J) cases, {matrices} intersection matrices vs integrals, "
+        f"{tables} dot and Lefschetz tables vs projections, "
         f"{len(failures)} failures, bytes pinned: {pinned}, {elapsed:.1f}s < 900s",
     )
     assert ok, failures

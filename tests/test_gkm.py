@@ -21,18 +21,19 @@ from hesslab.gkm import (
     lift,
     morse_betti,
     ordinary_basis,
-    ordinary_project,
     poincare_pairing,
 )
 from hesslab.hessenberg import dimension, enumerate_hessenberg
 from hesslab.linalg import inertia
 from hesslab.partitions import character_value
+import oracles
 from oracles import (
     equivariant_dimension,
     equivariant_piece,
     integrate,
     lefschetz_images_by_lifts,
     lift_with_noise,
+    ordinary_project,
     pairing_by_lifts,
     primitive_form_by_lifts,
 )
@@ -350,19 +351,22 @@ def test_pairing_memoized_unless_singular(monkeypatch):
     calls = count_intersection_matrices(monkeypatch)
     g = build_gkm((2, 3, 4, 4))
     # the first pairing computes the intersection matrix of degrees 1 and 2,
-    # whatever the size of the invariant block
+    # whatever the size of the invariant block; the dot matrices of degree 1
+    # and 2 that the invariant blocks need solve against M_1 and M_2 (the
+    # transpose of M_1)
     first = poincare_pairing(g, 2, (1, 3))
-    assert first and calls == [1]
+    assert first and calls == [1, 2]
     assert poincare_pairing(g, 2, [3, 1, 3]) is first
-    assert calls == [1]
+    assert calls == [1, 2]
 
     # a singular pairing is recomputed, and raises, on every call; its
-    # intersection matrix is computed on the first call only
+    # intersection matrix, and M_3 for the degree-3 dot matrices, are
+    # computed on the first call only
     monkeypatch.setattr(gkm, "rank_exact", lambda rows: 0)
     for _ in range(2):
         with pytest.raises(TheoremViolation):
             poincare_pairing(g, 0, (1, 3))
-        assert calls == [1, 0]
+        assert calls == [1, 2, 0, 3]
 
 
 def test_kahler_report_computes_intersection_matrices_once(monkeypatch):
@@ -371,8 +375,10 @@ def test_kahler_report_computes_intersection_matrices_once(monkeypatch):
     for r in range(4):
         for J in itertools.combinations(range(1, 4), r):
             assert kahler_report(g, J)["verdicts"]["all"] is True
-    # l = 3: one matrix for each dd <= l/2, shared by all 8 J
-    assert calls == [0, 1]
+    # l = 3: one matrix for each dd <= l, shared by all 8 J; J = () asks for
+    # M_0 for its degree-0 pairing, then M_1 .. M_3 for the Lefschetz tables
+    # of degrees 0 .. 2, and the other J reuse them for their dot matrices
+    assert calls == [0, 1, 2, 3]
 
 
 def _corrupt_flow_up(g, vid, values):
@@ -404,6 +410,70 @@ def test_intersection_matrix_rejects_a_non_constant_localization_sum():
     _corrupt_flow_up(g, vid, values)
     with pytest.raises(ConsistencyError, match="differ between the evaluation points"):
         gkm._intersection_matrix(g, 1)
+
+
+def test_dot_matrix_rejects_a_non_constant_localization_sum():
+    # a class plus a degree-higher multiple of itself, as above; M_1 is
+    # computed first, so what fires is the check on the sums of the acted class
+    g = build_gkm((2, 3, 3))
+    gkm._intersection_matrix(g, 1)
+    vid = next(u for u in g.order if g.index[u] == 1)
+    values = [v + v * Poly.variable(g.nvars, 0) for v in flow_up_class(g, vid).values]
+    _corrupt_flow_up(g, vid, values)
+    with pytest.raises(ConsistencyError, match="differ between the evaluation points"):
+        gkm._dot_matrix(g, 1, 1)
+
+
+def test_dot_action_must_be_a_graph_automorphism():
+    # acted classes get no edge check of their own, so a moment graph the
+    # swap does not act on must be refused: two neighbors exchanged at one
+    # vertex, or one weight pair reversed
+    def swap_neighbors(g, u):
+        g.neighbor[u][0], g.neighbor[u][1] = g.neighbor[u][1], g.neighbor[u][0]
+
+    def reverse_weight(g, u):
+        g.weight_pairs[u][0] = g.weight_pairs[u][0][::-1]
+
+    for corrupt in (swap_neighbors, reverse_weight):
+        for j in (1, 2):
+            g = build_gkm((2, 3, 3))
+            assert sorted(gkm._dot_sources(g, j)) == list(range(6))
+            g = build_gkm((2, 3, 3))
+            corrupt(g, g.vindex[(1, 3, 2)])
+            with pytest.raises(ConsistencyError, match="automorphism"):
+                gkm._dot_sources(g, j)
+            with pytest.raises(ConsistencyError, match="automorphism"):
+                gkm._dot_matrix(g, j, 1)
+
+
+def test_tables_reject_a_singular_intersection_matrix(monkeypatch):
+    def zero_matrix(g, dd):
+        return [[0] * len(ordinary_basis(g, g.l - dd)) for _ in ordinary_basis(g, dd)]
+
+    monkeypatch.setattr(gkm, "_intersection_matrix", zero_matrix)
+    g = build_gkm((2, 3, 3))
+    lam = default_kahler_weight(3)
+    with pytest.raises(ConsistencyError, match="singular intersection matrix"):
+        gkm._dot_matrix(g, 1, 1)
+    with pytest.raises(ConsistencyError, match="singular intersection matrix"):
+        gkm._lefschetz_matrix(g, lam, 0)
+    assert g._caches["_dot_matrix"] == {} and g._caches["_lefschetz_matrix"] == {}
+
+
+def test_kahler_report_avoids_polynomial_projection(monkeypatch):
+    # every table is read off point evaluations: no decomposition over
+    # flow-up classes, no polynomial dot action or substitution
+    def refuse(*args, **kwargs):
+        raise AssertionError("polynomial route reached")
+
+    monkeypatch.setattr(oracles, "_decompose", refuse)
+    monkeypatch.setattr(gkm, "dot_action", refuse)
+    monkeypatch.setattr(Poly, "substitute", refuse)
+    g = build_gkm((2, 3, 4, 4))
+    for r in range(4):
+        for J in itertools.combinations(range(1, 4), r):
+            assert kahler_report(g, J)["verdicts"]["all"] is True
+    assert kahler_report(g, (1,), (5, 3, 2, 0))["verdicts"]["all"] is True
 
 
 def test_localization_points_separate_coordinates():
