@@ -40,12 +40,11 @@ from .hessenberg import (
     parse_hessenberg,
 )
 from .linalg import det_exact
-from .partitions import conjugate, dominance_leq
+from .partitions import MAX_ENUMERATION_N, conjugate, dominance_leq, partition_str, partitions_of
 from .springer import generic_jordan_type
 
 VERIFY_MAX_N = 7
 VERIFY_FORCE_MAX_N = 8
-ANALYZE_MAX_N = 9  # multiplicity-table keys are one digit per part; --force cannot lift this
 DEFAULT_GKM_MAX_N = 4
 CACHE_ENV = "HESSLAB_CACHE"
 
@@ -63,10 +62,6 @@ def _sanitize(obj):
     if isinstance(obj, (list, tuple)):
         return [_sanitize(v) for v in obj]
     return obj
-
-
-def _pstr(lam) -> str:
-    return ",".join(str(p) for p in lam)
 
 
 def _jstr(J) -> str:
@@ -187,20 +182,20 @@ def analyze_report(h, *, seed: int, J=None, use_gkm: bool = False, cache_dir=Non
     mult = _cached(cache_dir, _key("dotchar", h), lambda: multiplicities_json(dot_action_multiplicities(h, force)))
     gm = multiplicities_from_json(mult)
     lam_H = generic_jordan_type(h)
-    lambda_h = _pstr(lam_H)
+    lambda_h = partition_str(lam_H)
 
     violations = []
     allowed = []
     for lam in sorted(gm.table, reverse=True):
         row = gm.table[lam]
         if dominance_leq(conjugate(lam), lam_H):
-            allowed.append(_pstr(lam))
+            allowed.append(partition_str(lam))
         elif any(row):
             violations.append(
                 {
                     "type": "support",
                     "h": hessenberg_str(h),
-                    "lambda": _pstr(lam),
+                    "lambda": partition_str(lam),
                     "lambda_H": lambda_h,
                     "total_multiplicity": sum(row),
                 }
@@ -262,9 +257,9 @@ def _verify_one(h, *, seed: int, gkm_max_n: int, control: bool) -> dict:
             {
                 "type": "support",
                 "h": hessenberg_str(h),
-                "lambda": _pstr(witness["lam"]),
-                "tested": _pstr(witness["tested"]),
-                "lambda_H": _pstr(witness["lambda_H"]),
+                "lambda": partition_str(witness["lam"]),
+                "tested": partition_str(witness["tested"]),
+                "lambda_H": partition_str(witness["lambda_H"]),
                 "total_multiplicity": witness["total_multiplicity"],
             }
         )
@@ -347,7 +342,7 @@ def kahler_payload(g, J=(), lam=None) -> dict:
 def kahler_cli_report(h, J, lam, *, seed: int, cache_dir=None) -> dict:
     key = _key("gkm-kahler", h, seed, J)
     if lam is not None:
-        key["lambda"] = _pstr(lam)
+        key["lambda"] = ",".join(str(x) for x in lam)
     payload = _cached(cache_dir, key, lambda: kahler_payload(build_gkm(h, seed=seed), J, lam))
     report = dict(payload)
     report.update(
@@ -381,7 +376,7 @@ def _render_csv(report: dict) -> str:
     if cmd == "analyze":
         writer.writerow(["row"] + [f"q{k}" for k in range(report["l"] + 1)])
         writer.writerow(["betti"] + report["betti"])
-        for key in sorted(report["mult"], reverse=True):
+        for key in map(partition_str, partitions_of(report["n"])):
             writer.writerow([key] + report["mult"][key])
         for J, entry in sorted(report["regular"].items()):
             writer.writerow([f"J={J}"] + entry["betti"])
@@ -420,8 +415,9 @@ def _render_table(report: dict) -> str:
         lines.append(f"lambda_H = {report['lambda_H']}")
         lines.append(f"betti    = {report['betti']}")
         lines.append("multiplicities:")
-        for key in sorted(report["mult"], reverse=True):
-            lines.append(f"  {key:>10}  {report['mult'][key]}")
+        width = max(map(len, report["mult"]))
+        for key in map(partition_str, partitions_of(report["n"])):
+            lines.append(f"  {key:>{width}}  {report['mult'][key]}")
         lines.append("regular Betti by J:")
         for J, entry in sorted(report["regular"].items()):
             tag = "palindromic" if entry["palindromic"] else "NOT PALINDROMIC"
@@ -524,8 +520,8 @@ def main(argv=None) -> int:
     cache_dir = _cache_dir(args)
     try:
         if args.command == "analyze":
-            if len(args.h) > ANALYZE_MAX_N:
-                usage_error(f"analyze supports n <= {ANALYZE_MAX_N}, also with --force (got n = {len(args.h)})")
+            if len(args.h) > MAX_ENUMERATION_N:
+                usage_error(f"analyze supports n <= {MAX_ENUMERATION_N}, also with --force (got n = {len(args.h)})")
             if args.J is not None and any(j > len(args.h) - 1 for j in args.J):
                 usage_error(f"J entries must be <= n-1 = {len(args.h) - 1}")
             if args.gkm and not 2 <= len(args.h) <= GRAPH_MAX_N:

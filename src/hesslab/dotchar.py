@@ -27,7 +27,16 @@ from math import factorial
 
 from .errors import ConsistencyError, CostGuardError
 from .hessenberg import check_hessenberg, dimension
-from .partitions import Partition, conjugate, dim_irrep, kostka_number, partitions_of, young_subgroup_content
+from .partitions import (
+    Partition,
+    check_partition,
+    conjugate,
+    dim_irrep,
+    kostka_number,
+    partition_str,
+    partitions_of,
+    young_subgroup_content,
+)
 from .symfunc import MONOMIAL, QPoly, QSymPoly
 
 COLORING_GUARD_N = 8  # the n above which both routes need force=True
@@ -238,30 +247,22 @@ def regular_betti(h, J) -> list[int]:
     return gm.betti(J)
 
 
-def compact_partition_key(lam: Partition) -> str:
-    """Digit-concatenated form used for multiplicity-table JSON keys, e.g. (2,1) -> "21"."""
-    return "".join(str(p) for p in lam)
-
-
 def multiplicities_json(gm: GradedMultiplicity) -> dict:
-    """JSON-ready dict: {"n", "h", "l", "mult", "betti"} with exact integers."""
+    """JSON-ready dict: {"n", "h", "l", "mult", "betti"} with exact integers, "mult" keyed by partition_str."""
     return {
         "n": gm.n,
         "h": ",".join(str(v) for v in gm.h),
         "l": gm.l,
-        "mult": {compact_partition_key(lam): list(row) for lam, row in gm.table.items()},
+        "mult": {partition_str(lam): list(row) for lam, row in gm.table.items()},
         "betti": gm.betti(),
     }
 
 
 def multiplicities_from_json(doc: dict) -> GradedMultiplicity:
-    """Inverse of multiplicities_json; the derived "betti" entry is not read.
-
-    Keys are read one digit per part, so tables are unambiguous for n <= 9.
-    """
+    """Inverse of multiplicities_json; the derived "betti" entry is not read."""
     return GradedMultiplicity(
         n=doc["n"],
         h=tuple(int(v) for v in doc["h"].split(",")),
         l=doc["l"],
-        table={tuple(int(ch) for ch in key): list(row) for key, row in doc["mult"].items()},
+        table={check_partition(key.split(",")): list(row) for key, row in doc["mult"].items()},
     )

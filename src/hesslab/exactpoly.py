@@ -89,11 +89,6 @@ class Poly:
         out.c = c
         return out
 
-    def __neg__(self) -> "Poly":
-        out = Poly(self.nvars)
-        out.c = {mono: -v for mono, v in self.c.items()}
-        return out
-
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)

@@ -733,12 +733,11 @@ def _lefschetz_images(g: GKMGraph, J: tuple[int, ...], lam: tuple[int, ...], dd:
     return images
 
 
-def _primitive_form(g: GKMGraph, J: tuple[int, ...], lam: tuple[int, ...], dd: int):
+def _primitive_form(g: GKMGraph, J: tuple[int, ...], lam: tuple[int, ...], dd: int, hl):
     """Gram matrix of (a, b) -> integral of a b omega^(l-2dd) on the primitive
     W_J-invariant classes of degree dd (the kernel of omega^(l-2dd+1)), in the
-    nullspace basis; unsigned.  Needs 2 dd <= l."""
+    nullspace basis; unsigned.  Needs 2 dd <= l; hl = _lefschetz_images(g, J, lam, dd, l - 2 dd)."""
     domain = invariant_vectors(g, J, dd)
-    hl = _lefschetz_images(g, J, lam, dd, g.l - 2 * dd)
     killed = _matmul(hl, _lefschetz_matrix(g, lam, g.l - dd))
     prim = nullspace(_transpose(killed), len(domain))
     scaled = _matmul(prim, hl)
@@ -796,7 +795,8 @@ def _kahler_report(g: GKMGraph, J: tuple[int, ...], lam: tuple[int, ...]) -> dic
         verdicts["poincare"] &= entry["nondegenerate"]
 
         power = g.l - 2 * dd
-        rank = rank_exact(_lefschetz_images(g, J, lam, dd, power))
+        hl = _lefschetz_images(g, J, lam, dd, power)
+        rank = rank_exact(hl)
         full = rank == dims[dd]
         report["hard_lefschetz"][str(k)] = {
             "power": power,
@@ -809,7 +809,7 @@ def _kahler_report(g: GKMGraph, J: tuple[int, ...], lam: tuple[int, ...]) -> dic
         if not dims[dd]:
             continue
         sign = 1 if dd % 2 == 0 else -1
-        gram = [[sign * x for x in row] for row in _primitive_form(g, J, lam, dd)]
+        gram = [[sign * x for x in row] for row in _primitive_form(g, J, lam, dd, hl)]
         signature, pivots = inertia(gram)
         definite = signature[0] == len(gram)
         report["hodge_riemann"][str(k)] = {

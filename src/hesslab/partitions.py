@@ -31,6 +31,11 @@ def check_partition(parts) -> Partition:
     return lam
 
 
+def partition_str(lam) -> str:
+    """The form of a partition in reports and caches, (10, 2) -> "10,2"; check_partition(s.split(",")) reads it."""
+    return ",".join(str(p) for p in lam)
+
+
 @cache
 def partitions_of(n: int) -> tuple[Partition, ...]:
     """All partitions of n in reverse-lexicographic order: (n) first, (1,...,1) last."""

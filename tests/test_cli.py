@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import subprocess
 import sys
 
@@ -9,7 +10,7 @@ from hesslab import __version__, cli, dotchar
 from hesslab.cli import canonical_json, main
 from hesslab.dotchar import GradedMultiplicity, multiplicities_json
 from hesslab.gkm import GRAPH_MAX_N, RING_MAX_N, build_gkm, kahler_report
-from hesslab.partitions import partitions_of
+from hesslab.partitions import MAX_ENUMERATION_N, partitions_of
 from hesslab.springer import support_violations
 from hesslab.symfunc import q_factorial
 
@@ -33,7 +34,7 @@ def test_analyze_hexagon(capsys):
     assert report["n"] == 3 and report["l"] == 2
     assert report["betti"] == [1, 4, 1]
     assert report["lambda_H"] == "2,1"
-    assert report["mult"] == {"3": [1, 2, 1], "21": [0, 1, 0], "111": [0, 0, 0]}
+    assert report["mult"] == {"3": [1, 2, 1], "2,1": [0, 1, 0], "1,1,1": [0, 0, 0]}
     assert report["allowed"] == ["3", "2,1"]
     assert report["violations"] == []
     assert report["version"] == __version__ and report["seed"] == 1729
@@ -45,13 +46,13 @@ def test_analyze_edgeless_is_regular_rep(capsys):
     report = run_json(capsys, "analyze", "--h", "1,2,3")
     assert report["l"] == 0
     assert report["betti"] == [6]
-    assert report["mult"] == {"3": [1], "21": [2], "111": [1]}
+    assert report["mult"] == {"3": [1], "2,1": [2], "1,1,1": [1]}
 
 
 def test_analyze_projective_line(capsys):
     report = run_json(capsys, "analyze", "--h", "2,2")
     assert report["betti"] == [1, 1]
-    assert report["mult"] == {"2": [1, 1], "11": [0, 0]}
+    assert report["mult"] == {"2": [1, 1], "1,1": [0, 0]}
     assert report["lambda_H"] == "1,1"
 
 
@@ -76,13 +77,30 @@ def test_analyze_usage_errors(capsys, bad):
     assert exc.value.code == 2
 
 
-def test_analyze_hard_ceiling(capsys):
-    # one digit per part in multiplicity keys: n = 10 is refused even with --force
-    for extra in ([], ["--force"]):
-        with pytest.raises(SystemExit) as exc:
-            main(["analyze", "--h", ",".join(["10"] * 10), *extra])
-        assert exc.value.code == 2
-    assert "n <= 9" in capsys.readouterr().err
+def test_analyze_n10_two_digit_parts(capsys):
+    # the Peterson function (2, ..., 10, 10): every J row palindromic, and
+    # the J = {1..9} row is prod_j [h(j)-j+1]_q = (1+q)^9
+    h = "2,3,4,5,6,7,8,9,10,10"
+    rc, out, err = run(capsys, "analyze", "--h", h)  # above the cost guard, --force is needed
+    assert rc == 2 and out == "" and "force" in err
+    report = run_json(capsys, "analyze", "--h", h, "--force")
+    assert report["violations"] == []
+    assert len(report["mult"]) == len(partitions_of(10)) and "10" in report["mult"]
+    assert len(report["regular"]) == 2 ** 9
+    assert all(entry["palindromic"] for entry in report["regular"].values())
+    assert report["regular"]["1,2,3,4,5,6,7,8,9"]["betti"] == [math.comb(9, k) for k in range(10)]
+
+
+def test_analyze_enumeration_ceiling():
+    # n = 13 is past partitions_of: a usage error naming the limit, also with --force
+    h = "2,3,4,5,6,7,8,9,10,11,12,13,13"
+    proc = subprocess.run(
+        [sys.executable, "-m", "hesslab", "analyze", "--h", h, "--force"], capture_output=True, text=True
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and f"n <= {MAX_ENUMERATION_N}" in proc.stderr
+    assert MAX_ENUMERATION_N == 12
+    assert proc.stdout == ""
 
 
 def test_analyze_J_out_of_range(capsys):
@@ -226,13 +244,13 @@ def test_kahler_threefold(capsys):
 
 def test_kahler_bytes_pinned(capsys):
     # canonical kahler reports at seed 1729, pairing determinants included,
-    # pinned byte for byte
+    # pinned byte for byte; the version field is part of the bytes
     text = "".join(
         run(capsys, "kahler", "--h", h, "--J", J)[1]
         for h, J in (("2,3,3", ""), ("2,3,3", "1,2"), ("2,3,4,4", "1,3"))
     )
     digest = hashlib.sha256(text.encode()).hexdigest()
-    assert digest == "c63a9e692ba6a53519890d92ed7d7c619d98e8cb57d0810241c42c46b35bb181"
+    assert digest == "3d15e07ee1b030dbeaedc2545f36035dd38997ffbee23660f6bac8a9938724d3"
 
 
 def test_kahler_payload_leaves_report_untouched(capsys):

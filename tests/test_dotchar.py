@@ -7,7 +7,6 @@ from hesslab.cli import all_parabolic_subsets
 from hesslab.dotchar import (
     betti_rs,
     chromatic_qsym,
-    compact_partition_key,
     dot_action_multiplicities,
     multiplicities_from_json,
     multiplicities_json,
@@ -198,19 +197,18 @@ def test_json_shape():
         "n": 3,
         "h": "2,3,3",
         "l": 2,
-        "mult": {"3": [1, 2, 1], "21": [0, 1, 0], "111": [0, 0, 0]},
+        "mult": {"3": [1, 2, 1], "2,1": [0, 1, 0], "1,1,1": [0, 0, 0]},
         "betti": [1, 4, 1],
     }
     for n in range(2, 6):
         for h in enumerate_hessenberg(n):
             gm = dot_action_multiplicities(h)
             assert multiplicities_from_json(multiplicities_json(gm)) == gm
-
-
-def test_compact_partition_key():
-    assert compact_partition_key((2, 1)) == "21"
-    assert compact_partition_key((4,)) == "4"
-    assert compact_partition_key((1, 1, 1)) == "111"
+    # a part of 10: the key "10" must read back as (10,), not as two parts
+    gm = dot_action_multiplicities((2, 3, 4, 5, 6, 7, 8, 9, 10, 10), force=True)
+    doc = multiplicities_json(gm)
+    assert "10" in doc["mult"] and "1,1,1,1,1,1,1,1,1,1" in doc["mult"]
+    assert multiplicities_from_json(doc) == gm
 
 
 def test_total_dimension_is_group_order():

@@ -536,11 +536,12 @@ def test_kahler_forms_match_lifted_products(h):
                 assert poincare_pairing(g, k, J) == pairing_by_lifts(g, k, J), (J, k)
             for lam in weights:
                 for dd in range(g.l // 2 + 1):
+                    images = {}
                     for p in (g.l - 2 * dd, g.l - 2 * dd + 1):
-                        assert gkm._lefschetz_images(
-                            g, J, lam, dd, p
-                        ) == lefschetz_images_by_lifts(g, J, lam, dd, p), (J, lam, dd, p)
-                    assert gkm._primitive_form(g, J, lam, dd) == primitive_form_by_lifts(
+                        images[p] = gkm._lefschetz_images(g, J, lam, dd, p)
+                        assert images[p] == lefschetz_images_by_lifts(g, J, lam, dd, p), (J, lam, dd, p)
+                    hl = images[g.l - 2 * dd]
+                    assert gkm._primitive_form(g, J, lam, dd, hl) == primitive_form_by_lifts(
                         g, J, lam, dd
                     ), (J, lam, dd)
 
