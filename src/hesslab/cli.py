@@ -6,6 +6,12 @@ Reports are canonical JSON (sorted keys, compact separators, trailing
 newline) so a fixed seed and version produce identical bytes; CSV and a
 human table mode render the same data.  Exit codes: 0 success, 1 any other
 hesslab error, 2 usage error or cost guard, 3 any theorem violation.
+
+The commands test no theorem themselves: the support criterion and its
+convention live in springer.support_check, which analyze and verify both
+read, and the palindromic and Morse violation entries the two share are
+built by one helper each.  The cache holds two kinds of entry, the multiplicity table
+("dotchar") and the Kahler payload ("gkm-kahler").
 """
 
 from __future__ import annotations
@@ -40,8 +46,8 @@ from .hessenberg import (
     parse_hessenberg,
 )
 from .linalg import det_exact
-from .partitions import MAX_ENUMERATION_N, conjugate, dominance_leq, partition_str, partitions_of
-from .springer import generic_jordan_type
+from .partitions import MAX_ENUMERATION_N, partition_str, partitions_of
+from .springer import generic_jordan_type, support_check, support_violations
 
 VERIFY_MAX_N = 7
 VERIFY_FORCE_MAX_N = 8
@@ -170,12 +176,31 @@ def _is_palindromic(row: list[int]) -> bool:
     return row == row[::-1]
 
 
+def _palindromic_violations(h, rows: dict) -> list[dict]:
+    """A violation entry for each J whose Betti row in rows (J -> row) is not palindromic."""
+    return [
+        {"type": "palindromic", "h": hessenberg_str(h), "J": _jstr(J), "betti": row}
+        for J, row in rows.items()
+        if not _is_palindromic(row)
+    ]
+
+
+def _morse_check(h, seed: int, character: list[int]) -> tuple[list[int], list[dict]]:
+    """Morse Betti numbers of the moment graph of h, and a violation entry
+    unless they equal the character-side Betti numbers."""
+    morse = morse_betti(build_gkm(h, seed=seed))
+    if morse == character:
+        return morse, []
+    return morse, [{"type": "gkm-betti", "h": hessenberg_str(h), "morse": morse, "character": character}]
+
+
 def analyze_report(h, *, seed: int, J=None, use_gkm: bool = False, cache_dir=None, force: bool = False) -> dict:
     """Assemble the full analysis of one Hessenberg function.
 
-    The violations list collects every irreducible appearing with nonzero
-    total multiplicity whose conjugate is not dominated by lambda_H; a
-    correct convention leaves it empty.
+    The violations list collects every irreducible that appears with nonzero
+    total multiplicity but fails the support criterion (springer.support_check),
+    then every non-palindromic regular Betti row, then a Morse count that
+    disagrees with the character; a correct convention leaves it empty.
     """
     n = len(h)
     # the multiplicities do not depend on the seed, so it is not part of their key
@@ -183,33 +208,21 @@ def analyze_report(h, *, seed: int, J=None, use_gkm: bool = False, cache_dir=Non
     gm = multiplicities_from_json(mult)
     lam_H = generic_jordan_type(h)
     lambda_h = partition_str(lam_H)
+    allowed, witnesses = support_check(gm, lam_H)
+    violations = [
+        {
+            "type": "support",
+            "h": hessenberg_str(h),
+            "lambda": partition_str(w["lam"]),
+            "lambda_H": lambda_h,
+            "total_multiplicity": w["total_multiplicity"],
+        }
+        for w in witnesses
+    ]
 
-    violations = []
-    allowed = []
-    for lam in sorted(gm.table, reverse=True):
-        row = gm.table[lam]
-        if dominance_leq(conjugate(lam), lam_H):
-            allowed.append(partition_str(lam))
-        elif any(row):
-            violations.append(
-                {
-                    "type": "support",
-                    "h": hessenberg_str(h),
-                    "lambda": partition_str(lam),
-                    "lambda_H": lambda_h,
-                    "total_multiplicity": sum(row),
-                }
-            )
-
-    J_list = [J] if J is not None else all_parabolic_subsets(n)
-    regular = {}
-    for Jset in J_list:
-        row = regular_betti(gm, Jset)
-        regular[_jstr(Jset)] = {"betti": row, "palindromic": _is_palindromic(row)}
-        if not _is_palindromic(row):
-            violations.append(
-                {"type": "palindromic", "h": hessenberg_str(h), "J": _jstr(Jset), "betti": row}
-            )
+    rows = {Jset: regular_betti(gm, Jset) for Jset in ([J] if J is not None else all_parabolic_subsets(n))}
+    regular = {_jstr(Jset): {"betti": row, "palindromic": _is_palindromic(row)} for Jset, row in rows.items()}
+    violations += _palindromic_violations(h, rows)
 
     report = {
         "command": "analyze",
@@ -221,26 +234,15 @@ def analyze_report(h, *, seed: int, J=None, use_gkm: bool = False, cache_dir=Non
         "betti": mult["betti"],
         "mult": mult["mult"],
         "lambda_H": lambda_h,
-        "allowed": allowed,
+        "allowed": [partition_str(lam) for lam in allowed],
         "regular": regular,
         "violations": violations,
     }
 
     if use_gkm:
-        payload = _cached(
-            cache_dir, _key("gkm-morse", h, seed), lambda: {"morse_betti": morse_betti(build_gkm(h, seed=seed))}
-        )
-        agrees = payload["morse_betti"] == mult["betti"]
-        report["gkm"] = {"morse_betti": payload["morse_betti"], "agrees": agrees}
-        if not agrees:
-            violations.append(
-                {
-                    "type": "gkm-betti",
-                    "h": hessenberg_str(h),
-                    "morse": payload["morse_betti"],
-                    "character": mult["betti"],
-                }
-            )
+        morse, disagreements = _morse_check(h, seed, mult["betti"])
+        report["gkm"] = {"morse_betti": morse, "agrees": not disagreements}
+        violations += disagreements
     return report
 
 
@@ -248,45 +250,26 @@ def analyze_report(h, *, seed: int, J=None, use_gkm: bool = False, cache_dir=Non
 
 def _verify_one(h, *, seed: int, gkm_max_n: int, control: bool) -> dict:
     """Per-function worker for the sweep; must stay picklable for --jobs."""
-    from .springer import support_violations
-
-    n = len(h)
-    out: dict = {"h": hessenberg_str(h), "violations": []}
-    for witness in support_violations(h, drop_conjugate=control):
-        out["violations"].append(
-            {
-                "type": "support",
-                "h": hessenberg_str(h),
-                "lambda": partition_str(witness["lam"]),
-                "tested": partition_str(witness["tested"]),
-                "lambda_H": partition_str(witness["lambda_H"]),
-                "total_multiplicity": witness["total_multiplicity"],
-            }
-        )
-    regular = {J: regular_betti(h, J) for J in all_parabolic_subsets(n)}
-    for J, row in regular.items():
-        if not _is_palindromic(row):
-            out["violations"].append(
-                {"type": "palindromic", "h": hessenberg_str(h), "J": _jstr(J), "betti": row}
-            )
+    violations = [
+        {
+            "type": "support",
+            "h": hessenberg_str(h),
+            "lambda": partition_str(w["lam"]),
+            "tested": partition_str(w["tested"]),
+            "lambda_H": partition_str(w["lambda_H"]),
+            "total_multiplicity": w["total_multiplicity"],
+        }
+        for w in support_violations(h, drop_conjugate=control)
+    ]
+    regular = {J: regular_betti(h, J) for J in all_parabolic_subsets(len(h))}
+    violations += _palindromic_violations(h, regular)
     character = regular[()]
     if is_indecomposable(h) and (character[0] != 1 or character[-1] != 1):
-        out["violations"].append({"type": "boundary", "h": hessenberg_str(h), "betti": character})
-    if n <= gkm_max_n:
-        morse = morse_betti(build_gkm(h, seed=seed))
-        if morse != character:
-            out["violations"].append(
-                {
-                    "type": "gkm-betti",
-                    "h": hessenberg_str(h),
-                    "morse": morse,
-                    "character": character,
-                }
-            )
-        out["gkm_checked"] = True
-    else:
-        out["gkm_checked"] = False
-    return out
+        violations.append({"type": "boundary", "h": hessenberg_str(h), "betti": character})
+    gkm_checked = len(h) <= gkm_max_n
+    if gkm_checked:
+        violations += _morse_check(h, seed, character)[1]
+    return {"h": hessenberg_str(h), "violations": violations, "gkm_checked": gkm_checked}
 
 
 def verify_report(

@@ -39,7 +39,7 @@ from .partitions import (
 )
 from .symfunc import MONOMIAL, QPoly, QSymPoly
 
-COLORING_GUARD_N = 8  # the n above which both routes need force=True
+CHARACTER_GUARD_N = 8  # the n above which the tableau route and the coloring oracle need force=True
 
 
 def chromatic_qsym(h, force: bool = False) -> QSymPoly:
@@ -53,7 +53,7 @@ def chromatic_qsym(h, force: bool = False) -> QSymPoly:
     produce identical polynomials; anything else raises.
     """
     h = check_hessenberg(h)
-    if len(h) > COLORING_GUARD_N and not force:
+    if len(h) > CHARACTER_GUARD_N and not force:
         raise CostGuardError(
             f"n = {len(h)} enumerates up to {len(h)}^{len(h)} colorings; pass force=True to proceed"
         )
@@ -156,7 +156,7 @@ def dot_action_multiplicities(h, force: bool = False) -> GradedMultiplicity:
     returning.
     """
     h = check_hessenberg(h)
-    if len(h) > COLORING_GUARD_N and not force:
+    if len(h) > CHARACTER_GUARD_N and not force:
         raise CostGuardError(
             f"n = {len(h)} visits up to {len(h)}! tableaux per shape; pass force=True to proceed"
         )

@@ -31,7 +31,7 @@ classes of complementary Morse index, one matrix per generator s_j and
 degree, and one Lefschetz matrix per degree, multiplication by omega on
 flow-up coordinates.  All of them come from point evaluations.  A
 localization sum of a degree-l product of two classes that pass the edge
-conditions is a constant, read off at two rational points where no tangent
+conditions is a constant, read off at two integer points where no tangent
 weight vanishes; the two must agree.  The values of the flow-up classes at
 both points are one integer table per index; s_j . sigma and sigma omega
 take their values from it (at a permuted point for s_j), and their flow-up
@@ -65,13 +65,10 @@ DEFAULT_SEED = 1729
 GRAPH_MAX_N = 5
 RING_MAX_N = 4
 
-# Two rational points (t_1, ..., t_4); for n variables the first n - 1 entries
+# Two integer points (t_1, ..., t_4); for n variables the first n - 1 entries
 # are t_1..t_{n-1}, and with t_n = -(t_1 + ... + t_{n-1}) all n coordinates are
 # distinct for every n <= GRAPH_MAX_N, so no tangent weight vanishes there.
-LOCALIZATION_POINTS = (
-    (Fraction(3, 7), Fraction(-5, 11), Fraction(9, 13), Fraction(2, 17)),
-    (Fraction(-4, 5), Fraction(7, 3), Fraction(1, 19), Fraction(-8, 23)),
-)
+LOCALIZATION_POINTS = ((3, -5, 10, 2), (-4, 7, 2, -8))
 
 
 @dataclass
@@ -484,8 +481,8 @@ def _dot_matrix(g: GKMGraph, j: int, k: int):
     basis = ordinary_basis(g, k)
     acted = []
     for point in LOCALIZATION_POINTS:
-        T, D = _integer_point(g.n, point)
-        rows, den = _class_values(basis, tuple(T[w[i] - 1] for i in range(g.nvars)), D)
+        T = _coordinates(g.n, point)
+        rows, den = _class_values(basis, tuple(T[w[i] - 1] for i in range(g.nvars)))
         acted.append(([[row[src] for src in sources] for row in rows], den))
     return _transpose(_flow_up_coordinates(g, k, acted))
 
@@ -512,8 +509,6 @@ def _invariant_vectors(g: GKMGraph, J: tuple[int, ...], k: int):
 def invariant_subring(g: GKMGraph, J) -> list[list[list[Fraction]]]:
     """Graded bases of the W_J-invariant subring; dimensions must match the
     character prediction for the corresponding regular element."""
-    if g.n > RING_MAX_N:
-        raise ValueError(f"invariant subring computation supports n <= {RING_MAX_N}")
     out = [invariant_vectors(g, J, k) for k in range(g.l + 1)]
     dims = [len(v) for v in out]
     predicted = regular_betti(g.h, tuple(sorted(set(J))))
@@ -556,13 +551,10 @@ def _intersection_matrix(g: GKMGraph, dd: int):
     return _constant_sums(g, dd, [_flow_up_values(g, dd, p) for p in LOCALIZATION_POINTS])
 
 
-@cache
-def _integer_point(n: int, point) -> tuple[tuple[int, ...], int]:
-    """(T, D) with t_i = T[i - 1] / D at point for i = 1..n: integers T and D > 0."""
+def _coordinates(n: int, point) -> tuple[int, ...]:
+    """t_1..t_n at a localization point: its first n - 1 entries and t_n = -(their sum)."""
     x = point[: n - 1]
-    D = lcm(*(c.denominator for c in x))
-    T = [c.numerator * (D // c.denominator) for c in x]
-    return (*T, -sum(T)), D
+    return (*x, -sum(x))
 
 
 @cache
@@ -571,35 +563,32 @@ def _monomial_values(X: tuple[int, ...], e: int) -> tuple[int, ...]:
     return tuple(prod(x**k for x, k in zip(X, mono)) for mono in monomials(len(X), e))
 
 
-def _class_values(classes, X: tuple[int, ...], D: int):
-    """Value table (rows, den) of classes at the point X / D, X integers:
+def _class_values(classes, X: tuple[int, ...]):
+    """Value table (rows, den) of classes at the integer point X:
     rows[i][u] / den is the value of classes[i] at vertex u.
 
-    Coefficients go over their lcm and the monomials of degree e over D^top,
-    top the highest degree present, so every value is an integer dot product
+    Coefficients go over their lcm, so every value is an integer dot product
     against the monomial values.  Every monomial is evaluated, whatever its
     degree, so a class that is not homogeneous gets its true values.
     """
     polys = [p for c in classes for p in c.values]
     top = max([0, *(p.degree for p in polys)])
     d = lcm(*(x.denominator for p in polys for x in p.c.values()))
-    scaled = {}
+    values = {}
     for e in range(top + 1):
-        s = D ** (top - e)
-        scaled.update(zip(monomials(len(X), e), (v * s for v in _monomial_values(X, e))))
+        values.update(zip(monomials(len(X), e), _monomial_values(X, e)))
 
     def value(p: Poly) -> int:
-        return sum(x.numerator * (d // x.denominator) * scaled[m] for m, x in p.c.items())
+        return sum(x.numerator * (d // x.denominator) * values[m] for m, x in p.c.items())
 
-    return [[value(p) for p in c.values] for c in classes], d * D**top
+    return [[value(p) for p in c.values] for c in classes], d
 
 
 @_memo
 def _flow_up_values(g: GKMGraph, k: int, point):
     """Value table (_class_values) of the flow-up classes of Morse index k at
     point, in moment order."""
-    T, D = _integer_point(g.n, point)
-    return _class_values(ordinary_basis(g, k), T[:-1], D)
+    return _class_values(ordinary_basis(g, k), point[: g.nvars])
 
 
 def _localized_products(g: GKMGraph, left_values, right_values, point):
@@ -610,21 +599,18 @@ def _localized_products(g: GKMGraph, left_values, right_values, point):
     (a, b).  This orientation is pinned by positivity: it makes the ample class
     of a strictly decreasing weight integrate to +1 on the n = 2 flag space,
     and hence keeps all odd powers of the Kahler class positively oriented.
-    At t = T / D it is E_w / D^l with an integer numerator E_w; the numerators
-    go over their lcm L, so 1/e_w = D^l (L / E_w) / L and the sums run on
-    integers.
+    At the integer point the Euler classes are integers; they go over their
+    lcm L, so 1/e_w = (L / e_w) / L and the sums run on integers.
     """
-    T, D = _integer_point(g.n, point)
+    T = _coordinates(g.n, point)
     euler = [prod(T[wb - 1] - T[wa - 1] for wa, wb in pairs) for pairs in g.weight_pairs]
     if not all(euler):
-        raise ConsistencyError(
-            f"a tangent weight vanishes at the evaluation point {[Fraction(x, D) for x in T]}"
-        )
+        raise ConsistencyError(f"a tangent weight vanishes at the evaluation point {list(T)}")
     L = lcm(*euler)
     (A, da), (B, db) = left_values, right_values
     weighted = [[x * (L // e) for x, e in zip(row, euler)] for row in A]
-    scale, d = D**g.l, da * db * L
-    return [[Fraction(scale * sum(map(mul, row, col)), d) for col in B] for row in weighted]
+    d = da * db * L
+    return [[Fraction(sum(map(mul, row, col)), d) for col in B] for row in weighted]
 
 
 def _over_common_denominator(rows):
@@ -684,8 +670,7 @@ def _lefschetz_matrix(g: GKMGraph, lam: tuple[int, ...], dd: int):
         return [[] for _ in ordinary_basis(g, dd)]
     acted = []
     for point in LOCALIZATION_POINTS:
-        T, D = _integer_point(g.n, point)
-        (w,), dw = _class_values([omega], T[:-1], D)
+        (w,), dw = _class_values([omega], point[: g.nvars])
         rows, den = _flow_up_values(g, dd, point)
         acted.append(([list(map(mul, row, w)) for row in rows], den * dw))
     return _flow_up_coordinates(g, dd + 1, acted)
@@ -751,15 +736,13 @@ def kahler_report(g: GKMGraph, J=(), lam=None) -> dict:
 
     Every form is an exact matrix product of the W_J-invariant vectors with
     two kinds of per-graph table shared by all J: the intersection matrices
-    of flow-up classes (localization sums evaluated at two rational points,
+    of flow-up classes (localization sums evaluated at two integer points,
     which must agree) and one omega-multiplication table per degree; a power
     of omega is the chained product of those tables.  One pass per degree
     k <= l fills the duality, hard Lefschetz and Hodge-Riemann entries.
     The sign in honest degree k is (-1)^(k/2), pinned by top-power positivity
     in degree 0 and the classical surface signature in the middle.
     """
-    if g.n > RING_MAX_N:
-        raise ValueError(f"Kahler package checks support n <= {RING_MAX_N}")
     J = tuple(sorted(set(int(j) for j in J)))
     lam = default_kahler_weight(g.n) if lam is None else tuple(int(x) for x in lam)
     return _kahler_report(g, J, lam)

@@ -5,8 +5,10 @@ matrices; its generic element has a well-defined Jordan type lambda_H, and the
 criterion says an irreducible indexed by lam may appear iff
 conjugate(lam) <= lambda_H in dominance order.  The conjugate is part of the
 indexing normalization (irreducibles attached to nilpotent orbits through the
-Fourier/Springer convention); dropping it must already fail at n = 3, and a
-control helper exposes exactly that.
+Fourier/Springer convention); dropping it must already fail at n = 3, and
+the drop_conjugate control exposes exactly that.  This module is the only
+owner of that convention: support_check is the one place the criterion is
+tested, and the analyze and verify reports both read it.
 
 lambda_H is exact, by Greene-Kleitman chain covers.  The pattern
 {(i, j) : j > h(i)} is the strict order of a poset P_h, and by Gansner's
@@ -19,9 +21,9 @@ smallest tail finds each k-chain cover.
 
 from __future__ import annotations
 
-from .dotchar import dot_action_multiplicities
+from .dotchar import GradedMultiplicity, dot_action_multiplicities
 from .hessenberg import check_hessenberg
-from .partitions import Partition, check_partition, conjugate, dominance_leq, partitions_of
+from .partitions import Partition, check_partition, conjugate, dominance_leq
 
 
 def generic_jordan_type(h, *, seed: int | None = None) -> Partition:
@@ -63,39 +65,49 @@ def orbit_meets_annihilator(lam, h) -> bool:
     return dominance_leq(lam, generic_jordan_type(h))
 
 
-def allowed_irreps(h) -> tuple[Partition, ...]:
-    """Irreducibles that the support criterion permits: conjugate(lam) <= lambda_H."""
-    h = check_hessenberg(h)
-    lam_h = generic_jordan_type(h)
-    return tuple(
-        lam for lam in partitions_of(len(h)) if dominance_leq(conjugate(lam), lam_h)
-    )
+def support_check(gm: GradedMultiplicity, lam_h: Partition, *, drop_conjugate: bool = False):
+    """Walk the table of gm once against lambda_H = lam_h: (allowed, violations).
 
-
-def support_violations(h, *, drop_conjugate: bool = False, seed: int | None = None) -> list[dict]:
-    """Irreducibles that appear in the graded character but fail the criterion.
-
-    The correct convention tests conjugate(lam) <= lambda_H and should return
-    no violations; drop_conjugate=True tests lam <= lambda_H instead, the
-    control that must already fail at n = 3, h = (2, 3, 3).  seed has no
-    effect, as in generic_jordan_type.
+    allowed lists, in reverse-lexicographic order, every irreducible lam with
+    conjugate(lam) <= lambda_H, whether it appears or not; violations holds a
+    witness dict for each irreducible that appears with nonzero total
+    multiplicity but is not allowed.  This is the one place the criterion is
+    tested.  drop_conjugate=True tests lam <= lambda_H instead, the control
+    that must already fail at n = 3, h = (2, 3, 3).
     """
-    h = check_hessenberg(h)
-    gm = dot_action_multiplicities(h)
-    lam_h = generic_jordan_type(h)
-    out = []
-    for lam, row in gm.table.items():
-        if not any(row):
-            continue
+    allowed, violations = [], []
+    for lam in sorted(gm.table, reverse=True):
+        row = gm.table[lam]
         probe = lam if drop_conjugate else conjugate(lam)
-        if not dominance_leq(probe, lam_h):
-            out.append(
+        if dominance_leq(probe, lam_h):
+            allowed.append(lam)
+        elif any(row):
+            violations.append(
                 {
-                    "h": h,
+                    "h": gm.h,
                     "lam": lam,
                     "tested": probe,
                     "lambda_H": lam_h,
                     "total_multiplicity": sum(row),
                 }
             )
-    return out
+    return allowed, violations
+
+
+def allowed_irreps(h) -> tuple[Partition, ...]:
+    """Irreducibles that the support criterion permits: conjugate(lam) <= lambda_H."""
+    h = check_hessenberg(h)
+    allowed, _ = support_check(dot_action_multiplicities(h), generic_jordan_type(h))
+    return tuple(allowed)
+
+
+def support_violations(h, *, drop_conjugate: bool = False, seed: int | None = None) -> list[dict]:
+    """Irreducibles that appear in the graded character but fail the criterion.
+
+    h is a Hessenberg function or its GradedMultiplicity table.  The correct
+    convention should return no violations; see support_check for the
+    witnesses and drop_conjugate.  seed has no effect, as in
+    generic_jordan_type.
+    """
+    gm = h if isinstance(h, GradedMultiplicity) else dot_action_multiplicities(h)
+    return support_check(gm, generic_jordan_type(gm.h), drop_conjugate=drop_conjugate)[1]

@@ -191,7 +191,7 @@ def test_verify_jobs_clamped(capsys, monkeypatch):
 def test_exit_code_3_on_violation(capsys, monkeypatch):
     # break the indexing convention in-process: the support check must fail
     # and the exit code must say so
-    monkeypatch.setattr("hesslab.cli.conjugate", lambda lam: lam)
+    monkeypatch.setattr("hesslab.springer.conjugate", lambda lam: lam)
     rc, out, _ = run(capsys, "analyze", "--h", "2,3,3")
     assert rc == 3
     report = json.loads(out)
@@ -205,6 +205,25 @@ def test_exit_code_3_on_violation(capsys, monkeypatch):
         }
     ]
     assert report["allowed"] == ["2,1", "1,1,1"]
+
+
+def test_one_support_convention_for_analyze_and_verify(capsys, monkeypatch):
+    # springer owns the convention: with its conjugate broken, verify finds
+    # exactly what the convention-control run finds with it intact, and
+    # analyze reports the same hexagon witness
+    rc, control, _ = run(capsys, "verify", "--n", "3", "--convention-control")
+    assert rc == 0
+    monkeypatch.setattr("hesslab.springer.conjugate", lambda lam: lam)
+    rc, out, _ = run(capsys, "verify", "--n", "3")
+    assert rc == 3
+    violations = json.loads(out)["violations"]
+    assert violations == json.loads(control)["violations"]
+    assert [v["h"] for v in violations] == ["1,3,3", "2,2,3", "2,3,3", "3,3,3"]
+    (hexagon,) = [v for v in violations if v["h"] == "2,3,3"]
+    assert hexagon.pop("tested") == "3"
+    rc, out, _ = run(capsys, "analyze", "--h", "2,3,3")
+    assert rc == 3
+    assert json.loads(out)["violations"] == [hexagon]
 
 
 def test_kahler_hexagon_full(capsys):
@@ -393,7 +412,7 @@ def test_cache_corrupt_entries_are_rewritten(tmp_path, capsys):
     args = ("analyze", "--h", "2,3,3", "--gkm", "--cache-dir", str(cache))
     rc, cold, _ = run(capsys, *args)
     entries = sorted(cache.iterdir())
-    assert rc == 0 and len(entries) == 2
+    assert rc == 0 and len(entries) == 1
     valid = {path: path.read_bytes() for path in entries}
     for path in entries:
         path.write_bytes(valid[path][: len(valid[path]) // 2])

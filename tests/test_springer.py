@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from hesslab.dotchar import dot_action_multiplicities
 from hesslab.errors import CostGuardError
 from hesslab.hessenberg import annihilator_pattern, enumerate_hessenberg
 from hesslab.partitions import conjugate, dominance_leq, partitions_of
@@ -9,6 +10,7 @@ from hesslab.springer import (
     allowed_irreps,
     generic_jordan_type,
     orbit_meets_annihilator,
+    support_check,
     support_violations,
 )
 from oracles import brute_force_orbit_oracle, jordan_type
@@ -170,6 +172,21 @@ def test_support_criterion_sweep_small():
     for n in range(2, 6):
         for h in enumerate_hessenberg(n):
             assert support_violations(h) == [], h
+
+
+def test_support_check_is_the_criterion():
+    # one walk of the table gives the criterion's allowed list, written out
+    # here independently, and the same witnesses whether support_violations
+    # gets h or its table
+    for n in range(2, 6):
+        for h in enumerate_hessenberg(n):
+            gm = dot_action_multiplicities(h)
+            lam_h = generic_jordan_type(h)
+            allowed = [lam for lam in partitions_of(n) if dominance_leq(conjugate(lam), lam_h)]
+            assert support_check(gm, lam_h) == (allowed, []), h
+            assert allowed_irreps(h) == tuple(allowed)
+            for drop in (False, True):
+                assert support_violations(gm, drop_conjugate=drop) == support_violations(h, drop_conjugate=drop)
 
 
 def test_falsification_control():
