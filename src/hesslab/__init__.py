@@ -60,7 +60,7 @@ from .springer import (
 )
 from .symfunc import QPoly, QSymPoly, h_dual_coefficient, schur_inner_product
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "GradedMultiplicity",

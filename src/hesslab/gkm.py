@@ -11,19 +11,20 @@ construction silently.
 Classes are tuples of polynomials in t_1..t_{n-1} (with t_n = -(t_1+...+t_{n-1}))
 subject to the edge divisibility conditions.  The module structure is handled
 through flow-up classes: a fixed generic covector orients every edge, each
-vertex gets a Morse index (its down-degree), and for each vertex we solve a
-small exact linear system for a class of that degree supported strictly above
-it, normalized to the product of its downward weights; a system without a
-solution raises ConsistencyError.  The edge rows of each degree are built
-once per graph, one {column: coefficient} row per edge and output monomial,
-touching the unknowns of two vertices; each vertex's system restricts them to
-the vertices above it, for linalg's sparse exact elimination kernel.  The
-flow-up classes of Morse index k are the basis of the ordinary degree-k
-piece; ordinary_basis counts them against the Betti numbers from the
-character side, so a missing or extra class raises instead of passing
-silently.  That monomial multiples of flow-up classes span every equivariant
-degree piece is a free-module statement the test suite certifies against the
-exact nullity of the full divisibility system.
+vertex gets a Morse index (its down-degree), and its flow-up class is a class
+of that degree supported on it and the vertices above it, normalized to the
+product of its downward weights.  The degree-k edge rows, one {column:
+coefficient} row per edge and output monomial touching the unknowns of two
+vertices, give each vertex a block of columns in descending moment order.  A
+vertex's own system is then a column prefix, so one exact RREF (linalg's
+sparse integer kernel) of the prefix that ends at the lowest vertex of index
+k yields every flow-up class of index k; a vertex without one raises
+ConsistencyError.  The flow-up classes of Morse index k are the basis of
+the ordinary degree-k piece; ordinary_basis counts them against the Betti
+numbers from the character side, so a missing or extra class raises instead
+of passing silently.  That monomial multiples of flow-up classes span every
+equivariant degree piece is a free-module statement the test suite
+certifies against the exact nullity of the full divisibility system.
 
 The dot action and the Kahler forms are read off per-graph matrices,
 computed once and shared by every J: the intersection matrix of flow-up
@@ -59,7 +60,7 @@ from .dotchar import betti_rs, regular_betti
 from .errors import ConsistencyError, TheoremViolation
 from .exactpoly import Poly, divmod_linear, monomials
 from .hessenberg import check_hessenberg, dimension
-from .linalg import inertia, nullspace, rank_exact, row_reduce, solve_particular
+from .linalg import _integer_rref, inertia, nullspace, rank_exact, row_reduce
 
 DEFAULT_SEED = 1729
 GRAPH_MAX_N = 5
@@ -270,93 +271,115 @@ def flow_up_class(g: GKMGraph, vid: int) -> EquivClass:
     """The flow-up class of a vertex: degree = Morse index, zero strictly below.
 
     Normalized so its value at the vertex is the product of the downward
-    tangent weights.  Solved as an affine system over the support
-    {vid} union {phi > phi(vid)}; a system without a solution raises
-    ConsistencyError, and a solution is verified against every edge
-    condition before being cached.
+    tangent weights.  Read off the one elimination of its degree's edge
+    system that serves every vertex of that index (_flow_up_classes); a
+    vertex without a class raises ConsistencyError, and every class is
+    verified against every edge condition before being cached.
     """
     if g.n > RING_MAX_N:
         raise ValueError(f"class-level operations support n <= {RING_MAX_N}")
-    return _flow_up_class(g, vid)
+    return _flow_up_classes(g, g.index[vid])[vid]
 
 
-@_memo
-def _flow_up_class(g: GKMGraph, vid: int) -> EquivClass:
-    k = g.index[vid]
+def _norm(g: GKMGraph, vid: int) -> Poly:
+    """The product of the downward tangent weights at vid."""
     norm = Poly.const(g.nvars, 1)
     for f in _down_forms(g, vid):
         norm = norm * f
-
-    solution = _solve_flowup(g, vid, k, norm)
-    if solution is None:
-        raise ConsistencyError(f"no flow-up class at vertex {g.vertices[vid]} for h={g.h}")
-
-    cls = EquivClass(g, k, tuple(solution))
-    cls.check_edges()
-    for u in g.order:
-        if u == vid:
-            break
-        if not solution[u].is_zero():
-            raise ConsistencyError("flow-up support leaked below its vertex")
-    return cls
+    return norm
 
 
 @_memo
+def _flow_up_classes(g: GKMGraph, k: int) -> dict[int, EquivClass]:
+    """The flow-up classes of Morse index k, {vertex: class} in moment order.
+
+    The columns of _edge_rows run over the vertices in descending moment
+    order, so the system of a vertex vid (unknowns strictly above it, its
+    own block fixed to its norm, everything below 0) is the column prefix
+    that ends at vid's block.  The RREF of a matrix restricted to a column
+    prefix is its RREF's rows with pivots in the prefix, restricted, so one
+    RREF of the prefix that ends at the lowest vertex of index k serves
+    every vertex of index k.  With free variables 0, a pivot row left of
+    vid's block gives its pivot unknown -(row at vid's block) . norm / pivot;
+    a row whose pivot lies in vid's block is zero left of it, so it is a
+    consistency condition, and a nonzero dot with the norm means vid has no
+    flow-up class.  Rows with pivots right of vid's block are zero on its
+    block and play no part.  Only the RREF's entries in the blocks of index
+    k are kept, and only until the classes are read.
+    """
+    vids = [u for u in g.order if g.index[u] == k]
+    if not vids:
+        return {}
+    m = g.nvars
+    monos = monomials(m, k)
+    D = len(monos)
+    above = g.order[::-1]  # vertex above[p] owns columns p*D .. p*D + D - 1
+    block = {u: p * D for p, u in enumerate(above)}
+    ncols = block[vids[0]] + D
+    prefix = ({c: x for c, x in row.items() if c < ncols} for row in _edge_rows(g, k))
+    rows = [r for r in prefix if r]
+    # Largest column first: the elimination pivots on leftmost columns, so this
+    # order keeps the fill small.  The RREF is unchanged.
+    rows.sort(key=max, reverse=True)
+    pivots, red = _integer_rref(rows)
+
+    # Each pivot row's entries in the blocks of the vertices of index k.
+    touching: dict[int, list[tuple[int, int, int]]] = {u: [] for u in vids}
+    for pcol in pivots:
+        for c, x in red[pcol].items():
+            u = above[c // D]
+            if u in touching:
+                touching[u].append((pcol, c % D, x))
+    pivot_of = {pcol: red[pcol][pcol] for pcol in pivots}
+    del red
+
+    classes = {}
+    for vid in vids:
+        norm = _norm(g, vid)  # a product of integer forms: integer coefficients
+        known = [int(norm.c.get(mono, 0)) for mono in monos]
+        dots: dict[int, int] = {}
+        for pcol, mi, x in touching[vid]:
+            dots[pcol] = dots.get(pcol, 0) + x * known[mi]
+        coeffs: dict[int, dict] = {}
+        for pcol, dot in dots.items():
+            if not dot:
+                continue
+            if pcol >= block[vid]:
+                raise ConsistencyError(f"no flow-up class at vertex {g.vertices[vid]} for h={g.h}")
+            p, mi = divmod(pcol, D)
+            coeffs.setdefault(above[p], {})[monos[mi]] = Fraction(-dot, pivot_of[pcol])
+        values = [Poly.zero(m)] * len(g.vertices)
+        for u, c in coeffs.items():
+            values[u] = Poly(m, c)
+        values[vid] = norm
+        cls = EquivClass(g, k, tuple(values))
+        cls.check_edges()
+        for u in g.order:
+            if u == vid:
+                break
+            if not values[u].is_zero():
+                raise ConsistencyError("flow-up support leaked below its vertex")
+        classes[vid] = cls
+    return classes
+
+
 def _edge_rows(g: GKMGraph, k: int) -> list[dict[int, Fraction]]:
     """Degree-k edge conditions, one row per edge and output monomial: the two
-    endpoint values (vertex u's D coefficients in columns u*D...) agree mod the edge form."""
+    endpoint values agree mod the edge form.  The vertices own blocks of D
+    columns in descending moment order, the highest vertex first; a block
+    holds the vertex's coefficients of the D monomials of degree k."""
     D = len(monomials(g.nvars, k))
+    block = {u: p * D for p, u in enumerate(reversed(g.order))}
     rows = []
     for u, v, pair in g.edges():
         by_out: dict[tuple[int, ...], dict[int, Fraction]] = {}
         for mi, red in enumerate(_reduction_table(g.n, pair, k)):
             for mono, c in red.c.items():
                 row = by_out.setdefault(mono, {})
-                row[u * D + mi] = c
-                row[v * D + mi] = -c
+                row[block[u] + mi] = c
+                row[block[v] + mi] = -c
         rows.extend(by_out.values())
     return rows
-
-
-def _solve_flowup(g, vid, k, norm):
-    """The edge rows restricted to the vertices above vid; the vid block, at the
-    coefficients of norm, is the right-hand side."""
-    m = g.nvars
-    monos = monomials(m, k)
-    D = len(monos)
-    unknown_ids = [u for u in range(len(g.vertices)) if g.phi[u] > g.phi[vid]]
-    col_of = {u: i * D for i, u in enumerate(unknown_ids)}
-    ncols = len(unknown_ids) * D
-    known = [norm.c.get(mono, 0) for mono in monos]
-
-    rows: list[dict[int, Fraction]] = []
-    rhs: list[Fraction] = []
-    for full in _edge_rows(g, k):
-        row = {}
-        b = Fraction(0)
-        for c, x in full.items():
-            u, mi = divmod(c, D)
-            if u == vid:
-                b -= x * known[mi]
-            elif u in col_of:
-                row[col_of[u] + mi] = x
-        if row or b:
-            rows.append(row)
-            rhs.append(b)
-
-    # Largest column first: the elimination pivots on leftmost columns, so this
-    # order keeps the fill small.  The RREF, hence the solution, is unchanged.
-    perm = sorted(range(len(rows)), key=lambda i: max(rows[i], default=-1), reverse=True)
-    x = solve_particular([rows[i] for i in perm], [rhs[i] for i in perm], ncols)
-    if x is None:
-        return None
-    values = [Poly.zero(m)] * len(g.vertices)
-    values[vid] = norm
-    for u in unknown_ids:
-        base = col_of[u]
-        coeffs = {mono: x[base + i] for i, mono in enumerate(monos) if x[base + i]}
-        values[u] = Poly(m, coeffs)
-    return values
 
 
 def ordinary_basis(g: GKMGraph, k: int) -> list[EquivClass]:

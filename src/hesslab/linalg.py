@@ -15,14 +15,16 @@ columns are exactly the pivot columns of the reduced row echelon form (RREF);
 `row_reduce` gets the RREF from it by one integer back pass.  Each row is a
 rational multiple of the row a Fraction elimination would hold, so dividing
 by the pivot, done only where rows or values leave the module, gives the same
-rows with the same Fraction entries.  `rank_exact`, `nullspace` and
-`solve_particular` all run on this kernel.  The RREF is unique, so with free
-variables set to 0 their answers are the ones dense Gauss-Jordan gives.  The
-moment-graph flow-up systems it serves touch two vertices per row, so the
-dict rows stay short where a dense copy would be mostly zeros.  The dense
-helpers below serve the small symmetric pairing and Gram matrices of the
-Kahler checks: `inertia` reads the signature and the leading pivots off one
-congruence pass, and `det_exact` gives pairing determinants.
+rows with the same Fraction entries.  `rank_exact` and `nullspace` run on
+this kernel.  The RREF is unique, so with free variables set to 0 their
+answers are the ones dense Gauss-Jordan gives.  The moment graph hands
+`_integer_rref` one flow-up system per degree and reads every flow-up class
+of that Morse index off its integer rows, with free variables 0; each row
+touches two vertices, so the dict rows stay short where a dense copy would
+be mostly zeros.  The dense helpers below serve the small symmetric pairing
+and Gram matrices of the Kahler checks: `inertia` reads the signature and
+the leading pivots off one congruence pass, and `det_exact` gives pairing
+determinants.
 """
 
 from __future__ import annotations
@@ -146,25 +148,6 @@ def nullspace(rows, ncols: int):
             v[pcol] = Fraction(-prow.get(fc, 0), prow[pcol])
         basis.append(v)
     return basis
-
-
-def solve_particular(rows, rhs, ncols: int):
-    """Any solution of rows * x = rhs with free variables set to 0, or None."""
-    if not rows:
-        return [Fraction(0)] * ncols
-    aug = []
-    for row, b in zip(rows, rhs):
-        r = dict(_entries(row))
-        r[ncols] = b
-        aug.append(r)
-    pivots, red = _integer_rref(aug)
-    if ncols in red:
-        return None
-    x = [Fraction(0)] * ncols
-    for pcol in pivots:
-        prow = red[pcol]
-        x[pcol] = Fraction(prow.get(ncols, 0), prow[pcol])
-    return x
 
 
 def inertia(G):

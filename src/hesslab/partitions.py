@@ -55,7 +55,11 @@ def _descending(n: int, maxpart: int):
 
 def conjugate(lam: Partition) -> Partition:
     """Transpose of the Young diagram."""
-    lam = check_partition(lam)
+    return _conjugate(check_partition(lam))
+
+
+def _conjugate(lam: Partition) -> Partition:
+    """conjugate of a partition that check_partition already returned."""
     return tuple(sum(1 for p in lam if p >= i) for i in range(1, lam[0] + 1))
 
 
@@ -68,11 +72,15 @@ def dominance_leq(lam: Partition, mu: Partition) -> bool:
     lam, mu = check_partition(lam), check_partition(mu)
     if sum(lam) != sum(mu):
         raise ValueError(f"cannot compare partitions of different sizes: {lam} vs {mu}")
-    width = max(len(lam), len(mu))
+    return _dominance_leq(lam, mu)
+
+
+def _dominance_leq(lam: Partition, mu: Partition) -> bool:
+    """dominance_leq of two partitions of one n that check_partition already returned."""
     a = b = 0
-    for i in range(width):
-        a += lam[i] if i < len(lam) else 0
-        b += mu[i] if i < len(mu) else 0
+    for x, y in itertools.zip_longest(lam, mu, fillvalue=0):
+        a += x
+        b += y
         if a > b:
             return False
     return True

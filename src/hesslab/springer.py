@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from .dotchar import GradedMultiplicity, dot_action_multiplicities
 from .hessenberg import check_hessenberg
-from .partitions import Partition, check_partition, conjugate, dominance_leq
+from .partitions import Partition, _conjugate, _dominance_leq, check_partition, dominance_leq
 
 
 def generic_jordan_type(h, *, seed: int | None = None) -> Partition:
@@ -73,13 +73,18 @@ def support_check(gm: GradedMultiplicity, lam_h: Partition, *, drop_conjugate: b
     witness dict for each irreducible that appears with nonzero total
     multiplicity but is not allowed.  This is the one place the criterion is
     tested.  drop_conjugate=True tests lam <= lambda_H instead, the control
-    that must already fail at n = 3, h = (2, 3, 3).
+    that must already fail at n = 3, h = (2, 3, 3).  lam_h is validated here;
+    the rows of gm are partitions of gm.n already, so the walk checks nothing
+    again.
     """
+    lam_h = check_partition(lam_h)
+    if sum(lam_h) != gm.n:
+        raise ValueError(f"lambda_H must be a partition of {gm.n}, got {lam_h}")
     allowed, violations = [], []
     for lam in sorted(gm.table, reverse=True):
         row = gm.table[lam]
-        probe = lam if drop_conjugate else conjugate(lam)
-        if dominance_leq(probe, lam_h):
+        probe = lam if drop_conjugate else _conjugate(lam)
+        if _dominance_leq(probe, lam_h):
             allowed.append(lam)
         elif any(row):
             violations.append(

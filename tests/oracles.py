@@ -3,16 +3,18 @@
 None of this is on a command path.  Each routine is the slow, direct route to
 something the library computes another way: Jordan types from rank sequences
 of matrix powers and an exhaustive finite-field search against the
-Greene-Kleitman `lambda_H`; the full divisibility system against the
-flow-up module basis; randomly perturbed lifts against lift-independence
-of integration; polynomial localization integrals (the sum over fixed points
-cleared of denominators by exact linear-form divisions) against the library's
-intersection numbers, which it reads off point evaluations; flow-up
-decomposition of the polynomial dot action and of products with omega
-(exact divisions by downward weights) against the library's dot and
-Lefschetz matrices, which it solves from point-evaluated localization sums;
-and, for the Kahler forms the library reads off those per-graph matrices,
-one polynomial integral or projection of freshly lifted products per entry.
+Greene-Kleitman `lambda_H`; the full divisibility system against the flow-up
+module basis; one exact solve per vertex against the flow-up classes the
+library reads off one elimination per degree; randomly perturbed lifts against
+lift-independence of integration; polynomial localization integrals (the sum
+over fixed points cleared of denominators by exact linear-form divisions)
+against the library's intersection numbers, which it reads off point
+evaluations; flow-up decomposition of the polynomial dot action and of
+products with omega (exact divisions by downward weights) against the
+library's dot and Lefschetz matrices, which it solves from point-evaluated
+localization sums; and, for the Kahler forms the library reads off those
+per-graph matrices, one polynomial integral or projection of freshly lifted
+products per entry.
 """
 
 import itertools
@@ -24,7 +26,7 @@ from hesslab.dotchar import betti_rs
 from hesslab.errors import ConsistencyError, CostGuardError
 from hesslab.exactpoly import Poly, divmod_linear, monomials
 from hesslab.hessenberg import annihilator_pattern, check_hessenberg
-from hesslab.linalg import nullspace, rank_exact
+from hesslab.linalg import _entries, _integer_rref, nullspace, rank_exact
 from hesslab.partitions import Partition, check_partition, conjugate
 
 
@@ -134,6 +136,88 @@ def equivariant_dimension(g, k: int) -> int:
             f"divisibility system at degree {k} has dimension {nullity}, free module predicts {expected}"
         )
     return expected
+
+
+def solve_particular(rows, rhs, ncols: int):
+    """Any solution of rows * x = rhs with free variables set to 0, or None:
+    read off the kernel's RREF of the augmented rows."""
+    if not rows:
+        return [Fraction(0)] * ncols
+    aug = []
+    for row, b in zip(rows, rhs):
+        r = dict(_entries(row))
+        r[ncols] = b
+        aug.append(r)
+    pivots, red = _integer_rref(aug)
+    if ncols in red:
+        return None
+    x = [Fraction(0)] * ncols
+    for pcol in pivots:
+        prow = red[pcol]
+        x[pcol] = Fraction(prow.get(ncols, 0), prow[pcol])
+    return x
+
+
+def flow_up_class_by_vertex(g, vid: int) -> gkm.EquivClass:
+    """The flow-up class of vid from a system of its own: the edge rows of
+    its degree with vid's block moved to the right-hand side at the
+    coefficients of its norm, the vertices strictly above it (phi larger)
+    as unknowns in vertex order, and every other vertex 0.  With free
+    variables 0 this is the class the library solved per vertex before it
+    read all classes of one index off one elimination; the two bases differ
+    by a unitriangular matrix in moment order.  Checked like the library's:
+    every edge condition and no support below vid.
+    """
+    k = g.index[vid]
+    m = g.nvars
+    monos = monomials(m, k)
+    D = len(monos)
+    norm = gkm._norm(g, vid)
+    known = [norm.c.get(mono, 0) for mono in monos]
+    above = g.order[::-1]  # the vertex of each column block of gkm._edge_rows
+    unknown_ids = [u for u in range(len(g.vertices)) if g.phi[u] > g.phi[vid]]
+    col_of = {u: i * D for i, u in enumerate(unknown_ids)}
+
+    rows, rhs = [], []
+    for full in gkm._edge_rows(g, k):
+        row = {}
+        b = Fraction(0)
+        for c, x in full.items():
+            p, mi = divmod(c, D)
+            u = above[p]
+            if u == vid:
+                b -= x * known[mi]
+            elif u in col_of:
+                row[col_of[u] + mi] = x
+        if row or b:
+            rows.append(row)
+            rhs.append(b)
+    x = solve_particular(rows, rhs, len(unknown_ids) * D)
+    if x is None:
+        raise ConsistencyError(f"no flow-up class at vertex {g.vertices[vid]} for h={g.h}")
+
+    values = [Poly.zero(m)] * len(g.vertices)
+    values[vid] = norm
+    for u, base in col_of.items():
+        values[u] = Poly(m, {mono: x[base + i] for i, mono in enumerate(monos)})
+    cls = gkm.EquivClass(g, k, tuple(values))
+    cls.check_edges()
+    for u in g.order:
+        if u == vid:
+            break
+        if not values[u].is_zero():
+            raise ConsistencyError("flow-up support leaked below its vertex")
+    return cls
+
+
+def graph_with_vertex_solved_basis(h):
+    """build_gkm(h) with every flow-up class taken from flow_up_class_by_vertex,
+    so every matrix and report on it is the one of the per-vertex basis."""
+    g = gkm.build_gkm(h)
+    table = g._caches.setdefault("_flow_up_classes", {})
+    for k in range(g.l + 1):
+        table[(k,)] = {u: flow_up_class_by_vertex(g, u) for u in g.order if g.index[u] == k}
+    return g
 
 
 def equivariant_piece(g, k: int) -> list:

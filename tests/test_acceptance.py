@@ -191,9 +191,9 @@ def test_acceptance_7_kahler_package_desk_scale():
                 flowups.update(canonical_json(terms).encode())
     elapsed = time.monotonic() - start
     pinned = (
-        digest.hexdigest() == "9efebf6529e94587e2319cee1179179fa6dad87e569477bda61e8d5328928e81"
+        digest.hexdigest() == "d61aed4db828949244ae2567fd702989f1ace562720d9aca2a7930d05c41bfc1"
         and flowups.hexdigest()
-        == "858190a573da974184f6be31a8be9f441b64313c78f24aa018a54730b312aa91"
+        == "7db84ed93b238afa1785c4764675d1b515364c36f955b75a2bfda8d27c1258b9"
     )
     ok = (
         not failures

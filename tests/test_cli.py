@@ -1,8 +1,10 @@
 import hashlib
 import json
 import math
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -191,7 +193,7 @@ def test_verify_jobs_clamped(capsys, monkeypatch):
 def test_exit_code_3_on_violation(capsys, monkeypatch):
     # break the indexing convention in-process: the support check must fail
     # and the exit code must say so
-    monkeypatch.setattr("hesslab.springer.conjugate", lambda lam: lam)
+    monkeypatch.setattr("hesslab.springer._conjugate", lambda lam: lam)
     rc, out, _ = run(capsys, "analyze", "--h", "2,3,3")
     assert rc == 3
     report = json.loads(out)
@@ -213,7 +215,7 @@ def test_one_support_convention_for_analyze_and_verify(capsys, monkeypatch):
     # analyze reports the same hexagon witness
     rc, control, _ = run(capsys, "verify", "--n", "3", "--convention-control")
     assert rc == 0
-    monkeypatch.setattr("hesslab.springer.conjugate", lambda lam: lam)
+    monkeypatch.setattr("hesslab.springer._conjugate", lambda lam: lam)
     rc, out, _ = run(capsys, "verify", "--n", "3")
     assert rc == 3
     violations = json.loads(out)["violations"]
@@ -246,7 +248,7 @@ def test_kahler_hexagon_invariants(capsys):
     report = run_json(capsys, "kahler", "--h", "2,3,3", "--J", "1,2")
     assert report["invariant_betti"] == [1, 2, 1]
     assert report["poincare"]["2"] == {
-        "det": "-3",
+        "det": "-1/3",
         "nondegenerate": True,
         "rank": 2,
         "size": 2,
@@ -269,7 +271,7 @@ def test_kahler_bytes_pinned(capsys):
         for h, J in (("2,3,3", ""), ("2,3,3", "1,2"), ("2,3,4,4", "1,3"))
     )
     digest = hashlib.sha256(text.encode()).hexdigest()
-    assert digest == "3d15e07ee1b030dbeaedc2545f36035dd38997ffbee23660f6bac8a9938724d3"
+    assert digest == "3bdc45424bb9da3ac67a54c39d29d16356231d3a52d0366b33a24136dde67c48"
 
 
 def test_kahler_payload_leaves_report_untouched(capsys):
@@ -277,7 +279,7 @@ def test_kahler_payload_leaves_report_untouched(capsys):
     # graph stays free of them, and the CLI bytes do not change
     g = build_gkm((2, 3, 3))
     first = cli.kahler_payload(g, (1, 2))
-    assert first["poincare"]["2"]["det"] == "-3"
+    assert first["poincare"]["2"]["det"] == "-1/3"
     report = kahler_report(g, (1, 2))
     assert all("det" not in entry for entry in report["poincare"].values())
     assert cli.kahler_payload(g, (1, 2)) == first
@@ -514,6 +516,12 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.strip() == f"hesslab {__version__}"
+
+
+def test_pyproject_version_is_the_package_version():
+    # read with a regex: Python 3.10 has no tomllib
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert re.findall(r'^version\s*=\s*"([^"]*)"', text, re.MULTILINE) == [__version__]
 
 
 def test_module_entry_point():

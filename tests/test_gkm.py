@@ -1,7 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, isqrt
 
 import pytest
 
@@ -24,7 +24,7 @@ from hesslab.gkm import (
     poincare_pairing,
 )
 from hesslab.hessenberg import dimension, enumerate_hessenberg
-from hesslab.linalg import inertia
+from hesslab.linalg import det_exact, inertia
 from hesslab.partitions import character_value
 import oracles
 from oracles import (
@@ -176,6 +176,78 @@ def test_flow_up_guard_above_class_scale():
     g = build_gkm((2, 3, 4, 5, 5))
     with pytest.raises(ValueError):
         flow_up_class(g, 0)
+
+
+def test_flow_up_classes_at_n5_frontier():
+    # one elimination per degree builds every flow-up class of the Peterson
+    # function at n = 5, below the class-level guard that flow_up_class keeps
+    g = build_gkm((2, 3, 4, 5, 5))
+    counts = []
+    for k in range(g.l + 1):
+        classes = gkm._flow_up_classes(g, k)
+        assert list(classes) == [u for u in g.order if g.index[u] == k]
+        for vid, cls in classes.items():
+            cls.check_edges()
+            assert cls.degree == k
+            assert cls.values[vid] == gkm._norm(g, vid)
+        counts.append(len(classes))
+    assert counts == [1, 26, 66, 26, 1] == betti_rs(g.h)
+
+
+N4_FUNCTIONS = [h for n in range(2, 5) for h in enumerate_hessenberg(n)]
+
+
+@pytest.mark.parametrize("h", N4_FUNCTIONS, ids=str)
+def test_flow_up_basis_is_unitriangular_over_the_vertex_solved_one(h):
+    # two flow-up classes at one vertex with the same norm differ by a class
+    # supported strictly above it, so the expansion of their difference over
+    # the per-vertex basis uses only vertices strictly above, and the constant
+    # coefficients at the vertices of the same index, read in moment order,
+    # form a unitriangular matrix
+    g = build_gkm(h)
+    old = oracles.graph_with_vertex_solved_basis(h)
+    for k in range(g.l + 1):
+        vids = [u for u in g.order if g.index[u] == k]
+        T = []
+        for vid in vids:
+            new, was = flow_up_class(g, vid), flow_up_class(old, vid)
+            assert new.values[vid] == was.values[vid]
+            diff = EquivClass(old, k, tuple(a - b for a, b in zip(new.values, was.values)))
+            coeffs = oracles._decompose(old, diff)
+            assert all(g.order.index(u) > g.order.index(vid) for u in coeffs)
+            T.append([1 if u == vid else coeffs.get(u, Poly.zero(g.nvars)).constant_value() for u in vids])
+        assert all(T[i][i] == 1 and not any(T[i][:i]) for i in range(len(T)))
+
+
+def test_kahler_reports_agree_with_the_vertex_solved_basis():
+    # every basis-invariant field of the n <= 4 reports is the same on the
+    # per-vertex basis; a middle-degree pairing is one form on one space, so
+    # its determinant moves by the square of the basis change (off the middle
+    # the two sides change independently, so no such test holds there)
+    middle = 0
+    for h in N4_FUNCTIONS:
+        g, old = build_gkm(h), oracles.graph_with_vertex_solved_basis(h)
+        for r in range(g.n):
+            for J in itertools.combinations(range(1, g.n), r):
+                new, was = kahler_report(g, J), kahler_report(old, J)
+                assert strip_pivots(new) == strip_pivots(was)
+                if g.l % 2 == 0 and new["poincare"][str(g.l)]["nondegenerate"]:
+                    middle += 1
+                    ratio = det_exact(poincare_pairing(g, g.l, J)) / det_exact(poincare_pairing(old, g.l, J))
+                    assert ratio > 0
+                    assert all(isqrt(x) ** 2 == x for x in (ratio.numerator, ratio.denominator))
+    assert middle == 66
+
+
+def strip_pivots(report):
+    """The report without its Hodge-Riemann pivots, which depend on the basis."""
+    return {
+        **report,
+        "hodge_riemann": {
+            k: {f: v for f, v in entry.items() if f != "pivots"}
+            for k, entry in report["hodge_riemann"].items()
+        },
+    }
 
 
 def test_project_lift_roundtrip():
@@ -383,7 +455,7 @@ def test_kahler_report_computes_intersection_matrices_once(monkeypatch):
 
 def _corrupt_flow_up(g, vid, values):
     """Replace the memoized flow-up class of vid, which is not checked again."""
-    g._caches["_flow_up_class"][(vid,)] = EquivClass(g, g.index[vid], tuple(values))
+    g._caches["_flow_up_classes"][(g.index[vid],)][vid] = EquivClass(g, g.index[vid], tuple(values))
 
 
 def test_intersection_matrix_rejects_a_non_constant_localization_sum():

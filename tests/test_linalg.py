@@ -3,10 +3,12 @@ dense symmetric helpers against closed formulas.
 
 `dense_row_reduce` is the dense Fraction RREF the library used before its
 sparse kernel; it stays here as the oracle.  Particular solutions (free
-variables 0), nullspace bases (one vector per free column) and ranks are
-fixed by the RREF, so the kernel must reproduce them exactly, on random
-sparse rational matrices and on every flow-up system the moment graph builds.
-`inertia` is checked against Descartes' rule of signs on the exact
+variables 0, `oracles.solve_particular` on the kernel's RREF), nullspace
+bases (one vector per free column) and ranks are fixed by the RREF, so the
+kernel must reproduce them exactly, on random sparse rational matrices and
+on the one flow-up system per degree that the moment graph eliminates; each
+flow-up class read off it must be the dense solution of its own vertex's
+system.  `inertia` is checked against Descartes' rule of signs on the exact
 characteristic polynomial and against ratios of leading principal minors,
 and `det_exact` against the Leibniz expansion.
 """
@@ -18,17 +20,20 @@ from fractions import Fraction
 import pytest
 
 from hesslab import gkm
+from hesslab.errors import ConsistencyError
+from hesslab.exactpoly import Poly, monomials
 from hesslab.gkm import build_gkm, flow_up_class
 from hesslab.hessenberg import enumerate_hessenberg
 from hesslab.linalg import (
+    _integer_rref,
     det_exact,
     echelon,
     inertia,
     nullspace,
     rank_exact,
     row_reduce,
-    solve_particular,
 )
+from oracles import solve_particular
 
 
 def dense_row_reduce(rows, ncols: int):
@@ -272,32 +277,90 @@ def test_kernel_matches_dense_on_fixtures(name):
         assert want_piv == [0, 1]
 
 
-def flowup_systems(h, monkeypatch):
-    """Every (rows, rhs, ncols, answer) that flow_up_class hands the solver for h."""
+def flowup_eliminations(h, monkeypatch):
+    """The graph of h and every (rows, pivots, reduced rows) that the flow-up
+    classes of all its vertices hand the kernel."""
     seen = []
 
-    def record(rows, rhs, ncols):
-        x = solve_particular(rows, rhs, ncols)
-        seen.append((rows, rhs, ncols, x))
-        return x
+    def record(rows):
+        pivots, red = _integer_rref(rows)
+        seen.append(([dict(r) for r in rows], pivots, {c: dict(r) for c, r in red.items()}))
+        return pivots, red
 
     g = build_gkm(h)
     with monkeypatch.context() as patch:
-        patch.setattr(gkm, "solve_particular", record)
+        patch.setattr(gkm, "_integer_rref", record)
         for vid in range(len(g.vertices)):
             flow_up_class(g, vid)
-    return seen
+    return g, seen
+
+
+def vertex_system(g, vid):
+    """The system of vid alone, in the column order of the per-degree route:
+    the edge rows of its degree, with the columns left of its block as
+    unknowns, its block times its norm moved to the right-hand side, and the
+    columns right of it (the vertices below) dropped."""
+    k = g.index[vid]
+    monos = monomials(g.nvars, k)
+    D = len(monos)
+    b = g.order[::-1].index(vid) * D
+    norm = gkm._norm(g, vid)
+    known = [norm.c.get(mono, 0) for mono in monos]
+    rows, rhs = [], []
+    for full in gkm._edge_rows(g, k):
+        row = {c: x for c, x in full.items() if c < b}
+        y = -sum((x * known[c - b] for c, x in full.items() if b <= c < b + D), Fraction(0))
+        if row or y:
+            rows.append(row)
+            rhs.append(y)
+    return rows, rhs, b
 
 
 @pytest.mark.parametrize(
     "h", [*enumerate_hessenberg(2), *enumerate_hessenberg(3), (2, 3, 4, 4)], ids=str
 )
 def test_flowup_systems_match_dense(h, monkeypatch):
-    systems = flowup_systems(h, monkeypatch)
-    assert systems
-    for rows, rhs, ncols, x in systems:
+    # one elimination per degree, each the dense Fraction RREF of its rows
+    g, systems = flowup_eliminations(h, monkeypatch)
+    assert len(systems) == g.l + 1
+    for rows, pivots, red in systems:
         assert all(isinstance(r, dict) for r in rows)
-        assert_same_values(x, dense_solve([dense(r, ncols) for r in rows], rhs, ncols))
+        ncols = max((max(r) for r in rows), default=-1) + 1
+        want_piv, want_red = dense_row_reduce([dense(r, ncols) for r in rows], ncols)
+        assert pivots == want_piv
+        assert [[Fraction(x, red[p][p]) for x in dense(red[p], ncols)] for p in pivots] == want_red
+    # and every class read off them is the dense solution of its own vertex's
+    # system with free variables 0
+    for vid in range(len(g.vertices)):
+        rows, rhs, b = vertex_system(g, vid)
+        x = dense_solve([dense(r, b) for r in rows], rhs, b)
+        assert x is not None
+        cls = flow_up_class(g, vid)
+        monos = monomials(g.nvars, g.index[vid])
+        above = g.order[::-1]
+        got = [cls.values[above[c // len(monos)]].c.get(monos[c % len(monos)], Fraction(0)) for c in range(b)]
+        assert_same_values(got, x)
+        assert cls.values[vid] == gkm._norm(g, vid)
+        assert all(cls.values[u].is_zero() for u in above[b // len(monos) + 1 :])
+
+
+def test_flowup_consistency_row_refuses_a_corrupted_norm(monkeypatch):
+    # t_1 is proportional to no tangent weight t_i - t_j at n = 3, so no
+    # class of degree 1 vanishes below a vertex of index 1 and takes the value
+    # t_1 there: the vertex's consistency rows must refuse it before any edge
+    # check would
+    g = build_gkm((2, 3, 3))
+    vid = next(u for u in g.order if g.index[u] == 1)
+    norm = gkm._norm
+
+    def corrupted(g, u):
+        return Poly.variable(g.nvars, 0) if u == vid else norm(g, u)
+
+    monkeypatch.setattr(gkm, "_norm", corrupted)
+    with pytest.raises(ConsistencyError, match="no flow-up class at vertex"):
+        flow_up_class(g, vid)
+    monkeypatch.undo()
+    assert flow_up_class(build_gkm((2, 3, 3)), vid).values[vid] == norm(g, vid)
 
 
 def leibniz_det(A):
