@@ -250,6 +250,7 @@ def analyze_report(h, *, seed: int, J=None, use_gkm: bool = False, cache_dir=Non
 
 def _verify_one(h, *, seed: int, gkm_max_n: int, control: bool) -> dict:
     """Per-function worker for the sweep; must stay picklable for --jobs."""
+    gm = dot_action_multiplicities(h)
     violations = [
         {
             "type": "support",
@@ -259,9 +260,9 @@ def _verify_one(h, *, seed: int, gkm_max_n: int, control: bool) -> dict:
             "lambda_H": partition_str(w["lambda_H"]),
             "total_multiplicity": w["total_multiplicity"],
         }
-        for w in support_violations(h, drop_conjugate=control)
+        for w in support_violations(gm, drop_conjugate=control)
     ]
-    regular = {J: regular_betti(h, J) for J in all_parabolic_subsets(len(h))}
+    regular = {J: regular_betti(gm, J) for J in all_parabolic_subsets(len(h))}
     violations += _palindromic_violations(h, regular)
     character = regular[()]
     if is_indecomposable(h) and (character[0] != 1 or character[-1] != 1):

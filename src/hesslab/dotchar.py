@@ -4,11 +4,13 @@ By Brosnan-Chow the dot-action character is omega X_G(q) for the
 incomparability graph G of h, and Shareshian-Wachs (Thm 6.3) expand X_G(q) in
 Schur functions over P-tableaux.  So the table is read off directly: row k of
 table[lam] counts the P_h-tableaux of shape conjugate(lam) with inv = k,
-which is the multiplicity of the irreducible lam in (complex) degree 2k.  At
-most n! tableaux are visited per h, against about n^n colorings.  Every Betti
-reading (the full space, or the invariant subspace for a regular element with
-Young-subgroup stabilizer W_J) is GradedMultiplicity.betti(J): each row
-weighted by the dimension of the W_J-fixed part of its irreducible.
+which is the multiplicity of the irreducible lam in (complex) degree 2k.  One
+depth-first walk per h fills every shape at once, sharing the rows that
+shapes have in common; it completes at most n! tableaux, against about n^n
+colorings.  Every Betti reading (the full space, or the invariant subspace
+for a regular element with Young-subgroup stabilizer W_J) is
+GradedMultiplicity.betti(J): each row weighted by the dimension of the
+W_J-fixed part of its irreducible, made once per Young-subgroup content.
 
 The coloring route stays as the oracle: chromatic_qsym enumerates proper
 colorings of G, weighted by q^(number of ascending edges), into the
@@ -21,7 +23,7 @@ complete-graph fixture, whose trivial-isotype row must be the q-factorial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from math import factorial
 
@@ -129,28 +131,43 @@ class GradedMultiplicity:
     h: tuple[int, ...]
     l: int
     table: dict[Partition, list[int]]
+    # betti's rows by Young-subgroup content mu(J); not part of the value
+    _betti_rows: dict[tuple[int, ...], list[int]] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     def betti(self, J=()) -> list[int]:
         """Betti numbers b_{2k} of the W_J-invariant part; J = () is the full space.
 
         Each irreducible contributes the dimension of its W_J-fixed subspace,
         the Kostka number K_{lam, mu(J)} for the sorted block sizes mu(J) of
-        W_J (invariant_dim), taken once per row.
+        W_J (invariant_dim), taken once per row.  The sum depends on J only
+        through mu(J), so it is made once per content and kept on the
+        instance; every call returns a fresh list.
         """
-        mu = young_subgroup_content(J, self.n)
-        out = [0] * (self.l + 1)
-        for lam, row in self.table.items():
-            weight = kostka_number(lam, mu)
-            if weight:
-                out = [b + m * weight for b, m in zip(out, row)]
-        return out
+        mu = _content(tuple(J), self.n)
+        row = self._betti_rows.get(mu)
+        if row is None:
+            row = [0] * (self.l + 1)
+            for lam, counts in self.table.items():
+                weight = kostka_number(lam, mu)
+                if weight:
+                    row = [b + m * weight for b, m in zip(row, counts)]
+            self._betti_rows[mu] = row
+        return list(row)
+
+
+@cache
+def _content(J: tuple, n: int) -> tuple[int, ...]:
+    """young_subgroup_content, memoized; a J it rejects raises on every call, as nothing is stored."""
+    return young_subgroup_content(J, n)
 
 
 def dot_action_multiplicities(h, force: bool = False) -> GradedMultiplicity:
     """Graded irreducible multiplicities, read off P_h-tableaux.
 
     mult[lam][k] is the number of P_h-tableaux of shape conjugate(lam) with
-    inv = k; see _tableau_rows.  Every entry must come out a nonnegative
+    inv = k; see _tableau_table.  Every entry must come out a nonnegative
     integer supported in degrees 0..dimension(h), and the rows weighted by
     irreducible dimensions must sum to n!; anything else raises instead of
     returning.
@@ -158,7 +175,7 @@ def dot_action_multiplicities(h, force: bool = False) -> GradedMultiplicity:
     h = check_hessenberg(h)
     if len(h) > CHARACTER_GUARD_N and not force:
         raise CostGuardError(
-            f"n = {len(h)} visits up to {len(h)}! tableaux per shape; pass force=True to proceed"
+            f"n = {len(h)} walks up to {len(h)}! tableaux; pass force=True to proceed"
         )
     return _mult_cached(h)
 
@@ -166,9 +183,11 @@ def dot_action_multiplicities(h, force: bool = False) -> GradedMultiplicity:
 @cache
 def _mult_cached(h: tuple[int, ...]) -> GradedMultiplicity:
     n, l = len(h), dimension(h)
+    walked = _tableau_table(h)
+    empty = [0] * (n * (n - 1) // 2 + 1)
     table: dict[Partition, list[int]] = {}
     for lam in partitions_of(n):
-        counts = _tableau_rows(h, conjugate(lam))
+        counts = walked.get(conjugate(lam), empty)
         if any(counts[l + 1:]):
             raise ConsistencyError(f"multiplicity row for {lam} exceeds degree {l} at h={h}: {counts}")
         row = counts[: l + 1]
@@ -181,8 +200,9 @@ def _mult_cached(h: tuple[int, ...]) -> GradedMultiplicity:
     return GradedMultiplicity(n=n, h=h, l=l, table=table)
 
 
-def _tableau_rows(h: tuple[int, ...], shape: Partition) -> list[int]:
-    """counts[k] = number of P_h-tableaux of the given shape (row lengths) with inv = k.
+def _tableau_table(h: tuple[int, ...]) -> dict[Partition, list[int]]:
+    """{shape: counts} for every shape (row lengths) with a P_h-tableau, where
+    counts[k] is the number of P_h-tableaux of that shape with inv = k.
 
     P_h is the poset on 1..n with i <_P j iff j > h(i); i and j are
     incomparable exactly when they are joined in the incomparability graph.
@@ -190,46 +210,88 @@ def _tableau_rows(h: tuple[int, ...], shape: Partition) -> list[int]:
     and no entry is >_P the entry directly below it.  inv counts the
     incomparable pairs i < j where i sits in a strictly lower row than j.
 
-    Cells are filled in row-major order over bitmasks (bit x is element
-    x + 1), so when an element is placed, the elements of the rows above it
-    are exactly those used before its row began.  counts has one entry per
-    possible pair, so a wrong inv shows up past degree dimension(h).
+    One depth-first walk fills every shape at once.  Cells go in row-major
+    order over bitmasks (bit x is element x + 1), so when an element is
+    placed, the elements of the rows above it are exactly those used before
+    its row began.  Each element either extends the current row, if the row
+    above is longer, or closes it and opens a new row under it.  Counts are
+    filed in a trie: a node stands for the completed row lengths, its
+    children are indexed by the length of the next row and its counts by the
+    length of the last one, so no shape key is built until the walk ends.
+    counts has one entry per possible pair, so a wrong inv shows up past
+    degree dimension(h).
     """
     n = len(h)
+    if n == 1:  # the walk below places the last element one cell ahead, so it needs n >= 2
+        return {(1,): [1]}
     full = (1 << n) - 1
     greater = [full >> hx << hx for hx in h]  # y with x <_P y
     may_follow = [sum(1 << y for y in range(n) if h[y] > a) for a in range(n)]  # y not <_P a
+    may_follow.append(full)  # a sentinel element n, which constrains nothing
     tied = [(1 << hx) - (2 << x) for x, hx in enumerate(h)]  # y > x incomparable to x
-    cells = []  # (left, up, first in its row) as indices into entry
-    start = 0
-    for r, length in enumerate(shape):
-        for c in range(length):
-            cells.append((start + c - 1 if c else -1, start - shape[r - 1] + c if r else -1, c == 0))
-        start += length
-    counts = [0] * (n * (n - 1) // 2 + 1)
-    entry = [0] * n
+    pairs = n * (n - 1) // 2 + 1
+    entry = [0] * n + [n] * n  # cells, then a sentinel row above the first row
+    last = n - 1
+    width = 2 * n + 1  # a trie node: at[c] is its child for a next row of length c, at[n + c] its counts
 
-    def fill(i: int, used: int, higher: int, inv: int) -> None:
-        if i == n:
-            counts[inv] += 1
+    def fill(i: int, used: int, higher: int, inv: int, at: list, start: int, above: int, above_len: int) -> None:
+        # The current row is entry[start:i].  The row above it starts at
+        # entry[above] and has above_len cells (the sentinel row of n cells
+        # for the first row).  at is the trie node of the rows above.
+        c = i - start
+        free = full ^ used
+        if i == last:  # one element left: file each way it can go instead of recursing
+            x = free.bit_length() - 1
+            if above_len > c and greater[entry[i - 1]] & may_follow[entry[above + c]] & free:
+                counts = at[n + c + 1]
+                if counts is None:
+                    counts = at[n + c + 1] = [0] * pairs
+                counts[inv + (tied[x] & higher).bit_count()] += 1
+            if may_follow[entry[start]] & free:
+                child = at[c]
+                if child is None:
+                    child = at[c] = [None] * width
+                counts = child[n + 1]
+                if counts is None:
+                    counts = child[n + 1] = [0] * pairs
+                counts[inv + (tied[x] & used).bit_count()] += 1
             return
-        left, up, new_row = cells[i]
-        if new_row:
-            higher = used
-        free = full & ~used
-        if left >= 0:
-            free &= greater[entry[left]]
-        if up >= 0:
-            free &= may_follow[entry[up]]
-        while free:
-            bit = free & -free
-            free ^= bit
-            x = bit.bit_length() - 1
-            entry[i] = x
-            fill(i + 1, used | bit, higher, inv + (tied[x] & higher).bit_count())
+        if above_len > c:
+            ext = free & greater[entry[i - 1]] & may_follow[entry[above + c]]
+            while ext:
+                bit = ext & -ext
+                ext ^= bit
+                x = bit.bit_length() - 1
+                entry[i] = x
+                fill(i + 1, used | bit, higher, inv + (tied[x] & higher).bit_count(), at, start, above, above_len)
+        free &= may_follow[entry[start]]
+        if free:
+            child = at[c]
+            if child is None:
+                child = at[c] = [None] * width
+            while free:
+                bit = free & -free
+                free ^= bit
+                x = bit.bit_length() - 1
+                entry[i] = x
+                fill(i + 1, used | bit, used, inv + (tied[x] & used).bit_count(), child, i, start, c)
 
-    fill(0, 0, 0, 0)
-    return counts
+    root = [None] * width
+    for x in range(n):
+        entry[0] = x
+        fill(1, 1 << x, 0, 0, root, 0, n, n)
+
+    table: dict[Partition, list[int]] = {}
+
+    def collect(at: list, rows: Partition) -> None:
+        for length in range(1, n + 1):
+            if at[n + length] is not None:
+                table[rows + (length,)] = at[n + length]
+            if at[length] is not None:
+                collect(at[length], rows + (length,))
+
+    collect(root, ())
+    return table
 
 
 def betti_rs(h) -> list[int]:

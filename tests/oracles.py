@@ -1,8 +1,9 @@
 """Independent oracles the tests check the library against.
 
 None of this is on a command path.  Each routine is the slow, direct route to
-something the library computes another way: Jordan types from rank sequences
-of matrix powers and an exhaustive finite-field search against the
+something the library computes another way: one P-tableau walk per shape
+against the library's one walk over every shape; Jordan types from rank
+sequences of matrix powers and an exhaustive finite-field search against the
 Greene-Kleitman `lambda_H`; the full divisibility system against the flow-up
 module basis; one exact solve per vertex against the flow-up classes the
 library reads off one elimination per degree; randomly perturbed lifts against
@@ -419,3 +420,53 @@ def primitive_form_by_lifts(g, J, lam, dd: int):
     ]
     omega_pow = _omega_power(g, lam, g.l - 2 * dd)
     return [[integrate(g, a * b * omega_pow) for b in lifts] for a in lifts]
+
+
+def tableau_rows_by_shape(h, shape: Partition) -> list[int]:
+    """counts[k] = number of P_h-tableaux of the given shape (row lengths) with inv = k.
+
+    P_h is the poset on 1..n with i <_P j iff j > h(i).  A P-tableau holds
+    each element once, every row is a strict <_P chain, and no entry is >_P
+    the entry directly below it; inv counts the incomparable pairs i < j
+    where i sits in a strictly lower row than j.  Cells of this one shape are
+    filled in row-major order over bitmasks (bit x is element x + 1), so the
+    elements of the rows above a cell are those used before its row began.
+    counts has one entry per possible pair.
+    """
+    h = check_hessenberg(h)
+    shape = check_partition(shape)
+    n = len(h)
+    full = (1 << n) - 1
+    greater = [full >> hx << hx for hx in h]  # y with x <_P y
+    may_follow = [sum(1 << y for y in range(n) if h[y] > a) for a in range(n)]  # y not <_P a
+    tied = [(1 << hx) - (2 << x) for x, hx in enumerate(h)]  # y > x incomparable to x
+    cells = []  # (left, up, first in its row) as indices into entry
+    start = 0
+    for r, length in enumerate(shape):
+        for c in range(length):
+            cells.append((start + c - 1 if c else -1, start - shape[r - 1] + c if r else -1, c == 0))
+        start += length
+    counts = [0] * (n * (n - 1) // 2 + 1)
+    entry = [0] * n
+
+    def fill(i: int, used: int, higher: int, inv: int) -> None:
+        if i == n:
+            counts[inv] += 1
+            return
+        left, up, new_row = cells[i]
+        if new_row:
+            higher = used
+        free = full & ~used
+        if left >= 0:
+            free &= greater[entry[left]]
+        if up >= 0:
+            free &= may_follow[entry[up]]
+        while free:
+            bit = free & -free
+            free ^= bit
+            x = bit.bit_length() - 1
+            entry[i] = x
+            fill(i + 1, used | bit, higher, inv + (tied[x] & higher).bit_count())
+
+    fill(0, 0, 0, 0)
+    return counts

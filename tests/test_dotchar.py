@@ -3,8 +3,11 @@ from math import factorial
 
 import pytest
 
+from oracles import tableau_rows_by_shape
+
 from hesslab.cli import all_parabolic_subsets
 from hesslab.dotchar import (
+    _tableau_table,
     betti_rs,
     chromatic_qsym,
     dot_action_multiplicities,
@@ -14,7 +17,7 @@ from hesslab.dotchar import (
 )
 from hesslab.errors import CostGuardError
 from hesslab.hessenberg import dimension, enumerate_hessenberg
-from hesslab.partitions import conjugate, dim_irrep, partitions_of, young_subgroup_blocks
+from hesslab.partitions import conjugate, dim_irrep, invariant_dim, partitions_of, young_subgroup_blocks
 from hesslab.symfunc import QPoly, q_factorial, schur_inner_product
 
 
@@ -123,6 +126,56 @@ def test_tableaux_match_brute_force_count():
                 transpose = tuple(sum(1 for part in shape if part > c) for c in range(shape[0]))
                 row = table[transpose]
                 assert {k: v for k, v in enumerate(row) if v} == hist, (h, shape)
+
+
+# handpicked n = 8 functions: Peterson, the band h(i) = i + 2, the flag
+# variety, and two decomposable ones (three blocks; two complete graphs K4)
+WALK_N8 = [
+    (2, 3, 4, 5, 6, 7, 8, 8),
+    (3, 4, 5, 6, 7, 8, 8, 8),
+    (8,) * 8,
+    (2, 2, 4, 5, 5, 7, 8, 8),
+    (4, 4, 4, 4, 8, 8, 8, 8),
+]
+
+
+def test_one_walk_matches_walk_per_shape():
+    cases = [h for n in range(2, 8) for h in enumerate_hessenberg(n)] + WALK_N8
+    for h in cases:
+        walked = _tableau_table(h)
+        shapes = [conjugate(lam) for lam in partitions_of(len(h))]
+        assert set(walked) <= set(shapes), h
+        for shape in shapes:
+            counts = tableau_rows_by_shape(h, shape)
+            if shape in walked:
+                assert walked[shape] == counts, (h, shape)
+            else:
+                assert not any(counts), (h, shape)
+
+
+def test_betti_memo_per_content():
+    for n in range(2, 7):
+        subsets = all_parabolic_subsets(n)
+        for h in enumerate_hessenberg(n):
+            gm = dot_action_multiplicities(h)
+            for J in subsets:
+                expected = [0] * (gm.l + 1)
+                for lam, row in gm.table.items():
+                    weight = invariant_dim(lam, J)
+                    expected = [b + weight * m for b, m in zip(expected, row)]
+                assert gm.betti(J) == regular_betti(h, J) == regular_betti(gm, J) == expected, (h, J)
+    gm = dot_action_multiplicities((2, 3, 4, 4))
+    row = gm.betti((1,))
+    kept = list(row)
+    row[0] += 100
+    assert gm.betti((1,)) == kept
+    assert gm.betti((3,)) == kept  # the same content (2, 1, 1), from the memo
+    for bad in [(0,), (4,), (1, 4)]:
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                gm.betti(bad)
+            with pytest.raises(ValueError):
+                regular_betti((2, 3, 4, 4), bad)
 
 
 def test_tableaux_n7_sum_and_palindromes():
