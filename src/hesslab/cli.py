@@ -56,18 +56,16 @@ CACHE_ENV = "HESSLAB_CACHE"
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    """Sorted keys, compact separators, trailing newline; fractions become
+    'p/q' strings and tuples lists.  Dict keys must be strings: json would
+    sort other keys by value, not by their strings."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_fraction_str) + "\n"
 
 
-def _sanitize(obj):
-    """Make a report JSON-safe: fractions to 'p/q' strings, tuples to lists."""
+def _fraction_str(obj) -> str:
     if isinstance(obj, Fraction):
         return str(obj)
-    if isinstance(obj, dict):
-        return {str(k): _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _jstr(J) -> str:
@@ -316,7 +314,7 @@ def verify_report(
 def kahler_payload(g, J=(), lam=None) -> dict:
     """kahler_report on g as JSON-safe data, with pairing determinants for the
     audit trail; the memoized report itself is left untouched."""
-    payload = _sanitize(kahler_report(g, J, lam))  # a deep copy
+    payload = json.loads(canonical_json(kahler_report(g, J, lam)))  # a deep copy
     for k_str, entry in payload["poincare"].items():
         if entry["nondegenerate"]:
             entry["det"] = str(det_exact(poincare_pairing(g, int(k_str), J)))
@@ -347,7 +345,7 @@ def kahler_cli_report(h, J, lam, *, seed: int, cache_dir=None) -> dict:
 
 def render(report: dict, fmt: str) -> str:
     if fmt == "json":
-        return canonical_json(_sanitize(report))
+        return canonical_json(report)
     if fmt == "csv":
         return _render_csv(report)
     return _render_table(report)
@@ -551,7 +549,7 @@ def main(argv=None) -> int:
             report["timing"] = {"seconds": round(time.monotonic() - started, 3)}
         _emit(render(report, args.format), args.out)
     except TheoremViolation as exc:
-        witness = {"error": "theorem-violation", "detail": str(exc), "witness": _sanitize(exc.witness)}
+        witness = {"error": "theorem-violation", "detail": str(exc), "witness": exc.witness}
         sys.stdout.write(canonical_json(witness))
         return 3
     except CostGuardError as exc:

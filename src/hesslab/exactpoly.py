@@ -4,11 +4,14 @@ Coordinates for the moment-graph engine: polynomials live in m = n-1 variables
 t_1..t_{n-1}, with t_n represented as -(t_1 + ... + t_{n-1}).  Everything is a
 dict from exponent tuple to Fraction; no floats anywhere.  Division by a
 linear form has one routine, `divmod_linear`, giving both the quotient and the
-remainder: edge conditions test the remainder, and the polynomial oracles in
-the test suite (flow-up decomposition, localization integrals) take the
-quotient of an exact division.  `Poly.substitute` is the ring map the public
-Weyl dot action `gkm.dot_action` permutes variables by; the Kahler checks
-evaluate at permuted points instead.
+remainder.  Edge conditions test remainders: the moment graph's remainder
+table holds, per edge form and degree, the remainder of every monomial, scaled
+to integers, and its integer edge rows and edge checks combine those;
+`gkm.EquivClass.check_edges` divides a whole polynomial difference.  The
+polynomial oracles in the test suite (flow-up decomposition, localization
+integrals) take the quotient of an exact division.  `Poly.substitute` is the
+ring map the public Weyl dot action `gkm.dot_action` permutes variables by;
+the Kahler checks evaluate at permuted points instead.
 """
 
 from __future__ import annotations

@@ -8,42 +8,53 @@ has degree exactly dimension(h); the constructor asserts this and the mutual
 consistency of the two endpoints, so a wrong edge rule cannot survive
 construction silently.
 
-Classes are tuples of polynomials in t_1..t_{n-1} (with t_n = -(t_1+...+t_{n-1}))
-subject to the edge divisibility conditions.  The module structure is handled
-through flow-up classes: a fixed generic covector orients every edge, each
-vertex gets a Morse index (its down-degree), and its flow-up class is a class
-of that degree supported on it and the vertices above it, normalized to the
-product of its downward weights.  The degree-k edge rows, one {column:
-coefficient} row per edge and output monomial touching the unknowns of two
-vertices, give each vertex a block of columns in descending moment order.  A
-vertex's own system is then a column prefix, so one exact RREF (linalg's
-sparse integer kernel) of the prefix that ends at the lowest vertex of index
-k yields every flow-up class of index k; a vertex without one raises
-ConsistencyError.  The flow-up classes of Morse index k are the basis of
-the ordinary degree-k piece; ordinary_basis counts them against the Betti
-numbers from the character side, so a missing or extra class raises instead
-of passing silently.  That monomial multiples of flow-up classes span every
-equivariant degree piece is a free-module statement the test suite
+Classes are tuples of polynomials in t_1..t_{n-1}, with t_n =
+-(t_1+...+t_{n-1}), subject to the edge divisibility conditions.  The module
+structure is handled through flow-up classes: a fixed generic covector orients
+every edge, each vertex gets a Morse index (its down-degree), and its flow-up
+class is a class of that degree supported on it and the vertices above it,
+normalized to the product of its downward weights.  The degree-k edge rows,
+one {column: coefficient} row per edge and output monomial touching the
+unknowns of two vertices, give each vertex a block of columns in descending
+moment order.  A vertex's own system is then a column prefix, so one exact
+RREF (linalg's sparse integer kernel) of the prefix that ends at the lowest
+vertex of index k yields every flow-up class of index k; a vertex without one
+raises ConsistencyError.  A flow-up class is kept as an integer table read off
+the RREF's rows and pivots: one positive denominator and, for each vertex of
+its support, an integer coefficient vector over the degree-k monomials.  The
+edge rows and the edge check run on integers: the remainders of the monomials
+modulo each edge form are scaled by their lcm, and on every edge the
+difference of the endpoint vectors combined with them must vanish.  Each table
+must also vanish below its vertex.  flow_up_class builds the polynomial
+EquivClass from the table on demand; EquivClass.check_edges is the polynomial
+check the tests hold the tables to.  The flow-up classes of Morse index k are
+the basis of the ordinary degree-k piece; their count is checked against the
+Betti numbers from the character side, so a missing or extra class raises
+instead of passing silently.  That monomial multiples of flow-up classes span
+every equivariant degree piece is a free-module statement the test suite
 certifies against the exact nullity of the full divisibility system.
 
-The dot action and the Kahler forms are read off per-graph matrices,
-computed once and shared by every J: the intersection matrix of flow-up
-classes of complementary Morse index, one matrix per generator s_j and
-degree, and one Lefschetz matrix per degree, multiplication by omega on
-flow-up coordinates.  All of them come from point evaluations.  A
-localization sum of a degree-l product of two classes that pass the edge
-conditions is a constant, read off at two integer points where no tangent
-weight vanishes; the two must agree.  The values of the flow-up classes at
-both points are one integer table per index; s_j . sigma and sigma omega
-take their values from it (at a permuted point for s_j), and their flow-up
-coordinates solve a linear system against the intersection matrix, because
-integrating a degree-k class against the flow-up classes of index l - k
-sees only its index-k coordinates.  Integration is bilinear over the torus
-ring and a product of degree below l integrates to 0; projection kills
-positive-degree multiples, so it is a ring map and omega^p is the chained
-product of p Lefschetz matrices.  Pairings, hard Lefschetz images and
-Hodge-Riemann Gram matrices on the W_J-invariant subring are exact matrix
-products, taken on integers over one common denominator per factor.
+The dot action and the Kahler forms are read off per-graph matrices, computed
+once and shared by every J: the intersection matrix of flow-up classes of
+complementary Morse index, one matrix per generator s_j and degree, and one
+Lefschetz matrix per degree, multiplication by omega on flow-up coordinates.
+All of them come from point evaluations.  A localization sum of a degree-l
+product of two classes that pass the edge conditions is a constant, read off
+at two integer points where no tangent weight vanishes; the two must agree.
+The values of the flow-up classes at a point are integer dot products of their
+tables with the monomial values there, one integer table over one denominator
+per index; the localization sums stay integers over one denominator until the
+two points are compared by cross-multiplication.  s_j . sigma and sigma omega
+take their values from the tables (at a permuted point for s_j), and their
+flow-up coordinates, integer rows over one denominator, solve a linear system
+against the intersection matrix, because integrating a degree-k class against
+the flow-up classes of index l - k sees only its index-k coordinates.
+Integration is bilinear over the torus ring and a product of degree below l
+integrates to 0; projection kills positive-degree multiples, so it is a ring
+map and omega^p is the chained product of p Lefschetz matrices.  Pairings,
+hard Lefschetz images and Hodge-Riemann Gram matrices on the W_J-invariant
+subring are exact matrix products, taken on integers over one common
+denominator per factor; the dot and Lefschetz matrices are kept in that form.
 """
 
 from __future__ import annotations
@@ -53,14 +64,14 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, wraps
-from math import lcm, prod
+from math import gcd, lcm, prod
 from operator import mul
 
 from .dotchar import betti_rs, regular_betti
 from .errors import ConsistencyError, TheoremViolation
 from .exactpoly import Poly, divmod_linear, monomials
 from .hessenberg import check_hessenberg, dimension
-from .linalg import _integer_rref, inertia, nullspace, rank_exact, row_reduce
+from .linalg import _integer_rref, inertia, nullspace, rank_exact
 
 DEFAULT_SEED = 1729
 GRAPH_MAX_N = 5
@@ -251,11 +262,15 @@ def morse_betti(g: GKMGraph) -> list[int]:
 
 @cache
 def _reduction_table(n: int, pair: tuple[int, int], k: int):
-    """Remainders of all degree-k monomials modulo the form of a canonical pair."""
+    """Remainders of all degree-k monomials modulo the form of a canonical
+    pair, one integer {monomial: coefficient} dict per monomial, all scaled
+    by the lcm of their denominators.  A combination of the monomials is
+    divisible by the form exactly when the same combination of these
+    remainders vanishes."""
     L = _pair_form(n, *pair)
-    return tuple(
-        divmod_linear(Poly(n - 1, {mono: Fraction(1)}), L)[1] for mono in monomials(n - 1, k)
-    )
+    rems = [divmod_linear(Poly(n - 1, {mono: Fraction(1)}), L)[1] for mono in monomials(n - 1, k)]
+    d = lcm(*(x.denominator for r in rems for x in r.c.values()))
+    return tuple({mono: x.numerator * (d // x.denominator) for mono, x in r.c.items()} for r in rems)
 
 
 def _down_forms(g: GKMGraph, vid: int) -> list[Poly]:
@@ -271,14 +286,35 @@ def flow_up_class(g: GKMGraph, vid: int) -> EquivClass:
     """The flow-up class of a vertex: degree = Morse index, zero strictly below.
 
     Normalized so its value at the vertex is the product of the downward
-    tangent weights.  Read off the one elimination of its degree's edge
-    system that serves every vertex of that index (_flow_up_classes); a
-    vertex without a class raises ConsistencyError, and every class is
-    verified against every edge condition before being cached.
+    tangent weights.  Built on demand from its integer table, which is read
+    off the one elimination of its degree's edge system that serves every
+    vertex of that index and checked there (_flow_up_classes); a vertex
+    without a class raises ConsistencyError.
     """
+    _check_ring_size(g)
+    return _flow_up_class(g, vid)
+
+
+def _check_ring_size(g: GKMGraph) -> None:
     if g.n > RING_MAX_N:
         raise ValueError(f"class-level operations support n <= {RING_MAX_N}")
-    return _flow_up_classes(g, g.index[vid])[vid]
+
+
+@_memo
+def _flow_up_class(g: GKMGraph, vid: int) -> EquivClass:
+    """The EquivClass of vid's flow-up table, with no size guard."""
+    k = g.index[vid]
+    return _class_of(g, k, _flow_up_classes(g, k)[vid])
+
+
+def _class_of(g: GKMGraph, k: int, table) -> EquivClass:
+    """The degree-k EquivClass of an integer table (den, support)."""
+    den, support = table
+    monos = monomials(g.nvars, k)
+    values = [Poly.zero(g.nvars)] * len(g.vertices)
+    for u, vec in support.items():
+        values[u] = Poly(g.nvars, {mono: Fraction(x, den) for mono, x in zip(monos, vec)})
+    return EquivClass(g, k, tuple(values))
 
 
 def _norm(g: GKMGraph, vid: int) -> Poly:
@@ -290,8 +326,13 @@ def _norm(g: GKMGraph, vid: int) -> Poly:
 
 
 @_memo
-def _flow_up_classes(g: GKMGraph, k: int) -> dict[int, EquivClass]:
-    """The flow-up classes of Morse index k, {vertex: class} in moment order.
+def _flow_up_classes(g: GKMGraph, k: int) -> dict[int, tuple[int, dict[int, tuple[int, ...]]]]:
+    """The flow-up classes of Morse index k as integer tables, {vertex:
+    (den, support)} in moment order.  support maps the vertex and each
+    vertex above it where the class is nonzero to an integer coefficient
+    vector over monomials(nvars, k); the class's value there is that vector
+    over the positive denominator den, and den and the vectors share no
+    common factor.
 
     The columns of _edge_rows run over the vertices in descending moment
     order, so the system of a vertex vid (unknowns strictly above it, its
@@ -305,13 +346,13 @@ def _flow_up_classes(g: GKMGraph, k: int) -> dict[int, EquivClass]:
     consistency condition, and a nonzero dot with the norm means vid has no
     flow-up class.  Rows with pivots right of vid's block are zero on its
     block and play no part.  Only the RREF's entries in the blocks of index
-    k are kept, and only until the classes are read.
+    k are kept, and only until the classes are read.  Each table is checked
+    (_check_flow_up) before it is returned.
     """
     vids = [u for u in g.order if g.index[u] == k]
     if not vids:
         return {}
-    m = g.nvars
-    monos = monomials(m, k)
+    monos = monomials(g.nvars, k)
     D = len(monos)
     above = g.order[::-1]  # vertex above[p] owns columns p*D .. p*D + D - 1
     block = {u: p * D for p, u in enumerate(above)}
@@ -340,41 +381,66 @@ def _flow_up_classes(g: GKMGraph, k: int) -> dict[int, EquivClass]:
         dots: dict[int, int] = {}
         for pcol, mi, x in touching[vid]:
             dots[pcol] = dots.get(pcol, 0) + x * known[mi]
-        coeffs: dict[int, dict] = {}
+        dots = {pcol: dot for pcol, dot in dots.items() if dot}
+        if any(pcol >= block[vid] for pcol in dots):
+            raise ConsistencyError(f"no flow-up class at vertex {g.vertices[vid]} for h={g.h}")
+        den = lcm(*(pivot_of[pcol] for pcol in dots))
+        support = {vid: [den * x for x in known]}
         for pcol, dot in dots.items():
-            if not dot:
-                continue
-            if pcol >= block[vid]:
-                raise ConsistencyError(f"no flow-up class at vertex {g.vertices[vid]} for h={g.h}")
             p, mi = divmod(pcol, D)
-            coeffs.setdefault(above[p], {})[monos[mi]] = Fraction(-dot, pivot_of[pcol])
-        values = [Poly.zero(m)] * len(g.vertices)
-        for u, c in coeffs.items():
-            values[u] = Poly(m, c)
-        values[vid] = norm
-        cls = EquivClass(g, k, tuple(values))
-        cls.check_edges()
-        for u in g.order:
-            if u == vid:
-                break
-            if not values[u].is_zero():
-                raise ConsistencyError("flow-up support leaked below its vertex")
-        classes[vid] = cls
+            support.setdefault(above[p], [0] * D)[mi] = -dot * (den // pivot_of[pcol])
+        c = gcd(den, *(x for vec in support.values() for x in vec))
+        table = den // c, {u: tuple(x // c for x in vec) for u, vec in support.items()}
+        _check_flow_up(g, vid, table)
+        classes[vid] = table
     return classes
 
 
-def _edge_rows(g: GKMGraph, k: int) -> list[dict[int, Fraction]]:
-    """Degree-k edge conditions, one row per edge and output monomial: the two
-    endpoint values agree mod the edge form.  The vertices own blocks of D
-    columns in descending moment order, the highest vertex first; a block
-    holds the vertex's coefficients of the D monomials of degree k."""
+def _check_flow_up(g: GKMGraph, vid: int, table) -> None:
+    """Raise ConsistencyError unless the flow-up table of vid vanishes below
+    vid and passes every edge condition."""
+    _, support = table
+    if any(u in support for u in g.order[: g.order.index(vid)]):
+        raise ConsistencyError("flow-up support leaked below its vertex")
+    _check_edges(g, g.index[vid], support)
+
+
+def _check_edges(g: GKMGraph, k: int, support) -> None:
+    """Raise ConsistencyError unless the integer class support ({vertex:
+    coefficient vector over monomials(nvars, k)}, 0 elsewhere) passes every
+    edge condition: on each edge the difference of the two endpoint vectors,
+    combined with the remainders of _reduction_table, vanishes.  An edge with
+    neither endpoint in the support passes as it stands."""
+    zero = (0,) * len(monomials(g.nvars, k))
+    for u, cu in support.items():
+        for v, (a, b) in zip(g.neighbor[u], g.weight_pairs[u]):
+            if v < u and v in support:
+                continue  # checked from v
+            pair = (min(a, b), max(a, b))
+            residual: dict[tuple[int, ...], int] = {}
+            for rem, x, y in zip(_reduction_table(g.n, pair, k), cu, support.get(v, zero)):
+                if x != y:
+                    for mono, c in rem.items():
+                        residual[mono] = residual.get(mono, 0) + (x - y) * c
+            if any(residual.values()):
+                raise ConsistencyError(
+                    f"edge condition fails between {g.vertices[u]} and {g.vertices[v]} on {pair}"
+                )
+
+
+def _edge_rows(g: GKMGraph, k: int) -> list[dict[int, int]]:
+    """Degree-k edge conditions, one integer row per edge and output
+    monomial: the two endpoint values agree mod the edge form.  The vertices
+    own blocks of D columns in descending moment order, the highest vertex
+    first; a block holds the vertex's coefficients of the D monomials of
+    degree k."""
     D = len(monomials(g.nvars, k))
     block = {u: p * D for p, u in enumerate(reversed(g.order))}
     rows = []
     for u, v, pair in g.edges():
-        by_out: dict[tuple[int, ...], dict[int, Fraction]] = {}
-        for mi, red in enumerate(_reduction_table(g.n, pair, k)):
-            for mono, c in red.c.items():
+        by_out: dict[tuple[int, ...], dict[int, int]] = {}
+        for mi, rem in enumerate(_reduction_table(g.n, pair, k)):
+            for mono, c in rem.items():
                 row = by_out.setdefault(mono, {})
                 row[block[u] + mi] = c
                 row[block[v] + mi] = -c
@@ -384,35 +450,48 @@ def _edge_rows(g: GKMGraph, k: int) -> list[dict[int, Fraction]]:
 
 def ordinary_basis(g: GKMGraph, k: int) -> list[EquivClass]:
     """Flow-up classes of Morse index k, in moment order; canonical lifts of H^{2k}."""
-    vids = [u for u in g.order if g.index[u] == k]
-    basis = [flow_up_class(g, u) for u in vids]
+    return [flow_up_class(g, u) for u in _ordinary_tables(g, k)]
+
+
+def _ordinary_tables(g: GKMGraph, k: int):
+    """The flow-up tables of Morse index k (_flow_up_classes), counted
+    against the Betti number from the character side."""
+    _check_ring_size(g)
+    tables = _flow_up_classes(g, k)
     expected = betti_rs(g.h)[k] if 0 <= k <= g.l else 0
-    if len(basis) != expected:
+    if len(tables) != expected:
         raise ConsistencyError(
-            f"ordinary piece at degree {k} has {len(basis)} classes, character says {expected}"
+            f"ordinary piece at degree {k} has {len(tables)} classes, character says {expected}"
         )
-    return basis
+    return tables
 
 
 def kahler_class(g: GKMGraph, lam) -> EquivClass:
     """Equivariant ample class: value at w is the w-translate of a strictly decreasing lam."""
+    return _class_of(g, 1, _kahler_table(g, _weight(g, lam)))
+
+
+def _weight(g: GKMGraph, lam) -> tuple[int, ...]:
+    """lam as a tuple of ints, checked to be strictly decreasing of length n."""
     lam = tuple(int(x) for x in lam)
     if len(lam) != g.n or any(lam[i] <= lam[i + 1] for i in range(g.n - 1)):
         raise ValueError(f"lambda must be strictly decreasing of length {g.n}, got {lam}")
-    return _kahler_class(g, lam)
+    return lam
 
 
 @_memo
-def _kahler_class(g: GKMGraph, lam: tuple[int, ...]) -> EquivClass:
-    values = []
-    for w in g.vertices:
-        value = Poly.zero(g.nvars)
-        for coeff, target in zip(lam, w):
-            value = value + _t(g.n, target).scale(coeff)
-        values.append(value)
-    cls = EquivClass(g, 1, tuple(values))
-    cls.check_edges()
-    return cls
+def _kahler_table(g: GKMGraph, lam: tuple[int, ...]):
+    """The ample class of lam as an integer table (1, support), checked
+    against every edge condition.  Its value at w is the sum of lam_i
+    t_{w(i)}; with t_n = -(t_1 + ... + t_{n-1}) the coefficient of t_j, j < n,
+    is lam at the position of j minus lam at the position of n, and
+    monomials(n - 1, 1) lists t_1, ..., t_{n-1} in order."""
+    support = {}
+    for u, w in enumerate(g.vertices):
+        at = permutation_inverse(w)
+        support[u] = tuple(lam[at[j] - 1] - lam[at[-1] - 1] for j in range(g.nvars))
+    _check_edges(g, 1, support)
+    return 1, support
 
 
 def default_kahler_weight(n: int) -> tuple[int, ...]:
@@ -491,8 +570,9 @@ def _dot_sources(g: GKMGraph, j: int) -> list[int]:
 
 @_memo
 def _dot_matrix(g: GKMGraph, j: int, k: int):
-    """Matrix of the adjacent-swap generator s_j on the degree-k ordinary piece:
-    column c holds the flow-up coordinates of s_j . sigma_c.
+    """Matrix of the adjacent-swap generator s_j on the degree-k ordinary piece,
+    as integer rows over one denominator (rows, den): column c holds the
+    flow-up coordinates of s_j . sigma_c.
 
     At vertex u and point x, s_j . sigma_c takes the value of sigma_c at
     s_j^{-1} u, evaluated at the permuted point (t_{s_j(1)}(x), ...,
@@ -501,13 +581,14 @@ def _dot_matrix(g: GKMGraph, j: int, k: int):
     """
     sources = _dot_sources(g, j)
     w = transposition(g.n, j)
-    basis = ordinary_basis(g, k)
     acted = []
     for point in LOCALIZATION_POINTS:
         T = _coordinates(g.n, point)
-        rows, den = _class_values(basis, tuple(T[w[i] - 1] for i in range(g.nvars)))
+        X = tuple(T[w[i] - 1] for i in range(g.nvars))
+        rows, den = _values(g, k, _ordinary_tables(g, k).values(), X)
         acted.append(([[row[src] for src in sources] for row in rows], den))
-    return _transpose(_flow_up_coordinates(g, k, acted))
+    rows, den = _flow_up_coordinates(g, k, acted)
+    return _transpose(rows), den
 
 
 def invariant_vectors(g: GKMGraph, J, k: int):
@@ -520,12 +601,12 @@ def invariant_vectors(g: GKMGraph, J, k: int):
 
 @_memo
 def _invariant_vectors(g: GKMGraph, J: tuple[int, ...], k: int):
-    dim = len(ordinary_basis(g, k))
+    dim = len(_ordinary_tables(g, k))
     rows = []
     for j in J:
-        M = _dot_matrix(g, j, k)
-        for r in range(dim):
-            rows.append([M[r][c] - (1 if r == c else 0) for c in range(dim)])
+        M, d = _dot_matrix(g, j, k)
+        for r, row in enumerate(M):
+            rows.append([x - d if c == r else x for c, x in enumerate(row)])
     return nullspace(rows, dim)
 
 
@@ -548,13 +629,15 @@ def _transpose(M):
 
 
 def _matmul(A, B):
-    """Exact product of row-list matrices of int or Fraction entries; B needs
-    at least one row.  The rows of A and the columns of B are each put over
-    one common denominator, so the dot products run on integers."""
-    left, dl = _over_common_denominator(A)
-    right, dr = _over_common_denominator(_transpose(B))
+    """Exact product of two matrices, as row lists of Fractions.  A factor is
+    a row-list matrix of int or Fraction entries, which is put over one
+    common denominator here, or already an integer matrix over one
+    denominator, a pair (rows, d); B needs at least one row.  The dot
+    products run on integers."""
+    left, dl = A if isinstance(A, tuple) else _over_common_denominator(A)
+    right, dr = B if isinstance(B, tuple) else _over_common_denominator(B)
     d = dl * dr
-    return [[Fraction(sum(map(mul, row, col)), d) for col in right] for row in left]
+    return [[Fraction(sum(map(mul, row, col)), d) for col in zip(*right)] for row in left]
 
 
 @_memo
@@ -571,7 +654,7 @@ def _intersection_matrix(g: GKMGraph, dd: int):
     """
     if 2 * dd > g.l:
         return _transpose(_intersection_matrix(g, g.l - dd))
-    return _constant_sums(g, dd, [_flow_up_values(g, dd, p) for p in LOCALIZATION_POINTS])
+    return _fractions(*_constant_sums(g, dd, [_flow_up_values(g, dd, p) for p in LOCALIZATION_POINTS]))
 
 
 def _coordinates(n: int, point) -> tuple[int, ...]:
@@ -586,44 +669,42 @@ def _monomial_values(X: tuple[int, ...], e: int) -> tuple[int, ...]:
     return tuple(prod(x**k for x, k in zip(X, mono)) for mono in monomials(len(X), e))
 
 
-def _class_values(classes, X: tuple[int, ...]):
-    """Value table (rows, den) of classes at the integer point X:
-    rows[i][u] / den is the value of classes[i] at vertex u.
-
-    Coefficients go over their lcm, so every value is an integer dot product
-    against the monomial values.  Every monomial is evaluated, whatever its
-    degree, so a class that is not homogeneous gets its true values.
-    """
-    polys = [p for c in classes for p in c.values]
-    top = max([0, *(p.degree for p in polys)])
-    d = lcm(*(x.denominator for p in polys for x in p.c.values()))
-    values = {}
-    for e in range(top + 1):
-        values.update(zip(monomials(len(X), e), _monomial_values(X, e)))
-
-    def value(p: Poly) -> int:
-        return sum(x.numerator * (d // x.denominator) * values[m] for m, x in p.c.items())
-
-    return [[value(p) for p in c.values] for c in classes], d
+def _values(g: GKMGraph, k: int, tables, X: tuple[int, ...]):
+    """Value table (rows, den) at the integer point X = (t_1, ..., t_{n-1})
+    of integer classes of degree k, given as tables (den, support):
+    rows[i][u] / den is the value of the i-th class at vertex u.  Each value
+    is an integer dot product of a coefficient vector with the monomial
+    values, taken over the lcm of the classes' denominators."""
+    values = _monomial_values(X, k)
+    d = lcm(*(den for den, _ in tables))
+    rows = []
+    for den, support in tables:
+        row = [0] * len(g.vertices)
+        scale = d // den
+        for u, vec in support.items():
+            row[u] = scale * sum(map(mul, vec, values))
+        rows.append(row)
+    return rows, d
 
 
 @_memo
 def _flow_up_values(g: GKMGraph, k: int, point):
-    """Value table (_class_values) of the flow-up classes of Morse index k at
+    """Value table (_values) of the flow-up classes of Morse index k at
     point, in moment order."""
-    return _class_values(ordinary_basis(g, k), point[: g.nvars])
+    return _values(g, k, _ordinary_tables(g, k).values(), point[: g.nvars])
 
 
 def _localized_products(g: GKMGraph, left_values, right_values, point):
-    """A diag(1/e_w) B^T at one point, for the value tables (A, da) and (B, db)
-    of two lists of classes there: the localization sums of their products.
+    """Integer sums over one denominator, (S, d), with S / d = A diag(1/e_w) B^T
+    at one point, for the value tables (A, da) and (B, db) of two lists of
+    classes there: the localization sums of their products.
 
     The Euler class e_w multiplies t_{w(b)} - t_{w(a)} over the defining slots
     (a, b).  This orientation is pinned by positivity: it makes the ample class
     of a strictly decreasing weight integrate to +1 on the n = 2 flag space,
     and hence keeps all odd powers of the Kahler class positively oriented.
     At the integer point the Euler classes are integers; they go over their
-    lcm L, so 1/e_w = (L / e_w) / L and the sums run on integers.
+    lcm L, so 1/e_w = (L / e_w) / L and d = da db L.
     """
     T = _coordinates(g.n, point)
     euler = [prod(T[wb - 1] - T[wa - 1] for wa, wb in pairs) for pairs in g.weight_pairs]
@@ -632,8 +713,7 @@ def _localized_products(g: GKMGraph, left_values, right_values, point):
     L = lcm(*euler)
     (A, da), (B, db) = left_values, right_values
     weighted = [[x * (L // e) for x, e in zip(row, euler)] for row in A]
-    d = da * db * L
-    return [[Fraction(sum(map(mul, row, col)), d) for col in B] for row in weighted]
+    return [[sum(map(mul, row, col)) for col in B] for row in weighted], da * db * L
 
 
 def _over_common_denominator(rows):
@@ -642,25 +722,32 @@ def _over_common_denominator(rows):
     return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
 
 
+def _fractions(rows, d):
+    """The matrix of an integer matrix over one denominator, as Fractions."""
+    return [[Fraction(x, d) for x in row] for row in rows]
+
+
 def _constant_sums(g: GKMGraph, k: int, tables):
     """Localization sums of the products of degree-k classes, given by their
     value tables tables[p] at LOCALIZATION_POINTS[p], with the flow-up classes
-    of index l - k.  The products have degree l and pass the edge
-    conditions, so the sums are constants: both points must agree."""
-    first, second = (
+    of index l - k, as integer sums over one denominator (_localized_products).
+    The products have degree l and pass the edge conditions, so the sums are
+    constants: both points must agree, compared by cross-multiplication."""
+    (first, d1), (second, d2) = (
         _localized_products(g, values, _flow_up_values(g, g.l - k, p), p)
         for values, p in zip(tables, LOCALIZATION_POINTS)
     )
-    if first != second:
+    if any(a * d2 != b * d1 for r1, r2 in zip(first, second) for a, b in zip(r1, r2)):
         raise ConsistencyError(
             f"localization sums at degree {k} differ between the evaluation points for h={g.h}"
         )
-    return first
+    return first, d1
 
 
 def _flow_up_coordinates(g: GKMGraph, k: int, acted):
     """Flow-up coordinates in H^{2k} of degree-k classes, one row per class,
-    given by their value tables acted[p] at LOCALIZATION_POINTS[p].
+    given by their value tables acted[p] at LOCALIZATION_POINTS[p]; integer
+    rows over one denominator (rows, den), with no factor common to all.
 
     Q holds their integrals against the flow-up classes of index l - k.  A
     class sum_v q_v sigma_v integrates against sigma_j to the sum of
@@ -669,31 +756,36 @@ def _flow_up_coordinates(g: GKMGraph, k: int, acted):
     the intersection matrix M_k, solved by one row reduction of
     [M_k^T | Q^T]; a singular M_k raises.
     """
-    Q = _constant_sums(g, k, acted)
+    S, d = _constant_sums(g, k, acted)  # Q = S / d
     M = _intersection_matrix(g, k)
-    pivots, rows = row_reduce([m + q for m, q in zip(_transpose(M), _transpose(Q))])
+    pivots, red = _integer_rref([m + s for m, s in zip(_transpose(M), _transpose(S))])
     if pivots != list(range(len(M))):
         raise ConsistencyError(f"singular intersection matrix at degree {k} for h={g.h}")
-    return [[r.get(len(M) + c, Fraction(0)) for r in rows] for c in range(len(Q))]
+    # row r over its pivot solves M^T x = S^T, so x / d holds the coordinates
+    p = lcm(*(red[r][r] for r in pivots))
+    rows = [[red[r].get(len(M) + c, 0) * (p // red[r][r]) for r in pivots] for c in range(len(S))]
+    content = gcd(p * d, *(x for row in rows for x in row))
+    return [[x // content for x in row] for row in rows], p * d // content
 
 
 @_memo
 def _lefschetz_matrix(g: GKMGraph, lam: tuple[int, ...], dd: int):
     """Row i is the flow-up coordinate vector of sigma_i omega in H^{2(dd+1)},
-    for the flow-up classes sigma_i of Morse index dd; omega is the ample class
-    of lam.  Positive-degree multiples project to 0, so projection is a ring
-    map: an ordinary class v of degree dd maps to v L_dd, and omega^p to the
-    chained product L_dd L_{dd+1} ... L_{dd+p-1}.
+    for the flow-up classes sigma_i of Morse index dd, as integer rows over
+    one denominator (rows, den); omega is the ample class of lam.
+    Positive-degree multiples project to 0, so projection is a ring map: an
+    ordinary class v of degree dd maps to v L_dd, and omega^p to the chained
+    product L_dd L_{dd+1} ... L_{dd+p-1}.
 
     The value of sigma_i omega at a vertex is sigma_i's value there times
     omega's; the coordinates come from the localization sums of these
     products (_flow_up_coordinates)."""
-    omega = kahler_class(g, lam)
+    omega = _kahler_table(g, lam)
     if dd >= g.l:
-        return [[] for _ in ordinary_basis(g, dd)]
+        return [[] for _ in _ordinary_tables(g, dd)], 1
     acted = []
     for point in LOCALIZATION_POINTS:
-        (w,), dw = _class_values([omega], point[: g.nvars])
+        (w,), dw = _values(g, 1, [omega], point[: g.nvars])
         rows, den = _flow_up_values(g, dd, point)
         acted.append(([list(map(mul, row, w)) for row in rows], den * dw))
     return _flow_up_coordinates(g, dd + 1, acted)
@@ -767,7 +859,7 @@ def kahler_report(g: GKMGraph, J=(), lam=None) -> dict:
     in degree 0 and the classical surface signature in the middle.
     """
     J = tuple(sorted(set(int(j) for j in J)))
-    lam = default_kahler_weight(g.n) if lam is None else tuple(int(x) for x in lam)
+    lam = default_kahler_weight(g.n) if lam is None else _weight(g, lam)
     return _kahler_report(g, J, lam)
 
 

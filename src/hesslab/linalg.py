@@ -18,12 +18,15 @@ by the pivot, done only where rows or values leave the module, gives the same
 rows with the same Fraction entries.  `rank_exact` and `nullspace` run on
 this kernel.  The RREF is unique, so with free variables set to 0 their
 answers are the ones dense Gauss-Jordan gives.  The moment graph hands
-`_integer_rref` one flow-up system per degree and reads every flow-up class
-of that Morse index off its integer rows, with free variables 0; each row
-touches two vertices, so the dict rows stay short where a dense copy would
-be mostly zeros.  The dense helpers below serve the small symmetric pairing
-and Gram matrices of the Kahler checks: `inertia` reads the signature and
-the leading pivots off one congruence pass, and `det_exact` gives pairing
+`_integer_rref` one flow-up system per degree, integer edge rows, and reads
+every flow-up class of that Morse index off its integer rows and pivots as an
+integer table, with free variables 0: one denominator, the lcm of the pivots
+used, and integer coefficients.  Each row touches two vertices, so the dict
+rows stay short where a dense copy would be mostly zeros.  It also solves for
+flow-up coordinates with `_integer_rref` and keeps the answer as integer rows
+over one denominator.  The dense helpers below serve the small symmetric
+pairing and Gram matrices of the Kahler checks: `inertia` reads the signature
+and the leading pivots off one congruence pass, and `det_exact` gives pairing
 determinants.
 """
 

@@ -15,12 +15,17 @@ products with omega (exact divisions by downward weights) against the
 library's dot and Lefschetz matrices, which it solves from point-evaluated
 localization sums; and, for the Kahler forms the library reads off those
 per-graph matrices, one polynomial integral or projection of freshly lifted
-products per entry.
+products per entry.  The library keeps flow-up classes as integer tables;
+class_table writes any class in that format, so a graph can carry the
+per-vertex basis.  sanitize makes a report JSON-safe by a deep walk
+(fractions to strings, tuples to lists, keys to strings) against the
+library's JSON writer, which must give the same bytes.
 """
 
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 from hesslab import gkm
 from hesslab.dotchar import betti_rs
@@ -29,6 +34,18 @@ from hesslab.exactpoly import Poly, divmod_linear, monomials
 from hesslab.hessenberg import annihilator_pattern, check_hessenberg
 from hesslab.linalg import _entries, _integer_rref, nullspace, rank_exact
 from hesslab.partitions import Partition, check_partition, conjugate
+
+
+def sanitize(obj):
+    """A report made JSON-safe by one deep walk: fractions to 'p/q' strings,
+    tuples to lists, dict keys to strings."""
+    if isinstance(obj, Fraction):
+        return str(obj)
+    if isinstance(obj, dict):
+        return {str(k): sanitize(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [sanitize(v) for v in obj]
+    return obj
 
 
 def rank_mod_p(rows, p: int) -> int:
@@ -211,13 +228,30 @@ def flow_up_class_by_vertex(g, vid: int) -> gkm.EquivClass:
     return cls
 
 
+def class_table(cls) -> tuple[int, dict[int, tuple[int, ...]]]:
+    """The integer table (den, support) of a class, in the format of
+    gkm._flow_up_classes: den is the lcm of its coefficient denominators and
+    support maps each vertex where it is nonzero to den times its
+    coefficients over monomials(nvars, degree)."""
+    monos = monomials(cls.graph.nvars, cls.degree)
+    den = lcm(*(x.denominator for v in cls.values for x in v.c.values()))
+    support = {
+        u: tuple(int(v.c.get(mono, 0) * den) for mono in monos)
+        for u, v in enumerate(cls.values)
+        if not v.is_zero()
+    }
+    return den, support
+
+
 def graph_with_vertex_solved_basis(h):
-    """build_gkm(h) with every flow-up class taken from flow_up_class_by_vertex,
+    """build_gkm(h) with every flow-up table taken from flow_up_class_by_vertex,
     so every matrix and report on it is the one of the per-vertex basis."""
     g = gkm.build_gkm(h)
     table = g._caches.setdefault("_flow_up_classes", {})
     for k in range(g.l + 1):
-        table[(k,)] = {u: flow_up_class_by_vertex(g, u) for u in g.order if g.index[u] == k}
+        table[(k,)] = {
+            u: class_table(flow_up_class_by_vertex(g, u)) for u in g.order if g.index[u] == k
+        }
     return g
 
 

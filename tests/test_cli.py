@@ -4,6 +4,7 @@ import math
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,9 +13,11 @@ from hesslab import __version__, cli, dotchar
 from hesslab.cli import canonical_json, main
 from hesslab.dotchar import GradedMultiplicity, multiplicities_json
 from hesslab.gkm import GRAPH_MAX_N, RING_MAX_N, build_gkm, kahler_report
+from hesslab.hessenberg import enumerate_hessenberg
 from hesslab.partitions import MAX_ENUMERATION_N, partitions_of
 from hesslab.springer import support_violations
 from hesslab.symfunc import q_factorial
+import oracles
 
 
 def run(capsys, *argv):
@@ -389,6 +392,39 @@ def test_cache_dir_under_a_file(tmp_path, capsys):
     rc, out, err = run(capsys, "analyze", "--h", "2,3,3", "--cache-dir", str(cache))
     assert rc == 1 and out == ""
     assert err.startswith("hesslab: ") and err.count("\n") == 1
+
+
+def string_keys(obj) -> bool:
+    """Whether every dict key in obj, at any depth, is a str."""
+    if isinstance(obj, dict):
+        return all(isinstance(k, str) and string_keys(v) for k, v in obj.items())
+    if isinstance(obj, (list, tuple)):
+        return all(string_keys(v) for v in obj)
+    return True
+
+
+def test_render_matches_the_sanitizing_walk():
+    # canonical_json writes fractions as 'p/q' and tuples as lists itself; on
+    # every analyze and verify report for n = 2..6 and every kahler report for
+    # n <= 4 it gives the bytes of the deep walk it replaced.  json sorts int
+    # keys by value where the walk sorted their strings, so every key must be
+    # a str.
+    reports = [cli.analyze_report(h, seed=7) for n in range(2, 7) for h in enumerate_hessenberg(n)]
+    reports += [cli.verify_report(n, seed=7) for n in range(2, 7)]
+    reports += [
+        cli.kahler_cli_report(h, J, None, seed=7)
+        for n in range(2, 5)
+        for h in enumerate_hessenberg(n)
+        for J in cli.all_parabolic_subsets(n)
+    ]
+    assert len(reports) == 336
+    for report in reports:
+        assert string_keys(report)
+        walked = json.dumps(oracles.sanitize(report), sort_keys=True, separators=(",", ":")) + "\n"
+        assert cli.render(report, "json") == walked
+    assert canonical_json({"b": (1, Fraction(-2, 6)), "a": [Fraction(4, 2)]}) == '{"a":["2"],"b":[1,"-1/3"]}\n'
+    with pytest.raises(TypeError, match="set is not JSON serializable"):
+        canonical_json({"a": {1}})
 
 
 def test_byte_stability(capsys):

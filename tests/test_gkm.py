@@ -8,7 +8,7 @@ import pytest
 from hesslab import gkm
 from hesslab.dotchar import betti_rs, dot_action_multiplicities, regular_betti
 from hesslab.errors import ConsistencyError, TheoremViolation
-from hesslab.exactpoly import Poly
+from hesslab.exactpoly import Poly, monomials
 from hesslab.gkm import (
     EquivClass,
     build_gkm,
@@ -179,31 +179,56 @@ def test_flow_up_guard_above_class_scale():
 
 
 def test_flow_up_classes_at_n5_frontier():
-    # one elimination per degree builds every flow-up class of the Peterson
-    # function at n = 5, below the class-level guard that flow_up_class keeps
+    # one elimination per degree builds every flow-up table of the Peterson
+    # function at n = 5, below the class-level guard that flow_up_class keeps;
+    # the class rebuilt from each table passes the polynomial edge check
     g = build_gkm((2, 3, 4, 5, 5))
     counts = []
     for k in range(g.l + 1):
-        classes = gkm._flow_up_classes(g, k)
-        assert list(classes) == [u for u in g.order if g.index[u] == k]
-        for vid, cls in classes.items():
+        tables = gkm._flow_up_classes(g, k)
+        assert list(tables) == [u for u in g.order if g.index[u] == k]
+        for vid in tables:
+            cls = gkm._flow_up_class(g, vid)
             cls.check_edges()
             assert cls.degree == k
             assert cls.values[vid] == gkm._norm(g, vid)
-        counts.append(len(classes))
+            assert oracles.class_table(cls) == tables[vid]
+        counts.append(len(tables))
     assert counts == [1, 26, 66, 26, 1] == betti_rs(g.h)
+
+
+def test_flow_up_classes_avoid_polynomial_classes(monkeypatch):
+    # the tables are read off the integer RREF and checked on integers: no
+    # polynomial edge check, and no division but the memoized remainders
+    def refuse(*args, **kwargs):
+        raise AssertionError("polynomial route reached")
+
+    g = build_gkm((2, 3, 4, 4))
+    for pair in itertools.combinations(range(1, g.n + 1), 2):
+        for k in range(g.l + 1):
+            gkm._reduction_table(g.n, pair, k)
+    monkeypatch.setattr(EquivClass, "check_edges", refuse)
+    monkeypatch.setattr(gkm, "divmod_linear", refuse)
+    for k in range(g.l + 1):
+        for vid, (den, support) in gkm._flow_up_classes(g, k).items():
+            assert type(vid) is int and type(den) is int and den > 0
+            for u, vec in support.items():
+                assert type(u) is int and type(vec) is tuple
+                assert all(type(x) is int for x in vec)
 
 
 N4_FUNCTIONS = [h for n in range(2, 5) for h in enumerate_hessenberg(n)]
 
 
-@pytest.mark.parametrize("h", N4_FUNCTIONS, ids=str)
-def test_flow_up_basis_is_unitriangular_over_the_vertex_solved_one(h):
+@pytest.mark.parametrize("h", [*N4_FUNCTIONS, (2, 3, 4, 5, 5)], ids=str)
+def test_flow_up_basis_is_unitriangular_over_the_vertex_solved_one(h, monkeypatch):
     # two flow-up classes at one vertex with the same norm differ by a class
     # supported strictly above it, so the expansion of their difference over
     # the per-vertex basis uses only vertices strictly above, and the constant
     # coefficients at the vertices of the same index, read in moment order,
-    # form a unitriangular matrix
+    # form a unitriangular matrix; every class rebuilt from its table passes
+    # the polynomial edge check
+    monkeypatch.setattr(gkm, "RING_MAX_N", len(h))
     g = build_gkm(h)
     old = oracles.graph_with_vertex_solved_basis(h)
     for k in range(g.l + 1):
@@ -211,6 +236,7 @@ def test_flow_up_basis_is_unitriangular_over_the_vertex_solved_one(h):
         T = []
         for vid in vids:
             new, was = flow_up_class(g, vid), flow_up_class(old, vid)
+            new.check_edges()
             assert new.values[vid] == was.values[vid]
             diff = EquivClass(old, k, tuple(a - b for a, b in zip(new.values, was.values)))
             coeffs = oracles._decompose(old, diff)
@@ -453,45 +479,76 @@ def test_kahler_report_computes_intersection_matrices_once(monkeypatch):
     assert calls == [0, 1, 2, 3]
 
 
-def _corrupt_flow_up(g, vid, values):
-    """Replace the memoized flow-up class of vid, which is not checked again."""
-    g._caches["_flow_up_classes"][(g.index[vid],)][vid] = EquivClass(g, g.index[vid], tuple(values))
+def _corrupt_flow_up(g, vid, table):
+    """Replace the memoized flow-up table of vid, which is not checked again."""
+    g._caches["_flow_up_classes"][(g.index[vid],)][vid] = table
 
 
-def test_intersection_matrix_rejects_a_non_constant_localization_sum():
-    # a constant added at one vertex breaks the edge conditions there (which
-    # the memo does not recheck), so the localization sum is no longer constant
+def _add_monomial(g, vid, at, mono):
+    """vid's flow-up table with den times the given monomial added at vertex at."""
+    den, support = gkm._flow_up_classes(g, g.index[vid])[vid]
+    vec = list(support.get(at, (0,) * len(monomials(g.nvars, g.index[vid]))))
+    vec[monomials(g.nvars, g.index[vid]).index(mono)] += den
+    return den, {**support, at: tuple(vec)}
+
+
+def test_integer_edge_check_rejects_a_corrupted_table():
+    # t_1^2 added at the top vertex of its class on the hexagon breaks the
+    # edge conditions there, for the integer check and the polynomial one
     g = build_gkm((2, 3, 3))
     top = g.order[-1]
-    values = list(flow_up_class(g, top).values)
-    values[g.order[0]] = values[g.order[0]] + Poly.const(g.nvars, 1)
-    with pytest.raises(ConsistencyError):
-        EquivClass(g, g.l, tuple(values)).check_edges()
-    _corrupt_flow_up(g, top, values)
-    with pytest.raises(ConsistencyError, match="differ between the evaluation points"):
-        gkm._intersection_matrix(g, 0)
+    gkm._check_flow_up(g, top, gkm._flow_up_classes(g, g.l)[top])
+    corrupted = _add_monomial(g, top, top, (2, 0))
+    with pytest.raises(ConsistencyError, match="edge condition fails"):
+        gkm._check_flow_up(g, top, corrupted)
+    with pytest.raises(ConsistencyError, match="edge condition fails"):
+        gkm._class_of(g, g.l, corrupted).check_edges()
 
-    # a class plus a degree-higher multiple of itself passes every edge
-    # condition, but its product with the dual class integrates to a
-    # non-constant polynomial
+
+def test_support_leak_check_rejects_a_class_below_its_vertex():
+    # the sum of two flow-up classes of one index passes every edge
+    # condition, but it does not vanish below the higher of the two vertices
     g = build_gkm((2, 3, 3))
-    vid = next(u for u in g.order if g.index[u] == 1)
-    sigma = flow_up_class(g, vid)
-    values = [v + v * Poly.variable(g.nvars, 0) for v in sigma.values]
-    EquivClass(g, 1, tuple(values)).check_edges()
-    _corrupt_flow_up(g, vid, values)
-    with pytest.raises(ConsistencyError, match="differ between the evaluation points"):
+    low, high = [u for u in g.order if g.index[u] == 1][:2]
+    leaked = oracles.class_table(flow_up_class(g, low) + flow_up_class(g, high))
+    gkm._check_edges(g, 1, leaked[1])
+    with pytest.raises(ConsistencyError, match="support leaked below its vertex"):
+        gkm._check_flow_up(g, high, leaked)
+
+
+def test_ordinary_tables_reject_a_missing_class():
+    # one class fewer than the Betti number of its degree
+    g = build_gkm((2, 3, 3))
+    tables = gkm._flow_up_classes(g, 1)
+    del tables[next(iter(tables))]
+    with pytest.raises(ConsistencyError, match="ordinary piece at degree 1 has 3 classes, character says 4"):
+        ordinary_basis(g, 1)
+    with pytest.raises(ConsistencyError, match="character says 4"):
         gkm._intersection_matrix(g, 1)
 
 
+def test_intersection_matrix_rejects_a_non_constant_localization_sum():
+    # the corrupted top class of test_integer_edge_check_rejects_a_corrupted_table,
+    # put in the memo (which does not recheck it): its localization sum is no
+    # longer constant.  A table is homogeneous, so a corruption that passes
+    # every edge condition would integrate to a constant: it must break one.
+    g = build_gkm((2, 3, 3))
+    top = g.order[-1]
+    _corrupt_flow_up(g, top, _add_monomial(g, top, top, (2, 0)))
+    with pytest.raises(ConsistencyError, match="differ between the evaluation points"):
+        gkm._intersection_matrix(g, 0)
+
+
 def test_dot_matrix_rejects_a_non_constant_localization_sum():
-    # a class plus a degree-higher multiple of itself, as above; M_1 is
-    # computed first, so what fires is the check on the sums of the acted class
+    # M_1 is computed first, so what fires is the check on the sums of the
+    # acted class: t_1 added at its own vertex to a class of index 1
     g = build_gkm((2, 3, 3))
     gkm._intersection_matrix(g, 1)
     vid = next(u for u in g.order if g.index[u] == 1)
-    values = [v + v * Poly.variable(g.nvars, 0) for v in flow_up_class(g, vid).values]
-    _corrupt_flow_up(g, vid, values)
+    corrupted = _add_monomial(g, vid, vid, (1, 0))
+    with pytest.raises(ConsistencyError, match="edge condition fails"):
+        gkm._check_flow_up(g, vid, corrupted)
+    _corrupt_flow_up(g, vid, corrupted)
     with pytest.raises(ConsistencyError, match="differ between the evaluation points"):
         gkm._dot_matrix(g, 1, 1)
 
@@ -541,6 +598,7 @@ def test_kahler_report_avoids_polynomial_projection(monkeypatch):
     monkeypatch.setattr(oracles, "_decompose", refuse)
     monkeypatch.setattr(gkm, "dot_action", refuse)
     monkeypatch.setattr(Poly, "substitute", refuse)
+    monkeypatch.setattr(EquivClass, "check_edges", refuse)
     g = build_gkm((2, 3, 4, 4))
     for r in range(4):
         for J in itertools.combinations(range(1, 4), r):

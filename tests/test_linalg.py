@@ -91,7 +91,7 @@ def dense(row, ncols: int):
         return list(row)
     out = [Fraction(0)] * ncols
     for c, v in row.items():
-        out[c] = v
+        out[c] = Fraction(v)
     return out
 
 
