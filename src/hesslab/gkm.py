@@ -51,10 +51,17 @@ against the intersection matrix, because integrating a degree-k class against
 the flow-up classes of index l - k sees only its index-k coordinates.
 Integration is bilinear over the torus ring and a product of degree below l
 integrates to 0; projection kills positive-degree multiples, so it is a ring
-map and omega^p is the chained product of p Lefschetz matrices.  Pairings,
-hard Lefschetz images and Hodge-Riemann Gram matrices on the W_J-invariant
-subring are exact matrix products, taken on integers over one common
-denominator per factor; the dot and Lefschetz matrices are kept in that form.
+map and omega^p is the chained product of p Lefschetz matrices.
+
+Every matrix on the way from the per-graph tables to a Kahler verdict is
+integer rows over one positive denominator, (rows, den): the intersection,
+dot and Lefschetz matrices, the W_J-invariant bases (linalg's integer
+nullspace of the stacked s_j - 1), and the pairings, hard Lefschetz images,
+primitive kernels and Hodge-Riemann Gram matrices, which are exact products
+of those (_matmul, which divides out the content of each product).  The
+signature of a Gram matrix comes from linalg's fraction-free congruence pass.
+Fractions are built only where a value leaves the module: the public bases
+and pairing matrices, and the recorded Hodge-Riemann pivots.
 """
 
 from __future__ import annotations
@@ -71,7 +78,7 @@ from .dotchar import betti_rs, regular_betti
 from .errors import ConsistencyError, TheoremViolation
 from .exactpoly import Poly, divmod_linear, monomials
 from .hessenberg import check_hessenberg, dimension
-from .linalg import _integer_rref, inertia, nullspace, rank_exact
+from .linalg import _integer_inertia, _integer_nullspace, _integer_rref, rank_exact
 
 DEFAULT_SEED = 1729
 GRAPH_MAX_N = 5
@@ -591,37 +598,51 @@ def _dot_matrix(g: GKMGraph, j: int, k: int):
     return _transpose(rows), den
 
 
-def invariant_vectors(g: GKMGraph, J, k: int):
-    """Basis (flow-up coordinates) of the W_J-fixed subspace of the degree-k piece."""
+def _subset(g: GKMGraph, J) -> tuple[int, ...]:
+    """J as a sorted tuple of distinct generators, checked to lie in 1..n-1."""
     J = tuple(sorted(set(int(j) for j in J)))
     if any(not 1 <= j <= g.n - 1 for j in J):
         raise ValueError(f"J must be a subset of 1..{g.n - 1}: {J}")
-    return _invariant_vectors(g, J, k)
+    return J
+
+
+def invariant_vectors(g: GKMGraph, J, k: int) -> list[list[Fraction]]:
+    """Basis (flow-up coordinates) of the W_J-fixed subspace of the degree-k piece."""
+    return _fractions(*_invariant_vectors(g, _subset(g, J), k))
 
 
 @_memo
 def _invariant_vectors(g: GKMGraph, J: tuple[int, ...], k: int):
+    """The W_J-fixed basis as integer rows over one denominator (rows, den):
+    the nullspace of the stacked s_j - 1, one vector per free column."""
     dim = len(_ordinary_tables(g, k))
     rows = []
     for j in J:
         M, d = _dot_matrix(g, j, k)
         for r, row in enumerate(M):
             rows.append([x - d if c == r else x for c, x in enumerate(row)])
-    return nullspace(rows, dim)
+    return _integer_nullspace(rows, dim)
 
 
 def invariant_subring(g: GKMGraph, J) -> list[list[list[Fraction]]]:
     """Graded bases of the W_J-invariant subring; dimensions must match the
     character prediction for the corresponding regular element."""
-    out = [invariant_vectors(g, J, k) for k in range(g.l + 1)]
-    dims = [len(v) for v in out]
-    predicted = regular_betti(g.h, tuple(sorted(set(J))))
+    J = _subset(g, J)
+    _invariant_betti(g, J)
+    return [_fractions(*_invariant_vectors(g, J, k)) for k in range(g.l + 1)]
+
+
+def _invariant_betti(g: GKMGraph, J: tuple[int, ...]) -> list[int]:
+    """The dimensions of the W_J-invariant pieces, degree 0..l; raises
+    TheoremViolation unless they match the character prediction."""
+    dims = [len(_invariant_vectors(g, J, k)[0]) for k in range(g.l + 1)]
+    predicted = regular_betti(g.h, J)
     if dims != predicted:
         raise TheoremViolation(
-            f"invariant dimensions {dims} != character prediction {predicted} for h={g.h}, J={sorted(set(J))}",
-            witness={"h": g.h, "J": sorted(set(J)), "gkm_dims": dims, "character": predicted},
+            f"invariant dimensions {dims} != character prediction {predicted} for h={g.h}, J={list(J)}",
+            witness={"h": g.h, "J": list(J), "gkm_dims": dims, "character": predicted},
         )
-    return out
+    return dims
 
 
 def _transpose(M):
@@ -629,15 +650,21 @@ def _transpose(M):
 
 
 def _matmul(A, B):
-    """Exact product of two matrices, as row lists of Fractions.  A factor is
-    a row-list matrix of int or Fraction entries, which is put over one
-    common denominator here, or already an integer matrix over one
-    denominator, a pair (rows, d); B needs at least one row.  The dot
-    products run on integers."""
-    left, dl = A if isinstance(A, tuple) else _over_common_denominator(A)
-    right, dr = B if isinstance(B, tuple) else _over_common_denominator(B)
-    d = dl * dr
-    return [[Fraction(sum(map(mul, row, col)), d) for col in zip(*right)] for row in left]
+    """Exact product of two integer matrices over one denominator each, pairs
+    (rows, d), as such a pair with no factor common to the denominator and
+    every entry; B needs at least one row."""
+    (left, dl), (right, dr) = A, B
+    cols = list(zip(*right))
+    rows = [[sum(map(mul, row, col)) for col in cols] for row in left]
+    return _reduced(rows, dl * dr)
+
+
+def _reduced(rows, d: int):
+    """(rows, d) with the common factor of d and every entry divided out."""
+    c = gcd(d, *(x for row in rows for x in row))
+    if c == 1:
+        return rows, d
+    return [[x // c for x in row] for row in rows], d // c
 
 
 @_memo
@@ -650,11 +677,13 @@ def _intersection_matrix(g: GKMGraph, dd: int):
     LOCALIZATION_POINTS, which must agree.  Integration is bilinear over the
     torus ring, and a product of degree below l integrates to 0, so for
     ordinary classes a, b in flow-up coordinates the integral of any lifts of
-    a and b is a M b^T.
+    a and b is a M b^T.  The matrix is integer rows over one denominator
+    (rows, den).
     """
     if 2 * dd > g.l:
-        return _transpose(_intersection_matrix(g, g.l - dd))
-    return _fractions(*_constant_sums(g, dd, [_flow_up_values(g, dd, p) for p in LOCALIZATION_POINTS]))
+        rows, den = _intersection_matrix(g, g.l - dd)
+        return _transpose(rows), den
+    return _reduced(*_constant_sums(g, dd, [_flow_up_values(g, dd, p) for p in LOCALIZATION_POINTS]))
 
 
 def _coordinates(n: int, point) -> tuple[int, ...]:
@@ -716,12 +745,6 @@ def _localized_products(g: GKMGraph, left_values, right_values, point):
     return [[sum(map(mul, row, col)) for col in B] for row in weighted], da * db * L
 
 
-def _over_common_denominator(rows):
-    """Integer rows and one denominator d with rows[i][j] = out[i][j] / d."""
-    d = lcm(*(x.denominator for row in rows for x in row))
-    return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
-
-
 def _fractions(rows, d):
     """The matrix of an integer matrix over one denominator, as Fractions."""
     return [[Fraction(x, d) for x in row] for row in rows]
@@ -757,15 +780,14 @@ def _flow_up_coordinates(g: GKMGraph, k: int, acted):
     [M_k^T | Q^T]; a singular M_k raises.
     """
     S, d = _constant_sums(g, k, acted)  # Q = S / d
-    M = _intersection_matrix(g, k)
+    M, dm = _intersection_matrix(g, k)  # M_k = M / dm
     pivots, red = _integer_rref([m + s for m, s in zip(_transpose(M), _transpose(S))])
     if pivots != list(range(len(M))):
         raise ConsistencyError(f"singular intersection matrix at degree {k} for h={g.h}")
-    # row r over its pivot solves M^T x = S^T, so x / d holds the coordinates
+    # row r over its pivot solves M^T x = S^T, so x dm / d holds the coordinates
     p = lcm(*(red[r][r] for r in pivots))
-    rows = [[red[r].get(len(M) + c, 0) * (p // red[r][r]) for r in pivots] for c in range(len(S))]
-    content = gcd(p * d, *(x for row in rows for x in row))
-    return [[x // content for x in row] for row in rows], p * d // content
+    rows = [[red[r].get(len(M) + c, 0) * (p // red[r][r]) * dm for r in pivots] for c in range(len(S))]
+    return _reduced(rows, p * d)
 
 
 @_memo
@@ -803,31 +825,31 @@ def poincare_pairing(g: GKMGraph, k: int, J=()):
     """
     if k % 2 or not 0 <= k <= 2 * g.l:
         raise ValueError(f"need an even degree within 0..{2 * g.l}, got {k}")
-    return _poincare_pairing(g, k, tuple(sorted(set(J))))
+    return _poincare_pairing(g, k, _subset(g, J))
 
 
 @_memo
 def _poincare_pairing(g: GKMGraph, k: int, J: tuple[int, ...]):
     dd = k // 2
-    A = invariant_vectors(g, J, dd)
-    B = invariant_vectors(g, J, g.l - dd)
+    (A, da), (B, db) = _invariant_vectors(g, J, dd), _invariant_vectors(g, J, g.l - dd)
     if len(A) != len(B):
         raise ConsistencyError(
             f"pairing blocks have mismatched dimensions {len(A)} vs {len(B)}"
         )
-    matrix = _matmul(_matmul(A, _intersection_matrix(g, dd)), _transpose(B))
-    rank = rank_exact(matrix)
+    rows, den = _matmul(_matmul((A, da), _intersection_matrix(g, dd)), (_transpose(B), db))
+    rank = rank_exact(rows)
     if rank != len(A):
         raise TheoremViolation(
             f"singular pairing between degrees {k} and {2 * g.l - k} for h={g.h}, J={J}",
             witness={"h": g.h, "J": list(J), "degree": k, "matrix_rank": rank},
         )
-    return matrix
+    return _fractions(rows, den)
 
 
 def _lefschetz_images(g: GKMGraph, J: tuple[int, ...], lam: tuple[int, ...], dd: int, p: int):
-    """Flow-up coordinates of v omega^p for each W_J-invariant basis vector v of degree dd."""
-    images = invariant_vectors(g, J, dd)
+    """Flow-up coordinates of v omega^p for each W_J-invariant basis vector v
+    of degree dd, as integer rows over one denominator (rows, den)."""
+    images = _invariant_vectors(g, J, dd)
     for k in range(dd, dd + p):
         images = _matmul(images, _lefschetz_matrix(g, lam, k))
     return images
@@ -836,13 +858,14 @@ def _lefschetz_images(g: GKMGraph, J: tuple[int, ...], lam: tuple[int, ...], dd:
 def _primitive_form(g: GKMGraph, J: tuple[int, ...], lam: tuple[int, ...], dd: int, hl):
     """Gram matrix of (a, b) -> integral of a b omega^(l-2dd) on the primitive
     W_J-invariant classes of degree dd (the kernel of omega^(l-2dd+1)), in the
-    nullspace basis; unsigned.  Needs 2 dd <= l; hl = _lefschetz_images(g, J, lam, dd, l - 2 dd)."""
-    domain = invariant_vectors(g, J, dd)
-    killed = _matmul(hl, _lefschetz_matrix(g, lam, g.l - dd))
-    prim = nullspace(_transpose(killed), len(domain))
-    scaled = _matmul(prim, hl)
+    nullspace basis; unsigned, as integer rows over one denominator (rows,
+    den).  Needs 2 dd <= l; hl = _lefschetz_images(g, J, lam, dd, l - 2 dd)."""
+    domain = _invariant_vectors(g, J, dd)
+    killed, _ = _matmul(hl, _lefschetz_matrix(g, lam, g.l - dd))
+    prim = _integer_nullspace(_transpose(killed), len(domain[0]))
+    scaled, ds = _matmul(prim, hl)
     C = _matmul(prim, domain)
-    return _matmul(_matmul(C, _intersection_matrix(g, dd)), _transpose(scaled))
+    return _matmul(_matmul(C, _intersection_matrix(g, dd)), (_transpose(scaled), ds))
 
 
 def kahler_report(g: GKMGraph, J=(), lam=None) -> dict:
@@ -858,14 +881,14 @@ def kahler_report(g: GKMGraph, J=(), lam=None) -> dict:
     The sign in honest degree k is (-1)^(k/2), pinned by top-power positivity
     in degree 0 and the classical surface signature in the middle.
     """
-    J = tuple(sorted(set(int(j) for j in J)))
+    J = _subset(g, J)
     lam = default_kahler_weight(g.n) if lam is None else _weight(g, lam)
     return _kahler_report(g, J, lam)
 
 
 @_memo
 def _kahler_report(g: GKMGraph, J: tuple[int, ...], lam: tuple[int, ...]) -> dict:
-    dims = [len(v) for v in invariant_subring(g, J)]
+    dims = _invariant_betti(g, J)
     report: dict = {
         "h": list(g.h),
         "J": list(J),
@@ -894,7 +917,7 @@ def _kahler_report(g: GKMGraph, J: tuple[int, ...], lam: tuple[int, ...]) -> dic
 
         power = g.l - 2 * dd
         hl = _lefschetz_images(g, J, lam, dd, power)
-        rank = rank_exact(hl)
+        rank = rank_exact(hl[0])
         full = rank == dims[dd]
         report["hard_lefschetz"][str(k)] = {
             "power": power,
@@ -907,8 +930,9 @@ def _kahler_report(g: GKMGraph, J: tuple[int, ...], lam: tuple[int, ...]) -> dic
         if not dims[dd]:
             continue
         sign = 1 if dd % 2 == 0 else -1
-        gram = [[sign * x for x in row] for row in _primitive_form(g, J, lam, dd, hl)]
-        signature, pivots = inertia(gram)
+        form, den = _primitive_form(g, J, lam, dd, hl)
+        gram = [[sign * x for x in row] for row in form]
+        signature, pivots = _integer_inertia(gram, den)
         definite = signature[0] == len(gram)
         report["hodge_riemann"][str(k)] = {
             "dim_primitive": len(gram),

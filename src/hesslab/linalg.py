@@ -12,11 +12,11 @@ the gcd of the result is divided out, which keeps the integers from growing
 the leading column is new the row becomes a pivot row, kept primitive, else
 nothing is left.  That is an echelon form of the row space, so its pivot
 columns are exactly the pivot columns of the reduced row echelon form (RREF);
-`row_reduce` gets the RREF from it by one integer back pass.  Each row is a
-rational multiple of the row a Fraction elimination would hold, so dividing
+`_integer_rref` gets the RREF from it by one integer back pass.  Each row is
+a rational multiple of the row a Fraction elimination would hold, so dividing
 by the pivot, done only where rows or values leave the module, gives the same
-rows with the same Fraction entries.  `rank_exact` and `nullspace` run on
-this kernel.  The RREF is unique, so with free variables set to 0 their
+rows with the same Fraction entries.  `rank_exact` and `_integer_nullspace`
+run on this kernel.  The RREF is unique, so with free variables set to 0 their
 answers are the ones dense Gauss-Jordan gives.  The moment graph hands
 `_integer_rref` one flow-up system per degree, integer edge rows, and reads
 every flow-up class of that Morse index off its integer rows and pivots as an
@@ -24,10 +24,17 @@ integer table, with free variables 0: one denominator, the lcm of the pivots
 used, and integer coefficients.  Each row touches two vertices, so the dict
 rows stay short where a dense copy would be mostly zeros.  It also solves for
 flow-up coordinates with `_integer_rref` and keeps the answer as integer rows
-over one denominator.  The dense helpers below serve the small symmetric
-pairing and Gram matrices of the Kahler checks: `inertia` reads the signature
-and the leading pivots off one congruence pass, and `det_exact` gives pairing
-determinants.
+over one denominator.
+
+The dense helpers serve the small pairing and Gram matrices of the Kahler
+checks, and each runs on integers over one positive denominator, (rows, d)
+for the matrix rows / d: `_integer_nullspace` returns its basis in that form,
+`_integer_inertia` reads the signature and the leading pivots of a symmetric
+matrix off one fraction-free congruence pass, and `det_exact` is Bareiss
+elimination on the matrix over one denominator.  Fractions are built only
+where a value leaves the module: the recorded pivots, the determinant, and
+the public `nullspace` and `inertia`, thin Fraction wrappers over the
+kernels.
 """
 
 from __future__ import annotations
@@ -100,18 +107,6 @@ def _integer_echelon(rows) -> dict[int, dict[int, int]]:
     return pivots
 
 
-def _monic(r: dict[int, int], col: int) -> dict[int, Fraction]:
-    """r divided by its entry at col."""
-    p = r[col]
-    return {c: Fraction(v, p) for c, v in r.items()}
-
-
-def echelon(rows) -> dict[int, dict[int, Fraction]]:
-    """Echelon form as {pivot column: row}; each row is 1 at its pivot column
-    and 0 left of it.  The input rows are not modified."""
-    return {col: _monic(r, col) for col, r in _integer_echelon(rows).items()}
-
-
 def _integer_rref(rows):
     """(pivot_columns ascending, {pivot column: integer row}): every row is 0
     at the other pivot columns, so divided by its pivot it is an RREF row."""
@@ -126,31 +121,96 @@ def _integer_rref(rows):
     return pivots, ech
 
 
-def row_reduce(rows):
-    """RREF.  Returns (pivot_columns, reduced_nonzero_rows): columns ascending,
-    rows as sparse dicts in the same order.  The input rows are not modified."""
-    pivots, red = _integer_rref(rows)
-    return pivots, [_monic(red[c], c) for c in pivots]
-
-
 def rank_exact(rows) -> int:
     return len(_integer_echelon(rows))
 
 
-def nullspace(rows, ncols: int):
-    """Basis of the rational kernel, one vector per free column."""
+
+
+def _integer_nullspace(rows, ncols: int) -> tuple[list[list[int]], int]:
+    """Basis of the rational kernel as integer rows over one positive
+    denominator (basis, d): one vector per free column, 1 there and 0 at the
+    other free columns, read off `_integer_rref`; d is the lcm of the
+    pivots."""
     pivots, red = _integer_rref(rows)
+    d = lcm(*(red[pcol][pcol] for pcol in pivots))
     basis = []
     for fc in range(ncols):
         if fc in red:
             continue
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
+        v = [0] * ncols
+        v[fc] = d
         for pcol in pivots:
             prow = red[pcol]
-            v[pcol] = Fraction(-prow.get(fc, 0), prow[pcol])
+            v[pcol] = -prow.get(fc, 0) * (d // prow[pcol])
         basis.append(v)
-    return basis
+    return basis, d
+
+
+def nullspace(rows, ncols: int) -> list[list[Fraction]]:
+    """Basis of the rational kernel, one vector per free column."""
+    basis, d = _integer_nullspace(rows, ncols)
+    return [[Fraction(x, d) for x in v] for v in basis]
+
+
+def _over_one_denominator(matrix) -> tuple[list[list[int]], int]:
+    """A matrix of int or Fraction entries as integer rows over one positive
+    denominator (rows, d), d the lcm of the entries' denominators."""
+    d = lcm(*(x.denominator for row in matrix for x in row))
+    return [[x.numerator * (d // x.denominator) for x in row] for row in matrix], d
+
+
+def _integer_inertia(A, d: int):
+    """(signature, pivots) of the symmetric matrix A / d, for integer rows A
+    and an integer d > 0; `inertia` states what they are.
+
+    The active block is kept as integer rows B with B / s the exact block, for
+    a positive rational scale s = num / den.  Eliminating on a pivot a of B
+    replaces B by |a| times its Schur complement, |a| B_ij - sgn(a) B_id B_dj,
+    a congruence times a positive number, so no sign changes; then the
+    content of B is divided out.  s follows both steps, so each recorded pivot
+    is the exact Fraction B_00 / s.
+    """
+    B = [list(row) for row in A]
+    num, den = d, 1
+    pos = neg = zero = 0
+    pivots: list[Fraction] = []
+    recording = True
+    while B:
+        if recording:
+            pivots.append(Fraction(B[0][0] * den, num))
+            recording = B[0][0] > 0
+        p = next((i for i in range(len(B)) if B[i][i]), None)
+        if p is None:
+            pair = next(
+                ((i, j) for i in range(len(B)) for j in range(i + 1, len(B)) if B[i][j]), None
+            )
+            if pair is None:
+                zero += len(B)
+                break
+            i, j = pair
+            B[i] = [x + y for x, y in zip(B[i], B[j])]
+            for row in B:
+                row[i] += row[j]
+            continue
+        a = B[p][p]
+        if a > 0:
+            pos += 1
+        else:
+            neg += 1
+        m = abs(a)
+        signed = [y if a > 0 else -y for y in B.pop(p)]  # sgn(a) times row p
+        del signed[p]
+        col = [row.pop(p) for row in B]
+        B = [[m * x - c * y for x, y in zip(row, signed)] for row, c in zip(B, col)]
+        num *= m
+        g = gcd(*(x for row in B for x in row))
+        if g > 1:
+            B = [[x // g for x in row] for row in B]
+            den *= g
+        r = gcd(num, den)
+        num, den = num // r, den // r
+    return (pos, neg, zero), pivots
 
 
 def inertia(G):
@@ -162,64 +222,32 @@ def inertia(G):
     leaving exact arithmetic.  The pivots are the diagonal entries met in
     index order, up to and including the first one that is not positive:
     while they stay positive they are the LDL^T pivots, and the matrix is
-    positive definite exactly when all n of them are.
+    positive definite exactly when all n of them are.  G is put over one
+    denominator and the pass runs on integers (`_integer_inertia`).
     """
-    A = [[Fraction(x) for x in row] for row in G]
-    n = len(A)
-    pos = neg = zero = 0
-    pivots: list[Fraction] = []
-    active = list(range(n))
-    while active:
-        if not pivots or pivots[-1] > 0:
-            pivots.append(A[active[0]][active[0]])
-        d = next((i for i in active if A[i][i] != 0), None)
-        if d is None:
-            pair = next(
-                ((i, j) for i in active for j in active if j > i and A[i][j] != 0), None
-            )
-            if pair is None:
-                zero += len(active)
-                break
-            i, j = pair
-            for k in range(n):
-                A[i][k] += A[j][k]
-            for k in range(n):
-                A[k][i] += A[k][j]
-            continue
-        a = A[d][d]
-        if a > 0:
-            pos += 1
-        else:
-            neg += 1
-        active.remove(d)
-        for i in active:
-            if A[i][d]:
-                f = A[i][d] / a
-                for k in range(n):
-                    A[i][k] -= f * A[d][k]
-                for k in range(n):
-                    A[k][i] -= f * A[k][d]
-    return (pos, neg, zero), pivots
+    return _integer_inertia(*_over_one_denominator(G))
 
 
 def det_exact(matrix) -> Fraction:
-    """Determinant by exact fraction elimination with partial pivoting."""
+    """Determinant of a square rational matrix.  Over one denominator d it is
+    det(A) / d^n, and det(A) comes from fraction-free Bareiss elimination
+    with row swaps: every division by the previous pivot is exact, and the
+    last pivot is det(A) up to the swaps' sign."""
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("determinant needs a square matrix")
-    A = [[Fraction(x) for x in row] for row in matrix]
-    det = Fraction(1)
+    A, d = _over_one_denominator(matrix)
+    sign, prev = 1, 1
     for c in range(n):
         piv = next((r for r in range(c, n) if A[r][c]), None)
         if piv is None:
             return Fraction(0)
         if piv != c:
             A[c], A[piv] = A[piv], A[c]
-            det = -det
-        det *= A[c][c]
-        inv = 1 / A[c][c]
+            sign = -sign
+        p = A[c][c]
         for r in range(c + 1, n):
-            if A[r][c]:
-                f = A[r][c] * inv
-                A[r] = [a - f * b for a, b in zip(A[r], A[c])]
-    return det
+            a = A[r][c]
+            A[r] = [(p * x - a * y) // prev for x, y in zip(A[r], A[c])]
+        prev = p
+    return Fraction(sign * prev, d**n)

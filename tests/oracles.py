@@ -15,9 +15,11 @@ products with omega (exact divisions by downward weights) against the
 library's dot and Lefschetz matrices, which it solves from point-evaluated
 localization sums; and, for the Kahler forms the library reads off those
 per-graph matrices, one polynomial integral or projection of freshly lifted
-products per entry.  The library keeps flow-up classes as integer tables;
-class_table writes any class in that format, so a graph can carry the
-per-vertex basis.  sanitize makes a report JSON-safe by a deep walk
+products per entry.  The library's linear algebra runs on integers; echelon
+and row_reduce read its echelon form and RREF as Fraction rows, and
+fraction_inertia is the Fraction congruence pass its integer one replaced.
+The library keeps flow-up classes as integer tables; class_table writes any
+class in that format, so a graph can carry the per-vertex basis.  sanitize makes a report JSON-safe by a deep walk
 (fractions to strings, tuples to lists, keys to strings) against the
 library's JSON writer, which must give the same bytes.
 """
@@ -32,7 +34,7 @@ from hesslab.dotchar import betti_rs
 from hesslab.errors import ConsistencyError, CostGuardError
 from hesslab.exactpoly import Poly, divmod_linear, monomials
 from hesslab.hessenberg import annihilator_pattern, check_hessenberg
-from hesslab.linalg import _entries, _integer_rref, nullspace, rank_exact
+from hesslab.linalg import _entries, _integer_echelon, _integer_rref, nullspace, rank_exact
 from hesslab.partitions import Partition, check_partition, conjugate
 
 
@@ -174,6 +176,72 @@ def solve_particular(rows, rhs, ncols: int):
         prow = red[pcol]
         x[pcol] = Fraction(prow.get(ncols, 0), prow[pcol])
     return x
+
+
+def _monic(r: dict[int, int], col: int) -> dict[int, Fraction]:
+    """r divided by its entry at col."""
+    p = r[col]
+    return {c: Fraction(v, p) for c, v in r.items()}
+
+
+def echelon(rows) -> dict[int, dict[int, Fraction]]:
+    """Echelon form as {pivot column: row}, read off the kernel's
+    `_integer_echelon`; each row is 1 at its pivot column and 0 left of it.
+    The input rows are not modified."""
+    return {col: _monic(r, col) for col, r in _integer_echelon(rows).items()}
+
+
+def row_reduce(rows):
+    """RREF read off the kernel's `_integer_rref`.  Returns (pivot_columns,
+    reduced_nonzero_rows): columns ascending, rows as sparse Fraction dicts in
+    the same order.  The input rows are not modified."""
+    pivots, red = _integer_rref(rows)
+    return pivots, [_monic(red[c], c) for c in pivots]
+
+
+def fraction_inertia(G):
+    """(signature, pivots) of a symmetric rational matrix by Lagrange
+    congruence diagonalization on Fractions: the library's pass before it
+    ran on integers, with the same contract as `linalg.inertia`.  When every
+    active diagonal entry is zero but some off-diagonal is not, a row+column
+    add restores a usable pivot.  The pivots are the diagonal entries met in
+    index order, up to and including the first one that is not positive."""
+    A = [[Fraction(x) for x in row] for row in G]
+    n = len(A)
+    pos = neg = zero = 0
+    pivots: list[Fraction] = []
+    active = list(range(n))
+    while active:
+        if not pivots or pivots[-1] > 0:
+            pivots.append(A[active[0]][active[0]])
+        d = next((i for i in active if A[i][i] != 0), None)
+        if d is None:
+            pair = next(
+                ((i, j) for i in active for j in active if j > i and A[i][j] != 0), None
+            )
+            if pair is None:
+                zero += len(active)
+                break
+            i, j = pair
+            for k in range(n):
+                A[i][k] += A[j][k]
+            for k in range(n):
+                A[k][i] += A[k][j]
+            continue
+        a = A[d][d]
+        if a > 0:
+            pos += 1
+        else:
+            neg += 1
+        active.remove(d)
+        for i in active:
+            if A[i][d]:
+                f = A[i][d] / a
+                for k in range(n):
+                    A[i][k] -= f * A[d][k]
+                for k in range(n):
+                    A[k][i] -= f * A[k][d]
+    return (pos, neg, zero), pivots
 
 
 def flow_up_class_by_vertex(g, vid: int) -> gkm.EquivClass:

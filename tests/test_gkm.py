@@ -1,11 +1,13 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
-from math import comb, factorial, isqrt
+from math import comb, factorial, isqrt, lcm
 
 import pytest
 
 from hesslab import gkm
+from hesslab.cli import all_parabolic_subsets, canonical_json
 from hesslab.dotchar import betti_rs, dot_action_multiplicities, regular_betti
 from hesslab.errors import ConsistencyError, TheoremViolation
 from hesslab.exactpoly import Poly, monomials
@@ -577,7 +579,7 @@ def test_dot_action_must_be_a_graph_automorphism():
 
 def test_tables_reject_a_singular_intersection_matrix(monkeypatch):
     def zero_matrix(g, dd):
-        return [[0] * len(ordinary_basis(g, g.l - dd)) for _ in ordinary_basis(g, dd)]
+        return [[0] * len(ordinary_basis(g, g.l - dd)) for _ in ordinary_basis(g, dd)], 1
 
     monkeypatch.setattr(gkm, "_intersection_matrix", zero_matrix)
     g = build_gkm((2, 3, 3))
@@ -622,6 +624,19 @@ def naive_product(A, B):
     ]
 
 
+def integer_form(A):
+    """A matrix of int or Fraction entries as integer rows over one denominator."""
+    d = lcm(*(Fraction(x).denominator for row in A for x in row))
+    return [[int(x * d) for x in row] for row in A], d
+
+
+def assert_integer_form(pair):
+    """pair is integer rows over one positive denominator, ints only."""
+    rows, den = pair
+    assert type(den) is int and den > 0
+    assert all(type(x) is int for row in rows for x in row)
+
+
 @pytest.mark.parametrize(
     "A, B",
     [
@@ -637,9 +652,9 @@ def naive_product(A, B):
     ids=["mixed", "all-int", "fraction-with-denominator-1", "A-without-rows", "large-denominators"],
 )
 def test_matmul_matches_fraction_product(A, B):
-    got = gkm._matmul(A, B)
-    assert got == naive_product(A, B)
-    assert all(type(x) is Fraction for row in got for x in row)
+    got = gkm._matmul(integer_form(A), integer_form(B))
+    assert_integer_form(got)
+    assert gkm._fractions(*got) == naive_product(A, B)
 
 
 KAHLER_ORACLE_FUNCTIONS = [h for n in (2, 3) for h in enumerate_hessenberg(n)] + [
@@ -669,11 +684,90 @@ def test_kahler_forms_match_lifted_products(h):
                     images = {}
                     for p in (g.l - 2 * dd, g.l - 2 * dd + 1):
                         images[p] = gkm._lefschetz_images(g, J, lam, dd, p)
-                        assert images[p] == lefschetz_images_by_lifts(g, J, lam, dd, p), (J, lam, dd, p)
+                        assert_integer_form(images[p])
+                        want = lefschetz_images_by_lifts(g, J, lam, dd, p)
+                        assert gkm._fractions(*images[p]) == want, (J, lam, dd, p)
                     hl = images[g.l - 2 * dd]
-                    assert gkm._primitive_form(g, J, lam, dd, hl) == primitive_form_by_lifts(
-                        g, J, lam, dd
-                    ), (J, lam, dd)
+                    form = gkm._primitive_form(g, J, lam, dd, hl)
+                    assert_integer_form(form)
+                    assert gkm._fractions(*form) == primitive_form_by_lifts(g, J, lam, dd), (J, lam, dd)
+
+
+def test_integer_inertia_matches_the_fraction_pass_on_every_report_gram(monkeypatch):
+    # every signed Hodge-Riemann Gram matrix the 136 reports with n <= 4 hand
+    # the integer congruence pass, integer rows over one denominator, gets the
+    # signature and pivots of the Fraction pass on the same rational matrix
+    seen = []
+    kernel = gkm._integer_inertia
+
+    def record(A, d):
+        out = kernel(A, d)
+        seen.append((A, d, out))
+        return out
+
+    monkeypatch.setattr(gkm, "_integer_inertia", record)
+    forms = 0
+    for n in range(2, 5):
+        for h in enumerate_hessenberg(n):
+            g = build_gkm(h)
+            for r in range(n):
+                for J in itertools.combinations(range(1, n), r):
+                    forms += len(kahler_report(g, J)["hodge_riemann"])
+    assert len(seen) == forms
+    for A, d, out in seen:
+        assert_integer_form((A, d))
+        assert out == oracles.fraction_inertia(gkm._fractions(A, d)), (A, d)
+
+
+def test_kahler_report_builds_fractions_only_for_pivots_and_pairings():
+    # once the flow-up tables and the per-graph matrices are filled, a report
+    # for a new J builds a Fraction for each recorded Hodge-Riemann pivot and
+    # each entry of the public pairing matrices, and for nothing else: the
+    # invariant bases, dot matrices, products and Gram matrices stay integer
+    g = build_gkm((2, 3, 4, 4))
+    kahler_report(g, ())
+    original = Fraction.__dict__["__new__"]
+    made = []
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return original.__func__(cls, *args, **kwargs)
+
+    Fraction.__new__ = staticmethod(counting)
+    try:
+        report = kahler_report(g, (1,))
+    finally:
+        Fraction.__new__ = original
+    pivots = sum(len(entry["pivots"]) for entry in report["hodge_riemann"].values())
+    pairings = sum(entry["size"] ** 2 for entry in report["poincare"].values())
+    assert report["verdicts"]["all"] is True
+    assert pivots and len(made) == pivots + pairings
+
+
+def test_invariant_dimensions_are_checked_against_the_character(monkeypatch):
+    # a character prediction the invariant bases do not meet raises, from the
+    # report and from the public subring alike
+    monkeypatch.setattr(gkm, "regular_betti", lambda h, J: [1, 3, 2])
+    g = build_gkm((2, 3, 3))
+    for compute in (kahler_report, invariant_subring):
+        with pytest.raises(TheoremViolation, match=r"invariant dimensions \[1, 3, 1\] != character"):
+            compute(g, (1,))
+
+
+KAHLER_N5_FUNCTION = (2, 3, 4, 5, 5)
+
+
+def test_kahler_reports_pinned_at_n5(monkeypatch):
+    # the l = 5 function at n = 5, with the class-level size guard raised to
+    # 5: the reports of all 16 J, in all_parabolic_subsets order at the default
+    # seed, hold the Kahler package and are pinned byte for byte
+    monkeypatch.setattr(gkm, "RING_MAX_N", 5)
+    g = build_gkm(KAHLER_N5_FUNCTION)
+    reports = [kahler_report(g, J) for J in all_parabolic_subsets(5)]
+    assert len(reports) == 16
+    assert all(report["verdicts"]["all"] for report in reports)
+    digest = hashlib.sha256(canonical_json(reports).encode()).hexdigest()
+    assert digest == "125e8d97efe594607ccfe0506e69e29766d29bdeda5518e0ed0ed7fc0df592b4"
 
 
 def test_pairing_independent_of_lift():

@@ -2,15 +2,19 @@
 dense symmetric helpers against closed formulas.
 
 `dense_row_reduce` is the dense Fraction RREF the library used before its
-sparse kernel; it stays here as the oracle.  Particular solutions (free
-variables 0, `oracles.solve_particular` on the kernel's RREF), nullspace
-bases (one vector per free column) and ranks are fixed by the RREF, so the
-kernel must reproduce them exactly, on random sparse rational matrices and
-on the one flow-up system per degree that the moment graph eliminates; each
-flow-up class read off it must be the dense solution of its own vertex's
-system.  `inertia` is checked against Descartes' rule of signs on the exact
-characteristic polynomial and against ratios of leading principal minors,
-and `det_exact` against the Leibniz expansion.
+sparse kernel; it stays here as the oracle.  The kernel's echelon form and
+RREF are read as Fraction rows through `oracles.echelon` and
+`oracles.row_reduce`.  Particular solutions (free variables 0,
+`oracles.solve_particular` on the kernel's RREF), nullspace bases (one
+vector per free column, also as integer rows over one denominator) and ranks
+are fixed by the RREF, so the kernel must reproduce them exactly, on random
+sparse rational matrices and on the one flow-up system per degree that the
+moment graph eliminates; each flow-up class read off it must be the dense
+solution of its own vertex's system.  `inertia` is checked against
+Descartes' rule of signs on the exact characteristic polynomial, against
+ratios of leading principal minors, and against `oracles.fraction_inertia`,
+the Fraction congruence pass it replaced; `det_exact` against the Leibniz
+expansion.
 """
 
 import itertools
@@ -25,15 +29,15 @@ from hesslab.exactpoly import Poly, monomials
 from hesslab.gkm import build_gkm, flow_up_class
 from hesslab.hessenberg import enumerate_hessenberg
 from hesslab.linalg import (
+    _integer_inertia,
+    _integer_nullspace,
     _integer_rref,
     det_exact,
-    echelon,
     inertia,
     nullspace,
     rank_exact,
-    row_reduce,
 )
-from oracles import solve_particular
+from oracles import echelon, fraction_inertia, row_reduce, solve_particular
 
 
 def dense_row_reduce(rows, ncols: int):
@@ -277,6 +281,17 @@ def test_kernel_matches_dense_on_fixtures(name):
         assert want_piv == [0, 1]
 
 
+@pytest.mark.parametrize("name", KERNEL_FIXTURES)
+def test_integer_nullspace_is_the_basis_over_one_denominator(name):
+    rows = KERNEL_FIXTURES[name]
+    ncols = fixture_ncols(rows)
+    basis, d = _integer_nullspace(rows, ncols)
+    assert type(d) is int and d > 0
+    assert all(type(x) is int for v in basis for x in v)
+    dense_rows = [[Fraction(x) for x in dense(r, ncols)] for r in rows]
+    assert [[Fraction(x, d) for x in v] for v in basis] == dense_nullspace(dense_rows, ncols)
+
+
 def flowup_eliminations(h, monkeypatch):
     """The graph of h and every (rows, pivots, reduced rows) that the flow-up
     classes of all its vertices hand the kernel."""
@@ -476,6 +491,20 @@ def test_inertia_signature_and_pivots(kind):
             assert signature[2] > 0
         if kind == "zero-diagonal":
             assert pivots == [0]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_integer_inertia_matches_the_fraction_pass(kind):
+    # the integer pass on A / d against the Fraction pass on the same matrix
+    rng = random.Random(f"linalg:inertia-oracle:{kind}")
+    for trial in range(30):
+        n = 1 + trial % 6
+        A = random_symmetric(rng, n, kind)
+        d = rng.randint(1, 12)
+        rational = [[Fraction(x, d) for x in row] for row in A]
+        want = fraction_inertia(rational)
+        assert _integer_inertia(A, d) == want, (A, d)
+        assert inertia(rational) == want, (A, d)
 
 
 def test_inertia_fixtures():
