@@ -5,9 +5,18 @@ incomparability graph G of h, and Shareshian-Wachs (Thm 6.3) expand X_G(q) in
 Schur functions over P-tableaux.  So the table is read off directly: row k of
 table[lam] counts the P_h-tableaux of shape conjugate(lam) with inv = k,
 which is the multiplicity of the irreducible lam in (complex) degree 2k.  One
-depth-first walk per h fills every shape at once, sharing the rows that
+depth-first walk fills every shape of one h at once, sharing the rows that
 shapes have in common; it completes at most n! tableaux, against about n^n
-colorings.  Every Betti reading (the full space, or the invariant subspace
+colorings.
+
+Two identities leave most h unwalked.  Ascents stay inside the blocks of a
+decomposable h, so X_G(q) is the product of its blocks' functions: their
+tables go to the complete homogeneous basis (a unitriangular Kostka solve),
+multiply there, and come back by the Kostka numbers.  Reversing the labels,
+i -> n+1-i, turns ascents into descents, and X_G(q) is palindromic
+(Shareshian-Wachs), so an indecomposable h has the table of its reversal.
+The walk therefore runs once per reversal pair of indecomposable functions.
+Every Betti reading (the full space, or the invariant subspace
 for a regular element with Young-subgroup stabilizer W_J) is
 GradedMultiplicity.betti(J): each row weighted by the dimension of the
 W_J-fixed part of its irreducible, made once per Young-subgroup content.
@@ -31,9 +40,9 @@ from .errors import ConsistencyError, CostGuardError
 from .hessenberg import check_hessenberg, dimension
 from .partitions import (
     Partition,
+    _conjugate,
+    _dim_irrep,
     check_partition,
-    conjugate,
-    dim_irrep,
     kostka_number,
     partition_str,
     partitions_of,
@@ -167,10 +176,13 @@ def dot_action_multiplicities(h, force: bool = False) -> GradedMultiplicity:
     """Graded irreducible multiplicities, read off P_h-tableaux.
 
     mult[lam][k] is the number of P_h-tableaux of shape conjugate(lam) with
-    inv = k; see _tableau_table.  Every entry must come out a nonnegative
-    integer supported in degrees 0..dimension(h), and the rows weighted by
-    irreducible dimensions must sum to n!; anything else raises instead of
-    returning.
+    inv = k; see _tableau_table.  Only an indecomposable h with h <=
+    _reversed(h) is walked: a decomposable h multiplies its blocks' tables
+    in the complete homogeneous basis (_h_coeffs), and any other h copies
+    the table of _reversed(h).  Every table, walked, assembled or copied,
+    must come out nonnegative integers supported in degrees
+    0..dimension(h), with rows weighted by irreducible dimensions summing
+    to n!; anything else raises instead of returning.
     """
     h = check_hessenberg(h)
     if len(h) > CHARACTER_GUARD_N and not force:
@@ -183,21 +195,105 @@ def dot_action_multiplicities(h, force: bool = False) -> GradedMultiplicity:
 @cache
 def _mult_cached(h: tuple[int, ...]) -> GradedMultiplicity:
     n, l = len(h), dimension(h)
-    walked = _tableau_table(h)
-    empty = [0] * (n * (n - 1) // 2 + 1)
+    blocks = _blocks(h)
+    if len(blocks) > 1:
+        coeffs: dict[Partition, list[int]] = {(): [1]}
+        for block in blocks:
+            coeffs = _h_product(coeffs, _h_coeffs(block), l)
+        rows = _from_h_coeffs(n, coeffs)
+    elif (mirror := _reversed(h)) < h:
+        rows = _mult_cached(mirror).table
+    elif n == 1:  # one tableau; the walk needs n >= 2
+        rows = {(1,): [1]}
+    else:
+        rows = {_conjugate(shape): counts for shape, counts in _tableau_table(h).items()}
+    empty = [0] * (l + 1)
     table: dict[Partition, list[int]] = {}
     for lam in partitions_of(n):
-        counts = walked.get(conjugate(lam), empty)
+        counts = rows.get(lam, empty)
         if any(counts[l + 1:]):
             raise ConsistencyError(f"multiplicity row for {lam} exceeds degree {l} at h={h}: {counts}")
         row = counts[: l + 1]
         if any(v < 0 for v in row):
             raise ConsistencyError(f"negative multiplicity for {lam} at h={h}: {row}")
         table[lam] = row
-    total = sum(dim_irrep(lam) * sum(row) for lam, row in table.items())
+    total = sum(_dim_irrep(lam) * sum(row) for lam, row in table.items())
     if total != factorial(n):
         raise ConsistencyError(f"multiplicities weighted by dimension sum to {total}, not {n}! at h={h}")
     return GradedMultiplicity(n=n, h=h, l=l, table=table)
+
+
+def _blocks(h: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The blocks of h, split after each i with h(i) = i and renumbered from 1.
+
+    No incomparability edge joins two blocks, so X_G(q) is the product of
+    the blocks' functions.
+    """
+    blocks, start = [], 0
+    for i, hi in enumerate(h, start=1):
+        if hi == i:
+            blocks.append(tuple(v - start for v in h[start:i]))
+            start = i
+    return blocks
+
+
+def _reversed(h: tuple[int, ...]) -> tuple[int, ...]:
+    """The Hessenberg function whose incomparability graph is h's relabelled
+    by i -> n+1-i: _reversed(h)(a) = n+1 - min{i : h(i) >= n+1-a}."""
+    n = len(h)
+    return tuple(n + 1 - next(i for i, v in enumerate(h, start=1) if v >= n + 1 - a) for a in range(1, n + 1))
+
+
+@cache
+def _h_coeffs(h: tuple[int, ...]) -> dict[Partition, list[int]]:
+    """omega X_G(q) in the complete homogeneous basis, {mu: c_mu} with c_mu
+    a q-coefficient row and zero rows left out.
+
+    h_mu = sum_lam K_{lam,mu} s_lam, and K_{lam,mu} = 0 unless mu is
+    dominated by lam, with K_{lam,lam} = 1.  So table[lam] = sum_mu
+    K_{lam,mu} c_mu is unitriangular and is solved from (1^n) upward; the
+    reverse of partitions_of's order puts every mu dominated by lam first.
+    """
+    table = _mult_cached(h).table
+    coeffs: dict[Partition, list[int]] = {}
+    for lam in reversed(partitions_of(len(h))):
+        row = list(table[lam])
+        for mu, c in coeffs.items():
+            weight = kostka_number(lam, mu)
+            if weight:
+                row = [r - weight * x for r, x in zip(row, c)]
+        if any(row):
+            coeffs[lam] = row
+    return coeffs
+
+
+def _h_product(left: dict, right: dict, l: int) -> dict[Partition, list[int]]:
+    """The product of two functions in the complete homogeneous basis,
+    h_mu h_nu = h_{mu u nu}, as q-coefficient rows of l + 1 entries."""
+    out: dict[Partition, list[int]] = {}
+    for mu, a in left.items():
+        for nu, b in right.items():
+            row = out.setdefault(tuple(sorted(mu + nu, reverse=True)), [0] * (l + 1))
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b):
+                        row[i + j] += x * y
+    return out
+
+
+def _from_h_coeffs(n: int, coeffs: dict[Partition, list[int]]) -> dict[Partition, list[int]]:
+    """The Schur rows table[lam] = sum_mu K_{lam,mu} c_mu of {mu: c_mu}, all
+    rows of one length."""
+    width = len(next(iter(coeffs.values())))
+    rows: dict[Partition, list[int]] = {}
+    for lam in partitions_of(n):
+        row = [0] * width
+        for mu, c in coeffs.items():
+            weight = kostka_number(lam, mu)
+            if weight:
+                row = [r + weight * x for r, x in zip(row, c)]
+        rows[lam] = row
+    return rows
 
 
 def _tableau_table(h: tuple[int, ...]) -> dict[Partition, list[int]]:
@@ -221,9 +317,7 @@ def _tableau_table(h: tuple[int, ...]) -> dict[Partition, list[int]]:
     counts has one entry per possible pair, so a wrong inv shows up past
     degree dimension(h).
     """
-    n = len(h)
-    if n == 1:  # the walk below places the last element one cell ahead, so it needs n >= 2
-        return {(1,): [1]}
+    n = len(h)  # the walk places the last element one cell ahead, so it needs n >= 2
     full = (1 << n) - 1
     greater = [full >> hx << hx for hx in h]  # y with x <_P y
     may_follow = [sum(1 << y for y in range(n) if h[y] > a) for a in range(n)]  # y not <_P a

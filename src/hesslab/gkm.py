@@ -72,7 +72,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, wraps
 from math import gcd, lcm, prod
-from operator import mul
+from operator import add, mul
 
 from .dotchar import betti_rs, regular_betti
 from .errors import ConsistencyError, TheoremViolation
@@ -324,12 +324,18 @@ def _class_of(g: GKMGraph, k: int, table) -> EquivClass:
     return EquivClass(g, k, tuple(values))
 
 
-def _norm(g: GKMGraph, vid: int) -> Poly:
-    """The product of the downward tangent weights at vid."""
-    norm = Poly.const(g.nvars, 1)
+def _norm(g: GKMGraph, vid: int) -> tuple[int, ...]:
+    """The product of the downward tangent weights at vid, as an integer
+    coefficient vector over monomials(nvars, index of vid)."""
+    norm = {(0,) * g.nvars: 1}
     for f in _down_forms(g, vid):
-        norm = norm * f
-    return norm
+        product: dict[tuple[int, ...], int] = {}
+        for mono, x in norm.items():
+            for unit, y in f.c.items():  # t_a - t_b: integer coefficients of single variables
+                key = tuple(map(add, mono, unit))
+                product[key] = product.get(key, 0) + x * int(y)
+        norm = product
+    return tuple(norm.get(mono, 0) for mono in monomials(g.nvars, g.index[vid]))
 
 
 @_memo
@@ -383,8 +389,7 @@ def _flow_up_classes(g: GKMGraph, k: int) -> dict[int, tuple[int, dict[int, tupl
 
     classes = {}
     for vid in vids:
-        norm = _norm(g, vid)  # a product of integer forms: integer coefficients
-        known = [int(norm.c.get(mono, 0)) for mono in monos]
+        known = _norm(g, vid)
         dots: dict[int, int] = {}
         for pcol, mi, x in touching[vid]:
             dots[pcol] = dots.get(pcol, 0) + x * known[mi]
@@ -830,6 +835,19 @@ def poincare_pairing(g: GKMGraph, k: int, J=()):
 
 @_memo
 def _poincare_pairing(g: GKMGraph, k: int, J: tuple[int, ...]):
+    rows, den, rank = _pairing(g, k, J)
+    if rank != len(rows):
+        raise TheoremViolation(
+            f"singular pairing between degrees {k} and {2 * g.l - k} for h={g.h}, J={J}",
+            witness={"h": g.h, "J": list(J), "degree": k, "matrix_rank": rank},
+        )
+    return _fractions(rows, den)
+
+
+@_memo
+def _pairing(g: GKMGraph, k: int, J: tuple[int, ...]):
+    """The pairing matrix of poincare_pairing as integer rows over one
+    denominator, with its rank: (rows, den, rank), singular or not."""
     dd = k // 2
     (A, da), (B, db) = _invariant_vectors(g, J, dd), _invariant_vectors(g, J, g.l - dd)
     if len(A) != len(B):
@@ -837,13 +855,7 @@ def _poincare_pairing(g: GKMGraph, k: int, J: tuple[int, ...]):
             f"pairing blocks have mismatched dimensions {len(A)} vs {len(B)}"
         )
     rows, den = _matmul(_matmul((A, da), _intersection_matrix(g, dd)), (_transpose(B), db))
-    rank = rank_exact(rows)
-    if rank != len(A):
-        raise TheoremViolation(
-            f"singular pairing between degrees {k} and {2 * g.l - k} for h={g.h}, J={J}",
-            witness={"h": g.h, "J": list(J), "degree": k, "matrix_rank": rank},
-        )
-    return _fractions(rows, den)
+    return rows, den, rank_exact(rows)
 
 
 def _lefschetz_images(g: GKMGraph, J: tuple[int, ...], lam: tuple[int, ...], dd: int, p: int):
@@ -902,16 +914,8 @@ def _kahler_report(g: GKMGraph, J: tuple[int, ...], lam: tuple[int, ...]) -> dic
     verdicts = {"poincare": True, "hard_lefschetz": True, "hodge_riemann": True}
     for dd in range(0, g.l // 2 + 1):
         k = 2 * dd
-        try:
-            size = len(poincare_pairing(g, k, J))
-            # poincare_pairing raises unless the pairing has full rank
-            entry = {"size": size, "rank": size, "nondegenerate": True}
-        except TheoremViolation as exc:
-            entry = {
-                "size": dims[dd],
-                "rank": exc.witness.get("matrix_rank"),
-                "nondegenerate": False,
-            }
+        pairing, _, rank = _pairing(g, k, J)
+        entry = {"size": len(pairing), "rank": rank, "nondegenerate": rank == len(pairing)}
         report["poincare"][str(k)] = entry
         verdicts["poincare"] &= entry["nondegenerate"]
 

@@ -146,7 +146,11 @@ def _strip_removals(shape: Partition, k: int) -> list[tuple[Partition, int]]:
 
 def dim_irrep(lam: Partition) -> int:
     """Dimension f^lam of the irreducible, as the character at the identity."""
-    lam = check_partition(lam)
+    return _dim_irrep(check_partition(lam))
+
+
+def _dim_irrep(lam: Partition) -> int:
+    """dim_irrep of a partition that check_partition already returned."""
     return _mn(lam, (1,) * sum(lam))
 
 

@@ -6,7 +6,8 @@ against the library's one walk over every shape; Jordan types from rank
 sequences of matrix powers and an exhaustive finite-field search against the
 Greene-Kleitman `lambda_H`; the full divisibility system against the flow-up
 module basis; one exact solve per vertex against the flow-up classes the
-library reads off one elimination per degree; randomly perturbed lifts against
+library reads off one elimination per degree, with the Poly product of the
+downward weights against the library's integer norm; randomly perturbed lifts against
 lift-independence of integration; polynomial localization integrals (the sum
 over fixed points cleared of denominators by exact linear-form divisions)
 against the library's intersection numbers, which it reads off point
@@ -244,6 +245,15 @@ def fraction_inertia(G):
     return (pos, neg, zero), pivots
 
 
+def norm_poly(g, vid: int) -> Poly:
+    """The product of the downward tangent weights at vid, as a Poly product
+    against the library's integer coefficient vector."""
+    norm = Poly.const(g.nvars, 1)
+    for f in gkm._down_forms(g, vid):
+        norm = norm * f
+    return norm
+
+
 def flow_up_class_by_vertex(g, vid: int) -> gkm.EquivClass:
     """The flow-up class of vid from a system of its own: the edge rows of
     its degree with vid's block moved to the right-hand side at the
@@ -258,7 +268,7 @@ def flow_up_class_by_vertex(g, vid: int) -> gkm.EquivClass:
     m = g.nvars
     monos = monomials(m, k)
     D = len(monos)
-    norm = gkm._norm(g, vid)
+    norm = norm_poly(g, vid)
     known = [norm.c.get(mono, 0) for mono in monos]
     above = g.order[::-1]  # the vertex of each column block of gkm._edge_rows
     unknown_ids = [u for u in range(len(g.vertices)) if g.phi[u] > g.phi[vid]]

@@ -5,8 +5,13 @@ import pytest
 
 from oracles import tableau_rows_by_shape
 
+from hesslab import cli, dotchar
 from hesslab.cli import all_parabolic_subsets
 from hesslab.dotchar import (
+    _blocks,
+    _from_h_coeffs,
+    _h_coeffs,
+    _reversed,
     _tableau_table,
     betti_rs,
     chromatic_qsym,
@@ -16,7 +21,7 @@ from hesslab.dotchar import (
     regular_betti,
 )
 from hesslab.errors import CostGuardError
-from hesslab.hessenberg import dimension, enumerate_hessenberg
+from hesslab.hessenberg import dimension, enumerate_hessenberg, incomparability_graph, is_indecomposable
 from hesslab.partitions import conjugate, dim_irrep, invariant_dim, partitions_of, young_subgroup_blocks
 from hesslab.symfunc import QPoly, q_factorial, schur_inner_product
 
@@ -151,6 +156,85 @@ def test_one_walk_matches_walk_per_shape():
                 assert walked[shape] == counts, (h, shape)
             else:
                 assert not any(counts), (h, shape)
+
+
+def walked_rows(h):
+    """table[lam] read straight off one walk of h, with no block or reversal shortcut."""
+    l = dimension(h)
+    walked = _tableau_table(h)
+    return {lam: walked.get(conjugate(lam), [0] * (l + 1))[: l + 1] for lam in partitions_of(len(h))}
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """The functions the tableau walk runs on, in order, from a fresh memo."""
+    dotchar._mult_cached.cache_clear()
+    dotchar._h_coeffs.cache_clear()
+    seen = []
+
+    def recording(h):
+        seen.append(h)
+        return _tableau_table(h)
+
+    monkeypatch.setattr(dotchar, "_tableau_table", recording)
+    yield seen
+    dotchar._mult_cached.cache_clear()
+    dotchar._h_coeffs.cache_clear()
+
+
+def assert_walked_once_per_reversal_pair(seen):
+    assert len(set(seen)) == len(seen)
+    assert all(is_indecomposable(h) and h <= _reversed(h) for h in seen)
+
+
+def test_assembled_and_copied_tables_match_the_walk(walks):
+    cases = [h for n in range(2, 8) for h in enumerate_hessenberg(n)] + WALK_N8
+    tables = {h: dot_action_multiplicities(h).table for h in cases}
+    assert_walked_once_per_reversal_pair(walks)
+    assert set(walks) < set(cases)
+    for h in cases:
+        assert tables[h] == walked_rows(h), h
+
+
+def test_reversal_is_an_involution():
+    for n in range(2, 10):
+        for h in enumerate_hessenberg(n):
+            mirror = _reversed(h)
+            assert _reversed(mirror) == h
+            assert dimension(mirror) == dimension(h)
+            assert is_indecomposable(mirror) == is_indecomposable(h)
+            flipped = {tuple(sorted((n + 1 - i, n + 1 - j))) for i, j in incomparability_graph(h)}
+            assert set(incomparability_graph(mirror)) == flipped, h
+
+
+def test_blocks_split_at_fixed_points():
+    assert _blocks((1, 2, 3)) == [(1,), (1,), (1,)]
+    assert _blocks((2, 2, 4, 5, 5, 7, 8, 8)) == [(2, 2), (2, 3, 3), (2, 3, 3)]
+    assert _blocks((2, 3, 3)) == [(2, 3, 3)]
+
+
+def test_complete_graph_h_coefficients():
+    # omega X_{K_m}(q) = [m]_q! h_m
+    for m in range(1, 8):
+        assert _h_coeffs((m,) * m) == {(m,): q_factorial(m).coefficient_list()}, m
+
+
+def test_kostka_map_inverts_h_coefficients():
+    for n in range(2, 8):
+        for h in enumerate_hessenberg(n, indecomposable_only=True):
+            coeffs = _h_coeffs(h)
+            # the e-positivity of X_G(q) that Shareshian-Wachs conjectured, so c >= 0
+            assert all(x >= 0 for row in coeffs.values() for x in row), h
+            assert _from_h_coeffs(n, coeffs) == walked_rows(h), h
+
+
+def test_verify_n6_walks_once_per_reversal_pair(walks):
+    # 26 reversal pairs of indecomposable functions at n = 6, and 10, 4, 2,
+    # 1 below it among the blocks; a single element needs no walk
+    cli.verify_report(6, seed=1729)
+    assert_walked_once_per_reversal_pair(walks)
+    assert len(walks) == 43
+    assert [sum(1 for h in walks if len(h) == n) for n in range(2, 7)] == [1, 2, 4, 10, 26]
 
 
 def test_betti_memo_per_content():

@@ -193,7 +193,9 @@ def test_flow_up_classes_at_n5_frontier():
             cls = gkm._flow_up_class(g, vid)
             cls.check_edges()
             assert cls.degree == k
-            assert cls.values[vid] == gkm._norm(g, vid)
+            norm = oracles.norm_poly(g, vid)
+            assert cls.values[vid] == norm
+            assert gkm._norm(g, vid) == tuple(norm.c.get(mono, 0) for mono in monomials(g.nvars, k))
             assert oracles.class_table(cls) == tables[vid]
         counts.append(len(tables))
     assert counts == [1, 26, 66, 26, 1] == betti_rs(g.h)
@@ -459,9 +461,8 @@ def test_pairing_memoized_unless_singular(monkeypatch):
     assert poincare_pairing(g, 2, [3, 1, 3]) is first
     assert calls == [1, 2]
 
-    # a singular pairing is recomputed, and raises, on every call; its
-    # intersection matrix, and M_3 for the degree-3 dot matrices, are
-    # computed on the first call only
+    # a singular pairing raises on every call; its intersection matrix, and
+    # M_3 for the degree-3 dot matrices, are computed on the first call only
     monkeypatch.setattr(gkm, "rank_exact", lambda rows: 0)
     for _ in range(2):
         with pytest.raises(TheoremViolation):
@@ -722,8 +723,9 @@ def test_integer_inertia_matches_the_fraction_pass_on_every_report_gram(monkeypa
 def test_kahler_report_builds_fractions_only_for_pivots_and_pairings():
     # once the flow-up tables and the per-graph matrices are filled, a report
     # for a new J builds a Fraction for each recorded Hodge-Riemann pivot and
-    # each entry of the public pairing matrices, and for nothing else: the
-    # invariant bases, dot matrices, products and Gram matrices stay integer
+    # for nothing else: the invariant bases, dot matrices, products, pairings
+    # and Gram matrices stay integer.  The public pairing matrices build one
+    # Fraction per entry, and only when asked for.
     g = build_gkm((2, 3, 4, 4))
     kahler_report(g, ())
     original = Fraction.__dict__["__new__"]
@@ -733,15 +735,21 @@ def test_kahler_report_builds_fractions_only_for_pivots_and_pairings():
         made.append(args)
         return original.__func__(cls, *args, **kwargs)
 
-    Fraction.__new__ = staticmethod(counting)
-    try:
-        report = kahler_report(g, (1,))
-    finally:
-        Fraction.__new__ = original
+    def fractions_made(compute):
+        made.clear()
+        Fraction.__new__ = staticmethod(counting)
+        try:
+            return compute()
+        finally:
+            Fraction.__new__ = original
+
+    report = fractions_made(lambda: kahler_report(g, (1,)))
     pivots = sum(len(entry["pivots"]) for entry in report["hodge_riemann"].values())
-    pairings = sum(entry["size"] ** 2 for entry in report["poincare"].values())
     assert report["verdicts"]["all"] is True
-    assert pivots and len(made) == pivots + pairings
+    assert pivots and len(made) == pivots
+    pairings = sum(entry["size"] ** 2 for entry in report["poincare"].values())
+    fractions_made(lambda: [poincare_pairing(g, int(k), (1,)) for k in report["poincare"]])
+    assert pairings and len(made) == pairings
 
 
 def test_invariant_dimensions_are_checked_against_the_character(monkeypatch):

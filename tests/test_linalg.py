@@ -25,7 +25,7 @@ import pytest
 
 from hesslab import gkm
 from hesslab.errors import ConsistencyError
-from hesslab.exactpoly import Poly, monomials
+from hesslab.exactpoly import monomials
 from hesslab.gkm import build_gkm, flow_up_class
 from hesslab.hessenberg import enumerate_hessenberg
 from hesslab.linalg import (
@@ -37,7 +37,7 @@ from hesslab.linalg import (
     nullspace,
     rank_exact,
 )
-from oracles import echelon, fraction_inertia, row_reduce, solve_particular
+from oracles import echelon, fraction_inertia, norm_poly, row_reduce, solve_particular
 
 
 def dense_row_reduce(rows, ncols: int):
@@ -319,7 +319,7 @@ def vertex_system(g, vid):
     monos = monomials(g.nvars, k)
     D = len(monos)
     b = g.order[::-1].index(vid) * D
-    norm = gkm._norm(g, vid)
+    norm = norm_poly(g, vid)
     known = [norm.c.get(mono, 0) for mono in monos]
     rows, rhs = [], []
     for full in gkm._edge_rows(g, k):
@@ -355,7 +355,7 @@ def test_flowup_systems_match_dense(h, monkeypatch):
         above = g.order[::-1]
         got = [cls.values[above[c // len(monos)]].c.get(monos[c % len(monos)], Fraction(0)) for c in range(b)]
         assert_same_values(got, x)
-        assert cls.values[vid] == gkm._norm(g, vid)
+        assert cls.values[vid] == norm_poly(g, vid)
         assert all(cls.values[u].is_zero() for u in above[b // len(monos) + 1 :])
 
 
@@ -369,13 +369,13 @@ def test_flowup_consistency_row_refuses_a_corrupted_norm(monkeypatch):
     norm = gkm._norm
 
     def corrupted(g, u):
-        return Poly.variable(g.nvars, 0) if u == vid else norm(g, u)
+        return (1,) + (0,) * (g.nvars - 1) if u == vid else norm(g, u)  # t_1, first in monomials order
 
     monkeypatch.setattr(gkm, "_norm", corrupted)
     with pytest.raises(ConsistencyError, match="no flow-up class at vertex"):
         flow_up_class(g, vid)
     monkeypatch.undo()
-    assert flow_up_class(build_gkm((2, 3, 3)), vid).values[vid] == norm(g, vid)
+    assert flow_up_class(build_gkm((2, 3, 3)), vid).values[vid] == norm_poly(g, vid)
 
 
 def leibniz_det(A):
