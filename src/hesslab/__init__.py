@@ -23,16 +23,12 @@ from .errors import (
     TheoremViolation,
 )
 from .gkm import (
-    EquivClass,
     GKMGraph,
     build_gkm,
-    dot_action,
     flow_up_class,
     invariant_subring,
-    kahler_class,
     kahler_report,
     morse_betti,
-    ordinary_basis,
     poincare_pairing,
 )
 from .hessenberg import (
@@ -60,7 +56,7 @@ from .springer import (
 )
 from .symfunc import QPoly, QSymPoly, h_dual_coefficient, schur_inner_product
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "GradedMultiplicity",
@@ -73,16 +69,12 @@ __all__ = [
     "CostGuardError",
     "HesslabError",
     "TheoremViolation",
-    "EquivClass",
     "GKMGraph",
     "build_gkm",
-    "dot_action",
     "flow_up_class",
     "invariant_subring",
-    "kahler_class",
     "kahler_report",
     "morse_betti",
-    "ordinary_basis",
     "poincare_pairing",
     "annihilator_pattern",
     "dimension",

@@ -11,7 +11,8 @@ The commands test no theorem themselves: the support criterion and its
 convention live in springer.support_check, which analyze and verify both
 read, and the palindromic and Morse violation entries the two share are
 built by one helper each.  The cache holds two kinds of entry, the multiplicity table
-("dotchar") and the Kahler payload ("gkm-kahler").
+("dotchar") and the Kahler payload ("gkm-kahler").  A multiplicity table read
+from the cache passes the checks of a computed one before analyze reads it.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .dotchar import (
     multiplicities_json,
     regular_betti,
 )
-from .errors import CostGuardError, HesslabError, TheoremViolation
+from .errors import ConsistencyError, CostGuardError, HesslabError, TheoremViolation
 from .gkm import DEFAULT_SEED, GRAPH_MAX_N, RING_MAX_N, build_gkm, kahler_report, morse_betti, poincare_pairing
 from .hessenberg import (
     enumerate_hessenberg,
@@ -159,15 +160,6 @@ def _key(module: str, h, seed: int | None = None, J=None) -> dict:
     }
 
 
-def _cached(cache_dir, key: dict, compute):
-    """The payload stored under key, else compute() stored under key."""
-    payload = cache_fetch(cache_dir, key)
-    if payload is None:
-        payload = compute()
-        cache_store(cache_dir, key, payload)
-    return payload
-
-
 # --- analyze ----------------------------------------------------------------
 
 def _is_palindromic(row: list[int]) -> bool:
@@ -202,8 +194,15 @@ def analyze_report(h, *, seed: int, J=None, use_gkm: bool = False, cache_dir=Non
     """
     n = len(h)
     # the multiplicities do not depend on the seed, so it is not part of their key
-    mult = _cached(cache_dir, _key("dotchar", h), lambda: multiplicities_json(dot_action_multiplicities(h, force)))
-    gm = multiplicities_from_json(mult)
+    key = _key("dotchar", h)
+    doc = cache_fetch(cache_dir, key)
+    if doc is None:
+        gm = dot_action_multiplicities(h, force)
+        cache_store(cache_dir, key, multiplicities_json(gm))
+    else:
+        gm = multiplicities_from_json(doc)  # checked like a computed table
+        if gm.h != tuple(h):
+            raise ConsistencyError(f"cached multiplicity table is for h={hessenberg_str(gm.h)}, not {hessenberg_str(h)}")
     lam_H = generic_jordan_type(h)
     lambda_h = partition_str(lam_H)
     allowed, witnesses = support_check(gm, lam_H)
@@ -228,9 +227,9 @@ def analyze_report(h, *, seed: int, J=None, use_gkm: bool = False, cache_dir=Non
         "seed": seed,
         "n": n,
         "h": hessenberg_str(h),
-        "l": mult["l"],
-        "betti": mult["betti"],
-        "mult": mult["mult"],
+        "l": gm.l,
+        "betti": gm.betti(),
+        "mult": {partition_str(lam): list(row) for lam, row in gm.table.items()},
         "lambda_H": lambda_h,
         "allowed": [partition_str(lam) for lam in allowed],
         "regular": regular,
@@ -238,7 +237,7 @@ def analyze_report(h, *, seed: int, J=None, use_gkm: bool = False, cache_dir=Non
     }
 
     if use_gkm:
-        morse, disagreements = _morse_check(h, seed, mult["betti"])
+        morse, disagreements = _morse_check(h, seed, report["betti"])
         report["gkm"] = {"morse_betti": morse, "agrees": not disagreements}
         violations += disagreements
     return report
@@ -325,7 +324,10 @@ def kahler_cli_report(h, J, lam, *, seed: int, cache_dir=None) -> dict:
     key = _key("gkm-kahler", h, seed, J)
     if lam is not None:
         key["lambda"] = ",".join(str(x) for x in lam)
-    payload = _cached(cache_dir, key, lambda: kahler_payload(build_gkm(h, seed=seed), J, lam))
+    payload = cache_fetch(cache_dir, key)
+    if payload is None:
+        payload = kahler_payload(build_gkm(h, seed=seed), J, lam)
+        cache_store(cache_dir, key, payload)
     report = dict(payload)
     report.update(
         {

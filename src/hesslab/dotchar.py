@@ -182,7 +182,8 @@ def dot_action_multiplicities(h, force: bool = False) -> GradedMultiplicity:
     the table of _reversed(h).  Every table, walked, assembled or copied,
     must come out nonnegative integers supported in degrees
     0..dimension(h), with rows weighted by irreducible dimensions summing
-    to n!; anything else raises instead of returning.
+    to n! (_checked, which also checks every table read from a cache);
+    anything else raises instead of returning.
     """
     h = check_hessenberg(h)
     if len(h) > CHARACTER_GUARD_N and not force:
@@ -207,6 +208,16 @@ def _mult_cached(h: tuple[int, ...]) -> GradedMultiplicity:
         rows = {(1,): [1]}
     else:
         rows = {_conjugate(shape): counts for shape, counts in _tableau_table(h).items()}
+    return _checked(h, l, rows)
+
+
+def _checked(h: tuple[int, ...], l: int, rows: dict[Partition, list[int]]) -> GradedMultiplicity:
+    """The multiplicity table of h, of dimension l, with the given rows
+    ({lam: counts}; a missing lam has no counts), checked: every row
+    nonnegative and supported in degrees 0..l, and the rows weighted by
+    irreducible dimensions summing to n!.  Anything else raises
+    ConsistencyError."""
+    n = len(h)
     empty = [0] * (l + 1)
     table: dict[Partition, list[int]] = {}
     for lam in partitions_of(n):
@@ -214,7 +225,7 @@ def _mult_cached(h: tuple[int, ...]) -> GradedMultiplicity:
         if any(counts[l + 1:]):
             raise ConsistencyError(f"multiplicity row for {lam} exceeds degree {l} at h={h}: {counts}")
         row = counts[: l + 1]
-        if any(v < 0 for v in row):
+        if min(row) < 0:
             raise ConsistencyError(f"negative multiplicity for {lam} at h={h}: {row}")
         table[lam] = row
     total = sum(_dim_irrep(lam) * sum(row) for lam, row in table.items())
@@ -415,10 +426,22 @@ def multiplicities_json(gm: GradedMultiplicity) -> dict:
 
 
 def multiplicities_from_json(doc: dict) -> GradedMultiplicity:
-    """Inverse of multiplicities_json; the derived "betti" entry is not read."""
-    return GradedMultiplicity(
-        n=doc["n"],
-        h=tuple(int(v) for v in doc["h"].split(",")),
-        l=doc["l"],
-        table={check_partition(key.split(",")): list(row) for key, row in doc["mult"].items()},
-    )
+    """Inverse of multiplicities_json, checked; the derived "betti" entry is
+    not read.  h must be a Hessenberg function of length n with dimension
+    l, the keys exactly the partitions of n, each row l + 1 integers, and
+    the table must pass the checks of a computed one (_checked).  A document
+    that is not such a table raises ConsistencyError."""
+    try:
+        n, l = doc["n"], doc["l"]
+        h = check_hessenberg(doc["h"].split(","))
+        if len(h) != n or l != dimension(h):
+            raise ValueError(f"h={doc['h']} claims n = {n}, l = {l}")
+        table = {check_partition(key.split(",")): row for key, row in doc["mult"].items()}
+        if len(table) != len(doc["mult"]) or set(table) != set(partitions_of(n)):
+            raise ValueError(f"keys {sorted(doc['mult'])} are not the partitions of {n}")
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ConsistencyError(f"malformed multiplicity table: {type(exc).__name__}: {exc}") from None
+    for lam, row in table.items():
+        if not isinstance(row, list) or len(row) != l + 1 or set(map(type, row)) != {int}:
+            raise ConsistencyError(f"multiplicity row for {lam} at h={h} is not {l + 1} integers: {row!r}")
+    return _checked(h, l, table)

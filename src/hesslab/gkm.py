@@ -8,31 +8,33 @@ has degree exactly dimension(h); the constructor asserts this and the mutual
 consistency of the two endpoints, so a wrong edge rule cannot survive
 construction silently.
 
-Classes are tuples of polynomials in t_1..t_{n-1}, with t_n =
--(t_1+...+t_{n-1}), subject to the edge divisibility conditions.  The module
-structure is handled through flow-up classes: a fixed generic covector orients
-every edge, each vertex gets a Morse index (its down-degree), and its flow-up
-class is a class of that degree supported on it and the vertices above it,
-normalized to the product of its downward weights.  The degree-k edge rows,
-one {column: coefficient} row per edge and output monomial touching the
-unknowns of two vertices, give each vertex a block of columns in descending
-moment order.  A vertex's own system is then a column prefix, so one exact
-RREF (linalg's sparse integer kernel) of the prefix that ends at the lowest
-vertex of index k yields every flow-up class of index k; a vertex without one
-raises ConsistencyError.  A flow-up class is kept as an integer table read off
-the RREF's rows and pivots: one positive denominator and, for each vertex of
-its support, an integer coefficient vector over the degree-k monomials.  The
-edge rows and the edge check run on integers: the remainders of the monomials
-modulo each edge form are scaled by their lcm, and on every edge the
-difference of the endpoint vectors combined with them must vanish.  Each table
-must also vanish below its vertex.  flow_up_class builds the polynomial
-EquivClass from the table on demand; EquivClass.check_edges is the polynomial
-check the tests hold the tables to.  The flow-up classes of Morse index k are
-the basis of the ordinary degree-k piece; their count is checked against the
-Betti numbers from the character side, so a missing or extra class raises
-instead of passing silently.  That monomial multiples of flow-up classes span
-every equivariant degree piece is a free-module statement the test suite
-certifies against the exact nullity of the full divisibility system.
+A class of degree k assigns to every vertex a polynomial of degree k in
+t_1..t_{n-1}, with t_n = -(t_1+...+t_{n-1}), subject to the edge
+divisibility conditions.  It is kept as an integer table: one positive
+denominator and, for each vertex where it is nonzero, an integer coefficient
+vector over the degree-k monomials (monomials).  The module structure is
+handled through flow-up classes: a fixed generic covector orients every edge,
+each vertex gets a Morse index (its down-degree), and its flow-up class is a
+class of that degree supported on it and the vertices above it, normalized to
+the product of its downward weights.  The degree-k edge rows, one {column:
+coefficient} row per edge and output monomial touching the unknowns of two
+vertices, give each vertex a block of columns in descending moment order.  A
+vertex's own system is then a column prefix, so one exact RREF (linalg's
+sparse integer kernel) of the prefix that ends at the lowest vertex of index
+k yields every flow-up class of index k, read off the RREF's rows and pivots;
+a vertex without one raises ConsistencyError.  The edge rows and the edge
+check run on integers: the remainder of each monomial modulo an edge form
+comes from substituting for one variable on exponent tuples, scaled to
+integers (_reduction_table), and on every edge the difference of the endpoint
+vectors combined with the remainders must vanish.  Each table must also
+vanish below its vertex.  The flow-up classes of Morse index k are the basis
+of the ordinary degree-k piece; their count is checked against the Betti
+numbers from the character side, so a missing or extra class raises instead
+of passing silently.  That monomial multiples of flow-up classes span every
+equivariant degree piece is a free-module statement the test suite certifies
+against the exact nullity of the full divisibility system.  The polynomial
+class algebra (classes as tuples of polynomials, their products, the dot
+action by substitution, lifts of ordinary classes) is the tests' oracle.
 
 The dot action and the Kahler forms are read off per-graph matrices, computed
 once and shared by every J: the intersection matrix of flow-up classes of
@@ -76,7 +78,6 @@ from operator import add, mul
 
 from .dotchar import betti_rs, regular_betti
 from .errors import ConsistencyError, TheoremViolation
-from .exactpoly import Poly, divmod_linear, monomials
 from .hessenberg import check_hessenberg, dimension
 from .linalg import _integer_inertia, _integer_nullspace, _integer_rref, rank_exact
 
@@ -130,72 +131,6 @@ def _memo(fn):
         return table[key]
 
     return memoized
-
-
-@dataclass
-class EquivClass:
-    """Vertex-wise polynomial assignment of one homogeneous degree."""
-
-    graph: GKMGraph
-    degree: int
-    values: tuple[Poly, ...]
-
-    def __add__(self, other: "EquivClass") -> "EquivClass":
-        if other.degree != self.degree:
-            raise ValueError("cannot add classes of different degrees")
-        return EquivClass(
-            self.graph, self.degree, tuple(a + b for a, b in zip(self.values, other.values))
-        )
-
-    def scale(self, k) -> "EquivClass":
-        return EquivClass(self.graph, self.degree, tuple(v.scale(k) for v in self.values))
-
-    def __mul__(self, other) -> "EquivClass":
-        if isinstance(other, EquivClass):
-            return EquivClass(
-                self.graph,
-                self.degree + other.degree,
-                tuple(a * b for a, b in zip(self.values, other.values)),
-            )
-        if isinstance(other, Poly):
-            return EquivClass(
-                self.graph, self.degree + other.degree, tuple(v * other for v in self.values)
-            )
-        return self.scale(other)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, EquivClass)
-            and self.degree == other.degree
-            and self.values == other.values
-        )
-
-    def check_edges(self) -> None:
-        g = self.graph
-        for u, v, pair in g.edges():
-            diff = self.values[u] - self.values[v]
-            if diff.is_zero():
-                continue
-            if not divmod_linear(diff, _pair_form(g.n, *pair))[1].is_zero():
-                raise ConsistencyError(
-                    f"edge condition fails between {g.vertices[u]} and {g.vertices[v]} on {pair}"
-                )
-
-
-@cache
-def _t(n: int, i: int) -> Poly:
-    """The linear form t_i in the retained variables t_1..t_{n-1}."""
-    if i < n:
-        return Poly.variable(n - 1, i - 1)
-    return Poly.linear([-1] * (n - 1))  # t_n = -(t_1 + ... + t_{n-1})
-
-
-@cache
-def _pair_form(n: int, i: int, j: int) -> Poly:
-    """The linear form t_i - t_j."""
-    return _t(n, i) - _t(n, j)
 
 
 def build_gkm(h, *, seed: int = DEFAULT_SEED) -> GKMGraph:
@@ -268,38 +203,86 @@ def morse_betti(g: GKMGraph) -> list[int]:
 
 
 @cache
-def _reduction_table(n: int, pair: tuple[int, int], k: int):
-    """Remainders of all degree-k monomials modulo the form of a canonical
-    pair, one integer {monomial: coefficient} dict per monomial, all scaled
-    by the lcm of their denominators.  A combination of the monomials is
-    divisible by the form exactly when the same combination of these
-    remainders vanishes."""
-    L = _pair_form(n, *pair)
-    rems = [divmod_linear(Poly(n - 1, {mono: Fraction(1)}), L)[1] for mono in monomials(n - 1, k)]
-    d = lcm(*(x.denominator for r in rems for x in r.c.values()))
-    return tuple({mono: x.numerator * (d // x.denominator) for mono, x in r.c.items()} for r in rems)
+def monomials(m: int, d: int) -> tuple[tuple[int, ...], ...]:
+    """Exponent tuples of total degree d in m variables, in a fixed (lex-descending) order."""
+    if m < 1:
+        raise ValueError("need at least one variable")
+    if m == 1:
+        return ((d,),)
+    return tuple(
+        (i,) + rest for i in range(d, -1, -1) for rest in monomials(m - 1, d - i)
+    )
 
 
-def _down_forms(g: GKMGraph, vid: int) -> list[Poly]:
-    """Oriented tangent weights at vid whose pairing with xi is negative."""
-    out = []
-    for wa, wb in g.weight_pairs[vid]:
-        if g.xi[wa - 1] < g.xi[wb - 1]:
-            out.append(_pair_form(g.n, wa, wb))
+@cache
+def _form(n: int, a: int, b: int) -> tuple[int, ...]:
+    """The coefficients of t_a - t_b over t_1..t_{n-1}, with t_n = -(t_1 + ... + t_{n-1})."""
+    out = [0] * (n - 1)
+    for i, sign in ((a, 1), (b, -1)):
+        if i < n:
+            out[i - 1] += sign
+        else:
+            out = [x - sign for x in out]
+    return tuple(out)
+
+
+def _times_form(poly: dict[tuple[int, ...], int], form) -> dict[tuple[int, ...], int]:
+    """The integer polynomial poly, {monomial: coefficient}, times the linear
+    form with coefficients form over t_1..t_{n-1}."""
+    out: dict[tuple[int, ...], int] = {}
+    for mono, x in poly.items():
+        for i, y in enumerate(form):
+            if y:
+                key = mono[:i] + (mono[i] + 1,) + mono[i + 1 :]
+                out[key] = out.get(key, 0) + x * y
     return out
 
 
-def flow_up_class(g: GKMGraph, vid: int) -> EquivClass:
-    """The flow-up class of a vertex: degree = Morse index, zero strictly below.
+@cache
+def _reduction_table(n: int, pair: tuple[int, int], k: int):
+    """Remainders of all degree-k monomials modulo the form t_a - t_b of a
+    canonical pair a < b, one integer {monomial: coefficient} dict per
+    monomial, all scaled by cv^k.  A combination of the monomials is divisible
+    by the form exactly when the same combination of these remainders
+    vanishes.
 
-    Normalized so its value at the vertex is the product of the downward
-    tangent weights.  Built on demand from its integer table, which is read
-    off the one elimination of its degree's edge system that serves every
-    vertex of that index and checked there (_flow_up_classes); a vertex
-    without a class raises ConsistencyError.
+    The remainder of a monomial is its restriction to the hyperplane where
+    the form vanishes, written without the pivot variable t_v: the first of
+    t_1..t_{n-1} with a nonzero coefficient cv in the form (1, or 2 for
+    t_1 - t_n).  There cv t_v = rest, the form's other terms negated, so a
+    monomial with t_v^e times cv^k restricts to cv^(k-e) rest^e times its
+    other variables, with integer coefficients.
+    """
+    form = _form(n, *pair)
+    v = next(i for i, c in enumerate(form) if c)
+    cv = form[v]
+    rest = [0 if i == v else -c for i, c in enumerate(form)]
+    powers = [{(0,) * (n - 1): 1}]  # rest^e
+    for _ in range(k):
+        powers.append(_times_form(powers[-1], rest))
+    table = []
+    for mono in monomials(n - 1, k):
+        e = mono[v]
+        scale = cv ** (k - e)
+        others = mono[:v] + (0,) + mono[v + 1 :]
+        table.append({tuple(map(add, others, m)): scale * x for m, x in powers[e].items() if x})
+    return tuple(table)
+
+
+def flow_up_class(g: GKMGraph, vid: int) -> tuple[int, dict[int, tuple[int, ...]]]:
+    """The flow-up class of a vertex as its integer table (den, support):
+    degree = Morse index, zero strictly below, and value at the vertex the
+    product of the downward tangent weights (_norm).  support maps each
+    vertex where the class is nonzero to an integer coefficient vector over
+    monomials(nvars, index of vid), the class's value there over the
+    positive denominator den.
+
+    The table is read off the one elimination of its degree's edge system
+    that serves every vertex of that index, and checked there
+    (_flow_up_classes); a vertex without a class raises ConsistencyError.
     """
     _check_ring_size(g)
-    return _flow_up_class(g, vid)
+    return _flow_up_classes(g, g.index[vid])[vid]
 
 
 def _check_ring_size(g: GKMGraph) -> None:
@@ -307,34 +290,14 @@ def _check_ring_size(g: GKMGraph) -> None:
         raise ValueError(f"class-level operations support n <= {RING_MAX_N}")
 
 
-@_memo
-def _flow_up_class(g: GKMGraph, vid: int) -> EquivClass:
-    """The EquivClass of vid's flow-up table, with no size guard."""
-    k = g.index[vid]
-    return _class_of(g, k, _flow_up_classes(g, k)[vid])
-
-
-def _class_of(g: GKMGraph, k: int, table) -> EquivClass:
-    """The degree-k EquivClass of an integer table (den, support)."""
-    den, support = table
-    monos = monomials(g.nvars, k)
-    values = [Poly.zero(g.nvars)] * len(g.vertices)
-    for u, vec in support.items():
-        values[u] = Poly(g.nvars, {mono: Fraction(x, den) for mono, x in zip(monos, vec)})
-    return EquivClass(g, k, tuple(values))
-
-
 def _norm(g: GKMGraph, vid: int) -> tuple[int, ...]:
-    """The product of the downward tangent weights at vid, as an integer
+    """The product of the downward tangent weights at vid, the oriented
+    weights t_a - t_b whose pairing with xi is negative, as an integer
     coefficient vector over monomials(nvars, index of vid)."""
     norm = {(0,) * g.nvars: 1}
-    for f in _down_forms(g, vid):
-        product: dict[tuple[int, ...], int] = {}
-        for mono, x in norm.items():
-            for unit, y in f.c.items():  # t_a - t_b: integer coefficients of single variables
-                key = tuple(map(add, mono, unit))
-                product[key] = product.get(key, 0) + x * int(y)
-        norm = product
+    for wa, wb in g.weight_pairs[vid]:
+        if g.xi[wa - 1] < g.xi[wb - 1]:
+            norm = _times_form(norm, _form(g.n, wa, wb))
     return tuple(norm.get(mono, 0) for mono in monomials(g.nvars, g.index[vid]))
 
 
@@ -460,11 +423,6 @@ def _edge_rows(g: GKMGraph, k: int) -> list[dict[int, int]]:
     return rows
 
 
-def ordinary_basis(g: GKMGraph, k: int) -> list[EquivClass]:
-    """Flow-up classes of Morse index k, in moment order; canonical lifts of H^{2k}."""
-    return [flow_up_class(g, u) for u in _ordinary_tables(g, k)]
-
-
 def _ordinary_tables(g: GKMGraph, k: int):
     """The flow-up tables of Morse index k (_flow_up_classes), counted
     against the Betti number from the character side."""
@@ -476,11 +434,6 @@ def _ordinary_tables(g: GKMGraph, k: int):
             f"ordinary piece at degree {k} has {len(tables)} classes, character says {expected}"
         )
     return tables
-
-
-def kahler_class(g: GKMGraph, lam) -> EquivClass:
-    """Equivariant ample class: value at w is the w-translate of a strictly decreasing lam."""
-    return _class_of(g, 1, _kahler_table(g, _weight(g, lam)))
 
 
 def _weight(g: GKMGraph, lam) -> tuple[int, ...]:
@@ -527,37 +480,6 @@ def transposition(n: int, j: int) -> tuple[int, ...]:
     w = list(range(1, n + 1))
     w[j - 1], w[j] = w[j], w[j - 1]
     return tuple(w)
-
-
-def dot_action(g: GKMGraph, w, c: EquivClass) -> EquivClass:
-    """Weyl dot action: (w . f) at u equals w applied to f at w^{-1} u.
-
-    w permutes the variables t_i -> t_{w(i)}; edges go to edges because the
-    edge set is stable under composing vertices on the right, and the result
-    is re-checked against every edge condition.
-    """
-    w = tuple(int(x) for x in w)
-    if sorted(w) != list(range(1, g.n + 1)):
-        raise ValueError(f"not a permutation of 1..{g.n}: {w}")
-    winv = permutation_inverse(w)
-    images = [_t(g.n, target) for target in w[:-1]]
-    values = []
-    for u in g.vertices:
-        src = g.vindex[compose(winv, u)]
-        values.append(c.values[src].substitute(images))
-    out = EquivClass(g, c.degree, tuple(values))
-    out.check_edges()
-    return out
-
-
-def lift(g: GKMGraph, k: int, vec) -> EquivClass:
-    """Equivariant representative of an ordinary class given in flow-up coordinates."""
-    basis = ordinary_basis(g, k)
-    out = EquivClass(g, k, tuple(Poly.zero(g.nvars) for _ in g.vertices))
-    for coeff, cls in zip(vec, basis):
-        if coeff:
-            out = out + cls.scale(coeff)
-    return out
 
 
 @_memo
@@ -609,11 +531,6 @@ def _subset(g: GKMGraph, J) -> tuple[int, ...]:
     if any(not 1 <= j <= g.n - 1 for j in J):
         raise ValueError(f"J must be a subset of 1..{g.n - 1}: {J}")
     return J
-
-
-def invariant_vectors(g: GKMGraph, J, k: int) -> list[list[Fraction]]:
-    """Basis (flow-up coordinates) of the W_J-fixed subspace of the degree-k piece."""
-    return _fractions(*_invariant_vectors(g, _subset(g, J), k))
 
 
 @_memo

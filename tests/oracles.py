@@ -19,21 +19,32 @@ per-graph matrices, one polynomial integral or projection of freshly lifted
 products per entry.  The library's linear algebra runs on integers; echelon
 and row_reduce read its echelon form and RREF as Fraction rows, and
 fraction_inertia is the Fraction congruence pass its integer one replaced.
-The library keeps flow-up classes as integer tables; class_table writes any
-class in that format, so a graph can carry the per-vertex basis.  sanitize makes a report JSON-safe by a deep walk
-(fractions to strings, tuples to lists, keys to strings) against the
-library's JSON writer, which must give the same bytes.
+The library keeps every class as an integer table (one denominator, one
+coefficient vector per vertex).  The polynomial class algebra it replaced
+lives here: Poly, sparse polynomials over the rationals in t_1..t_{n-1} with
+t_n = -(t_1+...+t_{n-1}), and divmod_linear, division by a linear form,
+whose remainders the library's integer remainder tables must match up to a
+positive scalar; EquivClass, a tuple of polynomials with the polynomial edge
+check check_edges; class_of and class_table, which turn a table into a class
+and back, so a graph can carry the per-vertex basis; and the classes built
+from the library's tables (flow_up_class, ordinary_basis, kahler_class),
+the dot action by substitution and lifts of ordinary classes.  sanitize
+makes a report JSON-safe by a deep walk (fractions to strings, tuples to
+lists, keys to strings) against the library's JSON writer, which must give
+the same bytes.
 """
 
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import lcm
 
 from hesslab import gkm
 from hesslab.dotchar import betti_rs
 from hesslab.errors import ConsistencyError, CostGuardError
-from hesslab.exactpoly import Poly, divmod_linear, monomials
+from hesslab.gkm import monomials
 from hesslab.hessenberg import annihilator_pattern, check_hessenberg
 from hesslab.linalg import _entries, _integer_echelon, _integer_rref, nullspace, rank_exact
 from hesslab.partitions import Partition, check_partition, conjugate
@@ -129,6 +140,331 @@ def brute_force_orbit_oracle(lam, h, p: int) -> bool:
         if jordan_type(M, modulus=p) == lam:
             return True
     return False
+
+
+class Poly:
+    __slots__ = ("nvars", "c")
+
+    def __init__(self, nvars: int, coeffs=None):
+        self.nvars = nvars
+        self.c: dict[tuple[int, ...], Fraction] = {}
+        if coeffs:
+            for mono, v in coeffs.items():
+                v = Fraction(v)
+                if v:
+                    self.c[mono] = v
+
+    @classmethod
+    def zero(cls, nvars: int) -> "Poly":
+        return cls(nvars)
+
+    @classmethod
+    def const(cls, nvars: int, value) -> "Poly":
+        return cls(nvars, {(0,) * nvars: Fraction(value)})
+
+    @classmethod
+    def variable(cls, nvars: int, i: int) -> "Poly":
+        mono = tuple(1 if k == i else 0 for k in range(nvars))
+        return cls(nvars, {mono: Fraction(1)})
+
+    @classmethod
+    def linear(cls, coeffs) -> "Poly":
+        """Linear form sum(coeffs[i] * t_{i+1})."""
+        coeffs = list(coeffs)
+        m = len(coeffs)
+        out = {}
+        for i, v in enumerate(coeffs):
+            if v:
+                out[tuple(1 if k == i else 0 for k in range(m))] = Fraction(v)
+        return cls(m, out)
+
+    def __add__(self, other: "Poly") -> "Poly":
+        c = dict(self.c)
+        for mono, v in other.c.items():
+            s = c.get(mono, 0) + v
+            if s:
+                c[mono] = s
+            else:
+                c.pop(mono, None)
+        out = Poly(self.nvars)
+        out.c = c
+        return out
+
+    def __sub__(self, other: "Poly") -> "Poly":
+        c = dict(self.c)
+        for mono, v in other.c.items():
+            s = c.get(mono, 0) - v
+            if s:
+                c[mono] = s
+            else:
+                c.pop(mono, None)
+        out = Poly(self.nvars)
+        out.c = c
+        return out
+
+    def __mul__(self, other) -> "Poly":
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
+        c: dict[tuple[int, ...], Fraction] = {}
+        for m1, v1 in self.c.items():
+            for m2, v2 in other.c.items():
+                mono = tuple(a + b for a, b in zip(m1, m2))
+                s = c.get(mono, 0) + v1 * v2
+                if s:
+                    c[mono] = s
+                else:
+                    c.pop(mono, None)
+        out = Poly(self.nvars)
+        out.c = c
+        return out
+
+    __rmul__ = __mul__
+
+    def scale(self, k) -> "Poly":
+        k = Fraction(k)
+        out = Poly(self.nvars)
+        if k:
+            out.c = {mono: v * k for mono, v in self.c.items()}
+        return out
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Poly) and self.nvars == other.nvars and self.c == other.c
+
+    def is_zero(self) -> bool:
+        return not self.c
+
+    @property
+    def degree(self) -> int:
+        """Total degree; -1 for zero."""
+        return max((sum(mono) for mono in self.c), default=-1)
+
+    def constant_value(self) -> Fraction:
+        """Value of a degree <= 0 polynomial; raises if higher-order terms exist."""
+        if not self.c:
+            return Fraction(0)
+        if self.degree > 0:
+            raise ValueError(f"not a constant: degree {self.degree}")
+        return self.c[(0,) * self.nvars]
+
+    def eval_at(self, point) -> Fraction:
+        point = [Fraction(x) for x in point]
+        total = Fraction(0)
+        for mono, v in self.c.items():
+            term = v
+            for x, e in zip(point, mono):
+                if e:
+                    term *= x**e
+            total += term
+        return total
+
+    def substitute(self, images: list["Poly"]) -> "Poly":
+        """Ring homomorphism t_{i+1} -> images[i], applied by expanding each monomial."""
+        if len(images) != self.nvars:
+            raise ValueError("need one image per variable")
+        nvars = images[0].nvars if images else self.nvars
+        powers: list[dict[int, Poly]] = [dict() for _ in range(self.nvars)]
+
+        def power(i: int, e: int) -> Poly:
+            got = powers[i].get(e)
+            if got is None:
+                got = Poly.const(nvars, 1) if e == 0 else power(i, e - 1) * images[i]
+                powers[i][e] = got
+            return got
+
+        total = Poly.zero(nvars)
+        for mono, v in self.c.items():
+            term = Poly.const(nvars, v)
+            for i, e in enumerate(mono):
+                if e:
+                    term = term * power(i, e)
+            total = total + term
+        return total
+
+    def __repr__(self):
+        if not self.c:
+            return "Poly(0)"
+        bits = []
+        for mono, v in sorted(self.c.items(), reverse=True):
+            vars_part = "*".join(
+                f"t{i + 1}^{e}" if e > 1 else f"t{i + 1}" for i, e in enumerate(mono) if e
+            )
+            bits.append(f"{v}" + (f"*{vars_part}" if vars_part else ""))
+        return "Poly(" + " + ".join(bits) + ")"
+
+
+def divmod_linear(P: Poly, L: Poly) -> tuple[Poly, Poly]:
+    """(Q, R) with P = Q*L + R and R free of the pivot variable of L.
+
+    The pivot is the first variable with a nonzero coefficient in L; the two
+    conditions fix R, which is P restricted to the hyperplane L = 0 written in
+    the other variables, so L divides P exactly when R is zero.  Synthetic
+    division, one pivot exponent at a time from the top: cancelling a term of
+    pivot exponent d only touches terms of pivot exponent d - 1.
+    """
+    m = L.nvars
+    if not L.c or any(sum(mono) != 1 for mono in L.c):
+        raise ValueError(f"not a linear form: {L!r}")
+    coeffs = [L.c.get(tuple(1 if k == i else 0 for k in range(m)), Fraction(0)) for i in range(m)]
+    v = next(i for i in range(m) if coeffs[i])
+    cv = coeffs[v]
+    rest = [(u, cu) for u, cu in enumerate(coeffs) if cu and u != v]
+    R = dict(P.c)
+    Q: dict[tuple[int, ...], Fraction] = {}
+    for d in range(max((mono[v] for mono in R), default=0), 0, -1):
+        for mono in [mono for mono in R if mono[v] == d]:
+            qmono = tuple(e - 1 if i == v else e for i, e in enumerate(mono))
+            qc = Q[qmono] = R.pop(mono) / cv
+            for u, cu in rest:
+                tm = tuple(e + 1 if i == u else e for i, e in enumerate(qmono))
+                s = R.get(tm, 0) - qc * cu
+                if s:
+                    R[tm] = s
+                else:
+                    R.pop(tm, None)
+    q, r = Poly(m), Poly(m)
+    q.c, r.c = Q, R
+    return q, r
+
+
+@cache
+def t(n: int, i: int) -> Poly:
+    """The linear form t_i in the retained variables t_1..t_{n-1}."""
+    if i < n:
+        return Poly.variable(n - 1, i - 1)
+    return Poly.linear([-1] * (n - 1))  # t_n = -(t_1 + ... + t_{n-1})
+
+
+@cache
+def pair_form(n: int, i: int, j: int) -> Poly:
+    """The linear form t_i - t_j."""
+    return t(n, i) - t(n, j)
+
+
+def down_forms(g, vid: int) -> list[Poly]:
+    """Oriented tangent weights at vid whose pairing with xi is negative."""
+    out = []
+    for wa, wb in g.weight_pairs[vid]:
+        if g.xi[wa - 1] < g.xi[wb - 1]:
+            out.append(pair_form(g.n, wa, wb))
+    return out
+
+
+@dataclass
+class EquivClass:
+    """Vertex-wise polynomial assignment of one homogeneous degree."""
+
+    graph: gkm.GKMGraph
+    degree: int
+    values: tuple[Poly, ...]
+
+    def __add__(self, other: "EquivClass") -> "EquivClass":
+        if other.degree != self.degree:
+            raise ValueError("cannot add classes of different degrees")
+        return EquivClass(
+            self.graph, self.degree, tuple(a + b for a, b in zip(self.values, other.values))
+        )
+
+    def scale(self, k) -> "EquivClass":
+        return EquivClass(self.graph, self.degree, tuple(v.scale(k) for v in self.values))
+
+    def __mul__(self, other) -> "EquivClass":
+        if isinstance(other, EquivClass):
+            return EquivClass(
+                self.graph,
+                self.degree + other.degree,
+                tuple(a * b for a, b in zip(self.values, other.values)),
+            )
+        if isinstance(other, Poly):
+            return EquivClass(
+                self.graph, self.degree + other.degree, tuple(v * other for v in self.values)
+            )
+        return self.scale(other)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, EquivClass)
+            and self.degree == other.degree
+            and self.values == other.values
+        )
+
+    def check_edges(self) -> None:
+        g = self.graph
+        for u, v, pair in g.edges():
+            diff = self.values[u] - self.values[v]
+            if diff.is_zero():
+                continue
+            if not divmod_linear(diff, pair_form(g.n, *pair))[1].is_zero():
+                raise ConsistencyError(
+                    f"edge condition fails between {g.vertices[u]} and {g.vertices[v]} on {pair}"
+                )
+
+
+def class_of(g, k: int, table) -> EquivClass:
+    """The degree-k EquivClass of an integer table (den, support)."""
+    den, support = table
+    monos = monomials(g.nvars, k)
+    values = [Poly.zero(g.nvars)] * len(g.vertices)
+    for u, vec in support.items():
+        values[u] = Poly(g.nvars, {mono: Fraction(x, den) for mono, x in zip(monos, vec)})
+    return EquivClass(g, k, tuple(values))
+
+
+@gkm._memo
+def flow_up_class(g, vid: int) -> EquivClass:
+    """The EquivClass of vid's flow-up table (gkm.flow_up_class, size guard
+    included), built once per graph."""
+    return class_of(g, g.index[vid], gkm.flow_up_class(g, vid))
+
+
+def ordinary_basis(g, k: int) -> list[EquivClass]:
+    """Flow-up classes of Morse index k, in moment order; canonical lifts of
+    H^{2k}, counted against the character side like the library's tables."""
+    return [flow_up_class(g, u) for u in gkm._ordinary_tables(g, k)]
+
+
+def kahler_class(g, lam) -> EquivClass:
+    """Equivariant ample class: value at w is the w-translate of a strictly
+    decreasing lam; the EquivClass of the library's checked table."""
+    return class_of(g, 1, gkm._kahler_table(g, gkm._weight(g, lam)))
+
+
+def dot_action(g, w, c: EquivClass) -> EquivClass:
+    """Weyl dot action: (w . f) at u equals w applied to f at w^{-1} u.
+
+    w permutes the variables t_i -> t_{w(i)}; edges go to edges because the
+    edge set is stable under composing vertices on the right, and the result
+    is re-checked against every edge condition.
+    """
+    w = tuple(int(x) for x in w)
+    if sorted(w) != list(range(1, g.n + 1)):
+        raise ValueError(f"not a permutation of 1..{g.n}: {w}")
+    winv = gkm.permutation_inverse(w)
+    images = [t(g.n, target) for target in w[:-1]]
+    values = []
+    for u in g.vertices:
+        src = g.vindex[gkm.compose(winv, u)]
+        values.append(c.values[src].substitute(images))
+    out = EquivClass(g, c.degree, tuple(values))
+    out.check_edges()
+    return out
+
+
+def lift(g, k: int, vec) -> EquivClass:
+    """Equivariant representative of an ordinary class given in flow-up coordinates."""
+    basis = ordinary_basis(g, k)
+    out = EquivClass(g, k, tuple(Poly.zero(g.nvars) for _ in g.vertices))
+    for coeff, cls in zip(vec, basis):
+        if coeff:
+            out = out + cls.scale(coeff)
+    return out
+
+
+def invariant_vectors(g, J, k: int) -> list[list[Fraction]]:
+    """Basis (flow-up coordinates) of the W_J-fixed subspace of the degree-k
+    piece: the library's integer basis as Fractions."""
+    return gkm._fractions(*gkm._invariant_vectors(g, gkm._subset(g, J), k))
 
 
 def _dimension_of_degree(m: int, d: int) -> int:
@@ -249,12 +585,12 @@ def norm_poly(g, vid: int) -> Poly:
     """The product of the downward tangent weights at vid, as a Poly product
     against the library's integer coefficient vector."""
     norm = Poly.const(g.nvars, 1)
-    for f in gkm._down_forms(g, vid):
+    for f in down_forms(g, vid):
         norm = norm * f
     return norm
 
 
-def flow_up_class_by_vertex(g, vid: int) -> gkm.EquivClass:
+def flow_up_class_by_vertex(g, vid: int) -> EquivClass:
     """The flow-up class of vid from a system of its own: the edge rows of
     its degree with vid's block moved to the right-hand side at the
     coefficients of its norm, the vertices strictly above it (phi larger)
@@ -296,7 +632,7 @@ def flow_up_class_by_vertex(g, vid: int) -> gkm.EquivClass:
     values[vid] = norm
     for u, base in col_of.items():
         values[u] = Poly(m, {mono: x[base + i] for i, mono in enumerate(monos)})
-    cls = gkm.EquivClass(g, k, tuple(values))
+    cls = EquivClass(g, k, tuple(values))
     cls.check_edges()
     for u in g.order:
         if u == vid:
@@ -348,7 +684,7 @@ def equivariant_piece(g, k: int) -> list:
         j = g.index[vid]
         if j > min(k, g.l):
             continue
-        sigma = gkm.flow_up_class(g, vid)
+        sigma = flow_up_class(g, vid)
         for mono in monomials(g.nvars, k - j):
             basis.append(sigma * Poly(g.nvars, {mono: Fraction(1)}))
     if len(basis) != expected:
@@ -383,12 +719,12 @@ def _integration_factors(g: gkm.GKMGraph):
         poly = Poly.const(g.nvars, sign)
         for pair in all_pairs:
             if pair not in covered:
-                poly = poly * gkm._pair_form(g.n, *pair)
+                poly = poly * pair_form(g.n, *pair)
         factors.append(poly)
     return factors
 
 
-def integrate(g: gkm.GKMGraph, c: gkm.EquivClass):
+def integrate(g: gkm.GKMGraph, c: EquivClass):
     """Localization sum over fixed points: sum_w f_w / prod(tangent weights at w).
 
     The sum of rational functions must collapse to a polynomial of degree
@@ -405,7 +741,7 @@ def integrate(g: gkm.GKMGraph, c: gkm.EquivClass):
         for j in range(i + 1, g.n + 1):
             if total.is_zero():
                 break
-            total, rem = divmod_linear(total, gkm._pair_form(g.n, i, j))
+            total, rem = divmod_linear(total, pair_form(g.n, i, j))
             if not rem.is_zero():
                 raise ConsistencyError("localization sum failed to be a polynomial")
     expected_degree = c.degree - g.l
@@ -435,12 +771,12 @@ def _decompose(g, c) -> dict:
         if g.index[vid] > c.degree:
             raise ConsistencyError("class is not in the span of flow-up multiples")
         q = r
-        for f in gkm._down_forms(g, vid):
+        for f in down_forms(g, vid):
             q, rem = divmod_linear(q, f)
             if not rem.is_zero():
                 raise ConsistencyError("flow-up decomposition hit a non-divisible residual")
         out[vid] = q
-        sigma = gkm.flow_up_class(g, vid)
+        sigma = flow_up_class(g, vid)
         for u, val in enumerate(sigma.values):
             if not val.is_zero():
                 residual[u] = residual[u] - q * val
@@ -460,26 +796,26 @@ def dot_matrix_by_projection(g, j: int, k: int):
     """Matrix of s_j on the degree-k piece: column c is
     ordinary_project(dot_action(s_j, sigma_c)) for the c-th flow-up class."""
     w = gkm.transposition(g.n, j)
-    cols = [ordinary_project(g, gkm.dot_action(g, w, s)) for s in gkm.ordinary_basis(g, k)]
+    cols = [ordinary_project(g, dot_action(g, w, s)) for s in ordinary_basis(g, k)]
     return [list(row) for row in zip(*cols)]
 
 
 def lefschetz_matrix_by_projection(g, lam, dd: int):
     """Row i is ordinary_project(sigma_i * omega) for the flow-up classes
     sigma_i of Morse index dd and the ample class omega of lam."""
-    omega = gkm.kahler_class(g, lam)
-    return [ordinary_project(g, s * omega) for s in gkm.ordinary_basis(g, dd)]
+    omega = kahler_class(g, lam)
+    return [ordinary_project(g, s * omega) for s in ordinary_basis(g, dd)]
 
 
 def lift_with_noise(g, k: int, vec, rng: random.Random):
     """A different valid lift of the same ordinary class: adds random multiples
     of lower flow-up classes by positive-degree monomials."""
-    out = gkm.lift(g, k, vec)
+    out = lift(g, k, vec)
     for vid in g.order:
         j = g.index[vid]
         if j >= k or j > g.l:
             continue
-        sigma = gkm.flow_up_class(g, vid)
+        sigma = flow_up_class(g, vid)
         for mono in monomials(g.nvars, k - j):
             coeff = rng.randint(-2, 2)
             if coeff:
@@ -488,9 +824,9 @@ def lift_with_noise(g, k: int, vec, rng: random.Random):
 
 
 def _omega_power(g, lam, p: int):
-    out = gkm.EquivClass(g, 0, tuple(Poly.const(g.nvars, 1) for _ in g.vertices))
+    out = EquivClass(g, 0, tuple(Poly.const(g.nvars, 1) for _ in g.vertices))
     for _ in range(p):
-        out = out * gkm.kahler_class(g, lam)
+        out = out * kahler_class(g, lam)
     return out
 
 
@@ -498,24 +834,24 @@ def pairing_by_lifts(g, k: int, J):
     """Poincare pairing with one polynomial integral of lifted invariant
     classes per entry: integrate(lift(a) * lift(b))."""
     dd = k // 2
-    A = [gkm.lift(g, dd, v) for v in gkm.invariant_vectors(g, J, dd)]
-    B = [gkm.lift(g, g.l - dd, v) for v in gkm.invariant_vectors(g, J, g.l - dd)]
+    A = [lift(g, dd, v) for v in invariant_vectors(g, J, dd)]
+    B = [lift(g, g.l - dd, v) for v in invariant_vectors(g, J, g.l - dd)]
     return [[integrate(g, a * b) for b in B] for a in A]
 
 
 def intersection_matrix_by_integrals(g, dd: int):
     """integrate(sigma_i * sigma_j) for the flow-up classes of Morse index dd
     and l - dd, both in moment order."""
-    B = gkm.ordinary_basis(g, g.l - dd)
-    return [[integrate(g, a * b) for b in B] for a in gkm.ordinary_basis(g, dd)]
+    B = ordinary_basis(g, g.l - dd)
+    return [[integrate(g, a * b) for b in B] for a in ordinary_basis(g, dd)]
 
 
 def lefschetz_images_by_lifts(g, J, lam, dd: int, p: int):
     """ordinary_project(lift(v) * omega^p) for each W_J-invariant v of degree dd."""
     omega_pow = _omega_power(g, lam, p)
     return [
-        ordinary_project(g, gkm.lift(g, dd, v) * omega_pow)
-        for v in gkm.invariant_vectors(g, J, dd)
+        ordinary_project(g, lift(g, dd, v) * omega_pow)
+        for v in invariant_vectors(g, J, dd)
     ]
 
 
@@ -523,11 +859,11 @@ def primitive_form_by_lifts(g, J, lam, dd: int):
     """Unsigned Hodge-Riemann Gram matrix integrate(a * b * omega^(l-2dd)) over
     lifts of the primitive invariant basis, itself taken from the kernel of
     lefschetz_images_by_lifts at one more power."""
-    domain = gkm.invariant_vectors(g, J, dd)
+    domain = invariant_vectors(g, J, dd)
     images = lefschetz_images_by_lifts(g, J, lam, dd, g.l - 2 * dd + 1)
     prim = nullspace(list(zip(*images)), len(domain))
     lifts = [
-        gkm.lift(g, dd, [sum(x * e for x, e in zip(p, col)) for col in zip(*domain)])
+        lift(g, dd, [sum(x * e for x, e in zip(p, col)) for col in zip(*domain)])
         for p in prim
     ]
     omega_pow = _omega_power(g, lam, g.l - 2 * dd)

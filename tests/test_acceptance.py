@@ -15,13 +15,7 @@ from math import factorial
 from hesslab import gkm
 from hesslab.cli import canonical_json, kahler_payload
 from hesslab.dotchar import betti_rs, chromatic_qsym, dot_action_multiplicities, regular_betti
-from hesslab.gkm import (
-    build_gkm,
-    flow_up_class,
-    lift,
-    morse_betti,
-    ordinary_basis,
-)
+from hesslab.gkm import build_gkm, morse_betti
 from hesslab.hessenberg import enumerate_hessenberg, incomparability_graph
 from hesslab.partitions import (
     character_value,
@@ -33,10 +27,13 @@ from hesslab.symfunc import QPoly, powersum_csf_q1, powersum_to_monomial, q_fact
 from oracles import (
     brute_force_orbit_oracle,
     dot_matrix_by_projection,
+    flow_up_class,
     integrate,
     intersection_matrix_by_integrals,
     lefschetz_matrix_by_projection,
+    lift,
     lift_with_noise,
+    ordinary_basis,
 )
 
 # a second strictly decreasing Kahler weight per n, besides the default one

@@ -274,7 +274,7 @@ def test_kahler_bytes_pinned(capsys):
         for h, J in (("2,3,3", ""), ("2,3,3", "1,2"), ("2,3,4,4", "1,3"))
     )
     digest = hashlib.sha256(text.encode()).hexdigest()
-    assert digest == "3bdc45424bb9da3ac67a54c39d29d16356231d3a52d0366b33a24136dde67c48"
+    assert digest == "71b971cbdb020a4a73c8feb9397d82f6825411325700cdb3bfa56f1f77ba3de4"
 
 
 def test_kahler_payload_leaves_report_untouched(capsys):
@@ -458,6 +458,49 @@ def test_cache_corrupt_entries_are_rewritten(tmp_path, capsys):
     assert (rc, warm, err) == (0, cold, "")
     assert sorted(cache.iterdir()) == entries
     assert {path: path.read_bytes() for path in entries} == valid
+
+
+def overwrite_payload(cache, payload) -> None:
+    """Replace the payload of the one entry in cache, keeping its key."""
+    (path,) = cache.iterdir()
+    entry = json.loads(path.read_text())
+    entry["payload"] = payload
+    path.write_text(json.dumps(entry))
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda payload: {"n": 3},
+        lambda payload: {},
+        lambda payload: {**payload, "mult": {**payload["mult"], "1,1,1": [0, 0, 5]}},
+        lambda payload: multiplicities_json(dotchar.dot_action_multiplicities((3, 3, 3))),
+    ],
+    ids=["n-only", "empty", "count-changed", "another-h"],
+)
+def test_cache_bad_multiplicity_payload_is_an_error(tmp_path, capsys, corrupt):
+    # a stored table that is not the checked table of the requested h fails
+    # with exit 1 and one stderr line: no traceback, and no false violation
+    # from a table that breaks the character checks
+    args = ("analyze", "--h", "2,3,3", "--gkm", "--cache-dir", str(tmp_path))
+    assert run(capsys, *args)[0] == 0
+    (path,) = tmp_path.iterdir()
+    overwrite_payload(tmp_path, corrupt(json.loads(path.read_text())["payload"]))
+    rc, out, err = run(capsys, *args)
+    assert (rc, out) == (1, "")
+    assert err.startswith("hesslab: ") and err.count("\n") == 1
+
+
+def test_cache_payload_betti_is_not_read(tmp_path, capsys):
+    # the report's l, betti and mult come from the checked table, so a
+    # changed derived betti entry leaves the bytes of the cold report
+    args = ("analyze", "--h", "2,3,3", "--gkm", "--cache-dir", str(tmp_path))
+    rc, cold, _ = run(capsys, *args)
+    assert rc == 0
+    (path,) = tmp_path.iterdir()
+    payload = json.loads(path.read_text())["payload"]
+    overwrite_payload(tmp_path, {**payload, "betti": [1, 9, 1]})
+    assert run(capsys, *args) == (0, cold, "")
 
 
 def test_cache_warm_analyze_enumerates_no_colorings(tmp_path, capsys, monkeypatch):

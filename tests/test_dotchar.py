@@ -20,7 +20,7 @@ from hesslab.dotchar import (
     multiplicities_json,
     regular_betti,
 )
-from hesslab.errors import CostGuardError
+from hesslab.errors import ConsistencyError, CostGuardError
 from hesslab.hessenberg import dimension, enumerate_hessenberg, incomparability_graph, is_indecomposable
 from hesslab.partitions import conjugate, dim_irrep, invariant_dim, partitions_of, young_subgroup_blocks
 from hesslab.symfunc import QPoly, q_factorial, schur_inner_product
@@ -346,6 +346,57 @@ def test_json_shape():
     doc = multiplicities_json(gm)
     assert "10" in doc["mult"] and "1,1,1,1,1,1,1,1,1,1" in doc["mult"]
     assert multiplicities_from_json(doc) == gm
+
+
+HEXAGON_DOC = {
+    "n": 3,
+    "h": "2,3,3",
+    "l": 2,
+    "mult": {"3": [1, 2, 1], "2,1": [0, 1, 0], "1,1,1": [0, 0, 0]},
+    "betti": [1, 4, 1],
+}
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"n": 3, "h": None}, "malformed"),
+        ({"l": None}, "malformed"),
+        ({"mult": {"3": [1, 2, 1], "2,1": [0, 1, 0]}}, "not the partitions of 3"),
+        ({"mult": {"3": [1, 2, 1], "2,1": [0, 1, 0], "1,1,1": [0, 0, 0], "1,1,1,0": [0, 0, 0]}}, "malformed"),
+        ({"mult": {"3": [1, 2, 1], "2,1": [0, 1, 0], "1,1,1": [0, 0, 0], "1, 1, 1": [0, 0, 0]}}, "not the partitions"),
+        ({"h": "2,3,2"}, "malformed"),
+        ({"n": 4}, "claims n = 4"),
+        ({"l": 3}, "claims n = 3, l = 3"),
+        ({"mult": {"3": [1, 2, 1], "2,1": [0, 1], "1,1,1": [0, 0, 0]}}, "not 3 integers"),
+        ({"mult": {"3": [1, 2, 1], "2,1": [0, 1.0, 0], "1,1,1": [0, 0, 0]}}, "not 3 integers"),
+        ({"mult": {"3": [1, 2, 1], "2,1": [0, 1, 0], "1,1,1": [0, 0, 5]}}, "sum to 11, not 3!"),
+        ({"mult": {"3": [1, 2, 1], "2,1": [1, -1, 1], "1,1,1": [0, 0, 0]}}, "negative multiplicity"),
+    ],
+    ids=[
+        "no-h",
+        "no-l",
+        "missing-key",
+        "bad-key",
+        "duplicate-key",
+        "bad-h",
+        "wrong-n",
+        "wrong-l",
+        "short-row",
+        "float-entry",
+        "count-changed",
+        "negative",
+    ],
+)
+def test_json_tables_are_checked(change, message):
+    # a document read back must be the table of a Hessenberg function: the
+    # checks of a computed table, and the keys, h, n and l on top
+    doc = {key: value for key, value in {**HEXAGON_DOC, **change}.items() if value is not None}
+    with pytest.raises(ConsistencyError, match=message):
+        multiplicities_from_json(doc)
+    with pytest.raises(ConsistencyError, match="malformed"):
+        multiplicities_from_json([HEXAGON_DOC])
+    assert multiplicities_from_json({**HEXAGON_DOC, "betti": [1, 9, 1]}) == dot_action_multiplicities((2, 3, 3))
 
 
 def test_total_dimension_is_group_order():

@@ -1,19 +1,15 @@
-"""Division by a linear form, the one exact routine every edge condition,
-flow-up decomposition and localization integral runs on."""
+"""Division by a linear form in the oracle polynomial algebra: the exact
+routine the oracle edge check, flow-up decomposition and localization
+integrals run on, and the reference for the library's integer remainder
+tables."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from hesslab.exactpoly import Poly, divmod_linear, monomials
-
-
-def t(n: int, i: int) -> Poly:
-    """t_i in the variables t_1..t_{n-1}, with t_n = -(t_1 + ... + t_{n-1})."""
-    if i < n:
-        return Poly.variable(n - 1, i - 1)
-    return Poly.linear([-1] * (n - 1))
+from hesslab.gkm import monomials
+from oracles import Poly, divmod_linear, t
 
 
 def pair_forms(n: int):

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import itertools
 import random
 from fractions import Fraction
@@ -10,19 +11,13 @@ from hesslab import gkm
 from hesslab.cli import all_parabolic_subsets, canonical_json
 from hesslab.dotchar import betti_rs, dot_action_multiplicities, regular_betti
 from hesslab.errors import ConsistencyError, TheoremViolation
-from hesslab.exactpoly import Poly, monomials
 from hesslab.gkm import (
-    EquivClass,
     build_gkm,
     default_kahler_weight,
-    dot_action,
-    flow_up_class,
     invariant_subring,
-    kahler_class,
     kahler_report,
-    lift,
+    monomials,
     morse_betti,
-    ordinary_basis,
     poincare_pairing,
 )
 from hesslab.hessenberg import dimension, enumerate_hessenberg
@@ -30,11 +25,18 @@ from hesslab.linalg import det_exact, inertia
 from hesslab.partitions import character_value
 import oracles
 from oracles import (
+    EquivClass,
+    Poly,
+    dot_action,
     equivariant_dimension,
     equivariant_piece,
+    flow_up_class,
     integrate,
+    kahler_class,
     lefschetz_images_by_lifts,
+    lift,
     lift_with_noise,
+    ordinary_basis,
     ordinary_project,
     pairing_by_lifts,
     primitive_form_by_lifts,
@@ -163,34 +165,30 @@ def test_flow_up_triangularity_and_normalization():
     for seed, h in itertools.product(seeds, ((2, 3, 3), (3, 3, 3), (2, 2, 3, 4))):
         g = build_gkm(h, seed=seed)
         for vid in range(len(g.vertices)):
-            cls = flow_up_class(g, vid)
-            assert cls.degree == g.index[vid]
-            val = cls.values[vid]
-            assert not val.is_zero()
-            assert val.degree == g.index[vid]
-            for u in g.order:
-                if u == vid:
-                    break
-                assert cls.values[u].is_zero()
+            den, support = gkm.flow_up_class(g, vid)
+            assert type(den) is int and den > 0
+            assert all(len(vec) == len(monomials(g.nvars, g.index[vid])) for vec in support.values())
+            assert any(support[vid]) and support[vid] == tuple(den * x for x in gkm._norm(g, vid))
+            assert not any(u in support for u in g.order[: g.order.index(vid)])
 
 
 def test_flow_up_guard_above_class_scale():
     g = build_gkm((2, 3, 4, 5, 5))
     with pytest.raises(ValueError):
-        flow_up_class(g, 0)
+        gkm.flow_up_class(g, 0)
 
 
 def test_flow_up_classes_at_n5_frontier():
     # one elimination per degree builds every flow-up table of the Peterson
-    # function at n = 5, below the class-level guard that flow_up_class keeps;
-    # the class rebuilt from each table passes the polynomial edge check
+    # function at n = 5, above the class-level guard that flow_up_class keeps;
+    # the oracle class rebuilt from each table passes the polynomial edge check
     g = build_gkm((2, 3, 4, 5, 5))
     counts = []
     for k in range(g.l + 1):
         tables = gkm._flow_up_classes(g, k)
         assert list(tables) == [u for u in g.order if g.index[u] == k]
         for vid in tables:
-            cls = gkm._flow_up_class(g, vid)
+            cls = oracles.class_of(g, k, tables[vid])
             cls.check_edges()
             assert cls.degree == k
             norm = oracles.norm_poly(g, vid)
@@ -201,18 +199,36 @@ def test_flow_up_classes_at_n5_frontier():
     assert counts == [1, 26, 66, 26, 1] == betti_rs(g.h)
 
 
-def test_flow_up_classes_avoid_polynomial_classes(monkeypatch):
-    # the tables are read off the integer RREF and checked on integers: no
-    # polynomial edge check, and no division but the memoized remainders
-    def refuse(*args, **kwargs):
-        raise AssertionError("polynomial route reached")
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_reduction_tables_are_scaled_polynomial_remainders(n):
+    # for every canonical pair and every k <= 6, the integer remainder table
+    # is one positive scalar times the remainders of the monomials that the
+    # oracle's divmod_linear leaves
+    for pair in itertools.combinations(range(1, n + 1), 2):
+        form = oracles.pair_form(n, *pair)
+        for k in range(7):
+            table = gkm._reduction_table(n, pair, k)
+            monos = monomials(n - 1, k)
+            assert len(table) == len(monos)
+            ratios = set()
+            for got, mono in zip(table, monos):
+                want = oracles.divmod_linear(Poly(n - 1, {mono: 1}), form)[1]
+                assert set(got) == set(want.c), (pair, k, mono)
+                assert all(type(x) is int for x in got.values())
+                ratios.update(Fraction(got[m]) / x for m, x in want.c.items())
+            # at n = 2 every monomial of positive degree is a multiple of the form
+            assert len(ratios) == (1 if n > 2 or k == 0 else 0) and all(r > 0 for r in ratios), (pair, k)
 
+
+def test_flow_up_classes_avoid_polynomial_classes():
+    # the library has no polynomial class: the tables are read off the
+    # integer RREF and checked on integers, remainder tables included
+    with pytest.raises(ImportError):
+        importlib.import_module("hesslab.exactpoly")
+    for name in ("Poly", "EquivClass", "divmod_linear", "dot_action", "lift", "ordinary_basis", "kahler_class"):
+        assert not hasattr(gkm, name), name
+    gkm._reduction_table.cache_clear()
     g = build_gkm((2, 3, 4, 4))
-    for pair in itertools.combinations(range(1, g.n + 1), 2):
-        for k in range(g.l + 1):
-            gkm._reduction_table(g.n, pair, k)
-    monkeypatch.setattr(EquivClass, "check_edges", refuse)
-    monkeypatch.setattr(gkm, "divmod_linear", refuse)
     for k in range(g.l + 1):
         for vid, (den, support) in gkm._flow_up_classes(g, k).items():
             assert type(vid) is int and type(den) is int and den > 0
@@ -505,7 +521,7 @@ def test_integer_edge_check_rejects_a_corrupted_table():
     with pytest.raises(ConsistencyError, match="edge condition fails"):
         gkm._check_flow_up(g, top, corrupted)
     with pytest.raises(ConsistencyError, match="edge condition fails"):
-        gkm._class_of(g, g.l, corrupted).check_edges()
+        oracles.class_of(g, g.l, corrupted).check_edges()
 
 
 def test_support_leak_check_rejects_a_class_below_its_vertex():
@@ -599,7 +615,7 @@ def test_kahler_report_avoids_polynomial_projection(monkeypatch):
         raise AssertionError("polynomial route reached")
 
     monkeypatch.setattr(oracles, "_decompose", refuse)
-    monkeypatch.setattr(gkm, "dot_action", refuse)
+    monkeypatch.setattr(oracles, "dot_action", refuse)
     monkeypatch.setattr(Poly, "substitute", refuse)
     monkeypatch.setattr(EquivClass, "check_edges", refuse)
     g = build_gkm((2, 3, 4, 4))
@@ -720,6 +736,26 @@ def test_integer_inertia_matches_the_fraction_pass_on_every_report_gram(monkeypa
         assert out == oracles.fraction_inertia(gkm._fractions(A, d)), (A, d)
 
 
+def count_fractions(compute):
+    """compute() and the argument tuples of every Fraction built meanwhile."""
+    original = Fraction.__dict__["__new__"]
+    made = []
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return original.__func__(cls, *args, **kwargs)
+
+    Fraction.__new__ = staticmethod(counting)
+    try:
+        return compute(), made
+    finally:
+        Fraction.__new__ = original
+
+
+def hodge_riemann_pivots(report) -> int:
+    return sum(len(entry["pivots"]) for entry in report["hodge_riemann"].values())
+
+
 def test_kahler_report_builds_fractions_only_for_pivots_and_pairings():
     # once the flow-up tables and the per-graph matrices are filled, a report
     # for a new J builds a Fraction for each recorded Hodge-Riemann pivot and
@@ -728,28 +764,24 @@ def test_kahler_report_builds_fractions_only_for_pivots_and_pairings():
     # Fraction per entry, and only when asked for.
     g = build_gkm((2, 3, 4, 4))
     kahler_report(g, ())
-    original = Fraction.__dict__["__new__"]
-    made = []
-
-    def counting(cls, *args, **kwargs):
-        made.append(args)
-        return original.__func__(cls, *args, **kwargs)
-
-    def fractions_made(compute):
-        made.clear()
-        Fraction.__new__ = staticmethod(counting)
-        try:
-            return compute()
-        finally:
-            Fraction.__new__ = original
-
-    report = fractions_made(lambda: kahler_report(g, (1,)))
-    pivots = sum(len(entry["pivots"]) for entry in report["hodge_riemann"].values())
+    report, made = count_fractions(lambda: kahler_report(g, (1,)))
     assert report["verdicts"]["all"] is True
-    assert pivots and len(made) == pivots
+    assert hodge_riemann_pivots(report) and len(made) == hodge_riemann_pivots(report)
     pairings = sum(entry["size"] ** 2 for entry in report["poincare"].values())
-    fractions_made(lambda: [poincare_pairing(g, int(k), (1,)) for k in report["poincare"]])
+    _, made = count_fractions(lambda: [poincare_pairing(g, int(k), (1,)) for k in report["poincare"]])
     assert pairings and len(made) == pairings
+
+
+def test_first_kahler_report_builds_fractions_only_for_pivots():
+    # the first report on a fresh graph, with no remainder table built yet,
+    # builds the remainder tables, the norms, the flow-up tables and every
+    # per-graph matrix on integers: a Fraction only for each recorded
+    # Hodge-Riemann pivot
+    gkm._reduction_table.cache_clear()
+    g = build_gkm((2, 3, 4, 4))
+    report, made = count_fractions(lambda: kahler_report(g, ()))
+    assert report["verdicts"]["all"] is True
+    assert hodge_riemann_pivots(report) and len(made) == hodge_riemann_pivots(report)
 
 
 def test_invariant_dimensions_are_checked_against_the_character(monkeypatch):
