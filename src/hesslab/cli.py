@@ -29,10 +29,10 @@ import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 from . import __version__
-from .dotchar import (
+from .dotchar import (  # regular_betti stays importable from here: hessbench's analyze trace wraps cli.regular_betti
     dot_action_multiplicities,
     multiplicities_from_json,
     multiplicities_json,
@@ -47,7 +47,7 @@ from .hessenberg import (
     parse_hessenberg,
 )
 from .linalg import det_exact
-from .partitions import MAX_ENUMERATION_N, partition_str, partitions_of
+from .partitions import MAX_ENUMERATION_N, Partition, partition_str, partitions_of, young_subgroup_content
 from .springer import generic_jordan_type, support_check, support_violations
 
 VERIFY_MAX_N = 7
@@ -162,17 +162,27 @@ def _key(module: str, h, seed: int | None = None, J=None) -> dict:
 
 # --- analyze ----------------------------------------------------------------
 
-def _is_palindromic(row: list[int]) -> bool:
+def _is_palindromic(row: tuple[int, ...]) -> bool:
     return row == row[::-1]
 
 
-def _palindromic_violations(h, rows: dict) -> list[dict]:
-    """A violation entry for each J whose Betti row in rows (J -> row) is not palindromic."""
+def _palindromic_violations(h, named, rows: dict) -> list[dict]:
+    """A violation entry for each J in named, pairs (_jstr(J), mu(J)) in
+    order, whose content's Betti row in rows (mu -> row) is not palindromic.
+    Each content is checked once, and entries are made only for the J of a
+    content that failed."""
+    failed = {mu for mu, row in rows.items() if not _is_palindromic(row)}
     return [
-        {"type": "palindromic", "h": hessenberg_str(h), "J": _jstr(J), "betti": row}
-        for J, row in rows.items()
-        if not _is_palindromic(row)
+        {"type": "palindromic", "h": hessenberg_str(h), "J": name, "betti": list(rows[mu])}
+        for name, mu in named
+        if mu in failed
     ]
+
+
+@cache
+def _named_subsets(n: int) -> tuple[tuple[str, Partition], ...]:
+    """(_jstr(J), mu(J)) for every J of all_parabolic_subsets(n), in its order."""
+    return tuple((_jstr(J), young_subgroup_content(J, n)) for J in all_parabolic_subsets(n))
 
 
 def _morse_check(h, seed: int, character: list[int]) -> tuple[list[int], list[dict]]:
@@ -217,9 +227,10 @@ def analyze_report(h, *, seed: int, J=None, use_gkm: bool = False, cache_dir=Non
         for w in witnesses
     ]
 
-    rows = {Jset: regular_betti(gm, Jset) for Jset in ([J] if J is not None else all_parabolic_subsets(n))}
-    regular = {_jstr(Jset): {"betti": row, "palindromic": _is_palindromic(row)} for Jset, row in rows.items()}
-    violations += _palindromic_violations(h, rows)
+    named = _named_subsets(n) if J is None else ((_jstr(J), young_subgroup_content(J, n)),)
+    rows = gm.betti_rows
+    regular = {name: {"betti": list(rows[mu]), "palindromic": _is_palindromic(rows[mu])} for name, mu in named}
+    violations += _palindromic_violations(h, named, rows)
 
     report = {
         "command": "analyze",
@@ -259,9 +270,8 @@ def _verify_one(h, *, seed: int, gkm_max_n: int, control: bool) -> dict:
         }
         for w in support_violations(gm, drop_conjugate=control)
     ]
-    regular = {J: regular_betti(gm, J) for J in all_parabolic_subsets(len(h))}
-    violations += _palindromic_violations(h, regular)
-    character = regular[()]
+    violations += _palindromic_violations(h, _named_subsets(len(h)), gm.betti_rows)
+    character = gm.betti()
     if is_indecomposable(h) and (character[0] != 1 or character[-1] != 1):
         violations.append({"type": "boundary", "h": hessenberg_str(h), "betti": character})
     gkm_checked = len(h) <= gkm_max_n
@@ -328,6 +338,8 @@ def kahler_cli_report(h, J, lam, *, seed: int, cache_dir=None) -> dict:
     if payload is None:
         payload = kahler_payload(build_gkm(h, seed=seed), J, lam)
         cache_store(cache_dir, key, payload)
+    else:
+        _check_kahler_payload(payload, h, J, lam)
     report = dict(payload)
     report.update(
         {
@@ -341,6 +353,58 @@ def kahler_cli_report(h, J, lam, *, seed: int, cache_dir=None) -> dict:
         }
     )
     return report
+
+
+# each degree entry of a Kahler payload section: its fields, with their
+# types, and the flag whose conjunction over the entries is the verdict
+_KAHLER_SECTIONS = {
+    "poincare": ({"size": int, "rank": int, "nondegenerate": bool}, "nondegenerate"),
+    "hard_lefschetz": ({"power": int, "rank": int, "dim": int, "full": bool}, "full"),
+    "hodge_riemann": (
+        {"dim_primitive": int, "sign": int, "pivots": list, "signature": list, "definite": bool},
+        "definite",
+    ),
+}
+
+
+def _check_kahler_payload(payload, h, J, lam) -> None:
+    """Raise ConsistencyError unless a cached payload has the shape
+    kahler_payload gives for (h, J, lam): h, J, lambda and invariant_betti
+    integer lists, the first three those asked for (lambda only when lam is
+    given); each section a dict of typed entries keyed by degree strings;
+    and the verdicts booleans, each the conjunction of its section's flags
+    and "all" the conjunction of the other three."""
+
+    def ints(value) -> bool:
+        return isinstance(value, list) and all(type(x) is int for x in value)
+
+    def fail(why: str):
+        raise ConsistencyError(f"cached Kahler payload for h={hessenberg_str(h)}, J=({_jstr(J)}) {why}")
+
+    if not isinstance(payload, dict):
+        fail(f"is a {type(payload).__name__}, not a dict")
+    for name in ("h", "J", "lambda", "invariant_betti"):
+        if not ints(payload.get(name)):
+            fail(f"has no integer list {name!r}")
+    asked = {"h": list(h), "J": sorted(set(J))} | ({} if lam is None else {"lambda": list(lam)})
+    for name, value in asked.items():
+        if payload[name] != value:
+            fail(f"has {name} = {payload[name]}, not {value}")
+    verdicts = payload.get("verdicts")
+    if not isinstance(verdicts, dict) or set(verdicts) != {*_KAHLER_SECTIONS, "all"}:
+        fail(f"has verdicts {verdicts!r}")
+    for section, (fields, flag) in _KAHLER_SECTIONS.items():
+        entries = payload.get(section)
+        if not isinstance(entries, dict):
+            fail(f"has no {section!r} section")
+        for k, entry in entries.items():
+            typed = isinstance(entry, dict) and all(type(entry.get(f)) is t for f, t in fields.items())
+            if not (k.isdecimal() and typed):
+                fail(f"has a malformed {section} entry at degree {k}: {entry!r}")
+        if verdicts[section] is not all(entry[flag] for entry in entries.values()):
+            fail(f"has verdict {section} = {verdicts[section]!r}, not the conjunction of its entries")
+    if verdicts["all"] is not all(verdicts[section] for section in _KAHLER_SECTIONS):
+        fail(f"has verdict all = {verdicts['all']!r}, not the conjunction of the others")
 
 
 # --- rendering ---------------------------------------------------------------

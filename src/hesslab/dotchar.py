@@ -19,7 +19,10 @@ The walk therefore runs once per reversal pair of indecomposable functions.
 Every Betti reading (the full space, or the invariant subspace
 for a regular element with Young-subgroup stabilizer W_J) is
 GradedMultiplicity.betti(J): each row weighted by the dimension of the
-W_J-fixed part of its irreducible, made once per Young-subgroup content.
+W_J-fixed part of its irreducible, the Kostka number K_{lam, mu(J)}.  The sum
+depends on J only through the content mu(J), so betti_rows makes the rows of
+every content at once, in one packed Kostka product per table, and betti(J)
+reads its content's row.
 
 The coloring route stays as the oracle: chromatic_qsym enumerates proper
 colorings of G, weighted by q^(number of ascending edges), into the
@@ -32,8 +35,8 @@ complete-graph fixture, whose trivial-isotype row must be the q-factorial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cache
+from dataclasses import dataclass
+from functools import cache, cached_property
 from math import factorial
 
 from .errors import ConsistencyError, CostGuardError
@@ -140,10 +143,17 @@ class GradedMultiplicity:
     h: tuple[int, ...]
     l: int
     table: dict[Partition, list[int]]
-    # betti's rows by Young-subgroup content mu(J); not part of the value
-    _betti_rows: dict[tuple[int, ...], list[int]] = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
+
+    @cached_property
+    def betti_rows(self) -> dict[Partition, tuple[int, ...]]:
+        """{mu: row} for every content mu, a partition of n: row[k] is
+        sum_lam K_{lam, mu} table[lam][k], the Betti number b_{2k} of the
+        W_J-invariant part for every J with mu(J) = mu (betti).  Made once
+        per instance, with every content in one pass (_content_rows);
+        mu = (1, ..., 1) is the full space.  The rows are shared: read them,
+        or copy one before changing it.
+        """
+        return _content_rows(self.n, self.l, self.table)
 
     def betti(self, J=()) -> list[int]:
         """Betti numbers b_{2k} of the W_J-invariant part; J = () is the full space.
@@ -151,19 +161,46 @@ class GradedMultiplicity:
         Each irreducible contributes the dimension of its W_J-fixed subspace,
         the Kostka number K_{lam, mu(J)} for the sorted block sizes mu(J) of
         W_J (invariant_dim), taken once per row.  The sum depends on J only
-        through mu(J), so it is made once per content and kept on the
-        instance; every call returns a fresh list.
+        through mu(J), so this is a fresh copy of betti_rows[mu(J)].
         """
-        mu = _content(tuple(J), self.n)
-        row = self._betti_rows.get(mu)
-        if row is None:
-            row = [0] * (self.l + 1)
-            for lam, counts in self.table.items():
-                weight = kostka_number(lam, mu)
-                if weight:
-                    row = [b + m * weight for b, m in zip(row, counts)]
-            self._betti_rows[mu] = row
-        return list(row)
+        return list(self.betti_rows[_content(tuple(J), self.n)])
+
+
+def _content_rows(n: int, l: int, table: dict[Partition, list[int]]) -> dict[Partition, tuple[int, ...]]:
+    """GradedMultiplicity.betti_rows of a table, by Kronecker substitution.
+
+    Each row is packed into one int, b = n!.bit_length() bits per degree,
+    and the row of content mu is sum_lam K_{lam, mu} packed[lam], unpacked
+    by shifts.  The table is one that _checked passes, with a row for every
+    partition of n.  No slot carries into the next: rows and Kostka numbers
+    are nonnegative and K_{lam, mu} <= f^lam = K_{lam, (1^n)}, so every
+    partial sum of a slot is at most the full-space Betti number sum_lam
+    f^lam table[lam][k] <= n! < 2^b.
+    """
+    b = factorial(n).bit_length()
+    packed = {}
+    for lam, row in table.items():
+        word = 0
+        for count in reversed(row):
+            word = (word << b) | count
+        packed[lam] = word
+    mask = (1 << b) - 1
+    shifts = range(0, b * (l + 1), b)
+    rows = {}
+    for mu, column in _kostka_columns(n):
+        word = 0
+        for lam, weight in column:
+            word += weight * packed[lam]
+        rows[mu] = tuple([word >> s & mask for s in shifts])
+    return rows
+
+
+@cache
+def _kostka_columns(n: int) -> tuple[tuple[Partition, tuple[tuple[Partition, int], ...]], ...]:
+    """((mu, ((lam, K_{lam, mu}), ...)), ...) over the partitions mu of n,
+    in partitions_of order, with the nonzero Kostka numbers only."""
+    lams = partitions_of(n)
+    return tuple((mu, tuple((lam, w) for lam in lams if (w := kostka_number(lam, mu)))) for mu in lams)
 
 
 @cache

@@ -21,9 +21,11 @@ smallest tail finds each k-chain cover.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .dotchar import GradedMultiplicity, dot_action_multiplicities
 from .hessenberg import check_hessenberg
-from .partitions import Partition, _conjugate, _dominance_leq, check_partition, dominance_leq
+from .partitions import Partition, _conjugate, _dominance_leq, check_partition, dominance_leq, partitions_of
 
 
 def generic_jordan_type(h, *, seed: int | None = None) -> Partition:
@@ -74,16 +76,17 @@ def support_check(gm: GradedMultiplicity, lam_h: Partition, *, drop_conjugate: b
     multiplicity but is not allowed.  This is the one place the criterion is
     tested.  drop_conjugate=True tests lam <= lambda_H instead, the control
     that must already fail at n = 3, h = (2, 3, 3).  lam_h is validated here;
-    the rows of gm are partitions of gm.n already, so the walk checks nothing
-    again.
+    the table of gm has a row for every partition of gm.n, so the walk reads
+    them in partitions_of order, which is reverse-lexicographic, and checks
+    nothing again.
     """
     lam_h = check_partition(lam_h)
     if sum(lam_h) != gm.n:
         raise ValueError(f"lambda_H must be a partition of {gm.n}, got {lam_h}")
     allowed, violations = [], []
-    for lam in sorted(gm.table, reverse=True):
+    for lam, conj in _with_conjugates(gm.n):
         row = gm.table[lam]
-        probe = lam if drop_conjugate else _conjugate(lam)
+        probe = lam if drop_conjugate else conj
         if _dominance_leq(probe, lam_h):
             allowed.append(lam)
         elif any(row):
@@ -97,6 +100,12 @@ def support_check(gm: GradedMultiplicity, lam_h: Partition, *, drop_conjugate: b
                 }
             )
     return allowed, violations
+
+
+@cache
+def _with_conjugates(n: int) -> tuple[tuple[Partition, Partition], ...]:
+    """(lam, conjugate(lam)) for every partition lam of n, in partitions_of order."""
+    return tuple((lam, _conjugate(lam)) for lam in partitions_of(n))
 
 
 def allowed_irreps(h) -> tuple[Partition, ...]:

@@ -14,7 +14,7 @@ from hesslab.cli import canonical_json, main
 from hesslab.dotchar import GradedMultiplicity, multiplicities_json
 from hesslab.gkm import GRAPH_MAX_N, RING_MAX_N, build_gkm, kahler_report
 from hesslab.hessenberg import enumerate_hessenberg
-from hesslab.partitions import MAX_ENUMERATION_N, partitions_of
+from hesslab.partitions import MAX_ENUMERATION_N, invariant_dim, partitions_of
 from hesslab.springer import support_violations
 from hesslab.symfunc import q_factorial
 import oracles
@@ -153,6 +153,33 @@ def test_verify_convention_control(capsys):
     ]
 
 
+def test_palindromic_violations_entry_by_entry(monkeypatch):
+    # a table that breaks palindromicity for some contents only: verify and
+    # analyze list the violations the per-J construction gives, entry for
+    # entry and in all_parabolic_subsets order
+    h = (2, 3, 4, 4)
+    gm = dotchar.dot_action_multiplicities(h)
+    table = {lam: list(row) for lam, row in gm.table.items()}
+    row = table[(3, 1)]
+    k = next(k for k, m in enumerate(row) if m and 2 * k + 1 != gm.l)
+    row[k] -= 1
+    row[k + 1] += 1
+    bad = GradedMultiplicity(n=gm.n, h=h, l=gm.l, table=table)
+    expected, regular = [], {}
+    for J in cli.all_parabolic_subsets(4):
+        betti = [sum(invariant_dim(lam, J) * r[d] for lam, r in table.items()) for d in range(gm.l + 1)]
+        regular[cli._jstr(J)] = {"betti": betti, "palindromic": betti == betti[::-1]}
+        if betti != betti[::-1]:
+            expected.append({"type": "palindromic", "h": "2,3,4,4", "J": cli._jstr(J), "betti": betti})
+    assert 0 < len(expected) < 8
+    monkeypatch.setattr(cli, "dot_action_multiplicities", lambda *args: bad)
+    result = cli._verify_one(h, seed=1729, gkm_max_n=0, control=False)
+    assert [v for v in result["violations"] if v["type"] == "palindromic"] == expected
+    report = cli.analyze_report(h, seed=1729)
+    assert report["regular"] == regular
+    assert [v for v in report["violations"] if v["type"] == "palindromic"] == expected
+
+
 def test_verify_bounds(capsys):
     for n in ("1", "8", "9"):
         with pytest.raises(SystemExit) as exc:
@@ -193,10 +220,15 @@ def test_verify_jobs_clamped(capsys, monkeypatch):
         assert (rc, out, sizes) == (0, serial, expected), (cpus, jobs)
 
 
+def unconjugated(n):
+    """springer._with_conjugates with the conjugation dropped: each lam paired with itself."""
+    return tuple((lam, lam) for lam in partitions_of(n))
+
+
 def test_exit_code_3_on_violation(capsys, monkeypatch):
     # break the indexing convention in-process: the support check must fail
     # and the exit code must say so
-    monkeypatch.setattr("hesslab.springer._conjugate", lambda lam: lam)
+    monkeypatch.setattr("hesslab.springer._with_conjugates", unconjugated)
     rc, out, _ = run(capsys, "analyze", "--h", "2,3,3")
     assert rc == 3
     report = json.loads(out)
@@ -218,7 +250,7 @@ def test_one_support_convention_for_analyze_and_verify(capsys, monkeypatch):
     # analyze reports the same hexagon witness
     rc, control, _ = run(capsys, "verify", "--n", "3", "--convention-control")
     assert rc == 0
-    monkeypatch.setattr("hesslab.springer._conjugate", lambda lam: lam)
+    monkeypatch.setattr("hesslab.springer._with_conjugates", unconjugated)
     rc, out, _ = run(capsys, "verify", "--n", "3")
     assert rc == 3
     violations = json.loads(out)["violations"]
@@ -489,6 +521,30 @@ def test_cache_bad_multiplicity_payload_is_an_error(tmp_path, capsys, corrupt):
     rc, out, err = run(capsys, *args)
     assert (rc, out) == (1, "")
     assert err.startswith("hesslab: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda payload: {},
+        lambda payload: {**payload, "verdicts": {**payload["verdicts"], "all": not payload["verdicts"]["all"]}},
+        lambda payload: {**payload, "verdicts": {**payload["verdicts"], "poincare": False, "all": False}},
+        lambda payload: {**payload, "h": [3, 3, 3]},
+        lambda payload: {**payload, "hard_lefschetz": {"two": payload["hard_lefschetz"]["2"]}},
+    ],
+    ids=["empty", "all-flipped", "verdict-flipped", "another-h", "degree-key"],
+)
+def test_cache_bad_kahler_payload_is_an_error(tmp_path, capsys, corrupt):
+    # a stored Kahler payload is checked before it is reported: a missing
+    # field or a verdict that is not the conjunction of its parts fails with
+    # exit 1 and one stderr line, not a traceback or a changed verdict
+    args = ("kahler", "--h", "2,3,3", "--J", "1", "--cache-dir", str(tmp_path))
+    assert run(capsys, *args)[0] == 0
+    (path,) = tmp_path.iterdir()
+    overwrite_payload(tmp_path, corrupt(json.loads(path.read_text())["payload"]))
+    rc, out, err = run(capsys, *args)
+    assert (rc, out) == (1, "")
+    assert err.startswith("hesslab: cached Kahler payload") and err.count("\n") == 1
 
 
 def test_cache_payload_betti_is_not_read(tmp_path, capsys):

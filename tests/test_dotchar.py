@@ -237,17 +237,30 @@ def test_verify_n6_walks_once_per_reversal_pair(walks):
     assert [sum(1 for h in walks if len(h) == n) for n in range(2, 7)] == [1, 2, 4, 10, 26]
 
 
+def test_betti_rows_are_the_kostka_weighted_sums():
+    # the packed product against the plain invariant_dim-weighted sum, for
+    # every J; the edgeless h = (1, ..., n) fills its one slot with n!, the
+    # largest value the slot width allows
+    cases = [h for n in range(2, 8) for h in enumerate_hessenberg(n)] + WALK_N8
+    weights = {}
+    for h in cases:
+        n = len(h)
+        if n not in weights:
+            weights[n] = {J: {lam: invariant_dim(lam, J) for lam in partitions_of(n)} for J in all_parabolic_subsets(n)}
+        gm = dot_action_multiplicities(h)
+        assert set(gm.betti_rows) == set(partitions_of(n)), h
+        for J, weight in weights[n].items():
+            expected = [0] * (gm.l + 1)
+            for lam, row in gm.table.items():
+                expected = [b + weight[lam] * m for b, m in zip(expected, row)]
+            mu = tuple(sorted(young_subgroup_blocks(J, n), reverse=True))
+            assert list(gm.betti_rows[mu]) == gm.betti(J) == regular_betti(h, J) == regular_betti(gm, J) == expected, (h, J)
+    for n in range(2, 13):
+        gm = dot_action_multiplicities(tuple(range(1, n + 1)), force=True)
+        assert gm.betti() == [factorial(n)]
+
+
 def test_betti_memo_per_content():
-    for n in range(2, 7):
-        subsets = all_parabolic_subsets(n)
-        for h in enumerate_hessenberg(n):
-            gm = dot_action_multiplicities(h)
-            for J in subsets:
-                expected = [0] * (gm.l + 1)
-                for lam, row in gm.table.items():
-                    weight = invariant_dim(lam, J)
-                    expected = [b + weight * m for b, m in zip(expected, row)]
-                assert gm.betti(J) == regular_betti(h, J) == regular_betti(gm, J) == expected, (h, J)
     gm = dot_action_multiplicities((2, 3, 4, 4))
     row = gm.betti((1,))
     kept = list(row)
