@@ -39,8 +39,9 @@ from .dotchar import (  # regular_betti stays importable from here: hessbench's 
     regular_betti,
 )
 from .errors import ConsistencyError, CostGuardError, HesslabError, TheoremViolation
-from .gkm import DEFAULT_SEED, GRAPH_MAX_N, RING_MAX_N, build_gkm, kahler_report, morse_betti, poincare_pairing
+from .gkm import DEFAULT_SEED, GRAPH_MAX_N, build_gkm, kahler_report, morse_betti, poincare_pairing
 from .hessenberg import (
+    MAX_ENUMERATION_N as HESSENBERG_MAX_N,
     enumerate_hessenberg,
     hessenberg_str,
     is_indecomposable,
@@ -50,8 +51,6 @@ from .linalg import det_exact
 from .partitions import MAX_ENUMERATION_N, Partition, partition_str, partitions_of, young_subgroup_content
 from .springer import generic_jordan_type, support_check, support_violations
 
-VERIFY_MAX_N = 7
-VERIFY_FORCE_MAX_N = 8
 DEFAULT_GKM_MAX_N = 4
 CACHE_ENV = "HESSLAB_CACHE"
 
@@ -256,9 +255,9 @@ def analyze_report(h, *, seed: int, J=None, use_gkm: bool = False, cache_dir=Non
 
 # --- verify -----------------------------------------------------------------
 
-def _verify_one(h, *, seed: int, gkm_max_n: int, control: bool) -> dict:
+def _verify_one(h, *, seed: int, gkm_max_n: int, control: bool, force: bool = False) -> dict:
     """Per-function worker for the sweep; must stay picklable for --jobs."""
-    gm = dot_action_multiplicities(h)
+    gm = dot_action_multiplicities(h, force)
     violations = [
         {
             "type": "support",
@@ -288,9 +287,10 @@ def verify_report(
     gkm_max_n: int = DEFAULT_GKM_MAX_N,
     jobs: int = 1,
     control: bool = False,
+    force: bool = False,
 ) -> dict:
     functions = enumerate_hessenberg(n, indecomposable_only)
-    worker = partial(_verify_one, seed=seed, gkm_max_n=min(gkm_max_n, GRAPH_MAX_N), control=control)
+    worker = partial(_verify_one, seed=seed, gkm_max_n=min(gkm_max_n, GRAPH_MAX_N), control=control, force=force)
     jobs = min(jobs, os.cpu_count() or 1, len(functions))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -584,9 +584,8 @@ def main(argv=None) -> int:
             )
             failed = bool(report["violations"])
         elif args.command == "verify":
-            limit = VERIFY_FORCE_MAX_N if args.force else VERIFY_MAX_N
-            if not 2 <= args.n <= limit:
-                usage_error(f"need 2 <= n <= {limit} (got n = {args.n})")
+            if not 2 <= args.n <= HESSENBERG_MAX_N:
+                usage_error(f"need 2 <= n <= {HESSENBERG_MAX_N}, also with --force (got n = {args.n})")
             report = verify_report(
                 args.n,
                 seed=args.seed,
@@ -594,14 +593,15 @@ def main(argv=None) -> int:
                 gkm_max_n=args.gkm_max_n,
                 jobs=max(1, args.jobs),
                 control=args.convention_control,
+                force=args.force,
             )
             if args.convention_control:
                 failed = not report["control_expected_violation_found"]
             else:
                 failed = bool(report["violations"])
         else:
-            if not 2 <= len(args.h) <= RING_MAX_N:
-                usage_error(f"kahler checks support 2 <= n <= {RING_MAX_N}")
+            if not 2 <= len(args.h) <= GRAPH_MAX_N:
+                usage_error(f"kahler supports 2 <= n <= {GRAPH_MAX_N} (got n = {len(args.h)})")
             if any(j > len(args.h) - 1 for j in args.J):
                 usage_error(f"J entries must be <= n-1 = {len(args.h) - 1}")
             if args.lam is not None:
@@ -619,7 +619,7 @@ def main(argv=None) -> int:
         sys.stdout.write(canonical_json(witness))
         return 3
     except CostGuardError as exc:
-        print(f"hesslab: {exc}", file=sys.stderr)
+        print(f"hesslab: {exc} (the --force flag lifts this guard)", file=sys.stderr)
         return 2
     except (HesslabError, OSError) as exc:
         # OSError: the report or a cache entry could not be written

@@ -83,7 +83,6 @@ from .linalg import _integer_inertia, _integer_nullspace, _integer_rref, rank_ex
 
 DEFAULT_SEED = 1729
 GRAPH_MAX_N = 5
-RING_MAX_N = 4
 
 # Two integer points (t_1, ..., t_4); for n variables the first n - 1 entries
 # are t_1..t_{n-1}, and with t_n = -(t_1 + ... + t_{n-1}) all n coordinates are
@@ -281,13 +280,7 @@ def flow_up_class(g: GKMGraph, vid: int) -> tuple[int, dict[int, tuple[int, ...]
     that serves every vertex of that index, and checked there
     (_flow_up_classes); a vertex without a class raises ConsistencyError.
     """
-    _check_ring_size(g)
     return _flow_up_classes(g, g.index[vid])[vid]
-
-
-def _check_ring_size(g: GKMGraph) -> None:
-    if g.n > RING_MAX_N:
-        raise ValueError(f"class-level operations support n <= {RING_MAX_N}")
 
 
 def _norm(g: GKMGraph, vid: int) -> tuple[int, ...]:
@@ -426,7 +419,6 @@ def _edge_rows(g: GKMGraph, k: int) -> list[dict[int, int]]:
 def _ordinary_tables(g: GKMGraph, k: int):
     """The flow-up tables of Morse index k (_flow_up_classes), counted
     against the Betti number from the character side."""
-    _check_ring_size(g)
     tables = _flow_up_classes(g, k)
     expected = betti_rs(g.h)[k] if 0 <= k <= g.l else 0
     if len(tables) != expected:

@@ -413,8 +413,8 @@ def class_of(g, k: int, table) -> EquivClass:
 
 @gkm._memo
 def flow_up_class(g, vid: int) -> EquivClass:
-    """The EquivClass of vid's flow-up table (gkm.flow_up_class, size guard
-    included), built once per graph."""
+    """The EquivClass of vid's flow-up table (gkm.flow_up_class), built once
+    per graph."""
     return class_of(g, g.index[vid], gkm.flow_up_class(g, vid))
 
 

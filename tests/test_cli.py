@@ -12,7 +12,7 @@ import pytest
 from hesslab import __version__, cli, dotchar
 from hesslab.cli import canonical_json, main
 from hesslab.dotchar import GradedMultiplicity, multiplicities_json
-from hesslab.gkm import GRAPH_MAX_N, RING_MAX_N, build_gkm, kahler_report
+from hesslab.gkm import GRAPH_MAX_N, build_gkm, kahler_report
 from hesslab.hessenberg import enumerate_hessenberg
 from hesslab.partitions import MAX_ENUMERATION_N, invariant_dim, partitions_of
 from hesslab.springer import support_violations
@@ -181,10 +181,26 @@ def test_palindromic_violations_entry_by_entry(monkeypatch):
 
 
 def test_verify_bounds(capsys):
-    for n in ("1", "8", "9"):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "--n", n])
-        assert exc.value.code == 2
+    # past enumerate_hessenberg's range is a usage error, also with --force
+    for n in ("1", "10"):
+        for force in ([], ["--force"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["verify", "--n", n, *force])
+            assert exc.value.code == 2
+            assert "n <= 9, also with --force" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_n9_needs_force(jobs):
+    # n = 9 is in range but above the tableau walk's cost guard: exit 2 with
+    # one stderr line naming the flag, also when the guard is raised in a
+    # worker process
+    proc = subprocess.run(
+        [sys.executable, "-m", "hesslab", "verify", "--n", "9", "--jobs", jobs], capture_output=True, text=True
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr and "--force" in proc.stderr
+    assert proc.stderr.count("\n") == 1
 
 
 def test_verify_jobs_deterministic(capsys):
@@ -309,6 +325,19 @@ def test_kahler_bytes_pinned(capsys):
     assert digest == "71b971cbdb020a4a73c8feb9397d82f6825411325700cdb3bfa56f1f77ba3de4"
 
 
+def test_kahler_at_n5(tmp_path, capsys):
+    # the moment graph's size limit is the only one: the Peterson function at
+    # n = 5 holds the Kahler package for J = {1,2,3,4}, the report carries the
+    # payload of a fresh graph, and a cached rerun is byte-identical
+    args = ("kahler", "--h", "2,3,4,5,5", "--J", "1,2,3,4", "--cache-dir", str(tmp_path))
+    rc, cold, _ = run(capsys, *args)
+    report = json.loads(cold)
+    assert rc == 0 and all(report["verdicts"].values())
+    payload = cli.kahler_payload(build_gkm((2, 3, 4, 5, 5)), (1, 2, 3, 4))
+    assert {k: report[k] for k in payload} == {**payload, "h": "2,3,4,5,5", "J": "1,2,3,4", "lambda": "4,3,2,1,0"}
+    assert run(capsys, *args) == (0, cold, "")
+
+
 def test_kahler_payload_leaves_report_untouched(capsys):
     # the payload adds determinants to a copy: the memoized report on the same
     # graph stays free of them, and the CLI bytes do not change
@@ -330,7 +359,7 @@ def test_kahler_custom_lambda(capsys):
 
 def test_kahler_usage_errors(capsys):
     cases = [
-        ["kahler", "--h", "2,3,4,5,5"],  # beyond the class-level scale
+        ["kahler", "--h", "2,3,4,5,6,6"],  # beyond the moment graph
         ["kahler", "--h", "2,3,3", "--lambda", "3,2,1,0"],
         ["kahler", "--h", "2,3,3", "--lambda", "1,1,0"],
         ["kahler", "--h", "2,3,3", "--J", "7"],
@@ -348,7 +377,7 @@ def test_kahler_usage_errors(capsys):
         ["kahler", "--h", "2,3,4,4", "--lambda", "1,2,3,4"],
         ["kahler", "--h", "2,3,4,4", "--J", "0"],  # refused while parsing
         ["analyze", "--h", "2,3,3", "--J", "3"],
-        ["verify", "--n", "9"],
+        ["verify", "--n", "10"],
     ],
     ids=["kahler-J", "kahler-lambda", "kahler-J-parse", "analyze-J", "verify-n"],
 )
@@ -367,9 +396,10 @@ def test_usage_errors_name_the_subcommand(capsys, argv):
         (["analyze", "--h", "2,3,4,5,6,6", "--gkm"], f"n <= {GRAPH_MAX_N}"),
         (["analyze", "--h", "9,9,9,9,9,9,9,9,9", "--gkm"], f"n <= {GRAPH_MAX_N}"),
         (["analyze", "--h", "1", "--gkm"], f"n <= {GRAPH_MAX_N}"),
-        (["kahler", "--h", "1"], f"n <= {RING_MAX_N}"),
+        (["kahler", "--h", "1"], f"n <= {GRAPH_MAX_N}"),
+        (["kahler", "--h", "2,3,4,5,6,6"], f"n <= {GRAPH_MAX_N}"),
     ],
-    ids=["analyze-gkm-n6", "analyze-gkm-n9", "analyze-gkm-n1", "kahler-n1"],
+    ids=["analyze-gkm-n6", "analyze-gkm-n9", "analyze-gkm-n1", "kahler-n1", "kahler-n6"],
 )
 def test_moment_graph_size_refused(argv, limit):
     # a usage error naming the limit, not a traceback from build_gkm

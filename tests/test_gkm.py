@@ -172,16 +172,18 @@ def test_flow_up_triangularity_and_normalization():
             assert not any(u in support for u in g.order[: g.order.index(vid)])
 
 
-def test_flow_up_guard_above_class_scale():
+def test_flow_up_class_at_n5_reads_the_degree_table():
+    # flow_up_class runs wherever build_gkm does: at n = 5 each vertex's
+    # class is its entry in the table of its Morse index
     g = build_gkm((2, 3, 4, 5, 5))
-    with pytest.raises(ValueError):
-        gkm.flow_up_class(g, 0)
+    for vid in g.order:
+        assert gkm.flow_up_class(g, vid) == gkm._flow_up_classes(g, g.index[vid])[vid]
 
 
 def test_flow_up_classes_at_n5_frontier():
     # one elimination per degree builds every flow-up table of the Peterson
-    # function at n = 5, above the class-level guard that flow_up_class keeps;
-    # the oracle class rebuilt from each table passes the polynomial edge check
+    # function at n = 5; the oracle class rebuilt from each table passes the
+    # polynomial edge check
     g = build_gkm((2, 3, 4, 5, 5))
     counts = []
     for k in range(g.l + 1):
@@ -241,14 +243,13 @@ N4_FUNCTIONS = [h for n in range(2, 5) for h in enumerate_hessenberg(n)]
 
 
 @pytest.mark.parametrize("h", [*N4_FUNCTIONS, (2, 3, 4, 5, 5)], ids=str)
-def test_flow_up_basis_is_unitriangular_over_the_vertex_solved_one(h, monkeypatch):
+def test_flow_up_basis_is_unitriangular_over_the_vertex_solved_one(h):
     # two flow-up classes at one vertex with the same norm differ by a class
     # supported strictly above it, so the expansion of their difference over
     # the per-vertex basis uses only vertices strictly above, and the constant
     # coefficients at the vertices of the same index, read in moment order,
     # form a unitriangular matrix; every class rebuilt from its table passes
     # the polynomial edge check
-    monkeypatch.setattr(gkm, "RING_MAX_N", len(h))
     g = build_gkm(h)
     old = oracles.graph_with_vertex_solved_basis(h)
     for k in range(g.l + 1):
@@ -797,11 +798,10 @@ def test_invariant_dimensions_are_checked_against_the_character(monkeypatch):
 KAHLER_N5_FUNCTION = (2, 3, 4, 5, 5)
 
 
-def test_kahler_reports_pinned_at_n5(monkeypatch):
-    # the l = 5 function at n = 5, with the class-level size guard raised to
-    # 5: the reports of all 16 J, in all_parabolic_subsets order at the default
-    # seed, hold the Kahler package and are pinned byte for byte
-    monkeypatch.setattr(gkm, "RING_MAX_N", 5)
+def test_kahler_reports_pinned_at_n5():
+    # the l = 5 function at n = 5: the reports of all 16 J, in
+    # all_parabolic_subsets order at the default seed, hold the Kahler
+    # package and are pinned byte for byte
     g = build_gkm(KAHLER_N5_FUNCTION)
     reports = [kahler_report(g, J) for J in all_parabolic_subsets(5)]
     assert len(reports) == 16
@@ -831,8 +831,6 @@ def test_invariant_subring_dimensions():
 
     flag = build_gkm((3, 3, 3))
     assert [len(v) for v in invariant_subring(flag, (1, 2))] == [1, 2, 2, 1]
-    with pytest.raises(ValueError):
-        invariant_subring(build_gkm((2, 3, 4, 5, 5)), ())
 
 
 def test_invariant_dims_match_character_prediction():
@@ -880,9 +878,6 @@ def test_kahler_report_flag_and_peterson_slice():
     points = build_gkm((1, 2, 3))
     flat = kahler_report(points, ())
     assert flat["verdicts"]["all"] is True
-
-    with pytest.raises(ValueError):
-        kahler_report(build_gkm((2, 3, 4, 5, 5)), ())
 
 
 def test_kahler_report_alternate_weight():
