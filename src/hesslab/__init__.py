@@ -32,31 +32,23 @@ from .gkm import (
     poincare_pairing,
 )
 from .hessenberg import (
-    annihilator_pattern,
     dimension,
     enumerate_hessenberg,
     hessenberg_str,
-    incomparability_graph,
     is_indecomposable,
     parse_hessenberg,
 )
 from .partitions import (
-    character_value,
     conjugate,
     dim_irrep,
     dominance_leq,
     invariant_dim,
     partitions_of,
 )
-from .springer import (
-    allowed_irreps,
-    generic_jordan_type,
-    orbit_meets_annihilator,
-    support_violations,
-)
-from .symfunc import QPoly, QSymPoly, h_dual_coefficient, schur_inner_product
+from .springer import generic_jordan_type, support_violations
+from .symfunc import QPoly, QSymPoly
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 __all__ = [
     "GradedMultiplicity",
@@ -76,26 +68,19 @@ __all__ = [
     "kahler_report",
     "morse_betti",
     "poincare_pairing",
-    "annihilator_pattern",
     "dimension",
     "enumerate_hessenberg",
     "hessenberg_str",
-    "incomparability_graph",
     "is_indecomposable",
     "parse_hessenberg",
-    "character_value",
     "conjugate",
     "dim_irrep",
     "dominance_leq",
     "invariant_dim",
     "partitions_of",
-    "allowed_irreps",
     "generic_jordan_type",
-    "orbit_meets_annihilator",
     "support_violations",
     "QPoly",
     "QSymPoly",
-    "h_dual_coefficient",
-    "schur_inner_product",
     "__version__",
 ]

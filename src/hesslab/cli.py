@@ -40,13 +40,7 @@ from .dotchar import (  # regular_betti stays importable from here: hessbench's 
 )
 from .errors import ConsistencyError, CostGuardError, HesslabError, TheoremViolation
 from .gkm import DEFAULT_SEED, GRAPH_MAX_N, build_gkm, kahler_report, morse_betti, poincare_pairing
-from .hessenberg import (
-    MAX_ENUMERATION_N as HESSENBERG_MAX_N,
-    enumerate_hessenberg,
-    hessenberg_str,
-    is_indecomposable,
-    parse_hessenberg,
-)
+from .hessenberg import MAX_FUNCTIONS_N, enumerate_hessenberg, hessenberg_str, is_indecomposable, parse_hessenberg
 from .linalg import det_exact
 from .partitions import MAX_ENUMERATION_N, Partition, partition_str, partitions_of, young_subgroup_content
 from .springer import generic_jordan_type, support_check, support_violations
@@ -584,8 +578,8 @@ def main(argv=None) -> int:
             )
             failed = bool(report["violations"])
         elif args.command == "verify":
-            if not 2 <= args.n <= HESSENBERG_MAX_N:
-                usage_error(f"need 2 <= n <= {HESSENBERG_MAX_N}, also with --force (got n = {args.n})")
+            if not 2 <= args.n <= MAX_FUNCTIONS_N:
+                usage_error(f"need 2 <= n <= {MAX_FUNCTIONS_N}, also with --force (got n = {args.n})")
             report = verify_report(
                 args.n,
                 seed=args.seed,

@@ -51,7 +51,7 @@ from .partitions import (
     partitions_of,
     young_subgroup_content,
 )
-from .symfunc import MONOMIAL, QPoly, QSymPoly
+from .symfunc import QPoly, QSymPoly
 
 CHARACTER_GUARD_N = 8  # the n above which the tableau route and the coloring oracle need force=True
 
@@ -132,7 +132,7 @@ def _chromatic_cached(h: tuple[int, ...]) -> QSymPoly:
             )
         if not value.is_zero():
             coeffs[lam] = value
-    return QSymPoly(MONOMIAL, n, coeffs)
+    return QSymPoly(n, coeffs)
 
 
 @dataclass

@@ -1,19 +1,20 @@
-"""Hessenberg functions and the combinatorial shadows used downstream.
+"""Hessenberg functions: validation, enumeration, dimension and the text form.
 
 Conventions, fixed once here: functions are 1-indexed tuples h with
 i <= h(i) <= n and h nondecreasing; the ambient Borel is upper triangular, so
 the subspace attached to h has free entries at (i, j) with i <= h(j), its
 trace-form annihilator has free entries {(i, j) : j > h(i)} (strictly upper),
-and the incomparability graph joins i < j exactly when j <= h(i).
+and the incomparability graph joins i < j exactly when j <= h(i).  The
+library reads both through h itself (springer's chains, dotchar's tableaux
+and colorings); the explicit pattern and edge list are test oracles.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cache
 
-MAX_ENUMERATION_N = 9
+MAX_FUNCTIONS_N = 9
 
 
 def check_hessenberg(h) -> tuple[int, ...]:
@@ -39,8 +40,8 @@ def is_indecomposable(h) -> bool:
 @cache
 def enumerate_hessenberg(n: int, indecomposable_only: bool = False) -> tuple[tuple[int, ...], ...]:
     """All Hessenberg functions on [n] in lexicographic order (Catalan many)."""
-    if not isinstance(n, int) or not 2 <= n <= MAX_ENUMERATION_N:
-        raise ValueError(f"n must be an integer with 2 <= n <= {MAX_ENUMERATION_N}, got {n!r}")
+    if not isinstance(n, int) or not 2 <= n <= MAX_FUNCTIONS_N:
+        raise ValueError(f"n must be an integer with 2 <= n <= {MAX_FUNCTIONS_N}, got {n!r}")
     out = []
     for h in itertools.product(*(range(i, n + 1) for i in range(1, n + 1))):
         if all(h[i] <= h[i + 1] for i in range(n - 1)):
@@ -53,44 +54,6 @@ def dimension(h) -> int:
     """Complex dimension sum(h(i) - i); equals the incomparability edge count."""
     h = check_hessenberg(h)
     return sum(v - i for i, v in enumerate(h, start=1))
-
-
-@dataclass(frozen=True)
-class MatrixPattern:
-    """Set of matrix positions (1-indexed) inside an n x n grid."""
-
-    n: int
-    positions: frozenset[tuple[int, int]]
-
-    def __post_init__(self):
-        for i, j in self.positions:
-            if not (1 <= i <= self.n and 1 <= j <= self.n):
-                raise ValueError(f"position ({i}, {j}) outside {self.n} x {self.n}")
-
-    def __len__(self):
-        return len(self.positions)
-
-
-def annihilator_pattern(h) -> MatrixPattern:
-    """Free positions of the trace-form annihilator: {(i, j) : j > h(i)}.
-
-    Always strictly upper triangular, and complementary in size to the
-    dimension: |pattern| + dimension(h) = n(n-1)/2.
-    """
-    h = check_hessenberg(h)
-    n = len(h)
-    pos = frozenset(
-        (i, j) for i in range(1, n + 1) for j in range(h[i - 1] + 1, n + 1)
-    )
-    return MatrixPattern(n, pos)
-
-
-def incomparability_graph(h) -> tuple[tuple[int, int], ...]:
-    """Edges {i, j} with i < j <= h(i), sorted; vertex set is implicitly 1..n."""
-    h = check_hessenberg(h)
-    return tuple(
-        (i, j) for i in range(1, len(h) + 1) for j in range(i + 1, h[i - 1] + 1)
-    )
 
 
 def parse_hessenberg(text: str) -> tuple[int, ...]:

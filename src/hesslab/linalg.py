@@ -33,9 +33,7 @@ for the matrix rows / d: `_integer_nullspace` returns its basis in that form,
 `_integer_inertia` reads the signature and the leading pivots of a symmetric
 matrix off one fraction-free congruence pass, and `det_exact` is Bareiss
 elimination on the matrix over one denominator.  Fractions are built only
-where a value leaves the module: the recorded pivots, the determinant, and
-the public `nullspace` and `inertia`, thin Fraction wrappers over the
-kernels.
+where a value leaves the module: the recorded pivots and the determinant.
 """
 
 from __future__ import annotations
@@ -126,8 +124,6 @@ def rank_exact(rows) -> int:
     return len(_integer_echelon(rows))
 
 
-
-
 def _integer_nullspace(rows, ncols: int) -> tuple[list[list[int]], int]:
     """Basis of the rational kernel as integer rows over one positive
     denominator (basis, d): one vector per free column, 1 there and 0 at the
@@ -148,12 +144,6 @@ def _integer_nullspace(rows, ncols: int) -> tuple[list[list[int]], int]:
     return basis, d
 
 
-def nullspace(rows, ncols: int) -> list[list[Fraction]]:
-    """Basis of the rational kernel, one vector per free column."""
-    basis, d = _integer_nullspace(rows, ncols)
-    return [[Fraction(x, d) for x in v] for v in basis]
-
-
 def _over_one_denominator(matrix) -> tuple[list[list[int]], int]:
     """A matrix of int or Fraction entries as integer rows over one positive
     denominator (rows, d), d the lcm of the entries' denominators."""
@@ -163,7 +153,15 @@ def _over_one_denominator(matrix) -> tuple[list[list[int]], int]:
 
 def _integer_inertia(A, d: int):
     """(signature, pivots) of the symmetric matrix A / d, for integer rows A
-    and an integer d > 0; `inertia` states what they are.
+    and an integer d > 0.
+
+    The signature (positive, negative, zero) comes from Lagrange congruence
+    diagonalization; when every active diagonal entry is zero but some
+    off-diagonal is not, a row+column add restores a usable pivot without
+    leaving exact arithmetic.  The pivots are the diagonal entries met in
+    index order, up to and including the first one that is not positive:
+    while they stay positive they are the LDL^T pivots, and the matrix is
+    positive definite exactly when all n of them are.
 
     The active block is kept as integer rows B with B / s the exact block, for
     a positive rational scale s = num / den.  Eliminating on a pivot a of B
@@ -212,21 +210,6 @@ def _integer_inertia(A, d: int):
         r = gcd(num, den)
         num, den = num // r, den // r
     return (pos, neg, zero), pivots
-
-
-def inertia(G):
-    """(signature, pivots) of a symmetric rational matrix.
-
-    The signature (positive, negative, zero) comes from Lagrange congruence
-    diagonalization; when every active diagonal entry is zero but some
-    off-diagonal is not, a row+column add restores a usable pivot without
-    leaving exact arithmetic.  The pivots are the diagonal entries met in
-    index order, up to and including the first one that is not positive:
-    while they stay positive they are the LDL^T pivots, and the matrix is
-    positive definite exactly when all n of them are.  G is put over one
-    denominator and the pass runs on integers (`_integer_inertia`).
-    """
-    return _integer_inertia(*_over_one_denominator(G))
 
 
 def det_exact(matrix) -> Fraction:

@@ -1,9 +1,11 @@
-"""Integer partitions, dominance order, and exact symmetric-group character theory.
+"""Integer partitions, dominance order, and the dimensions of symmetric-group
+irreducibles and of their Young-subgroup invariants.
 
-Partitions are plain tuples of weakly decreasing positive integers.  Characters
-are computed by recursive border-strip removal (beta-number model) with
-memoization, so every value is an exact integer.  Invariant dimensions for
-Young subgroups are Kostka numbers, counted by peeling horizontal strips.
+Partitions are plain tuples of weakly decreasing positive integers.  The
+dimension of an irreducible is the hook-length formula, and the dimension of
+its W_J-fixed part is a Kostka number, counted by peeling horizontal strips;
+both are exact integers.  No character value is needed: the character table
+(Murnaghan-Nakayama border-strip removal) is a test oracle.
 """
 
 from __future__ import annotations
@@ -86,72 +88,22 @@ def _dominance_leq(lam: Partition, mu: Partition) -> bool:
     return True
 
 
-def z_order(mu: Partition) -> int:
-    """Centralizer order z_mu = prod_i i^{m_i} m_i! over multiplicities m_i."""
-    mu = check_partition(mu)
-    z = 1
-    for part, group in itertools.groupby(mu):
-        m = len(list(group))
-        z *= part**m * factorial(m)
-    return z
-
-
-def conjugacy_class_size(mu: Partition) -> int:
-    """Number of permutations of cycle type mu, i.e. n!/z_mu."""
-    return factorial(sum(mu)) // z_order(mu)
-
-
-def character_value(lam: Partition, mu: Partition) -> int:
-    """Irreducible character chi^lam evaluated on cycle type mu.
-
-    Border-strip recursion: remove a strip of size mu[0], signed by
-    (-1)^(height-1), and recurse on the rest of the cycle type.  In the
-    beta-number model a strip of size k is a beta value b with b-k >= 0 and
-    b-k not a beta value; the sign counts beta values jumped over.
-    """
-    lam, mu = check_partition(lam), check_partition(mu)
-    if sum(lam) != sum(mu):
-        raise ValueError(f"shape and cycle type have different sizes: {lam} vs {mu}")
-    return _mn(lam, tuple(sorted(mu, reverse=True)))
-
-
-@cache
-def _mn(shape: Partition, cycle: Partition) -> int:
-    if not cycle:
-        return 1
-    k, rest = cycle[0], cycle[1:]
-    total = 0
-    for smaller, sign in _strip_removals(shape, k):
-        total += sign * _mn(smaller, rest)
-    return total
-
-
-def _strip_removals(shape: Partition, k: int) -> list[tuple[Partition, int]]:
-    rows = len(shape)
-    beta = [shape[r] + (rows - 1 - r) for r in range(rows)]
-    present = set(beta)
-    out = []
-    for b in beta:
-        nb = b - k
-        if nb < 0 or nb in present:
-            continue
-        crossed = sum(1 for c in beta if nb < c < b)
-        new = sorted((present - {b}) | {nb}, reverse=True)
-        smaller = tuple(
-            p for p in (new[r] - (rows - 1 - r) for r in range(rows)) if p > 0
-        )
-        out.append((smaller, -1 if crossed % 2 else 1))
-    return out
-
-
 def dim_irrep(lam: Partition) -> int:
-    """Dimension f^lam of the irreducible, as the character at the identity."""
+    """Dimension f^lam of the irreducible, by the hook-length formula."""
     return _dim_irrep(check_partition(lam))
 
 
+@cache
 def _dim_irrep(lam: Partition) -> int:
-    """dim_irrep of a partition that check_partition already returned."""
-    return _mn(lam, (1,) * sum(lam))
+    """dim_irrep of a partition that check_partition already returned: n! over
+    the product of the hook lengths, the hook of a cell being itself, the
+    cells right of it in its row and the cells below it in its column."""
+    conj = _conjugate(lam)
+    hooks = 1
+    for r, row in enumerate(lam):
+        for c in range(row):
+            hooks *= row - c + conj[c] - r - 1
+    return factorial(sum(lam)) // hooks
 
 
 def young_subgroup_blocks(J, n: int) -> tuple[int, ...]:

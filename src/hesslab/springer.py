@@ -8,7 +8,9 @@ indexing normalization (irreducibles attached to nilpotent orbits through the
 Fourier/Springer convention); dropping it must already fail at n = 3, and
 the drop_conjugate control exposes exactly that.  This module is the only
 owner of that convention: support_check is the one place the criterion is
-tested, and the analyze and verify reports both read it.
+tested, and the analyze and verify reports both read it.  The nilpotent
+orbit of type lam meets the annihilator space exactly when lam <= lambda_H,
+so that test is dominance_leq(lam, generic_jordan_type(h)).
 
 lambda_H is exact, by Greene-Kleitman chain covers.  The pattern
 {(i, j) : j > h(i)} is the strict order of a poset P_h, and by Gansner's
@@ -25,7 +27,7 @@ from functools import cache
 
 from .dotchar import GradedMultiplicity, dot_action_multiplicities
 from .hessenberg import check_hessenberg
-from .partitions import Partition, _conjugate, _dominance_leq, check_partition, dominance_leq, partitions_of
+from .partitions import Partition, _conjugate, _dominance_leq, check_partition, partitions_of
 
 
 def generic_jordan_type(h, *, seed: int | None = None) -> Partition:
@@ -52,19 +54,6 @@ def generic_jordan_type(h, *, seed: int | None = None) -> Partition:
                 count += 1
         covered.append(count)
     return tuple(b - a for a, b in zip(covered, covered[1:]))
-
-
-def orbit_meets_annihilator(lam, h) -> bool:
-    """Whether the nilpotent orbit of type lam meets the annihilator space of h.
-
-    By the closure-order description this is the dominance test
-    lam <= lambda_H.
-    """
-    lam = check_partition(lam)
-    h = check_hessenberg(h)
-    if sum(lam) != len(h):
-        raise ValueError(f"lam must be a partition of {len(h)}, got {lam}")
-    return dominance_leq(lam, generic_jordan_type(h))
 
 
 def support_check(gm: GradedMultiplicity, lam_h: Partition, *, drop_conjugate: bool = False):
@@ -106,13 +95,6 @@ def support_check(gm: GradedMultiplicity, lam_h: Partition, *, drop_conjugate: b
 def _with_conjugates(n: int) -> tuple[tuple[Partition, Partition], ...]:
     """(lam, conjugate(lam)) for every partition lam of n, in partitions_of order."""
     return tuple((lam, _conjugate(lam)) for lam in partitions_of(n))
-
-
-def allowed_irreps(h) -> tuple[Partition, ...]:
-    """Irreducibles that the support criterion permits: conjugate(lam) <= lambda_H."""
-    h = check_hessenberg(h)
-    allowed, _ = support_check(dot_action_multiplicities(h), generic_jordan_type(h))
-    return tuple(allowed)
 
 
 def support_violations(h, *, drop_conjugate: bool = False, seed: int | None = None) -> list[dict]:

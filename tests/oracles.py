@@ -28,7 +28,18 @@ positive scalar; EquivClass, a tuple of polynomials with the polynomial edge
 check check_edges; class_of and class_table, which turn a table into a class
 and back, so a graph can carry the per-vertex basis; and the classes built
 from the library's tables (flow_up_class, ordinary_basis, kahler_class),
-the dot action by substitution and lifts of ordinary classes.  sanitize
+the dot action by substitution and lifts of ordinary classes.  The
+character theory and symmetric functions that no command needs are here
+too: character_value (Murnaghan-Nakayama border strips), z_order and
+conjugacy_class_size, against the library's hook-length dimensions and
+Kostka invariant dimensions; schur_inner_product, the Jacobi-Trudi pairing
+that decodes the coloring oracle dotchar.chromatic_qsym into a table;
+powersum_csf_q1 and powersum_to_monomial, the edge-subset power-sum
+expansion as plain {partition: int} dicts, against colorings at q = 1;
+q_int and q_factorial; and the explicit annihilator pattern (a frozenset of
+positions) and incomparability graph of h, which the library reads through
+h itself.  nullspace and inertia are Fraction wrappers over the library's
+integer kernels `_integer_nullspace` and `_integer_inertia`.  sanitize
 makes a report JSON-safe by a deep walk (fractions to strings, tuples to
 lists, keys to strings) against the library's JSON writer, which must give
 the same bytes.
@@ -39,15 +50,24 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import lcm
+from math import factorial, lcm
 
 from hesslab import gkm
 from hesslab.dotchar import betti_rs
 from hesslab.errors import ConsistencyError, CostGuardError
 from hesslab.gkm import monomials
-from hesslab.hessenberg import annihilator_pattern, check_hessenberg
-from hesslab.linalg import _entries, _integer_echelon, _integer_rref, nullspace, rank_exact
-from hesslab.partitions import Partition, check_partition, conjugate
+from hesslab.hessenberg import check_hessenberg
+from hesslab.linalg import (
+    _entries,
+    _integer_echelon,
+    _integer_inertia,
+    _integer_nullspace,
+    _integer_rref,
+    _over_one_denominator,
+    rank_exact,
+)
+from hesslab.partitions import Partition, check_partition, conjugate, partitions_of
+from hesslab.symfunc import QPoly, QSymPoly
 
 
 def sanitize(obj):
@@ -60,6 +80,229 @@ def sanitize(obj):
     if isinstance(obj, (list, tuple)):
         return [sanitize(v) for v in obj]
     return obj
+
+
+# --- characters, symmetric functions and Hessenberg patterns -----------------
+
+def z_order(mu: Partition) -> int:
+    """Centralizer order z_mu = prod_i i^{m_i} m_i! over multiplicities m_i."""
+    mu = check_partition(mu)
+    z = 1
+    for part, group in itertools.groupby(mu):
+        m = len(list(group))
+        z *= part**m * factorial(m)
+    return z
+
+
+def conjugacy_class_size(mu: Partition) -> int:
+    """Number of permutations of cycle type mu, i.e. n!/z_mu."""
+    return factorial(sum(mu)) // z_order(mu)
+
+
+def character_value(lam: Partition, mu: Partition) -> int:
+    """Irreducible character chi^lam evaluated on cycle type mu.
+
+    Border-strip recursion: remove a strip of size mu[0], signed by
+    (-1)^(height-1), and recurse on the rest of the cycle type.  In the
+    beta-number model a strip of size k is a beta value b with b-k >= 0 and
+    b-k not a beta value; the sign counts beta values jumped over.
+    """
+    lam, mu = check_partition(lam), check_partition(mu)
+    if sum(lam) != sum(mu):
+        raise ValueError(f"shape and cycle type have different sizes: {lam} vs {mu}")
+    return _mn(lam, tuple(sorted(mu, reverse=True)))
+
+
+@cache
+def _mn(shape: Partition, cycle: Partition) -> int:
+    if not cycle:
+        return 1
+    k, rest = cycle[0], cycle[1:]
+    total = 0
+    for smaller, sign in _strip_removals(shape, k):
+        total += sign * _mn(smaller, rest)
+    return total
+
+
+def _strip_removals(shape: Partition, k: int) -> list[tuple[Partition, int]]:
+    rows = len(shape)
+    beta = [shape[r] + (rows - 1 - r) for r in range(rows)]
+    present = set(beta)
+    out = []
+    for b in beta:
+        nb = b - k
+        if nb < 0 or nb in present:
+            continue
+        crossed = sum(1 for c in beta if nb < c < b)
+        new = sorted((present - {b}) | {nb}, reverse=True)
+        smaller = tuple(
+            p for p in (new[r] - (rows - 1 - r) for r in range(rows)) if p > 0
+        )
+        out.append((smaller, -1 if crossed % 2 else 1))
+    return out
+
+
+def q_int(k: int) -> QPoly:
+    """[k]_q = 1 + q + ... + q^(k-1); [0]_q = 0."""
+    return QPoly({i: 1 for i in range(k)})
+
+
+def q_factorial(n: int) -> QPoly:
+    """[n]_q! = [1]_q [2]_q ... [n]_q."""
+    out = QPoly.one()
+    for k in range(2, n + 1):
+        out = out * q_int(k)
+    return out
+
+
+def schur_inner_product(F: QSymPoly, mu: Partition) -> QPoly:
+    """Pairing of F against the Schur function s_mu, via Jacobi-Trudi.
+
+    s_mu = det(h_{mu_i - i + j}) expands the pairing as a signed sum over
+    permutations sigma of monomial coefficients at the sorted composition
+    (mu_i - i + sigma(i)); terms with a negative entry vanish, entries equal
+    to zero are dropped (h_0 = 1).
+    """
+    mu = check_partition(mu)
+    if sum(mu) != F.degree:
+        raise ValueError(f"mu must be a partition of {F.degree}, got {mu}")
+    rows = len(mu)
+    total = QPoly.zero()
+    for sigma in itertools.permutations(range(1, rows + 1)):
+        comp = [mu[i] - (i + 1) + sigma[i] for i in range(rows)]
+        if any(e < 0 for e in comp):
+            continue
+        key = tuple(sorted((e for e in comp if e > 0), reverse=True))
+        if not key:
+            continue
+        coeff = F.coeffs.get(key)
+        if coeff is None:
+            continue
+        if _sign(sigma) > 0:
+            total = total + coeff
+        else:
+            total = total - coeff
+    return total
+
+
+def _sign(sigma: tuple[int, ...]) -> int:
+    seen = [False] * len(sigma)
+    sign = 1
+    for i in range(len(sigma)):
+        if seen[i]:
+            continue
+        j, length = i, 0
+        while not seen[j]:
+            seen[j] = True
+            j = sigma[j] - 1
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def powersum_csf_q1(edges, n: int) -> dict[Partition, int]:
+    """Chromatic symmetric function at q=1 as power-sum coefficients {lam: c}.
+
+    Inclusion-exclusion over edge subsets S: each contributes (-1)^|S| p_{lam(S)}
+    where lam(S) lists the connected component sizes of ([n], S).  Vertices are
+    1-based; this is deliberately independent of any coloring enumeration so it
+    can serve as an oracle for the q-refined expansion.
+    """
+    if not 1 <= n <= 10:
+        raise ValueError(f"n must satisfy 1 <= n <= 10, got {n}")
+    edge_list = []
+    for i, j in edges:
+        if not (1 <= i <= n and 1 <= j <= n and i != j):
+            raise ValueError(f"bad edge ({i}, {j}) for n={n}")
+        edge_list.append((min(i, j), max(i, j)))
+    coeffs: dict[Partition, int] = {}
+    for mask in range(1 << len(edge_list)):
+        parent = list(range(n + 1))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        bits = 0
+        rest = mask
+        idx = 0
+        while rest:
+            if rest & 1:
+                bits += 1
+                a, b = edge_list[idx]
+                ra, rb = find(a), find(b)
+                if ra != rb:
+                    parent[ra] = rb
+            rest >>= 1
+            idx += 1
+        sizes: dict[int, int] = {}
+        for v in range(1, n + 1):
+            r = find(v)
+            sizes[r] = sizes.get(r, 0) + 1
+        lam = tuple(sorted(sizes.values(), reverse=True))
+        coeffs[lam] = coeffs.get(lam, 0) + (1 if bits % 2 == 0 else -1)
+    return {lam: v for lam, v in coeffs.items() if v}
+
+
+@cache
+def _powersum_monomial_expansion(nu: Partition, nvars: int) -> tuple[tuple[Partition, int], ...]:
+    """Monomial-basis expansion of p_nu, by direct expansion in nvars variables."""
+    expo: dict[tuple[int, ...], int] = {(0,) * nvars: 1}
+    for part in nu:
+        nxt: dict[tuple[int, ...], int] = {}
+        for alpha, c in expo.items():
+            for i in range(nvars):
+                beta = list(alpha)
+                beta[i] += part
+                key = tuple(beta)
+                nxt[key] = nxt.get(key, 0) + c
+        expo = nxt
+    out = []
+    for lam in partitions_of(sum(nu)):
+        if len(lam) > nvars:
+            continue
+        alpha = lam + (0,) * (nvars - len(lam))
+        c = expo.get(alpha, 0)
+        if c:
+            out.append((lam, c))
+    return tuple(out)
+
+
+def powersum_to_monomial(F: dict[Partition, int], n: int) -> dict[Partition, int]:
+    """Monomial coefficients {lam: c} of the degree-n function sum_nu F[nu] p_nu.
+
+    Faithful for degree n because n variables suffice; the per-p_nu expansions
+    are raw polynomial expansions, independent of character theory.
+    """
+    coeffs: dict[Partition, int] = {}
+    for nu, c in F.items():
+        for lam, mult in _powersum_monomial_expansion(nu, n):
+            coeffs[lam] = coeffs.get(lam, 0) + c * mult
+    return {lam: c for lam, c in coeffs.items() if c}
+
+
+def annihilator_pattern(h) -> frozenset[tuple[int, int]]:
+    """Free positions (i, j), 1-indexed, of the trace-form annihilator: j > h(i).
+
+    Always strictly upper triangular, and complementary in size to the
+    dimension: |pattern| + dimension(h) = n(n-1)/2.
+    """
+    h = check_hessenberg(h)
+    n = len(h)
+    return frozenset(
+        (i, j) for i in range(1, n + 1) for j in range(h[i - 1] + 1, n + 1)
+    )
+
+
+def incomparability_graph(h) -> tuple[tuple[int, int], ...]:
+    """Edges {i, j} with i < j <= h(i), sorted; vertex set is implicitly 1..n."""
+    h = check_hessenberg(h)
+    return tuple(
+        (i, j) for i in range(1, len(h) + 1) for j in range(i + 1, h[i - 1] + 1)
+    )
 
 
 def rank_mod_p(rows, p: int) -> int:
@@ -120,8 +363,8 @@ def brute_force_orbit_oracle(lam, h, p: int) -> bool:
     """Exhaustive check over F_p: does any pattern matrix have Jordan type lam?
 
     Deliberately dumb and exponential (p^|pattern| matrices); only n <= 4 and
-    p in {2, 3, 5} are accepted.  Serves as the independent oracle for
-    orbit_meets_annihilator.
+    p in {2, 3, 5} are accepted.  Serves as the independent oracle for the
+    orbit criterion lam <= lambda_H.
     """
     lam = check_partition(lam)
     h = check_hessenberg(h)
@@ -132,7 +375,7 @@ def brute_force_orbit_oracle(lam, h, p: int) -> bool:
         raise ValueError(f"p must be one of 2, 3, 5, got {p}")
     if sum(lam) != n:
         raise ValueError(f"lam must be a partition of {n}")
-    positions = sorted(annihilator_pattern(h).positions)
+    positions = sorted(annihilator_pattern(h))
     for values in itertools.product(range(p), repeat=len(positions)):
         M = [[0] * n for _ in range(n)]
         for v, (i, j) in zip(values, positions):
@@ -536,10 +779,24 @@ def row_reduce(rows):
     return pivots, [_monic(red[c], c) for c in pivots]
 
 
+def nullspace(rows, ncols: int) -> list[list[Fraction]]:
+    """Basis of the rational kernel as Fraction rows, one vector per free
+    column, read off the kernel's `_integer_nullspace`."""
+    basis, d = _integer_nullspace(rows, ncols)
+    return [[Fraction(x, d) for x in v] for v in basis]
+
+
+def inertia(G):
+    """(signature, pivots) of a symmetric rational matrix, as
+    `_integer_inertia` defines them: G is put over one denominator and the
+    pass runs on integers."""
+    return _integer_inertia(*_over_one_denominator(G))
+
+
 def fraction_inertia(G):
     """(signature, pivots) of a symmetric rational matrix by Lagrange
     congruence diagonalization on Fractions: the library's pass before it
-    ran on integers, with the same contract as `linalg.inertia`.  When every
+    ran on integers, with the same contract as `inertia`.  When every
     active diagonal entry is zero but some off-diagonal is not, a row+column
     add restores a usable pivot.  The pivots are the diagonal entries met in
     index order, up to and including the first one that is not positive."""

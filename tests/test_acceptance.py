@@ -16,24 +16,26 @@ from hesslab import gkm
 from hesslab.cli import canonical_json, kahler_payload
 from hesslab.dotchar import betti_rs, chromatic_qsym, dot_action_multiplicities, regular_betti
 from hesslab.gkm import build_gkm, morse_betti
-from hesslab.hessenberg import enumerate_hessenberg, incomparability_graph
-from hesslab.partitions import (
-    character_value,
-    conjugacy_class_size,
-    partitions_of,
-)
-from hesslab.springer import generic_jordan_type, orbit_meets_annihilator, support_violations
-from hesslab.symfunc import QPoly, powersum_csf_q1, powersum_to_monomial, q_factorial
+from hesslab.hessenberg import enumerate_hessenberg
+from hesslab.partitions import dominance_leq, partitions_of
+from hesslab.springer import generic_jordan_type, support_violations
+from hesslab.symfunc import QPoly
 from oracles import (
     brute_force_orbit_oracle,
+    character_value,
+    conjugacy_class_size,
     dot_matrix_by_projection,
     flow_up_class,
+    incomparability_graph,
     integrate,
     intersection_matrix_by_integrals,
     lefschetz_matrix_by_projection,
     lift,
     lift_with_noise,
     ordinary_basis,
+    powersum_csf_q1,
+    powersum_to_monomial,
+    q_factorial,
 )
 
 # a second strictly decreasing Kahler weight per n, besides the default one
@@ -71,8 +73,9 @@ def test_acceptance_2_toric_hexagon_fixture():
         gm.table[(2, 1)] == [0, 1, 0],
         gm.table[(1, 1, 1)] == [0, 0, 0],
         generic_jordan_type(h) == (2, 1),
-        # the sign representation is forbidden by the support criterion and absent
-        not orbit_meets_annihilator((3,), h),
+        # the regular orbit misses the annihilator, so the sign representation
+        # is forbidden by the support criterion and absent
+        not dominance_leq((3,), generic_jordan_type(h)),
         support_violations(h) == [],
     ]
     elapsed = time.monotonic() - start
@@ -234,9 +237,9 @@ def test_acceptance_8b_csf_powersum_agreement():
     for n in range(2, 7):
         for h in enumerate_hessenberg(n):
             X = chromatic_qsym(h)
-            F = powersum_to_monomial(powersum_csf_q1(incomparability_graph(h), n))
+            F = powersum_to_monomial(powersum_csf_q1(incomparability_graph(h), n), n)
             for lam in partitions_of(n):
-                if F.coefficient(lam) != QPoly({0: X.coefficient(lam).at_one()}):
+                if F.get(lam, 0) != X.coefficient(lam).at_one():
                     ok = False
     announce(8, "oracle battery: chromatic q=1 vs edge-subset powersums n <= 6", ok)
     assert ok
@@ -247,8 +250,9 @@ def test_acceptance_8c_orbit_criterion_vs_brute_force():
     retried = 0
     for n in range(2, 5):
         for h in enumerate_hessenberg(n):
+            lam_h = generic_jordan_type(h)
             for lam in partitions_of(n):
-                expected = orbit_meets_annihilator(lam, h)
+                expected = dominance_leq(lam, lam_h)
                 got = brute_force_orbit_oracle(lam, h, 2)
                 if got != expected:
                     retried += 1

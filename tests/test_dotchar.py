@@ -21,9 +21,10 @@ from hesslab.dotchar import (
     regular_betti,
 )
 from hesslab.errors import ConsistencyError, CostGuardError
-from hesslab.hessenberg import dimension, enumerate_hessenberg, incomparability_graph, is_indecomposable
+from hesslab.hessenberg import dimension, enumerate_hessenberg, is_indecomposable
 from hesslab.partitions import conjugate, dim_irrep, invariant_dim, partitions_of, young_subgroup_blocks
-from hesslab.symfunc import QPoly, q_factorial, schur_inner_product
+from hesslab.symfunc import QPoly
+from oracles import incomparability_graph, q_factorial, schur_inner_product
 
 
 def brute_force_csf(h):

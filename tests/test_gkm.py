@@ -21,16 +21,17 @@ from hesslab.gkm import (
     poincare_pairing,
 )
 from hesslab.hessenberg import dimension, enumerate_hessenberg
-from hesslab.linalg import det_exact, inertia
-from hesslab.partitions import character_value
+from hesslab.linalg import det_exact
 import oracles
 from oracles import (
     EquivClass,
     Poly,
+    character_value,
     dot_action,
     equivariant_dimension,
     equivariant_piece,
     flow_up_class,
+    inertia,
     integrate,
     kahler_class,
     lefschetz_images_by_lifts,

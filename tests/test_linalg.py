@@ -10,11 +10,12 @@ vector per free column, also as integer rows over one denominator) and ranks
 are fixed by the RREF, so the kernel must reproduce them exactly, on random
 sparse rational matrices and on the one flow-up system per degree that the
 moment graph eliminates; each flow-up class read off it must be the dense
-solution of its own vertex's system.  `inertia` is checked against
-Descartes' rule of signs on the exact characteristic polynomial, against
-ratios of leading principal minors, and against `oracles.fraction_inertia`,
-the Fraction congruence pass it replaced; `det_exact` against the Leibniz
-expansion.
+solution of its own vertex's system.  `_integer_inertia` (through
+`oracles.inertia`, which puts a rational matrix over one denominator) is
+checked against Descartes' rule of signs on the exact characteristic
+polynomial, against ratios of leading principal minors, and against
+`oracles.fraction_inertia`, the Fraction congruence pass it replaced;
+`det_exact` against the Leibniz expansion.
 """
 
 import itertools
@@ -27,17 +28,9 @@ from hesslab import gkm
 from hesslab.errors import ConsistencyError
 from hesslab.gkm import build_gkm, flow_up_class, monomials
 from hesslab.hessenberg import enumerate_hessenberg
-from hesslab.linalg import (
-    _integer_inertia,
-    _integer_nullspace,
-    _integer_rref,
-    det_exact,
-    inertia,
-    nullspace,
-    rank_exact,
-)
+from hesslab.linalg import _integer_inertia, _integer_nullspace, _integer_rref, det_exact, rank_exact
 import oracles
-from oracles import echelon, fraction_inertia, norm_poly, row_reduce, solve_particular
+from oracles import echelon, fraction_inertia, inertia, norm_poly, nullspace, row_reduce, solve_particular
 
 
 def dense_row_reduce(rows, ncols: int):

@@ -5,16 +5,14 @@ from math import factorial
 import pytest
 
 from hesslab.partitions import (
-    character_value,
-    conjugacy_class_size,
     conjugate,
     dim_irrep,
     dominance_leq,
     invariant_dim,
     partitions_of,
     young_subgroup_blocks,
-    z_order,
 )
+from oracles import character_value, conjugacy_class_size, z_order
 
 
 def partition_count_oracle(n: int) -> int:
@@ -26,15 +24,9 @@ def partition_count_oracle(n: int) -> int:
     return table[n]
 
 
-def hook_length_dim(lam) -> int:
-    # hook length formula, independent of Murnaghan-Nakayama
-    n = sum(lam)
-    conj = conjugate(lam)
-    prod = 1
-    for r, row in enumerate(lam):
-        for c in range(row):
-            prod *= (row - c) + (conj[c] - r) - 1
-    return factorial(n) // prod
+def character_degree(lam) -> int:
+    # the character at the identity, by Murnaghan-Nakayama, independent of hook lengths
+    return character_value(lam, (1,) * sum(lam))
 
 
 def test_partition_counts_match_dp_oracle():
@@ -118,9 +110,13 @@ def test_character_21_on_3_cycle():
 
 
 def test_dimensions_match_hook_length_formula():
-    for n in range(1, 8):
+    # dim_irrep is the hook-length formula; all 271 partitions with n <= 12
+    checked = 0
+    for n in range(1, 13):
         for lam in partitions_of(n):
-            assert dim_irrep(lam) == hook_length_dim(lam)
+            assert dim_irrep(lam) == character_degree(lam), lam
+            checked += 1
+    assert checked == 271
 
 
 def test_sum_of_squared_dimensions():

@@ -4,16 +4,10 @@ import pytest
 
 from hesslab.dotchar import dot_action_multiplicities
 from hesslab.errors import CostGuardError
-from hesslab.hessenberg import annihilator_pattern, enumerate_hessenberg
+from hesslab.hessenberg import enumerate_hessenberg
 from hesslab.partitions import conjugate, dominance_leq, partitions_of
-from hesslab.springer import (
-    allowed_irreps,
-    generic_jordan_type,
-    orbit_meets_annihilator,
-    support_check,
-    support_violations,
-)
-from oracles import brute_force_orbit_oracle, jordan_type
+from hesslab.springer import generic_jordan_type, support_check, support_violations
+from oracles import annihilator_pattern, brute_force_orbit_oracle, jordan_type
 
 
 def jordan_block_matrix(blocks):
@@ -65,7 +59,7 @@ def sampled_generic_type(h, p, samples, rng):
     sampled types must have a maximum; a draw without one fails loudly.
     """
     n = len(h)
-    positions = sorted(annihilator_pattern(h).positions)
+    positions = sorted(annihilator_pattern(h))
     types = set()
     for _ in range(samples):
         M = [[0] * n for _ in range(n)]
@@ -74,22 +68,6 @@ def sampled_generic_type(h, p, samples, rng):
         types.add(jordan_type(M, modulus=p))
     (best,) = [t for t in types if all(dominance_leq(u, t) for u in types)]
     return best
-
-
-def symbolic_generic_type(sympy, h):
-    """Jordan type from exact ranks of the powers of a matrix of indeterminates."""
-    n = len(h)
-    positions = sorted(annihilator_pattern(h).positions)
-    M = sympy.zeros(n, n)
-    for sym, (i, j) in zip(sympy.symbols(f"x0:{len(positions)}"), positions):
-        M[i - 1, j - 1] = sym
-    ranks = [n]
-    power = sympy.eye(n)
-    while ranks[-1]:
-        power = power * M
-        ranks.append(power.rank())
-    geq = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))]
-    return conjugate(tuple(c for c in geq if c))
 
 
 def chain_cover_sizes(h):
@@ -119,11 +97,21 @@ def test_generic_type_matches_sampling():
             assert sampled_generic_type(h, 101, 12, rng) == generic_jordan_type(h), h
 
 
-def test_generic_type_matches_symbolic():
-    sympy = pytest.importorskip("sympy")
-    for n in (2, 3, 4):
+def test_generic_type_matches_exact_ranks():
+    # exact rational rank sequences of pattern matrices with random integer
+    # entries: the dominance maximum over three draws is lambda_H
+    rng = random.Random(1729)
+    for n in range(2, 7):
         for h in enumerate_hessenberg(n):
-            assert generic_jordan_type(h) == symbolic_generic_type(sympy, h), h
+            positions = sorted(annihilator_pattern(h))
+            types = set()
+            for _ in range(3):
+                M = [[0] * n for _ in range(n)]
+                for i, j in positions:
+                    M[i - 1][j - 1] = rng.randint(-9, 9)
+                types.add(jordan_type(M))
+            (best,) = [t for t in types if all(dominance_leq(u, t) for u in types)]
+            assert best == generic_jordan_type(h), h
 
 
 def test_generic_type_is_dilworth_chain_cover():
@@ -153,19 +141,28 @@ def test_lambda_h_antitone_in_h():
                     assert dominance_leq(generic_jordan_type(h2), generic_jordan_type(h1))
 
 
+def orbit_meets(lam, h) -> bool:
+    # the nilpotent orbit of type lam meets the annihilator space iff lam <= lambda_H
+    return dominance_leq(lam, generic_jordan_type(h))
+
+
+def allowed(h) -> tuple:
+    return tuple(support_check(dot_action_multiplicities(h), generic_jordan_type(h))[0])
+
+
 def test_orbit_criterion_examples():
-    assert orbit_meets_annihilator((1, 1, 1), (2, 3, 3))
-    assert orbit_meets_annihilator((2, 1), (2, 3, 3))
-    assert not orbit_meets_annihilator((3,), (2, 3, 3))
+    assert orbit_meets((1, 1, 1), (2, 3, 3))
+    assert orbit_meets((2, 1), (2, 3, 3))
+    assert not orbit_meets((3,), (2, 3, 3))
 
 
 def test_allowed_irreps_examples():
-    assert allowed_irreps((1, 2, 3)) == tuple(partitions_of(3))
-    assert allowed_irreps((3, 3, 3)) == ((3,),)
-    assert allowed_irreps((2, 3, 3)) == ((3,), (2, 1))
+    assert allowed((1, 2, 3)) == tuple(partitions_of(3))
+    assert allowed((3, 3, 3)) == ((3,),)
+    assert allowed((2, 3, 3)) == ((3,), (2, 1))
     for n in (2, 3, 4):
-        assert allowed_irreps((n,) * n) == ((n,),)
-        assert allowed_irreps(tuple(range(1, n + 1))) == tuple(partitions_of(n))
+        assert allowed((n,) * n) == ((n,),)
+        assert allowed(tuple(range(1, n + 1))) == tuple(partitions_of(n))
 
 
 def test_support_criterion_sweep_small():
@@ -182,9 +179,8 @@ def test_support_check_is_the_criterion():
         for h in enumerate_hessenberg(n):
             gm = dot_action_multiplicities(h)
             lam_h = generic_jordan_type(h)
-            allowed = [lam for lam in partitions_of(n) if dominance_leq(conjugate(lam), lam_h)]
-            assert support_check(gm, lam_h) == (allowed, []), h
-            assert allowed_irreps(h) == tuple(allowed)
+            want = [lam for lam in partitions_of(n) if dominance_leq(conjugate(lam), lam_h)]
+            assert support_check(gm, lam_h) == (want, []), h
             for drop in (False, True):
                 assert support_violations(gm, drop_conjugate=drop) == support_violations(h, drop_conjugate=drop)
 
@@ -223,12 +219,11 @@ def test_orbit_criterion_vs_brute_force_n3():
     for n in (2, 3):
         for h in enumerate_hessenberg(n):
             for lam in partitions_of(n):
-                expected = orbit_meets_annihilator(lam, h)
+                expected = orbit_meets(lam, h)
                 for p in (2, 3, 5):
                     assert brute_force_orbit_oracle(lam, h, p) == expected, (h, lam, p)
 
 
 def test_annihilator_pattern_slots_drive_the_oracle():
     # sanity on the pattern itself: hexagon has the single slot (1,3)
-    pattern = annihilator_pattern((2, 3, 3))
-    assert pattern.positions == frozenset({(1, 3)})
+    assert annihilator_pattern((2, 3, 3)) == frozenset({(1, 3)})
