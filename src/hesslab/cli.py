@@ -39,13 +39,12 @@ from .dotchar import (  # regular_betti stays importable from here: hessbench's 
     regular_betti,
 )
 from .errors import ConsistencyError, CostGuardError, HesslabError, TheoremViolation
-from .gkm import DEFAULT_SEED, GRAPH_MAX_N, build_gkm, kahler_report, morse_betti, poincare_pairing
+from .gkm import DEFAULT_SEED, GRAPH_MAX_N, build_gkm, default_kahler_weight, kahler_report, morse_betti, poincare_pairing
 from .hessenberg import MAX_FUNCTIONS_N, enumerate_hessenberg, hessenberg_str, is_indecomposable, parse_hessenberg
 from .linalg import det_exact
 from .partitions import MAX_ENUMERATION_N, Partition, partition_str, partitions_of, young_subgroup_content
 from .springer import generic_jordan_type, support_check, support_violations
 
-DEFAULT_GKM_MAX_N = 4
 CACHE_ENV = "HESSLAB_CACHE"
 
 
@@ -178,22 +177,26 @@ def _named_subsets(n: int) -> tuple[tuple[str, Partition], ...]:
     return tuple((_jstr(J), young_subgroup_content(J, n)) for J in all_parabolic_subsets(n))
 
 
-def _morse_check(h, seed: int, character: list[int]) -> tuple[list[int], list[dict]]:
+def _morse_check(h, seed: int, character: list[int]) -> tuple[list[int] | None, list[dict]]:
     """Morse Betti numbers of the moment graph of h, and a violation entry
-    unless they equal the character-side Betti numbers."""
+    unless they equal the character-side Betti numbers; (None, []) where the
+    moment graph does not exist (n outside 2..GRAPH_MAX_N)."""
+    if not 2 <= len(h) <= GRAPH_MAX_N:
+        return None, []
     morse = morse_betti(build_gkm(h, seed=seed))
     if morse == character:
         return morse, []
     return morse, [{"type": "gkm-betti", "h": hessenberg_str(h), "morse": morse, "character": character}]
 
 
-def analyze_report(h, *, seed: int, J=None, use_gkm: bool = False, cache_dir=None, force: bool = False) -> dict:
+def analyze_report(h, *, seed: int, J=None, cache_dir=None, force: bool = False) -> dict:
     """Assemble the full analysis of one Hessenberg function.
 
     The violations list collects every irreducible that appears with nonzero
     total multiplicity but fails the support criterion (springer.support_check),
     then every non-palindromic regular Betti row, then a Morse count that
-    disagrees with the character; a correct convention leaves it empty.
+    disagrees with the character; a correct convention leaves it empty.  The
+    "gkm" section is there exactly where the moment graph exists.
     """
     n = len(h)
     # the multiplicities do not depend on the seed, so it is not part of their key
@@ -240,8 +243,8 @@ def analyze_report(h, *, seed: int, J=None, use_gkm: bool = False, cache_dir=Non
         "violations": violations,
     }
 
-    if use_gkm:
-        morse, disagreements = _morse_check(h, seed, report["betti"])
+    morse, disagreements = _morse_check(h, seed, report["betti"])
+    if morse is not None:
         report["gkm"] = {"morse_betti": morse, "agrees": not disagreements}
         violations += disagreements
     return report
@@ -249,7 +252,7 @@ def analyze_report(h, *, seed: int, J=None, use_gkm: bool = False, cache_dir=Non
 
 # --- verify -----------------------------------------------------------------
 
-def _verify_one(h, *, seed: int, gkm_max_n: int, control: bool, force: bool = False) -> dict:
+def _verify_one(h, *, seed: int, control: bool, force: bool = False) -> dict:
     """Per-function worker for the sweep; must stay picklable for --jobs."""
     gm = dot_action_multiplicities(h, force)
     violations = [
@@ -267,10 +270,9 @@ def _verify_one(h, *, seed: int, gkm_max_n: int, control: bool, force: bool = Fa
     character = gm.betti()
     if is_indecomposable(h) and (character[0] != 1 or character[-1] != 1):
         violations.append({"type": "boundary", "h": hessenberg_str(h), "betti": character})
-    gkm_checked = len(h) <= gkm_max_n
-    if gkm_checked:
-        violations += _morse_check(h, seed, character)[1]
-    return {"h": hessenberg_str(h), "violations": violations, "gkm_checked": gkm_checked}
+    morse, disagreements = _morse_check(h, seed, character)
+    violations += disagreements
+    return {"h": hessenberg_str(h), "violations": violations, "gkm_checked": morse is not None}
 
 
 def verify_report(
@@ -278,13 +280,12 @@ def verify_report(
     *,
     seed: int,
     indecomposable_only: bool = False,
-    gkm_max_n: int = DEFAULT_GKM_MAX_N,
     jobs: int = 1,
     control: bool = False,
     force: bool = False,
 ) -> dict:
     functions = enumerate_hessenberg(n, indecomposable_only)
-    worker = partial(_verify_one, seed=seed, gkm_max_n=min(gkm_max_n, GRAPH_MAX_N), control=control, force=force)
+    worker = partial(_verify_one, seed=seed, control=control, force=force)
     jobs = min(jobs, os.cpu_count() or 1, len(functions))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -299,7 +300,6 @@ def verify_report(
         "seed": seed,
         "n": n,
         "indecomposable_only": indecomposable_only,
-        "gkm_max_n": min(gkm_max_n, GRAPH_MAX_N),
         "functions": len(functions),
         "gkm_checked": sum(1 for res in results if res["gkm_checked"]),
         "violations": violations,
@@ -364,10 +364,10 @@ _KAHLER_SECTIONS = {
 def _check_kahler_payload(payload, h, J, lam) -> None:
     """Raise ConsistencyError unless a cached payload has the shape
     kahler_payload gives for (h, J, lam): h, J, lambda and invariant_betti
-    integer lists, the first three those asked for (lambda only when lam is
-    given); each section a dict of typed entries keyed by degree strings;
-    and the verdicts booleans, each the conjunction of its section's flags
-    and "all" the conjunction of the other three."""
+    integer lists, the first three those asked for (lambda the default
+    weight when lam is None); each section a dict of typed entries keyed by
+    degree strings; and the verdicts booleans, each the conjunction of its
+    section's flags and "all" the conjunction of the other three."""
 
     def ints(value) -> bool:
         return isinstance(value, list) and all(type(x) is int for x in value)
@@ -380,7 +380,8 @@ def _check_kahler_payload(payload, h, J, lam) -> None:
     for name in ("h", "J", "lambda", "invariant_betti"):
         if not ints(payload.get(name)):
             fail(f"has no integer list {name!r}")
-    asked = {"h": list(h), "J": sorted(set(J))} | ({} if lam is None else {"lambda": list(lam)})
+    weight = default_kahler_weight(len(h)) if lam is None else lam
+    asked = {"h": list(h), "J": sorted(set(J)), "lambda": list(weight)}
     for name, value in asked.items():
         if payload[name] != value:
             fail(f"has {name} = {payload[name]}, not {value}")
@@ -479,7 +480,7 @@ def _render_table(report: dict) -> str:
                 f"control run: expected violation found = {report['control_expected_violation_found']}"
             )
     else:
-        lines.append(f"h = {report['h']}   J = ({report['J']})   lambda = {report.get('lambda', 'default')}")
+        lines.append(f"h = {report['h']}   J = ({report['J']})   lambda = {report['lambda']}")
         lines.append(f"invariant betti = {report['invariant_betti']}")
         for k_str in sorted(report["poincare"], key=int):
             pairing = report["poincare"][k_str]
@@ -533,12 +534,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p_an = sub.add_parser("analyze", parents=[common], help="full report for one Hessenberg function")
     p_an.add_argument("--h", required=True, type=_parse_h, metavar="H", dest="h")
     p_an.add_argument("--J", type=_parse_J, default=None, help='simple reflections, e.g. "1,2" (default: all subsets)')
-    p_an.add_argument("--gkm", action="store_true", help="cross-check Betti numbers on the moment graph")
 
     p_ve = sub.add_parser("verify", parents=[common], help="sweep all Hessenberg functions of size n")
     p_ve.add_argument("--n", required=True, type=int)
     p_ve.add_argument("--indecomposable", action="store_true")
-    p_ve.add_argument("--gkm-max-n", type=int, default=DEFAULT_GKM_MAX_N)
     p_ve.add_argument("--jobs", type=int, default=1)
     p_ve.add_argument(
         "--convention-control",
@@ -555,9 +554,11 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
 def main(argv=None) -> int:
     parser, commands = _build_parser()
-    args = parser.parse_args(argv)
-    # checks made after parsing are usage errors of the subcommand
+    args, unknown = parser.parse_known_args(argv)
+    # unknown arguments and checks made after parsing are usage errors of the subcommand
     usage_error = commands[args.command].error
+    if unknown:
+        usage_error(f"unrecognized arguments: {' '.join(unknown)}")
     started = time.monotonic()
     cache_dir = _cache_dir(args)
     try:
@@ -566,13 +567,10 @@ def main(argv=None) -> int:
                 usage_error(f"analyze supports n <= {MAX_ENUMERATION_N}, also with --force (got n = {len(args.h)})")
             if args.J is not None and any(j > len(args.h) - 1 for j in args.J):
                 usage_error(f"J entries must be <= n-1 = {len(args.h) - 1}")
-            if args.gkm and not 2 <= len(args.h) <= GRAPH_MAX_N:
-                usage_error(f"--gkm supports 2 <= n <= {GRAPH_MAX_N} (got n = {len(args.h)})")
             report = analyze_report(
                 args.h,
                 seed=args.seed,
                 J=args.J,
-                use_gkm=args.gkm,
                 cache_dir=cache_dir,
                 force=args.force,
             )
@@ -584,7 +582,6 @@ def main(argv=None) -> int:
                 args.n,
                 seed=args.seed,
                 indecomposable_only=args.indecomposable,
-                gkm_max_n=args.gkm_max_n,
                 jobs=max(1, args.jobs),
                 control=args.convention_control,
                 force=args.force,

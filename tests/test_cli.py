@@ -45,6 +45,7 @@ def test_analyze_hexagon(capsys):
     assert report["version"] == __version__ and report["seed"] == 1729
     assert set(report["regular"]) == {"", "1", "2", "1,2"}
     assert report["regular"]["1,2"] == {"betti": [1, 2, 1], "palindromic": True}
+    assert report["gkm"] == {"morse_betti": [1, 4, 1], "agrees": True}
 
 
 def test_analyze_edgeless_is_regular_rep(capsys):
@@ -67,9 +68,30 @@ def test_analyze_single_J(capsys):
     assert report["regular"]["1"]["betti"] == [1, 3, 1]
 
 
-def test_analyze_gkm_flag(capsys):
-    report = run_json(capsys, "analyze", "--h", "2,3,3", "--gkm")
-    assert report["gkm"] == {"morse_betti": [1, 4, 1], "agrees": True}
+def test_analyze_gkm_section_where_the_moment_graph_exists():
+    # the Morse cross-check runs exactly where the moment graph exists,
+    # 2 <= n <= GRAPH_MAX_N, and agrees with the character on every function
+    # there; n = 1 (no graph) and n = 6 reports have no gkm section
+    inside = [cli.analyze_report(h, seed=1729) for n in range(2, GRAPH_MAX_N + 1) for h in enumerate_hessenberg(n)]
+    assert GRAPH_MAX_N == 5 and len(inside) == 63
+    for report in inside:
+        assert report["gkm"] == {"morse_betti": report["betti"], "agrees": True}
+        assert report["violations"] == []
+    outside = [(1,), *enumerate_hessenberg(GRAPH_MAX_N + 1)]
+    assert not any("gkm" in cli.analyze_report(h, seed=1729) for h in outside)
+
+
+def test_morse_disagreement_is_a_violation(capsys, monkeypatch):
+    # a Morse count that differs from the character is reported by both
+    # commands as one gkm-betti entry, and analyze's section says so
+    monkeypatch.setattr(cli, "morse_betti", lambda g: [1, 3, 1])
+    entry = {"type": "gkm-betti", "h": "2,3,3", "morse": [1, 3, 1], "character": [1, 4, 1]}
+    rc, out, _ = run(capsys, "analyze", "--h", "2,3,3")
+    report = json.loads(out)
+    assert rc == 3 and report["violations"] == [entry]
+    assert report["gkm"] == {"morse_betti": [1, 3, 1], "agrees": False}
+    rc, out, _ = run(capsys, "verify", "--n", "3")
+    assert rc == 3 and entry in json.loads(out)["violations"]
 
 
 @pytest.mark.parametrize(
@@ -128,10 +150,13 @@ def test_verify_indecomposable_only(capsys):
     assert report["violations"] == []
 
 
-def test_verify_gkm_cutoff(capsys):
-    report = run_json(capsys, "verify", "--n", "3", "--gkm-max-n", "2")
-    assert report["gkm_checked"] == 0
-    assert report["violations"] == []
+def test_verify_gkm_checked_where_the_moment_graph_exists(capsys):
+    # every function is cross-checked at n <= GRAPH_MAX_N and none above it
+    for n, checked in (("5", 42), ("6", 0)):
+        report = run_json(capsys, "verify", "--n", n)
+        assert report["gkm_checked"] == checked
+        assert report["violations"] == []
+        assert "gkm_max_n" not in report
 
 
 def test_verify_convention_control(capsys):
@@ -173,7 +198,7 @@ def test_palindromic_violations_entry_by_entry(monkeypatch):
             expected.append({"type": "palindromic", "h": "2,3,4,4", "J": cli._jstr(J), "betti": betti})
     assert 0 < len(expected) < 8
     monkeypatch.setattr(cli, "dot_action_multiplicities", lambda *args: bad)
-    result = cli._verify_one(h, seed=1729, gkm_max_n=0, control=False)
+    result = cli._verify_one(h, seed=1729, control=False)
     assert [v for v in result["violations"] if v["type"] == "palindromic"] == expected
     report = cli.analyze_report(h, seed=1729)
     assert report["regular"] == regular
@@ -316,13 +341,15 @@ def test_kahler_threefold(capsys):
 
 def test_kahler_bytes_pinned(capsys):
     # canonical kahler reports at seed 1729, pairing determinants included,
-    # pinned byte for byte; the version field is part of the bytes
-    text = "".join(
-        run(capsys, "kahler", "--h", h, "--J", J)[1]
-        for h, J in (("2,3,3", ""), ("2,3,3", "1,2"), ("2,3,4,4", "1,3"))
-    )
+    # pinned byte for byte apart from the version field, which must be the
+    # package version
+    text = ""
+    for h, J in (("2,3,3", ""), ("2,3,3", "1,2"), ("2,3,4,4", "1,3")):
+        report = run_json(capsys, "kahler", "--h", h, "--J", J)
+        assert report.pop("version") == __version__
+        text += canonical_json(report)
     digest = hashlib.sha256(text.encode()).hexdigest()
-    assert digest == "51ca01ca3d70c25139cb02d88788495a116db0e2c105e9813c405fd4dc73ecd6"
+    assert digest == "be256f34631cbad6e040d6318ede777186b1c582236dd1425ff32bca1fa676a4"
 
 
 def test_kahler_at_n5(tmp_path, capsys):
@@ -378,8 +405,10 @@ def test_kahler_usage_errors(capsys):
         ["kahler", "--h", "2,3,4,4", "--J", "0"],  # refused while parsing
         ["analyze", "--h", "2,3,3", "--J", "3"],
         ["verify", "--n", "10"],
+        ["analyze", "--h", "2,3,3", "--gkm"],  # removed options are unknown arguments
+        ["verify", "--n", "3", "--gkm-max-n", "3"],
     ],
-    ids=["kahler-J", "kahler-lambda", "kahler-J-parse", "analyze-J", "verify-n"],
+    ids=["kahler-J", "kahler-lambda", "kahler-J-parse", "analyze-J", "verify-n", "analyze-gkm", "verify-gkm-max-n"],
 )
 def test_usage_errors_name_the_subcommand(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -393,13 +422,10 @@ def test_usage_errors_name_the_subcommand(capsys, argv):
 @pytest.mark.parametrize(
     "argv, limit",
     [
-        (["analyze", "--h", "2,3,4,5,6,6", "--gkm"], f"n <= {GRAPH_MAX_N}"),
-        (["analyze", "--h", "9,9,9,9,9,9,9,9,9", "--gkm"], f"n <= {GRAPH_MAX_N}"),
-        (["analyze", "--h", "1", "--gkm"], f"n <= {GRAPH_MAX_N}"),
         (["kahler", "--h", "1"], f"n <= {GRAPH_MAX_N}"),
         (["kahler", "--h", "2,3,4,5,6,6"], f"n <= {GRAPH_MAX_N}"),
     ],
-    ids=["analyze-gkm-n6", "analyze-gkm-n9", "analyze-gkm-n1", "kahler-n1", "kahler-n6"],
+    ids=["kahler-n1", "kahler-n6"],
 )
 def test_moment_graph_size_refused(argv, limit):
     # a usage error naming the limit, not a traceback from build_gkm
@@ -509,7 +535,7 @@ def test_cache_round_trip(tmp_path, capsys):
 
 def test_cache_corrupt_entries_are_rewritten(tmp_path, capsys):
     cache = tmp_path / "cache"
-    args = ("analyze", "--h", "2,3,3", "--gkm", "--cache-dir", str(cache))
+    args = ("analyze", "--h", "2,3,3", "--cache-dir", str(cache))
     rc, cold, _ = run(capsys, *args)
     entries = sorted(cache.iterdir())
     assert rc == 0 and len(entries) == 1
@@ -544,7 +570,7 @@ def test_cache_bad_multiplicity_payload_is_an_error(tmp_path, capsys, corrupt):
     # a stored table that is not the checked table of the requested h fails
     # with exit 1 and one stderr line: no traceback, and no false violation
     # from a table that breaks the character checks
-    args = ("analyze", "--h", "2,3,3", "--gkm", "--cache-dir", str(tmp_path))
+    args = ("analyze", "--h", "2,3,3", "--cache-dir", str(tmp_path))
     assert run(capsys, *args)[0] == 0
     (path,) = tmp_path.iterdir()
     overwrite_payload(tmp_path, corrupt(json.loads(path.read_text())["payload"]))
@@ -561,8 +587,9 @@ def test_cache_bad_multiplicity_payload_is_an_error(tmp_path, capsys, corrupt):
         lambda payload: {**payload, "verdicts": {**payload["verdicts"], "poincare": False, "all": False}},
         lambda payload: {**payload, "h": [3, 3, 3]},
         lambda payload: {**payload, "hard_lefschetz": {"two": payload["hard_lefschetz"]["2"]}},
+        lambda payload: {**payload, "lambda": [9, 7, 2]},  # no --lambda asks for the default weight
     ],
-    ids=["empty", "all-flipped", "verdict-flipped", "another-h", "degree-key"],
+    ids=["empty", "all-flipped", "verdict-flipped", "another-h", "degree-key", "default-lambda"],
 )
 def test_cache_bad_kahler_payload_is_an_error(tmp_path, capsys, corrupt):
     # a stored Kahler payload is checked before it is reported: a missing
@@ -580,7 +607,7 @@ def test_cache_bad_kahler_payload_is_an_error(tmp_path, capsys, corrupt):
 def test_cache_payload_betti_is_not_read(tmp_path, capsys):
     # the report's l, betti and mult come from the checked table, so a
     # changed derived betti entry leaves the bytes of the cold report
-    args = ("analyze", "--h", "2,3,3", "--gkm", "--cache-dir", str(tmp_path))
+    args = ("analyze", "--h", "2,3,3", "--cache-dir", str(tmp_path))
     rc, cold, _ = run(capsys, *args)
     assert rc == 0
     (path,) = tmp_path.iterdir()
@@ -590,7 +617,7 @@ def test_cache_payload_betti_is_not_read(tmp_path, capsys):
 
 
 def test_cache_warm_analyze_enumerates_no_colorings(tmp_path, capsys, monkeypatch):
-    args = ("analyze", "--h", "2,3,4,4", "--gkm", "--cache-dir", str(tmp_path))
+    args = ("analyze", "--h", "2,3,4,4", "--cache-dir", str(tmp_path))
     rc, cold, _ = run(capsys, *args)
     assert rc == 0
 
