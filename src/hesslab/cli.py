@@ -365,9 +365,11 @@ def _check_kahler_payload(payload, h, J, lam) -> None:
     """Raise ConsistencyError unless a cached payload has the shape
     kahler_payload gives for (h, J, lam): h, J, lambda and invariant_betti
     integer lists, the first three those asked for (lambda the default
-    weight when lam is None); each section a dict of typed entries keyed by
-    degree strings; and the verdicts booleans, each the conjunction of its
-    section's flags and "all" the conjunction of the other three."""
+    weight when lam is None); each section a dict of entries keyed by degree
+    strings, each with exactly its typed fields and a nonzero "det" string
+    on a nondegenerate pairing; the verdicts booleans, each the conjunction
+    of its section's flags and "all" the conjunction of the other three; and
+    no other key."""
 
     def ints(value) -> bool:
         return isinstance(value, list) and all(type(x) is int for x in value)
@@ -377,29 +379,43 @@ def _check_kahler_payload(payload, h, J, lam) -> None:
 
     if not isinstance(payload, dict):
         fail(f"is a {type(payload).__name__}, not a dict")
+    keys = {"h", "J", "lambda", "invariant_betti", *_KAHLER_SECTIONS, "verdicts"}
+    if set(payload) != keys:
+        fail(f"has keys {sorted(payload)}, not {sorted(keys)}")
     for name in ("h", "J", "lambda", "invariant_betti"):
-        if not ints(payload.get(name)):
+        if not ints(payload[name]):
             fail(f"has no integer list {name!r}")
     weight = default_kahler_weight(len(h)) if lam is None else lam
     asked = {"h": list(h), "J": sorted(set(J)), "lambda": list(weight)}
     for name, value in asked.items():
         if payload[name] != value:
             fail(f"has {name} = {payload[name]}, not {value}")
-    verdicts = payload.get("verdicts")
+    verdicts = payload["verdicts"]
     if not isinstance(verdicts, dict) or set(verdicts) != {*_KAHLER_SECTIONS, "all"}:
         fail(f"has verdicts {verdicts!r}")
     for section, (fields, flag) in _KAHLER_SECTIONS.items():
-        entries = payload.get(section)
+        entries = payload[section]
         if not isinstance(entries, dict):
             fail(f"has no {section!r} section")
         for k, entry in entries.items():
+            # a nondegenerate pairing also records its determinant
+            det = section == "poincare" and isinstance(entry, dict) and entry.get("nondegenerate") is True
             typed = isinstance(entry, dict) and all(type(entry.get(f)) is t for f, t in fields.items())
-            if not (k.isdecimal() and typed):
+            exact = typed and set(entry) == ({*fields, "det"} if det else set(fields))
+            if not (k.isdecimal() and exact and (not det or _nonzero(entry["det"]))):
                 fail(f"has a malformed {section} entry at degree {k}: {entry!r}")
         if verdicts[section] is not all(entry[flag] for entry in entries.values()):
             fail(f"has verdict {section} = {verdicts[section]!r}, not the conjunction of its entries")
     if verdicts["all"] is not all(verdicts[section] for section in _KAHLER_SECTIONS):
         fail(f"has verdict all = {verdicts['all']!r}, not the conjunction of the others")
+
+
+def _nonzero(det) -> bool:
+    """Whether det is the string of a nonzero Fraction."""
+    try:
+        return isinstance(det, str) and Fraction(det) != 0
+    except (ValueError, ZeroDivisionError):
+        return False
 
 
 # --- rendering ---------------------------------------------------------------

@@ -16,25 +16,24 @@ vector over the degree-k monomials (monomials).  The module structure is
 handled through flow-up classes: a fixed generic covector orients every edge,
 each vertex gets a Morse index (its down-degree), and its flow-up class is a
 class of that degree supported on it and the vertices above it, normalized to
-the product of its downward weights.  The degree-k edge rows, one {column:
-coefficient} row per edge and output monomial touching the unknowns of two
-vertices, give each vertex a block of columns in descending moment order.  A
-vertex's own system is then a column prefix, so one exact RREF (linalg's
-sparse integer kernel) of the prefix that ends at the lowest vertex of index
-k yields every flow-up class of index k, read off the RREF's rows and pivots;
-a vertex without one raises ConsistencyError.  The edge rows and the edge
-check run on integers: the remainder of each monomial modulo an edge form
-comes from substituting for one variable on exponent tuples, scaled to
-integers (_reduction_table), and on every edge the difference of the endpoint
-vectors combined with the remainders must vanish.  Each table must also
-vanish below its vertex.  The flow-up classes of Morse index k are the basis
-of the ordinary degree-k piece; their count is checked against the Betti
-numbers from the character side, so a missing or extra class raises instead
-of passing silently.  That monomial multiples of flow-up classes span every
-equivariant degree piece is a free-module statement the test suite certifies
-against the exact nullity of the full divisibility system.  The polynomial
-class algebra (classes as tuples of polynomials, their products, the dot
-action by substitution, lifts of ordinary classes) is the tests' oracle.
+the product of its downward weights.  One upward sweep in moment order builds
+every class of one index: at each vertex, one exact RREF (linalg's sparse
+integer kernel) of its local rows, the conditions to its down-neighbours,
+with one right-hand-side column per class started below it, gives each class
+its value there; a class that does not extend raises ConsistencyError.  The
+local rows and the edge check run on integers: the remainder of each monomial
+modulo an edge form comes from substituting for one variable on exponent
+tuples, scaled to integers (_reduction_table), and on every edge the
+difference of the endpoint vectors combined with the remainders must vanish.
+Each table must also vanish below its vertex.  The flow-up classes of Morse
+index k are the basis of the ordinary degree-k piece; their count is checked
+against the Betti numbers from the character side, so a missing or extra
+class raises instead of passing silently.  That monomial multiples of
+flow-up classes span every equivariant degree piece is a free-module
+statement the test suite certifies against the exact nullity of the full
+divisibility system.  The polynomial class algebra (classes as tuples of
+polynomials, their products, the dot action by substitution, lifts of
+ordinary classes) is the tests' oracle.
 
 The dot action and the Kahler forms are read off per-graph matrices, computed
 once and shared by every J: the intersection matrix of flow-up classes of
@@ -110,13 +109,6 @@ class GKMGraph:
     @property
     def nvars(self) -> int:
         return self.n - 1
-
-    def edges(self):
-        """Each undirected edge once, as (u, v, canonical_pair)."""
-        for u in range(len(self.vertices)):
-            for v, (i, j) in zip(self.neighbor[u], self.weight_pairs[u]):
-                if u < v:
-                    yield u, v, (min(i, j), max(i, j))
 
 
 def _memo(fn):
@@ -276,9 +268,18 @@ def flow_up_class(g: GKMGraph, vid: int) -> tuple[int, dict[int, tuple[int, ...]
     monomials(nvars, index of vid), the class's value there over the
     positive denominator den.
 
-    The table is read off the one elimination of its degree's edge system
-    that serves every vertex of that index, and checked there
-    (_flow_up_classes); a vertex without a class raises ConsistencyError.
+    One upward sweep builds the classes of one index (_flow_up_classes), as
+    in Guillemin-Zara (Duke Math. J. 107, 2001) and Knutson-Tao (Duke Math.
+    J. 119, 2003): a class starts at its vertex's norm, 0 below, and grows
+    one vertex at a time in moment order.  Why it always extends, when every
+    vertex has a flow-up class: let L be the vertices below u.  Every class
+    on the subgraph induced by L is a polynomial combination of the flow-up
+    classes of L, restricted to L.  By induction, take off a combination that
+    matches it below the top vertex v of L; what is left is divisible at v
+    by each downward weight of v, and these are independent linear forms, so
+    by their product, the norm: it is a multiple of sigma_v.  The same
+    combination of the global classes gives the class a value at u.  A class
+    that does not extend raises ConsistencyError.
     """
     return _flow_up_classes(g, g.index[vid])[vid]
 
@@ -303,60 +304,64 @@ def _flow_up_classes(g: GKMGraph, k: int) -> dict[int, tuple[int, dict[int, tupl
     over the positive denominator den, and den and the vectors share no
     common factor.
 
-    The columns of _edge_rows run over the vertices in descending moment
-    order, so the system of a vertex vid (unknowns strictly above it, its
-    own block fixed to its norm, everything below 0) is the column prefix
-    that ends at vid's block.  The RREF of a matrix restricted to a column
-    prefix is its RREF's rows with pivots in the prefix, restricted, so one
-    RREF of the prefix that ends at the lowest vertex of index k serves
-    every vertex of index k.  With free variables 0, a pivot row left of
-    vid's block gives its pivot unknown -(row at vid's block) . norm / pivot;
-    a row whose pivot lies in vid's block is zero left of it, so it is a
-    consistency condition, and a nonzero dot with the norm means vid has no
-    flow-up class.  Rows with pivots right of vid's block are zero on its
-    block and play no part.  Only the RREF's entries in the blocks of index
-    k are kept, and only until the classes are read.  Each table is checked
+    One upward sweep builds them all (flow_up_class says why it reaches the
+    top).  A class is 0 below its vertex and its norm there, which must
+    vanish modulo the weight of every edge down.  Above, it takes at each u a
+    value f(u) = f(w) mod the weight of the edge to each down-neighbour w,
+    whose value is known: u's local rows, one per edge down and output
+    monomial (_reduction_table), in the D coefficients of f(u), with one
+    right-hand-side column per class started below u.  One integer RREF
+    serves every class, with free variables 0; a pivot in a class's column
+    means that class does not extend to u.  Each table is checked
     (_check_flow_up) before it is returned.
     """
-    vids = [u for u in g.order if g.index[u] == k]
-    if not vids:
-        return {}
-    monos = monomials(g.nvars, k)
-    D = len(monos)
-    above = g.order[::-1]  # vertex above[p] owns columns p*D .. p*D + D - 1
-    block = {u: p * D for p, u in enumerate(above)}
-    ncols = block[vids[0]] + D
-    prefix = ({c: x for c, x in row.items() if c < ncols} for row in _edge_rows(g, k))
-    rows = [r for r in prefix if r]
-    # Largest column first: the elimination pivots on leftmost columns, so this
-    # order keeps the fill small.  The RREF is unchanged.
-    rows.sort(key=max, reverse=True)
-    pivots, red = _integer_rref(rows)
-
-    # Each pivot row's entries in the blocks of the vertices of index k.
-    touching: dict[int, list[tuple[int, int, int]]] = {u: [] for u in vids}
-    for pcol in pivots:
-        for c, x in red[pcol].items():
-            u = above[c // D]
-            if u in touching:
-                touching[u].append((pcol, c % D, x))
-    pivot_of = {pcol: red[pcol][pcol] for pcol in pivots}
-    del red
+    low = next((p for p, u in enumerate(g.order) if g.index[u] == k), len(g.order))
+    D = len(monomials(g.nvars, k))
+    started = []  # [vertex, den, {vertex: integer vector over den}], in moment order
+    for u in g.order[low:]:
+        rows = []  # (down-neighbour, {unknown: coefficient})
+        for w, (a, b) in zip(g.neighbor[u], g.weight_pairs[u]):
+            if g.xi[a - 1] < g.xi[b - 1]:  # a downward weight (_norm): w is below u
+                by_out: dict[tuple[int, ...], dict[int, int]] = {}
+                for mi, rem in enumerate(_reduction_table(g.n, (min(a, b), max(a, b)), k)):
+                    for mono, x in rem.items():
+                        by_out.setdefault(mono, {})[mi] = x
+                rows += [(w, row) for row in by_out.values()]
+        if started:
+            system = []
+            for w, row in rows:
+                aug = dict(row)
+                for c, (_, _, values) in enumerate(started):
+                    if w in values and (y := sum(x * values[w][mi] for mi, x in row.items())):
+                        aug[D + c] = y
+                system.append(aug)
+            # Shortest rows first: they become sparse pivot rows, which keeps
+            # the fill small.  The RREF is unchanged.
+            system.sort(key=len)
+            pivots, red = _integer_rref(system)
+            if pivots and pivots[-1] >= D:
+                vid = started[next(p for p in pivots if p >= D) - D][0]
+                raise ConsistencyError(f"no flow-up class at vertex {g.vertices[vid]} for h={g.h}")
+            for c, entry in enumerate(started):
+                # f(u) is the class's column over the pivots: scale the class to integers
+                solution = {p: red[p][D + c] for p in pivots if D + c in red[p]}
+                scale = lcm(*(red[p][p] // gcd(x, red[p][p]) for p, x in solution.items()))
+                if scale > 1:
+                    entry[1] *= scale
+                    entry[2] = {w: tuple(scale * y for y in vec) for w, vec in entry[2].items()}
+                if solution:
+                    vec = [0] * D
+                    for p, x in solution.items():
+                        vec[p] = x * scale // red[p][p]
+                    entry[2][u] = tuple(vec)
+        if g.index[u] == k:
+            norm = _norm(g, u)
+            if any(sum(x * norm[mi] for mi, x in row.items()) for _, row in rows):
+                raise ConsistencyError(f"no flow-up class at vertex {g.vertices[u]} for h={g.h}")
+            started.append([u, 1, {u: norm}])
 
     classes = {}
-    for vid in vids:
-        known = _norm(g, vid)
-        dots: dict[int, int] = {}
-        for pcol, mi, x in touching[vid]:
-            dots[pcol] = dots.get(pcol, 0) + x * known[mi]
-        dots = {pcol: dot for pcol, dot in dots.items() if dot}
-        if any(pcol >= block[vid] for pcol in dots):
-            raise ConsistencyError(f"no flow-up class at vertex {g.vertices[vid]} for h={g.h}")
-        den = lcm(*(pivot_of[pcol] for pcol in dots))
-        support = {vid: [den * x for x in known]}
-        for pcol, dot in dots.items():
-            p, mi = divmod(pcol, D)
-            support.setdefault(above[p], [0] * D)[mi] = -dot * (den // pivot_of[pcol])
+    for vid, den, support in started:
         c = gcd(den, *(x for vec in support.values() for x in vec))
         table = den // c, {u: tuple(x // c for x in vec) for u, vec in support.items()}
         _check_flow_up(g, vid, table)
@@ -394,26 +399,6 @@ def _check_edges(g: GKMGraph, k: int, support) -> None:
                 raise ConsistencyError(
                     f"edge condition fails between {g.vertices[u]} and {g.vertices[v]} on {pair}"
                 )
-
-
-def _edge_rows(g: GKMGraph, k: int) -> list[dict[int, int]]:
-    """Degree-k edge conditions, one integer row per edge and output
-    monomial: the two endpoint values agree mod the edge form.  The vertices
-    own blocks of D columns in descending moment order, the highest vertex
-    first; a block holds the vertex's coefficients of the D monomials of
-    degree k."""
-    D = len(monomials(g.nvars, k))
-    block = {u: p * D for p, u in enumerate(reversed(g.order))}
-    rows = []
-    for u, v, pair in g.edges():
-        by_out: dict[tuple[int, ...], dict[int, int]] = {}
-        for mi, rem in enumerate(_reduction_table(g.n, pair, k)):
-            for mono, c in rem.items():
-                row = by_out.setdefault(mono, {})
-                row[block[u] + mi] = c
-                row[block[v] + mi] = -c
-        rows.extend(by_out.values())
-    return rows
 
 
 def _ordinary_tables(g: GKMGraph, k: int):

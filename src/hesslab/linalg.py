@@ -18,12 +18,10 @@ by the pivot, done only where rows or values leave the module, gives the same
 rows with the same Fraction entries.  `rank_exact` and `_integer_nullspace`
 run on this kernel.  The RREF is unique, so with free variables set to 0 their
 answers are the ones dense Gauss-Jordan gives.  The moment graph hands
-`_integer_rref` one flow-up system per degree, integer edge rows built from
-integer remainder tables, so no Fraction enters those eliminations, and reads
-every flow-up class of that Morse index off its integer rows and pivots as an
-integer table, with free variables 0: one denominator, the lcm of the pivots
-used, and integer coefficients.  Each row touches two vertices, so the dict
-rows stay short where a dense copy would be mostly zeros.  It also solves for
+`_integer_rref` one local flow-up system per vertex and Morse index, integer
+rows built from integer remainder tables with one right-hand-side column per
+class, so no Fraction enters those eliminations; with free variables 0, each
+class's value at the vertex is its column over the pivots.  It also solves for
 flow-up coordinates with `_integer_rref` and keeps the answer as integer rows
 over one denominator.
 

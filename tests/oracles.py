@@ -5,10 +5,12 @@ something the library computes another way: one P-tableau walk per shape
 against the library's one walk over every shape; Jordan types from rank
 sequences of matrix powers and an exhaustive finite-field search against the
 Greene-Kleitman `lambda_H`; the full divisibility system against the flow-up
-module basis; one exact solve per vertex against the flow-up classes the
-library reads off one elimination per degree, with the Poly product of the
-downward weights against the library's integer norm; randomly perturbed lifts against
-lift-independence of integration; polynomial localization integrals (the sum
+module basis; one global elimination per degree (edge_rows over edges, the
+prefix RREF of prefix_flow_up_classes) and one exact solve per vertex
+against the flow-up classes the library builds by an upward sweep of local
+solves, with the Poly product of the downward weights against the library's
+integer norm; randomly perturbed lifts against lift-independence of
+integration; polynomial localization integrals (the sum
 over fixed points cleared of denominators by exact linear-form divisions)
 against the library's intersection numbers, which it reads off point
 evaluations; flow-up decomposition of the polynomial dot action and of
@@ -50,7 +52,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
 from hesslab import gkm
 from hesslab.dotchar import betti_rs
@@ -634,7 +636,7 @@ class EquivClass:
 
     def check_edges(self) -> None:
         g = self.graph
-        for u, v, pair in g.edges():
+        for u, v, pair in edges(g):
             diff = self.values[u] - self.values[v]
             if diff.is_zero():
                 continue
@@ -710,6 +712,105 @@ def invariant_vectors(g, J, k: int) -> list[list[Fraction]]:
     return gkm._fractions(*gkm._invariant_vectors(g, gkm._subset(g, J), k))
 
 
+def edges(g):
+    """Each undirected edge of the moment graph once, as (u, v, canonical_pair)."""
+    for u in range(len(g.vertices)):
+        for v, (i, j) in zip(g.neighbor[u], g.weight_pairs[u]):
+            if u < v:
+                yield u, v, (min(i, j), max(i, j))
+
+
+def edge_rows(g, k: int) -> list[dict[int, int]]:
+    """Degree-k edge conditions, one integer row per edge and output
+    monomial: the two endpoint values agree mod the edge form.  The vertices
+    own blocks of D columns in descending moment order, the highest vertex
+    first; a block holds the vertex's coefficients of the D monomials of
+    degree k."""
+    D = len(monomials(g.nvars, k))
+    block = {u: p * D for p, u in enumerate(reversed(g.order))}
+    rows = []
+    for u, v, pair in edges(g):
+        by_out: dict[tuple[int, ...], dict[int, int]] = {}
+        for mi, rem in enumerate(gkm._reduction_table(g.n, pair, k)):
+            for mono, c in rem.items():
+                row = by_out.setdefault(mono, {})
+                row[block[u] + mi] = c
+                row[block[v] + mi] = -c
+        rows.extend(by_out.values())
+    return rows
+
+
+def prefix_flow_up_classes(g, k: int) -> dict[int, tuple[int, dict[int, tuple[int, ...]]]]:
+    """The flow-up classes of Morse index k as integer tables, {vertex:
+    (den, support)} in moment order, read off one global elimination: the
+    library's route before its upward sweep (gkm._flow_up_classes), which
+    must give the same tables.  support maps the vertex and each vertex
+    above it where the class is nonzero to an integer coefficient vector
+    over monomials(nvars, k); the class's value there is that vector over
+    the positive denominator den, and den and the vectors share no common
+    factor.
+
+    The columns of edge_rows run over the vertices in descending moment
+    order, so the system of a vertex vid (unknowns strictly above it, its
+    own block fixed to its norm, everything below 0) is the column prefix
+    that ends at vid's block.  The RREF of a matrix restricted to a column
+    prefix is its RREF's rows with pivots in the prefix, restricted, so one
+    RREF of the prefix that ends at the lowest vertex of index k serves
+    every vertex of index k.  With free variables 0, a pivot row left of
+    vid's block gives its pivot unknown -(row at vid's block) . norm / pivot;
+    a row whose pivot lies in vid's block is zero left of it, so it is a
+    consistency condition, and a nonzero dot with the norm means vid has no
+    flow-up class.  Rows with pivots right of vid's block are zero on its
+    block and play no part.  Only the RREF's entries in the blocks of index
+    k are kept, and only until the classes are read.  Each table is checked
+    (gkm._check_flow_up) before it is returned.
+    """
+    vids = [u for u in g.order if g.index[u] == k]
+    if not vids:
+        return {}
+    monos = monomials(g.nvars, k)
+    D = len(monos)
+    above = g.order[::-1]  # vertex above[p] owns columns p*D .. p*D + D - 1
+    block = {u: p * D for p, u in enumerate(above)}
+    ncols = block[vids[0]] + D
+    prefix = ({c: x for c, x in row.items() if c < ncols} for row in edge_rows(g, k))
+    rows = [r for r in prefix if r]
+    # Largest column first: the elimination pivots on leftmost columns, so this
+    # order keeps the fill small.  The RREF is unchanged.
+    rows.sort(key=max, reverse=True)
+    pivots, red = _integer_rref(rows)
+
+    # Each pivot row's entries in the blocks of the vertices of index k.
+    touching: dict[int, list[tuple[int, int, int]]] = {u: [] for u in vids}
+    for pcol in pivots:
+        for c, x in red[pcol].items():
+            u = above[c // D]
+            if u in touching:
+                touching[u].append((pcol, c % D, x))
+    pivot_of = {pcol: red[pcol][pcol] for pcol in pivots}
+    del red
+
+    classes = {}
+    for vid in vids:
+        known = gkm._norm(g, vid)
+        dots: dict[int, int] = {}
+        for pcol, mi, x in touching[vid]:
+            dots[pcol] = dots.get(pcol, 0) + x * known[mi]
+        dots = {pcol: dot for pcol, dot in dots.items() if dot}
+        if any(pcol >= block[vid] for pcol in dots):
+            raise ConsistencyError(f"no flow-up class at vertex {g.vertices[vid]} for h={g.h}")
+        den = lcm(*(pivot_of[pcol] for pcol in dots))
+        support = {vid: [den * x for x in known]}
+        for pcol, dot in dots.items():
+            p, mi = divmod(pcol, D)
+            support.setdefault(above[p], [0] * D)[mi] = -dot * (den // pivot_of[pcol])
+        c = gcd(den, *(x for vec in support.values() for x in vec))
+        table = den // c, {u: tuple(x // c for x in vec) for u, vec in support.items()}
+        gkm._check_flow_up(g, vid, table)
+        classes[vid] = table
+    return classes
+
+
 def _dimension_of_degree(m: int, d: int) -> int:
     return len(monomials(m, d)) if d >= 0 else 0
 
@@ -730,7 +831,7 @@ def equivariant_dimension(g, k: int) -> int:
         betti[j] * _dimension_of_degree(g.nvars, k - j) for j in range(min(k, g.l) + 1)
     )
     ncols = len(g.vertices) * _dimension_of_degree(g.nvars, k)
-    nullity = ncols - rank_exact(gkm._edge_rows(g, k))
+    nullity = ncols - rank_exact(edge_rows(g, k))
     if nullity != expected:
         raise ConsistencyError(
             f"divisibility system at degree {k} has dimension {nullity}, free module predicts {expected}"
@@ -853,8 +954,8 @@ def flow_up_class_by_vertex(g, vid: int) -> EquivClass:
     coefficients of its norm, the vertices strictly above it (phi larger)
     as unknowns in vertex order, and every other vertex 0.  With free
     variables 0 this is the class the library solved per vertex before it
-    read all classes of one index off one elimination; the two bases differ
-    by a unitriangular matrix in moment order.  Checked like the library's:
+    read all classes of one index off one elimination (prefix_flow_up_classes);
+    the two bases differ by a unitriangular matrix in moment order.  Checked like the library's:
     every edge condition and no support below vid.
     """
     k = g.index[vid]
@@ -863,12 +964,12 @@ def flow_up_class_by_vertex(g, vid: int) -> EquivClass:
     D = len(monos)
     norm = norm_poly(g, vid)
     known = [norm.c.get(mono, 0) for mono in monos]
-    above = g.order[::-1]  # the vertex of each column block of gkm._edge_rows
+    above = g.order[::-1]  # the vertex of each column block of edge_rows
     unknown_ids = [u for u in range(len(g.vertices)) if g.phi[u] > g.phi[vid]]
     col_of = {u: i * D for i, u in enumerate(unknown_ids)}
 
     rows, rhs = [], []
-    for full in gkm._edge_rows(g, k):
+    for full in edge_rows(g, k):
         row = {}
         b = Fraction(0)
         for c, x in full.items():

@@ -588,8 +588,11 @@ def test_cache_bad_multiplicity_payload_is_an_error(tmp_path, capsys, corrupt):
         lambda payload: {**payload, "h": [3, 3, 3]},
         lambda payload: {**payload, "hard_lefschetz": {"two": payload["hard_lefschetz"]["2"]}},
         lambda payload: {**payload, "lambda": [9, 7, 2]},  # no --lambda asks for the default weight
+        lambda payload: {**payload, "poincare": {**payload["poincare"], "0": {**payload["poincare"]["0"], "det": ["not", "a", "determinant"]}}},
+        lambda payload: {**payload, "poincare": {**payload["poincare"], "0": {f: v for f, v in payload["poincare"]["0"].items() if f != "det"}}},
+        lambda payload: {**payload, "extra": 1},
     ],
-    ids=["empty", "all-flipped", "verdict-flipped", "another-h", "degree-key", "default-lambda"],
+    ids=["empty", "all-flipped", "verdict-flipped", "another-h", "degree-key", "default-lambda", "det-malformed", "det-missing", "extra-key"],
 )
 def test_cache_bad_kahler_payload_is_an_error(tmp_path, capsys, corrupt):
     # a stored Kahler payload is checked before it is reported: a missing

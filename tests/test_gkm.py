@@ -84,7 +84,7 @@ def test_graph_shape():
             assert len(g.vertices) == factorial(n)
             l = dimension(h)
             assert g.l == l
-            edges = list(g.edges())
+            edges = list(oracles.edges(g))
             assert len(edges) == factorial(n) * l // 2
             for u in range(len(g.vertices)):
                 assert len(set(g.neighbor[u])) == l
@@ -182,9 +182,9 @@ def test_flow_up_class_at_n5_reads_the_degree_table():
 
 
 def test_flow_up_classes_at_n5_frontier():
-    # one elimination per degree builds every flow-up table of the Peterson
-    # function at n = 5; the oracle class rebuilt from each table passes the
-    # polynomial edge check
+    # the upward sweep builds every flow-up table of the Peterson function at
+    # n = 5; the oracle class rebuilt from each table passes the polynomial
+    # edge check
     g = build_gkm((2, 3, 4, 5, 5))
     counts = []
     for k in range(g.l + 1):
@@ -224,8 +224,8 @@ def test_reduction_tables_are_scaled_polynomial_remainders(n):
 
 
 def test_flow_up_classes_avoid_polynomial_classes():
-    # the library has no polynomial class: the tables are read off the
-    # integer RREF and checked on integers, remainder tables included
+    # the library has no polynomial class: the tables are built by integer
+    # local RREFs and checked on integers, remainder tables included
     with pytest.raises(ImportError):
         importlib.import_module("hesslab.exactpoly")
     for name in ("Poly", "EquivClass", "divmod_linear", "dot_action", "lift", "ordinary_basis", "kahler_class"):
@@ -241,6 +241,15 @@ def test_flow_up_classes_avoid_polynomial_classes():
 
 
 N4_FUNCTIONS = [h for n in range(2, 5) for h in enumerate_hessenberg(n)]
+
+
+@pytest.mark.parametrize("h", [*N4_FUNCTIONS, (2, 3, 4, 5, 5), (3, 3, 4, 5, 5)], ids=str)
+def test_flow_up_sweep_matches_the_prefix_elimination(h):
+    # the upward sweep, one local solve per vertex, gives every table of every
+    # degree exactly as one global RREF of the degree's edge system does
+    g = build_gkm(h)
+    for k in range(g.l + 1):
+        assert gkm._flow_up_classes(g, k) == oracles.prefix_flow_up_classes(g, k), k
 
 
 @pytest.mark.parametrize("h", [*N4_FUNCTIONS, (2, 3, 4, 5, 5)], ids=str)
@@ -809,6 +818,18 @@ def test_kahler_reports_pinned_at_n5():
     assert all(report["verdicts"]["all"] for report in reports)
     digest = hashlib.sha256(canonical_json(reports).encode()).hexdigest()
     assert digest == "125e8d97efe594607ccfe0506e69e29766d29bdeda5518e0ed0ed7fc0df592b4"
+
+
+def test_kahler_reports_pinned_at_l7():
+    # (3,4,5,5,5), l = 7, whose flow-up classes took minutes by one global
+    # elimination per degree: the reports of all 16 J hold the Kahler
+    # package and are pinned byte for byte like those of (2,3,4,5,5)
+    g = build_gkm((3, 4, 5, 5, 5))
+    reports = [kahler_report(g, J) for J in all_parabolic_subsets(5)]
+    assert len(reports) == 16
+    assert all(report["verdicts"]["all"] for report in reports)
+    digest = hashlib.sha256(canonical_json(reports).encode()).hexdigest()
+    assert digest == "417a72fccea04f93177827f7da703b3c7f49fba4a45fc0b7a9045fe1f42f1971"
 
 
 def test_pairing_independent_of_lift():

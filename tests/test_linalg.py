@@ -8,14 +8,14 @@ RREF are read as Fraction rows through `oracles.echelon` and
 `oracles.solve_particular` on the kernel's RREF), nullspace bases (one
 vector per free column, also as integer rows over one denominator) and ranks
 are fixed by the RREF, so the kernel must reproduce them exactly, on random
-sparse rational matrices and on the one flow-up system per degree that the
-moment graph eliminates; each flow-up class read off it must be the dense
-solution of its own vertex's system.  `_integer_inertia` (through
-`oracles.inertia`, which puts a rational matrix over one denominator) is
-checked against Descartes' rule of signs on the exact characteristic
-polynomial, against ratios of leading principal minors, and against
-`oracles.fraction_inertia`, the Fraction congruence pass it replaced;
-`det_exact` against the Leibniz expansion.
+sparse rational matrices and on the local flow-up systems of the moment
+graph's upward sweep, one per vertex and index; each flow-up class must be
+the dense solution of its own vertex's system in the global column order.
+`_integer_inertia` (through `oracles.inertia`, which puts a rational matrix
+over one denominator) is checked against Descartes' rule of signs on the
+exact characteristic polynomial, against ratios of leading principal
+minors, and against `oracles.fraction_inertia`, the Fraction congruence pass
+it replaced; `det_exact` against the Leibniz expansion.
 """
 
 import itertools
@@ -304,10 +304,11 @@ def flowup_eliminations(h, monkeypatch):
 
 
 def vertex_system(g, vid):
-    """The system of vid alone, in the column order of the per-degree route:
-    the edge rows of its degree, with the columns left of its block as
-    unknowns, its block times its norm moved to the right-hand side, and the
-    columns right of it (the vertices below) dropped."""
+    """The system of vid alone, in the column order of the oracle's global
+    prefix route (oracles.edge_rows): the edge rows of its degree, with the
+    columns left of its block as unknowns, its block times its norm moved to
+    the right-hand side, and the columns right of it (the vertices below)
+    dropped."""
     k = g.index[vid]
     monos = monomials(g.nvars, k)
     D = len(monos)
@@ -315,7 +316,7 @@ def vertex_system(g, vid):
     norm = norm_poly(g, vid)
     known = [norm.c.get(mono, 0) for mono in monos]
     rows, rhs = [], []
-    for full in gkm._edge_rows(g, k):
+    for full in oracles.edge_rows(g, k):
         row = {c: x for c, x in full.items() if c < b}
         y = -sum((x * known[c - b] for c, x in full.items() if b <= c < b + D), Fraction(0))
         if row or y:
@@ -324,20 +325,63 @@ def vertex_system(g, vid):
     return rows, rhs, b
 
 
+def sweep_vertices(g):
+    """(k, u, started) for every local system of the flow-up sweep, in the
+    order flowup_eliminations meets them: the indices in the order of their
+    first vertex, and for each the vertices u strictly above its lowest
+    vertex, with the number of classes started below u."""
+    out = []
+    for k in dict.fromkeys(g.index):
+        low = g.order.index(next(u for u in g.order if g.index[u] == k))
+        for p in range(low + 1, len(g.order)):
+            out.append((k, g.order[p], sum(1 for w in g.order[:p] if g.index[w] == k)))
+    return out
+
+
+def down_edge_rows(g, k, u):
+    """The edge rows of degree k on the edges from u to the vertices below it,
+    read off the oracle's global system: their entries in u's block, shifted
+    to columns 0..D-1, each row with its first entry made positive."""
+    D = len(monomials(g.nvars, k))
+    above = g.order[::-1]
+    below = set(g.order[: g.order.index(u)])
+    b = above.index(u)
+    out = []
+    for row in oracles.edge_rows(g, k):
+        blocks = {c // D for c in row}
+        if b in blocks and {above[p] for p in blocks - {b}} <= below:
+            local = {c - b * D: x for c, x in row.items() if c // D == b}
+            out.append(signed(local))
+    return sorted(out)
+
+
+def signed(row):
+    """The sorted items of a dict row, negated if its first entry is negative."""
+    items = sorted(row.items())
+    return [(c, -x) for c, x in items] if items[0][1] < 0 else items
+
+
 @pytest.mark.parametrize(
     "h", [*enumerate_hessenberg(2), *enumerate_hessenberg(3), (2, 3, 4, 4)], ids=str
 )
 def test_flowup_systems_match_dense(h, monkeypatch):
-    # one elimination per degree, each the dense Fraction RREF of its rows
+    # one local elimination per vertex strictly above the lowest vertex of
+    # each index: its rows are the vertex's edge rows to the vertices below
+    # it, with one right-hand-side column per class started below it, and its
+    # RREF is the dense Fraction RREF of its rows
     g, systems = flowup_eliminations(h, monkeypatch)
-    assert len(systems) == g.l + 1
-    for rows, pivots, red in systems:
+    expected = sweep_vertices(g)
+    assert len(systems) == len(expected)
+    for (k, u, started), (rows, pivots, red) in zip(expected, systems):
         assert all(isinstance(r, dict) for r in rows)
-        ncols = max((max(r) for r in rows), default=-1) + 1
+        D = len(monomials(g.nvars, k))
+        ncols = D + started
+        assert all(c < ncols for r in rows for c in r)
+        assert sorted(signed({c: x for c, x in r.items() if c < D}) for r in rows) == down_edge_rows(g, k, u)
         want_piv, want_red = dense_row_reduce([dense(r, ncols) for r in rows], ncols)
         assert pivots == want_piv
         assert [[Fraction(x, red[p][p]) for x in dense(red[p], ncols)] for p in pivots] == want_red
-    # and every class read off them is the dense solution of its own vertex's
+    # and every class built from them is the dense solution of its own vertex's
     # system with free variables 0
     for vid in range(len(g.vertices)):
         rows, rhs, b = vertex_system(g, vid)
