@@ -10,9 +10,10 @@ hesslab error, 2 usage error or cost guard, 3 any theorem violation.
 The commands test no theorem themselves: the support criterion and its
 convention live in springer.support_check, which analyze and verify both
 read, and the palindromic and Morse violation entries the two share are
-built by one helper each.  The cache holds two kinds of entry, the multiplicity table
-("dotchar") and the Kahler payload ("gkm-kahler").  A multiplicity table read
-from the cache passes the checks of a computed one before analyze reads it.
+built by one helper each.  Only analyze reads the cache, and it holds one
+kind of entry, the multiplicity table ("dotchar"), keyed without the seed.
+A table read from the cache passes the checks of a computed one before
+analyze reads it; every kahler verdict is computed in the run that reports it.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .dotchar import (  # regular_betti stays importable from here: hessbench's 
     regular_betti,
 )
 from .errors import ConsistencyError, CostGuardError, HesslabError, TheoremViolation
-from .gkm import DEFAULT_SEED, GRAPH_MAX_N, build_gkm, default_kahler_weight, kahler_report, morse_betti, poincare_pairing
+from .gkm import DEFAULT_SEED, GRAPH_MAX_N, build_gkm, kahler_report, morse_betti, poincare_pairing
 from .hessenberg import MAX_FUNCTIONS_N, enumerate_hessenberg, hessenberg_str, is_indecomposable, parse_hessenberg
 from .linalg import det_exact
 from .partitions import MAX_ENUMERATION_N, Partition, partition_str, partitions_of, young_subgroup_content
@@ -103,12 +104,6 @@ def all_parabolic_subsets(n: int):
 
 # --- cache -----------------------------------------------------------------
 
-def _cache_dir(args) -> str | None:
-    if args.cache_dir:
-        return args.cache_dir
-    return os.environ.get(CACHE_ENV) or None
-
-
 def _cache_path(cache_dir: str, key: dict) -> str:
     digest = hashlib.sha256(canonical_json(key).encode()).hexdigest()
     return os.path.join(cache_dir, f"{digest}.json")
@@ -141,15 +136,8 @@ def cache_store(cache_dir: str | None, key: dict, payload) -> None:
         raise
 
 
-def _key(module: str, h, seed: int | None = None, J=None) -> dict:
-    return {
-        "module": module,
-        "n": len(h),
-        "h": hessenberg_str(h),
-        "J": None if J is None else _jstr(J),
-        "seed": seed,
-        "version": __version__,
-    }
+def _key(module: str, h) -> dict:
+    return {"module": module, "n": len(h), "h": hessenberg_str(h), "version": __version__}
 
 
 # --- analyze ----------------------------------------------------------------
@@ -324,17 +312,8 @@ def kahler_payload(g, J=(), lam=None) -> dict:
     return payload
 
 
-def kahler_cli_report(h, J, lam, *, seed: int, cache_dir=None) -> dict:
-    key = _key("gkm-kahler", h, seed, J)
-    if lam is not None:
-        key["lambda"] = ",".join(str(x) for x in lam)
-    payload = cache_fetch(cache_dir, key)
-    if payload is None:
-        payload = kahler_payload(build_gkm(h, seed=seed), J, lam)
-        cache_store(cache_dir, key, payload)
-    else:
-        _check_kahler_payload(payload, h, J, lam)
-    report = dict(payload)
+def kahler_cli_report(h, J, lam, *, seed: int) -> dict:
+    report = kahler_payload(build_gkm(h, seed=seed), J, lam)
     report.update(
         {
             "command": "kahler",
@@ -343,79 +322,10 @@ def kahler_cli_report(h, J, lam, *, seed: int, cache_dir=None) -> dict:
             "n": len(h),
             "h": hessenberg_str(h),
             "J": _jstr(J),
-            "lambda": ",".join(str(x) for x in payload["lambda"]),
+            "lambda": ",".join(str(x) for x in report["lambda"]),
         }
     )
     return report
-
-
-# each degree entry of a Kahler payload section: its fields, with their
-# types, and the flag whose conjunction over the entries is the verdict
-_KAHLER_SECTIONS = {
-    "poincare": ({"size": int, "rank": int, "nondegenerate": bool}, "nondegenerate"),
-    "hard_lefschetz": ({"power": int, "rank": int, "dim": int, "full": bool}, "full"),
-    "hodge_riemann": (
-        {"dim_primitive": int, "sign": int, "pivots": list, "signature": list, "definite": bool},
-        "definite",
-    ),
-}
-
-
-def _check_kahler_payload(payload, h, J, lam) -> None:
-    """Raise ConsistencyError unless a cached payload has the shape
-    kahler_payload gives for (h, J, lam): h, J, lambda and invariant_betti
-    integer lists, the first three those asked for (lambda the default
-    weight when lam is None); each section a dict of entries keyed by degree
-    strings, each with exactly its typed fields and a nonzero "det" string
-    on a nondegenerate pairing; the verdicts booleans, each the conjunction
-    of its section's flags and "all" the conjunction of the other three; and
-    no other key."""
-
-    def ints(value) -> bool:
-        return isinstance(value, list) and all(type(x) is int for x in value)
-
-    def fail(why: str):
-        raise ConsistencyError(f"cached Kahler payload for h={hessenberg_str(h)}, J=({_jstr(J)}) {why}")
-
-    if not isinstance(payload, dict):
-        fail(f"is a {type(payload).__name__}, not a dict")
-    keys = {"h", "J", "lambda", "invariant_betti", *_KAHLER_SECTIONS, "verdicts"}
-    if set(payload) != keys:
-        fail(f"has keys {sorted(payload)}, not {sorted(keys)}")
-    for name in ("h", "J", "lambda", "invariant_betti"):
-        if not ints(payload[name]):
-            fail(f"has no integer list {name!r}")
-    weight = default_kahler_weight(len(h)) if lam is None else lam
-    asked = {"h": list(h), "J": sorted(set(J)), "lambda": list(weight)}
-    for name, value in asked.items():
-        if payload[name] != value:
-            fail(f"has {name} = {payload[name]}, not {value}")
-    verdicts = payload["verdicts"]
-    if not isinstance(verdicts, dict) or set(verdicts) != {*_KAHLER_SECTIONS, "all"}:
-        fail(f"has verdicts {verdicts!r}")
-    for section, (fields, flag) in _KAHLER_SECTIONS.items():
-        entries = payload[section]
-        if not isinstance(entries, dict):
-            fail(f"has no {section!r} section")
-        for k, entry in entries.items():
-            # a nondegenerate pairing also records its determinant
-            det = section == "poincare" and isinstance(entry, dict) and entry.get("nondegenerate") is True
-            typed = isinstance(entry, dict) and all(type(entry.get(f)) is t for f, t in fields.items())
-            exact = typed and set(entry) == ({*fields, "det"} if det else set(fields))
-            if not (k.isdecimal() and exact and (not det or _nonzero(entry["det"]))):
-                fail(f"has a malformed {section} entry at degree {k}: {entry!r}")
-        if verdicts[section] is not all(entry[flag] for entry in entries.values()):
-            fail(f"has verdict {section} = {verdicts[section]!r}, not the conjunction of its entries")
-    if verdicts["all"] is not all(verdicts[section] for section in _KAHLER_SECTIONS):
-        fail(f"has verdict all = {verdicts['all']!r}, not the conjunction of the others")
-
-
-def _nonzero(det) -> bool:
-    """Whether det is the string of a nonzero Fraction."""
-    try:
-        return isinstance(det, str) and Fraction(det) != 0
-    except (ValueError, ZeroDivisionError):
-        return False
 
 
 # --- rendering ---------------------------------------------------------------
@@ -543,13 +453,12 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     common.add_argument("--seed", type=int, default=DEFAULT_SEED)
     common.add_argument("--out", default=None, help="write the report to this file")
     common.add_argument("--format", choices=["json", "csv", "table"], default="json")
-    common.add_argument("--cache-dir", default=None, help=f"cache directory (or ${CACHE_ENV})")
-    common.add_argument("--force", action="store_true", help="override cost guards")
     common.add_argument("--timing", action="store_true", help="include wall-clock timing")
 
     p_an = sub.add_parser("analyze", parents=[common], help="full report for one Hessenberg function")
     p_an.add_argument("--h", required=True, type=_parse_h, metavar="H", dest="h")
     p_an.add_argument("--J", type=_parse_J, default=None, help='simple reflections, e.g. "1,2" (default: all subsets)')
+    p_an.add_argument("--cache-dir", default=None, help=f"cache directory (or ${CACHE_ENV})")
 
     p_ve = sub.add_parser("verify", parents=[common], help="sweep all Hessenberg functions of size n")
     p_ve.add_argument("--n", required=True, type=int)
@@ -560,6 +469,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         action="store_true",
         help="drop the conjugation in the support criterion; must report a violation",
     )
+    for p in (p_an, p_ve):
+        p.add_argument("--force", action="store_true", help="override cost guards")
 
     p_ka = sub.add_parser("kahler", parents=[common], help="duality / Lefschetz / signed-form checks")
     p_ka.add_argument("--h", required=True, type=_parse_h, metavar="H", dest="h")
@@ -576,7 +487,6 @@ def main(argv=None) -> int:
     if unknown:
         usage_error(f"unrecognized arguments: {' '.join(unknown)}")
     started = time.monotonic()
-    cache_dir = _cache_dir(args)
     try:
         if args.command == "analyze":
             if len(args.h) > MAX_ENUMERATION_N:
@@ -587,7 +497,7 @@ def main(argv=None) -> int:
                 args.h,
                 seed=args.seed,
                 J=args.J,
-                cache_dir=cache_dir,
+                cache_dir=args.cache_dir or os.environ.get(CACHE_ENV),
                 force=args.force,
             )
             failed = bool(report["violations"])
@@ -616,7 +526,7 @@ def main(argv=None) -> int:
                     usage_error(f"lambda must have n = {len(args.h)} entries")
                 if any(a <= b for a, b in zip(args.lam, args.lam[1:])):
                     usage_error(f"lambda must be strictly decreasing, got {args.lam}")
-            report = kahler_cli_report(args.h, args.J, args.lam, seed=args.seed, cache_dir=cache_dir)
+            report = kahler_cli_report(args.h, args.J, args.lam, seed=args.seed)
             failed = not report["verdicts"]["all"]
         if args.timing:
             report["timing"] = {"seconds": round(time.monotonic() - started, 3)}

@@ -276,8 +276,11 @@ def flow_up_class(g: GKMGraph, vid: int) -> tuple[int, dict[int, tuple[int, ...]
     on the subgraph induced by L is a polynomial combination of the flow-up
     classes of L, restricted to L.  By induction, take off a combination that
     matches it below the top vertex v of L; what is left is divisible at v
-    by each downward weight of v, and these are independent linear forms, so
-    by their product, the norm: it is a multiple of sigma_v.  The same
+    by each downward weight of v.  These weights need not be linearly
+    independent (the top vertex of (3,3,3) has three of them in two
+    variables), but no two are proportional, so they are pairwise coprime in
+    the polynomial ring, a UFD, and what is left is divisible by their
+    product, the norm: it is a multiple of sigma_v.  The same
     combination of the global classes gives the class a value at u.  A class
     that does not extend raises ConsistencyError.
     """

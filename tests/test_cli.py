@@ -352,17 +352,15 @@ def test_kahler_bytes_pinned(capsys):
     assert digest == "be256f34631cbad6e040d6318ede777186b1c582236dd1425ff32bca1fa676a4"
 
 
-def test_kahler_at_n5(tmp_path, capsys):
+def test_kahler_at_n5(capsys):
     # the moment graph's size limit is the only one: the Peterson function at
-    # n = 5 holds the Kahler package for J = {1,2,3,4}, the report carries the
-    # payload of a fresh graph, and a cached rerun is byte-identical
-    args = ("kahler", "--h", "2,3,4,5,5", "--J", "1,2,3,4", "--cache-dir", str(tmp_path))
-    rc, cold, _ = run(capsys, *args)
-    report = json.loads(cold)
+    # n = 5 holds the Kahler package for J = {1,2,3,4}, and the report carries
+    # the payload of a fresh graph
+    rc, out, _ = run(capsys, "kahler", "--h", "2,3,4,5,5", "--J", "1,2,3,4")
+    report = json.loads(out)
     assert rc == 0 and all(report["verdicts"].values())
     payload = cli.kahler_payload(build_gkm((2, 3, 4, 5, 5)), (1, 2, 3, 4))
     assert {k: report[k] for k in payload} == {**payload, "h": "2,3,4,5,5", "J": "1,2,3,4", "lambda": "4,3,2,1,0"}
-    assert run(capsys, *args) == (0, cold, "")
 
 
 def test_kahler_payload_leaves_report_untouched(capsys):
@@ -407,8 +405,22 @@ def test_kahler_usage_errors(capsys):
         ["verify", "--n", "10"],
         ["analyze", "--h", "2,3,3", "--gkm"],  # removed options are unknown arguments
         ["verify", "--n", "3", "--gkm-max-n", "3"],
+        ["kahler", "--h", "2,3,4,4", "--cache-dir", "D"],  # only analyze reads the cache
+        ["kahler", "--h", "2,3,3", "--force"],  # kahler has no cost guard
+        ["verify", "--n", "3", "--cache-dir", "D"],
     ],
-    ids=["kahler-J", "kahler-lambda", "kahler-J-parse", "analyze-J", "verify-n", "analyze-gkm", "verify-gkm-max-n"],
+    ids=[
+        "kahler-J",
+        "kahler-lambda",
+        "kahler-J-parse",
+        "analyze-J",
+        "verify-n",
+        "analyze-gkm",
+        "verify-gkm-max-n",
+        "kahler-cache-dir",
+        "kahler-force",
+        "verify-cache-dir",
+    ],
 )
 def test_usage_errors_name_the_subcommand(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -523,7 +535,7 @@ def test_byte_stability(capsys):
 
 def test_cache_round_trip(tmp_path, capsys):
     cache = tmp_path / "cache"
-    args = ("kahler", "--h", "2,3,3", "--J", "1", "--cache-dir", str(cache))
+    args = ("analyze", "--h", "2,3,3", "--J", "1", "--cache-dir", str(cache))
     rc1, cold, _ = run(capsys, *args)
     files = list(cache.rglob("*.json"))
     assert rc1 == 0 and files
@@ -577,34 +589,6 @@ def test_cache_bad_multiplicity_payload_is_an_error(tmp_path, capsys, corrupt):
     rc, out, err = run(capsys, *args)
     assert (rc, out) == (1, "")
     assert err.startswith("hesslab: ") and err.count("\n") == 1
-
-
-@pytest.mark.parametrize(
-    "corrupt",
-    [
-        lambda payload: {},
-        lambda payload: {**payload, "verdicts": {**payload["verdicts"], "all": not payload["verdicts"]["all"]}},
-        lambda payload: {**payload, "verdicts": {**payload["verdicts"], "poincare": False, "all": False}},
-        lambda payload: {**payload, "h": [3, 3, 3]},
-        lambda payload: {**payload, "hard_lefschetz": {"two": payload["hard_lefschetz"]["2"]}},
-        lambda payload: {**payload, "lambda": [9, 7, 2]},  # no --lambda asks for the default weight
-        lambda payload: {**payload, "poincare": {**payload["poincare"], "0": {**payload["poincare"]["0"], "det": ["not", "a", "determinant"]}}},
-        lambda payload: {**payload, "poincare": {**payload["poincare"], "0": {f: v for f, v in payload["poincare"]["0"].items() if f != "det"}}},
-        lambda payload: {**payload, "extra": 1},
-    ],
-    ids=["empty", "all-flipped", "verdict-flipped", "another-h", "degree-key", "default-lambda", "det-malformed", "det-missing", "extra-key"],
-)
-def test_cache_bad_kahler_payload_is_an_error(tmp_path, capsys, corrupt):
-    # a stored Kahler payload is checked before it is reported: a missing
-    # field or a verdict that is not the conjunction of its parts fails with
-    # exit 1 and one stderr line, not a traceback or a changed verdict
-    args = ("kahler", "--h", "2,3,3", "--J", "1", "--cache-dir", str(tmp_path))
-    assert run(capsys, *args)[0] == 0
-    (path,) = tmp_path.iterdir()
-    overwrite_payload(tmp_path, corrupt(json.loads(path.read_text())["payload"]))
-    rc, out, err = run(capsys, *args)
-    assert (rc, out) == (1, "")
-    assert err.startswith("hesslab: cached Kahler payload") and err.count("\n") == 1
 
 
 def test_cache_payload_betti_is_not_read(tmp_path, capsys):
@@ -682,8 +666,11 @@ def test_analyze_force_n9_from_cache(tmp_path, capsys):
 
 
 def test_cache_env_var(tmp_path, capsys, monkeypatch):
+    # only analyze reads HESSLAB_CACHE: a kahler run under it writes nothing
     cache = tmp_path / "envcache"
     monkeypatch.setenv("HESSLAB_CACHE", str(cache))
+    assert run(capsys, "kahler", "--h", "2,3,3", "--J", "1")[0] == 0
+    assert not cache.exists()
     _, out, _ = run(capsys, "analyze", "--h", "2,3,3")
     assert list(cache.rglob("*.json"))
     monkeypatch.delenv("HESSLAB_CACHE")

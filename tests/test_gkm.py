@@ -809,9 +809,9 @@ KAHLER_N5_FUNCTION = (2, 3, 4, 5, 5)
 
 
 def test_kahler_reports_pinned_at_n5():
-    # the l = 5 function at n = 5: the reports of all 16 J, in
-    # all_parabolic_subsets order at the default seed, hold the Kahler
-    # package and are pinned byte for byte
+    # the Peterson function (2,3,4,5,5), of dimension l = 4 at n = 5: the
+    # reports of all 16 J, in all_parabolic_subsets order at the default
+    # seed, hold the Kahler package and are pinned byte for byte
     g = build_gkm(KAHLER_N5_FUNCTION)
     reports = [kahler_report(g, J) for J in all_parabolic_subsets(5)]
     assert len(reports) == 16
