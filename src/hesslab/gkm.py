@@ -35,34 +35,32 @@ divisibility system.  The polynomial class algebra (classes as tuples of
 polynomials, their products, the dot action by substitution, lifts of
 ordinary classes) is the tests' oracle.
 
-The dot action and the Kahler forms are read off per-graph matrices, computed
-once and shared by every J: the intersection matrix of flow-up classes of
-complementary Morse index, one matrix per generator s_j and degree, and one
-Lefschetz matrix per degree, multiplication by omega on flow-up coordinates.
-All of them come from point evaluations.  A localization sum of a degree-l
-product of two classes that pass the edge conditions is a constant, read off
-at two integer points where no tangent weight vanishes; the two must agree.
-The values of the flow-up classes at a point are integer dot products of their
-tables with the monomial values there, one integer table over one denominator
-per index; the localization sums stay integers over one denominator until the
-two points are compared by cross-multiplication.  s_j . sigma and sigma omega
-take their values from the tables (at a permuted point for s_j), and their
-flow-up coordinates, integer rows over one denominator, solve a linear system
-against the intersection matrix, because integrating a degree-k class against
-the flow-up classes of index l - k sees only its index-k coordinates.
-Integration is bilinear over the torus ring and a product of degree below l
-integrates to 0; projection kills positive-degree multiples, so it is a ring
-map and omega^p is the chained product of p Lefschetz matrices.
+The dot action and the Kahler forms are read off per-graph tables of
+integrals shared by every J; no class is solved for in flow-up coordinates.
+The tables are the intersection matrix M_k of flow-up classes of Morse
+index k and l - k, Q_j[c][d] = integral of (s_j . sigma_c) sigma_d per
+generator and degree, and per weight the integrals of two flow-up classes
+times a power of omega (_lefschetz_sums).  A localization sum of a degree-l
+product of classes that pass the edge conditions is a constant, read off at
+two integer points where no tangent weight vanishes; the two must agree.
+Values at a point are integer dot products of the tables with the monomial
+values there (at a permuted point for s_j), and the sums stay integers over
+one denominator until the points are compared by cross-multiplication.
+A product of degree below l integrates to 0, so a degree-k class with
+flow-up coordinates x integrates against the classes of index l - k to
+x M_k, and every M_k is checked to be nonsingular: x is s_j-fixed exactly
+when x Q_j = x M_k, and hard Lefschetz ranks, primitive kernels and Gram
+matrices are ranks, left kernels and congruences of the invariant basis
+times the omega tables.
 
 Every matrix on the way from the per-graph tables to a Kahler verdict is
-integer rows over one positive denominator, (rows, den): the intersection,
-dot and Lefschetz matrices, the W_J-invariant bases (linalg's integer
-nullspace of the stacked s_j - 1), and the pairings, hard Lefschetz images,
-primitive kernels and Hodge-Riemann Gram matrices, which are exact products
-of those (_matmul, which divides out the content of each product).  The
-signature of a Gram matrix comes from linalg's fraction-free congruence pass.
-Fractions are built only where a value leaves the module: the public bases
-and pairing matrices, and the recorded Hodge-Riemann pivots.
+integer rows over one positive denominator, (rows, den): the tables, the
+W_J-invariant bases (linalg's integer nullspace of the stacked
+(Q_j - M_k)^T), and their exact products (_matmul, which divides out the
+content of each product).  The signature of a Gram matrix comes from
+linalg's fraction-free congruence pass.  Fractions are built only where a
+value leaves the module: the public bases and pairing matrices, and the
+recorded Hodge-Riemann pivots.
 """
 
 from __future__ import annotations
@@ -482,27 +480,34 @@ def _dot_sources(g: GKMGraph, j: int) -> list[int]:
     return sources
 
 
-@_memo
-def _dot_matrix(g: GKMGraph, j: int, k: int):
-    """Matrix of the adjacent-swap generator s_j on the degree-k ordinary piece,
-    as integer rows over one denominator (rows, den): column c holds the
-    flow-up coordinates of s_j . sigma_c.
-
-    At vertex u and point x, s_j . sigma_c takes the value of sigma_c at
-    s_j^{-1} u, evaluated at the permuted point (t_{s_j(1)}(x), ...,
-    t_{s_j(n-1)}(x)).  Those values are computed here and not kept; the
-    coordinates come from their localization sums (_flow_up_coordinates).
-    """
+def _acted_values(g: GKMGraph, j: int, k: int, point):
+    """Value table (_values) at point of s_j . sigma_c for the flow-up classes
+    sigma_c of Morse index k, in moment order.  At vertex u, s_j . sigma_c
+    takes the value of sigma_c at s_j^{-1} u, evaluated at the permuted point
+    (t_{s_j(1)}, ..., t_{s_j(n-1)})."""
     sources = _dot_sources(g, j)
     w = transposition(g.n, j)
-    acted = []
-    for point in LOCALIZATION_POINTS:
-        T = _coordinates(g.n, point)
-        X = tuple(T[w[i] - 1] for i in range(g.nvars))
-        rows, den = _values(g, k, _ordinary_tables(g, k).values(), X)
-        acted.append(([[row[src] for src in sources] for row in rows], den))
-    rows, den = _flow_up_coordinates(g, k, acted)
-    return _transpose(rows), den
+    T = _coordinates(g.n, point)
+    X = tuple(T[w[i] - 1] for i in range(g.nvars))
+    rows, den = _values(g, k, _ordinary_tables(g, k).values(), X)
+    return [[row[src] for src in sources] for row in rows], den
+
+
+@_memo
+def _dot_sums(g: GKMGraph, j: int, k: int):
+    """Q_j at degree k, integer rows over one denominator (rows, den): entry
+    [c][d] is the integral of (s_j . sigma_c) sigma_d, for the flow-up classes
+    sigma_c of Morse index k and sigma_d of index l - k, in moment order.
+
+    For 2k > l it is the transpose of Q_j at degree l - k: the integral of a
+    top-degree class is W-invariant and s_j^2 = 1, so the integral of
+    (s_j . sigma_c) sigma_d is that of sigma_c (s_j . sigma_d)."""
+    if 2 * k > g.l:
+        rows, den = _dot_sums(g, j, g.l - k)
+        return _transpose(rows), den
+    return _constant_sums(
+        g, k, [(_acted_values(g, j, k, p), _flow_up_values(g, g.l - k, p)) for p in LOCALIZATION_POINTS]
+    )
 
 
 def _subset(g: GKMGraph, J) -> tuple[int, ...]:
@@ -515,15 +520,19 @@ def _subset(g: GKMGraph, J) -> tuple[int, ...]:
 
 @_memo
 def _invariant_vectors(g: GKMGraph, J: tuple[int, ...], k: int):
-    """The W_J-fixed basis as integer rows over one denominator (rows, den):
-    the nullspace of the stacked s_j - 1, one vector per free column."""
-    dim = len(_ordinary_tables(g, k))
+    """The W_J-fixed basis in flow-up coordinates, as integer rows over one
+    denominator (rows, den), one vector per free column.
+
+    s_j . x has coordinates x S_j for the matrix S_j of s_j, and its
+    integrals against the flow-up classes of index l - k are x S_j M_k =
+    x Q_j.  M_k is nonsingular, so x is s_j-fixed exactly when x Q_j = x M_k:
+    the basis is the nullspace of the stacked (Q_j - M_k)^T."""
+    M, dm = _checked_intersection(g, k)
     rows = []
     for j in J:
-        M, d = _dot_matrix(g, j, k)
-        for r, row in enumerate(M):
-            rows.append([x - d if c == r else x for c, x in enumerate(row)])
-    return _integer_nullspace(rows, dim)
+        Q, dq = _dot_sums(g, j, k)
+        rows += _transpose([[q * dm - m * dq for q, m in zip(qr, mr)] for qr, mr in zip(Q, M)])
+    return _integer_nullspace(rows, len(M))
 
 
 def invariant_subring(g: GKMGraph, J) -> list[list[list[Fraction]]]:
@@ -585,7 +594,20 @@ def _intersection_matrix(g: GKMGraph, dd: int):
     if 2 * dd > g.l:
         rows, den = _intersection_matrix(g, g.l - dd)
         return _transpose(rows), den
-    return _reduced(*_constant_sums(g, dd, [_flow_up_values(g, dd, p) for p in LOCALIZATION_POINTS]))
+    return _constant_sums(
+        g, dd, [(_flow_up_values(g, dd, p), _flow_up_values(g, g.l - dd, p)) for p in LOCALIZATION_POINTS]
+    )
+
+
+@_memo
+def _checked_intersection(g: GKMGraph, k: int):
+    """M_k (_intersection_matrix), checked to be nonsingular: x M_k = 0 only
+    for x = 0, so a class of degree k is 0 exactly when its integrals against
+    the flow-up classes of index l - k vanish."""
+    rows, den = _intersection_matrix(g, k)
+    if _integer_nullspace(_transpose(rows), len(rows))[0]:
+        raise ConsistencyError(f"singular intersection matrix at degree {k} for h={g.h}")
+    return rows, den
 
 
 def _coordinates(n: int, point) -> tuple[int, ...]:
@@ -625,25 +647,32 @@ def _flow_up_values(g: GKMGraph, k: int, point):
     return _values(g, k, _ordinary_tables(g, k).values(), point[: g.nvars])
 
 
-def _localized_products(g: GKMGraph, left_values, right_values, point):
-    """Integer sums over one denominator, (S, d), with S / d = A diag(1/e_w) B^T
-    at one point, for the value tables (A, da) and (B, db) of two lists of
-    classes there: the localization sums of their products.
+@_memo
+def _euler_weights(g: GKMGraph, point):
+    """The inverse Euler classes at point over one denominator, (weights, L):
+    1 / e_w = weights[w] / L, with L the lcm of the integers e_w.
 
     The Euler class e_w multiplies t_{w(b)} - t_{w(a)} over the defining slots
     (a, b).  This orientation is pinned by positivity: it makes the ample class
     of a strictly decreasing weight integrate to +1 on the n = 2 flag space,
     and hence keeps all odd powers of the Kahler class positively oriented.
-    At the integer point the Euler classes are integers; they go over their
-    lcm L, so 1/e_w = (L / e_w) / L and d = da db L.
     """
     T = _coordinates(g.n, point)
     euler = [prod(T[wb - 1] - T[wa - 1] for wa, wb in pairs) for pairs in g.weight_pairs]
     if not all(euler):
         raise ConsistencyError(f"a tangent weight vanishes at the evaluation point {list(T)}")
     L = lcm(*euler)
+    return [L // e for e in euler], L
+
+
+def _localized_products(g: GKMGraph, left_values, right_values, point):
+    """Integer sums over one denominator, (S, d), with S / d = A diag(1/e_w) B^T
+    at one point, for the value tables (A, da) and (B, db) of two lists of
+    classes there: the localization sums of their products, with the Euler
+    classes e_w of _euler_weights, so d = da db L."""
+    weights, L = _euler_weights(g, point)
     (A, da), (B, db) = left_values, right_values
-    weighted = [[x * (L // e) for x, e in zip(row, euler)] for row in A]
+    weighted = [list(map(mul, row, weights)) for row in A]
     return [[sum(map(mul, row, col)) for col in B] for row in weighted], da * db * L
 
 
@@ -653,66 +682,46 @@ def _fractions(rows, d):
 
 
 def _constant_sums(g: GKMGraph, k: int, tables):
-    """Localization sums of the products of degree-k classes, given by their
-    value tables tables[p] at LOCALIZATION_POINTS[p], with the flow-up classes
-    of index l - k, as integer sums over one denominator (_localized_products).
+    """Localization sums of the products of two lists of classes, the first
+    of degree k and the second of degree l - k, given by their value tables
+    tables[p] = (first, second) at LOCALIZATION_POINTS[p], as integer rows
+    over one denominator with no factor common to all (_localized_products).
     The products have degree l and pass the edge conditions, so the sums are
     constants: both points must agree, compared by cross-multiplication."""
     (first, d1), (second, d2) = (
-        _localized_products(g, values, _flow_up_values(g, g.l - k, p), p)
-        for values, p in zip(tables, LOCALIZATION_POINTS)
+        _localized_products(g, left, right, p) for (left, right), p in zip(tables, LOCALIZATION_POINTS)
     )
     if any(a * d2 != b * d1 for r1, r2 in zip(first, second) for a, b in zip(r1, r2)):
         raise ConsistencyError(
             f"localization sums at degree {k} differ between the evaluation points for h={g.h}"
         )
-    return first, d1
-
-
-def _flow_up_coordinates(g: GKMGraph, k: int, acted):
-    """Flow-up coordinates in H^{2k} of degree-k classes, one row per class,
-    given by their value tables acted[p] at LOCALIZATION_POINTS[p]; integer
-    rows over one denominator (rows, den), with no factor common to all.
-
-    Q holds their integrals against the flow-up classes of index l - k.  A
-    class sum_v q_v sigma_v integrates against sigma_j to the sum of
-    const(q_v) M_k[v][j] over the v of index k: lower v carry positive-degree
-    q_v, whose terms integrate to 0.  So Q = X M_k for the coordinates X and
-    the intersection matrix M_k, solved by one row reduction of
-    [M_k^T | Q^T]; a singular M_k raises.
-    """
-    S, d = _constant_sums(g, k, acted)  # Q = S / d
-    M, dm = _intersection_matrix(g, k)  # M_k = M / dm
-    pivots, red = _integer_rref([m + s for m, s in zip(_transpose(M), _transpose(S))])
-    if pivots != list(range(len(M))):
-        raise ConsistencyError(f"singular intersection matrix at degree {k} for h={g.h}")
-    # row r over its pivot solves M^T x = S^T, so x dm / d holds the coordinates
-    p = lcm(*(red[r][r] for r in pivots))
-    rows = [[red[r].get(len(M) + c, 0) * (p // red[r][r]) * dm for r in pivots] for c in range(len(S))]
-    return _reduced(rows, p * d)
+    return _reduced(first, d1)
 
 
 @_memo
-def _lefschetz_matrix(g: GKMGraph, lam: tuple[int, ...], dd: int):
-    """Row i is the flow-up coordinate vector of sigma_i omega in H^{2(dd+1)},
-    for the flow-up classes sigma_i of Morse index dd, as integer rows over
-    one denominator (rows, den); omega is the ample class of lam.
-    Positive-degree multiples project to 0, so projection is a ring map: an
-    ordinary class v of degree dd maps to v L_dd, and omega^p to the chained
-    product L_dd L_{dd+1} ... L_{dd+p-1}.
+def _lefschetz_sums(g: GKMGraph, lam: tuple[int, ...], k: int):
+    """Entry [r][s] is the integral of sigma_r sigma_s omega^(l-k), for the
+    flow-up classes sigma_r of Morse index a = ceil(k/2) and sigma_s of index
+    b = floor(k/2), in moment order, with omega the ample class of lam; integer
+    rows over one denominator (rows, den), and no column for k = -1.
 
-    The value of sigma_i omega at a vertex is sigma_i's value there times
-    omega's; the coordinates come from the localization sums of these
-    products (_flow_up_coordinates)."""
+    Row i of A times this table, for vectors A of degree a, holds the
+    integrals of a_i omega^(l-k), a class of degree l - b, against the
+    classes of index b; M_(l-b) is nonsingular (checked here), so those rows
+    are exactly as independent as the classes a_i omega^(l-k)."""
+    a, b = (k + 1) // 2, k // 2
+    if b < 0:
+        return [[] for _ in _ordinary_tables(g, a)], 1
+    _checked_intersection(g, g.l - b)
     omega = _kahler_table(g, lam)
-    if dd >= g.l:
-        return [[] for _ in _ordinary_tables(g, dd)], 1
-    acted = []
+    tables = []
     for point in LOCALIZATION_POINTS:
-        (w,), dw = _values(g, 1, [omega], point[: g.nvars])
-        rows, den = _flow_up_values(g, dd, point)
-        acted.append(([list(map(mul, row, w)) for row in rows], den * dw))
-    return _flow_up_coordinates(g, dd + 1, acted)
+        (w,), _ = _values(g, 1, [omega], point[: g.nvars])  # omega's denominator is 1
+        power = [x ** (g.l - k) for x in w]
+        rows, den = _flow_up_values(g, b, point)
+        times_power = [list(map(mul, row, power)) for row in rows], den
+        tables.append((_flow_up_values(g, a, point), times_power))
+    return _constant_sums(g, a, tables)
 
 
 def poincare_pairing(g: GKMGraph, k: int, J=()):
@@ -755,26 +764,19 @@ def _pairing(g: GKMGraph, k: int, J: tuple[int, ...]):
     return rows, den, rank_exact(rows)
 
 
-def _lefschetz_images(g: GKMGraph, J: tuple[int, ...], lam: tuple[int, ...], dd: int, p: int):
-    """Flow-up coordinates of v omega^p for each W_J-invariant basis vector v
-    of degree dd, as integer rows over one denominator (rows, den)."""
-    images = _invariant_vectors(g, J, dd)
-    for k in range(dd, dd + p):
-        images = _matmul(images, _lefschetz_matrix(g, lam, k))
-    return images
-
-
-def _primitive_form(g: GKMGraph, J: tuple[int, ...], lam: tuple[int, ...], dd: int, hl):
+def _primitive_form(g: GKMGraph, J: tuple[int, ...], lam: tuple[int, ...], dd: int):
     """Gram matrix of (a, b) -> integral of a b omega^(l-2dd) on the primitive
-    W_J-invariant classes of degree dd (the kernel of omega^(l-2dd+1)), in the
-    nullspace basis; unsigned, as integer rows over one denominator (rows,
-    den).  Needs 2 dd <= l; hl = _lefschetz_images(g, J, lam, dd, l - 2 dd)."""
-    domain = _invariant_vectors(g, J, dd)
-    killed, _ = _matmul(hl, _lefschetz_matrix(g, lam, g.l - dd))
-    prim = _integer_nullspace(_transpose(killed), len(domain[0]))
-    scaled, ds = _matmul(prim, hl)
-    C = _matmul(prim, domain)
-    return _matmul(_matmul(C, _intersection_matrix(g, dd)), (_transpose(scaled), ds))
+    W_J-invariant classes of degree dd, in the nullspace basis; unsigned, as
+    integer rows over one denominator (rows, den).  Needs 2 dd <= l.
+
+    A combination x of the invariant basis A is primitive, x A omega^(l-2dd+1)
+    = 0, exactly when x A K = 0 for the table K of k = 2dd - 1
+    (_lefschetz_sums).  With C the primitive basis in flow-up coordinates and
+    G the table of k = 2dd, the Gram matrix is C G C^T."""
+    A = _invariant_vectors(g, J, dd)
+    killed, _ = _matmul(A, _lefschetz_sums(g, lam, 2 * dd - 1))
+    C = _matmul(_integer_nullspace(_transpose(killed), len(A[0])), A)
+    return _matmul(_matmul(C, _lefschetz_sums(g, lam, 2 * dd)), (_transpose(C[0]), C[1]))
 
 
 def kahler_report(g: GKMGraph, J=(), lam=None) -> dict:
@@ -782,11 +784,12 @@ def kahler_report(g: GKMGraph, J=(), lam=None) -> dict:
     W_J-invariant subring; returns verdicts plus raw ranks, pivots, signatures.
 
     Every form is an exact matrix product of the W_J-invariant vectors with
-    two kinds of per-graph table shared by all J: the intersection matrices
-    of flow-up classes (localization sums evaluated at two integer points,
-    which must agree) and one omega-multiplication table per degree; a power
-    of omega is the chained product of those tables.  One pass per degree
-    k <= l fills the duality, hard Lefschetz and Hodge-Riemann entries.
+    per-graph tables of integrals shared by all J (localization sums
+    evaluated at two integer points, which must agree): the intersection
+    matrices of flow-up classes for duality, and the integrals of two
+    flow-up classes times a power of omega (_lefschetz_sums) for hard
+    Lefschetz and Hodge-Riemann.  One pass per degree k <= l fills the
+    duality, hard Lefschetz and Hodge-Riemann entries.
     The sign in honest degree k is (-1)^(k/2), pinned by top-power positivity
     in degree 0 and the classical surface signature in the middle.
     """
@@ -817,8 +820,7 @@ def _kahler_report(g: GKMGraph, J: tuple[int, ...], lam: tuple[int, ...]) -> dic
         verdicts["poincare"] &= entry["nondegenerate"]
 
         power = g.l - 2 * dd
-        hl = _lefschetz_images(g, J, lam, dd, power)
-        rank = rank_exact(hl[0])
+        rank = rank_exact(_matmul(_invariant_vectors(g, J, dd), _lefschetz_sums(g, lam, k))[0])
         full = rank == dims[dd]
         report["hard_lefschetz"][str(k)] = {
             "power": power,
@@ -831,7 +833,7 @@ def _kahler_report(g: GKMGraph, J: tuple[int, ...], lam: tuple[int, ...]) -> dic
         if not dims[dd]:
             continue
         sign = 1 if dd % 2 == 0 else -1
-        form, den = _primitive_form(g, J, lam, dd, hl)
+        form, den = _primitive_form(g, J, lam, dd)
         gram = [[sign * x for x in row] for row in form]
         signature, pivots = _integer_inertia(gram, den)
         definite = signature[0] == len(gram)

@@ -21,9 +21,7 @@ answers are the ones dense Gauss-Jordan gives.  The moment graph hands
 `_integer_rref` one local flow-up system per vertex and Morse index, integer
 rows built from integer remainder tables with one right-hand-side column per
 class, so no Fraction enters those eliminations; with free variables 0, each
-class's value at the vertex is its column over the pivots.  It also solves for
-flow-up coordinates with `_integer_rref` and keeps the answer as integer rows
-over one denominator.
+class's value at the vertex is its column over the pivots.
 
 The dense helpers serve the small pairing and Gram matrices of the Kahler
 checks, and each runs on integers over one positive denominator, (rows, d)

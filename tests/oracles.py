@@ -14,13 +14,15 @@ integration; polynomial localization integrals (the sum
 over fixed points cleared of denominators by exact linear-form divisions)
 against the library's intersection numbers, which it reads off point
 evaluations; flow-up decomposition of the polynomial dot action and of
-products with omega (exact divisions by downward weights) against the
-library's dot and Lefschetz matrices, which it solves from point-evaluated
-localization sums; and, for the Kahler forms the library reads off those
-per-graph matrices, one polynomial integral or projection of freshly lifted
-products per entry.  The library's linear algebra runs on integers; echelon
-and row_reduce read its echelon form and RREF as Fraction rows, and
-fraction_inertia is the Fraction congruence pass its integer one replaced.
+products with omega (exact divisions by downward weights), times those
+integrals (fraction_product), against the library's dot and Lefschetz sums,
+which it reads off point-evaluated localization sums without ever writing a
+class in flow-up coordinates; and, for the Kahler forms the library reads
+off those per-graph tables, one polynomial integral or projection of
+freshly lifted products per entry.  The library's linear algebra runs on
+integers; echelon and row_reduce read its echelon form and RREF as Fraction
+rows, and fraction_inertia is the Fraction congruence pass its integer one
+replaced.
 The library keeps every class as an integer table (one denominator, one
 coefficient vector per vertex).  The polynomial class algebra it replaced
 lives here: Poly, sparse polynomials over the rationals in t_1..t_{n-1} with
@@ -1158,6 +1160,17 @@ def dot_matrix_by_projection(g, j: int, k: int):
     return [list(row) for row in zip(*cols)]
 
 
+def transpose(A):
+    return [list(col) for col in zip(*A)]
+
+
+def fraction_product(A, B):
+    """The matrix product of two row lists of int or Fraction entries, summed
+    over Fraction; B needs at least one row."""
+    cols = list(zip(*B))
+    return [[sum((Fraction(a) * b for a, b in zip(row, col)), Fraction(0)) for col in cols] for row in A]
+
+
 def lefschetz_matrix_by_projection(g, lam, dd: int):
     """Row i is ordinary_project(sigma_i * omega) for the flow-up classes
     sigma_i of Morse index dd and the ample class omega of lam."""
@@ -1211,6 +1224,14 @@ def lefschetz_images_by_lifts(g, J, lam, dd: int, p: int):
         ordinary_project(g, lift(g, dd, v) * omega_pow)
         for v in invariant_vectors(g, J, dd)
     ]
+
+
+def lefschetz_integrals_by_lifts(g, J, lam, dd: int, b: int):
+    """integrate(lift(v) * omega^(l-dd-b) * sigma) for each W_J-invariant v of
+    degree dd (rows) and each flow-up class sigma of Morse index b (columns)."""
+    omega_pow = _omega_power(g, lam, g.l - dd - b)
+    products = [lift(g, dd, v) * omega_pow for v in invariant_vectors(g, J, dd)]
+    return [[integrate(g, p * s) for s in ordinary_basis(g, b)] for p in products]
 
 
 def primitive_form_by_lifts(g, J, lam, dd: int):

@@ -26,6 +26,7 @@ from oracles import (
     conjugacy_class_size,
     dot_matrix_by_projection,
     flow_up_class,
+    fraction_product,
     incomparability_graph,
     integrate,
     intersection_matrix_by_integrals,
@@ -36,6 +37,7 @@ from oracles import (
     powersum_csf_q1,
     powersum_to_monomial,
     q_factorial,
+    transpose,
 )
 
 # a second strictly decreasing Kahler weight per n, besides the default one
@@ -152,9 +154,9 @@ def test_acceptance_7_kahler_package_desk_scale():
     # pairing determinants included, hashed in order; and, separately, the
     # exact values of every flow-up class, each graph's in moment order; the
     # point-evaluated intersection matrices are checked against polynomial
-    # localization integrals, and the point-evaluated dot and Lefschetz tables
+    # localization integrals, and the point-evaluated dot and Lefschetz sums
     # (every j and degree; the default and one alternate weight) against
-    # projections of the polynomial products
+    # projections of the polynomial products, integrated
     start = time.monotonic()
     cases = 0
     failures = []
@@ -172,22 +174,37 @@ def test_acceptance_7_kahler_package_desk_scale():
                     digest.update(canonical_json(payload).encode())
                     if not payload["verdicts"]["all"]:
                         failures.append((h, J, payload["verdicts"]))
+            integrals = {}  # M_k by polynomial integrals, for every k
             for dd in range(g.l // 2 + 1):
                 matrices += 1
                 rows, den = gkm._intersection_matrix(g, dd)
                 if not all(type(x) is int for row in rows for x in (den, *row)):
                     failures.append((h, "intersection matrix not integer", dd))
-                if gkm._fractions(rows, den) != intersection_matrix_by_integrals(g, dd):
+                integrals[dd] = intersection_matrix_by_integrals(g, dd)
+                if gkm._fractions(rows, den) != integrals[dd]:
                     failures.append((h, "intersection matrix", dd))
+                integrals.setdefault(g.l - dd, transpose(integrals[dd]))
+            lefschetz = {
+                lam: [lefschetz_matrix_by_projection(g, lam, k) for k in range(g.l)]
+                for lam in (gkm.default_kahler_weight(n), ALTERNATE_KAHLER_WEIGHT[n])
+            }
             for k in range(g.l + 1):
                 for j in range(1, n):
+                    # Q_j = (coordinates of s_j . sigma_c) M_k
                     tables += 1
-                    if gkm._fractions(*gkm._dot_matrix(g, j, k)) != dot_matrix_by_projection(g, j, k):
-                        failures.append((h, "dot matrix", j, k))
-                for lam in (gkm.default_kahler_weight(n), ALTERNATE_KAHLER_WEIGHT[n]):
+                    want = fraction_product(transpose(dot_matrix_by_projection(g, j, k)), integrals[k])
+                    if gkm._fractions(*gkm._dot_sums(g, j, k)) != want:
+                        failures.append((h, "dot sums", j, k))
+                for lam, chain in lefschetz.items():
+                    # sigma_r omega^(l-k) has coordinates L_a ... L_(l-b-1)
+                    # in degree l - b, integrated against sigma_s by M_(l-b)
                     tables += 1
-                    if gkm._fractions(*gkm._lefschetz_matrix(g, lam, k)) != lefschetz_matrix_by_projection(g, lam, k):
-                        failures.append((h, "lefschetz matrix", lam, k))
+                    a, b = (k + 1) // 2, k // 2
+                    want = integrals[g.l - b]
+                    for L in reversed(chain[a : g.l - b]):
+                        want = fraction_product(L, want)
+                    if gkm._fractions(*gkm._lefschetz_sums(g, lam, k)) != want:
+                        failures.append((h, "lefschetz sums", lam, k))
             for u in g.order:
                 values = flow_up_class(g, u).values
                 terms = [[[list(m), str(c)] for m, c in sorted(v.c.items())] for v in values]

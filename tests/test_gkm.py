@@ -8,7 +8,7 @@ from math import comb, factorial, isqrt, lcm
 import pytest
 
 from hesslab import gkm
-from hesslab.cli import all_parabolic_subsets, canonical_json
+from hesslab.cli import all_parabolic_subsets, canonical_json, kahler_payload
 from hesslab.dotchar import betti_rs, dot_action_multiplicities, regular_betti
 from hesslab.errors import ConsistencyError, TheoremViolation
 from hesslab.gkm import (
@@ -34,7 +34,7 @@ from oracles import (
     inertia,
     integrate,
     kahler_class,
-    lefschetz_images_by_lifts,
+    lefschetz_integrals_by_lifts,
     lift,
     lift_with_noise,
     ordinary_basis,
@@ -570,17 +570,18 @@ def test_intersection_matrix_rejects_a_non_constant_localization_sum():
 
 
 def test_dot_matrix_rejects_a_non_constant_localization_sum():
-    # M_1 is computed first, so what fires is the check on the sums of the
-    # acted class: t_1 added at its own vertex to a class of index 1
+    # Q_1 at degree 1 reads no intersection matrix, so what fires is the
+    # check on the sums of the acted class: t_1 added at its own vertex to a
+    # class of index 1
     g = build_gkm((2, 3, 3))
-    gkm._intersection_matrix(g, 1)
     vid = next(u for u in g.order if g.index[u] == 1)
     corrupted = _add_monomial(g, vid, vid, (1, 0))
     with pytest.raises(ConsistencyError, match="edge condition fails"):
         gkm._check_flow_up(g, vid, corrupted)
     _corrupt_flow_up(g, vid, corrupted)
     with pytest.raises(ConsistencyError, match="differ between the evaluation points"):
-        gkm._dot_matrix(g, 1, 1)
+        gkm._dot_sums(g, 1, 1)
+    assert g._caches["_dot_sums"] == {}
 
 
 def test_dot_action_must_be_a_graph_automorphism():
@@ -602,7 +603,8 @@ def test_dot_action_must_be_a_graph_automorphism():
             with pytest.raises(ConsistencyError, match="automorphism"):
                 gkm._dot_sources(g, j)
             with pytest.raises(ConsistencyError, match="automorphism"):
-                gkm._dot_matrix(g, j, 1)
+                gkm._dot_sums(g, j, 1)
+            assert g._caches["_dot_sums"] == {}
 
 
 def test_tables_reject_a_singular_intersection_matrix(monkeypatch):
@@ -613,10 +615,48 @@ def test_tables_reject_a_singular_intersection_matrix(monkeypatch):
     g = build_gkm((2, 3, 3))
     lam = default_kahler_weight(3)
     with pytest.raises(ConsistencyError, match="singular intersection matrix"):
-        gkm._dot_matrix(g, 1, 1)
+        gkm._invariant_vectors(g, (1,), 1)
     with pytest.raises(ConsistencyError, match="singular intersection matrix"):
-        gkm._lefschetz_matrix(g, lam, 0)
-    assert g._caches["_dot_matrix"] == {} and g._caches["_lefschetz_matrix"] == {}
+        gkm._lefschetz_sums(g, lam, 0)
+    for name in ("_checked_intersection", "_invariant_vectors", "_lefschetz_sums"):
+        assert g._caches[name] == {}, name
+
+
+def test_kahler_payloads_solve_for_no_flow_up_coordinates(monkeypatch):
+    # once the flow-up tables are built, every Kahler check is read off
+    # integrals: with the elimination the sweep uses refused, the payloads of
+    # all 8 J equal those of a fresh graph
+    h = (2, 3, 4, 4)
+    fresh = build_gkm(h)
+    want = [kahler_payload(fresh, J) for J in all_parabolic_subsets(4)]
+    g = build_gkm(h)
+    for k in range(g.l + 1):
+        gkm._ordinary_tables(g, k)
+
+    def refuse(rows):
+        raise AssertionError("a linear system was solved after the flow-up tables")
+
+    monkeypatch.setattr(gkm, "_integer_rref", refuse)
+    assert [kahler_payload(g, J) for J in all_parabolic_subsets(4)] == want
+
+
+def test_dot_sums_above_the_middle_are_transposes():
+    # for 2k > l the library returns Q_j as the transpose of Q_j at l - k;
+    # the sums evaluated at degree k itself, at each point on its own, must
+    # give the same matrix
+    checked = 0
+    for n in range(2, 5):
+        for h in enumerate_hessenberg(n):
+            g = build_gkm(h)
+            for j in range(1, n):
+                for k in range(g.l // 2 + 1, g.l + 1):
+                    want = gkm._fractions(*gkm._dot_sums(g, j, k))
+                    for p in gkm.LOCALIZATION_POINTS:
+                        acted = gkm._acted_values(g, j, k, p)
+                        sums = gkm._localized_products(g, acted, gkm._flow_up_values(g, g.l - k, p), p)
+                        assert gkm._fractions(*sums) == want, (h, j, k, p)
+                    checked += 1
+    assert checked == 77
 
 
 def test_kahler_report_avoids_polynomial_projection(monkeypatch):
@@ -709,14 +749,15 @@ def test_kahler_forms_match_lifted_products(h):
                 assert poincare_pairing(g, k, J) == pairing_by_lifts(g, k, J), (J, k)
             for lam in weights:
                 for dd in range(g.l // 2 + 1):
-                    images = {}
-                    for p in (g.l - 2 * dd, g.l - 2 * dd + 1):
-                        images[p] = gkm._lefschetz_images(g, J, lam, dd, p)
-                        assert_integer_form(images[p])
-                        want = lefschetz_images_by_lifts(g, J, lam, dd, p)
-                        assert gkm._fractions(*images[p]) == want, (J, lam, dd, p)
-                    hl = images[g.l - 2 * dd]
-                    form = gkm._primitive_form(g, J, lam, dd, hl)
+                    # A G and A K: the invariant basis times the omega sums
+                    # of k = 2dd and 2dd - 1
+                    A = gkm._invariant_vectors(g, gkm._subset(g, J), dd)
+                    for k in (2 * dd, 2 * dd - 1):
+                        got = gkm._matmul(A, gkm._lefschetz_sums(g, lam, k))
+                        assert_integer_form(got)
+                        want = lefschetz_integrals_by_lifts(g, J, lam, dd, k // 2)
+                        assert gkm._fractions(*got) == want, (J, lam, dd, k)
+                    form = gkm._primitive_form(g, J, lam, dd)
                     assert_integer_form(form)
                     assert gkm._fractions(*form) == primitive_form_by_lifts(g, J, lam, dd), (J, lam, dd)
 
