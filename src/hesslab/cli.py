@@ -304,8 +304,8 @@ def verify_report(
 
 def kahler_payload(g, J=(), lam=None) -> dict:
     """kahler_report on g as JSON-safe data, with pairing determinants for the
-    audit trail; the memoized report itself is left untouched."""
-    payload = json.loads(canonical_json(kahler_report(g, J, lam)))  # a deep copy
+    audit trail."""
+    payload = kahler_report(g, J, lam)  # a new dict on every call
     for k_str, entry in payload["poincare"].items():
         if entry["nondegenerate"]:
             entry["det"] = str(det_exact(poincare_pairing(g, int(k_str), J)))

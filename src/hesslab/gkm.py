@@ -35,23 +35,25 @@ divisibility system.  The polynomial class algebra (classes as tuples of
 polynomials, their products, the dot action by substitution, lifts of
 ordinary classes) is the tests' oracle.
 
-The dot action and the Kahler forms are read off per-graph tables of
-integrals shared by every J; no class is solved for in flow-up coordinates.
-The tables are the intersection matrix M_k of flow-up classes of Morse
-index k and l - k, Q_j[c][d] = integral of (s_j . sigma_c) sigma_d per
-generator and degree, and per weight the integrals of two flow-up classes
-times a power of omega (_lefschetz_sums).  A localization sum of a degree-l
-product of classes that pass the edge conditions is a constant, read off at
-two integer points where no tangent weight vanishes; the two must agree.
-Values at a point are integer dot products of the tables with the monomial
-values there (at a permuted point for s_j), and the sums stay integers over
-one denominator until the points are compared by cross-multiplication.
-A product of degree below l integrates to 0, so a degree-k class with
-flow-up coordinates x integrates against the classes of index l - k to
-x M_k, and every M_k is checked to be nonsingular: x is s_j-fixed exactly
-when x Q_j = x M_k, and hard Lefschetz ranks, primitive kernels and Gram
-matrices are ranks, left kernels and congruences of the invariant basis
-times the omega tables.
+The dot action and the Kahler forms are read off one per-graph family of
+integral tables shared by every J (_integrals); no class is solved for in
+flow-up coordinates.  Entry [c][d] of the table (a, b, j, lam) is the
+integral of (s_j . sigma_c) sigma_d omega^(l-a-b), for flow-up classes of
+Morse index a and b, with no s_j for j = 0 and omega the ample class of lam.
+The intersection matrix M_k is (k, l - k), Q_j at degree k is (k, l - k, j),
+and the hard Lefschetz and primitive-kernel tables of degree dd are
+(dd, dd, 0, lam) and (dd, dd - 1, 0, lam); a table with a > b is the
+transpose of (b, a).  A localization sum of a degree-l product of classes
+that pass the edge conditions is a constant, read off at two integer points
+where no tangent weight vanishes; the two must agree.  Values at a point are
+integer dot products of the tables with the monomial values there (at a
+permuted point for s_j), and the sums stay integers over one denominator
+until the points are compared by cross-multiplication.  A product of degree
+below l integrates to 0, so a degree-k class with flow-up coordinates x
+integrates against the classes of index l - k to x M_k, and every M_k is
+checked to be nonsingular: x is s_j-fixed exactly when x Q_j = x M_k, and
+hard Lefschetz ranks, primitive kernels and Gram matrices are ranks, left
+kernels and congruences of the invariant basis times the omega tables.
 
 Every matrix on the way from the per-graph tables to a Kahler verdict is
 integer rows over one positive denominator, (rows, den): the tables, the
@@ -99,6 +101,7 @@ class GKMGraph:
     neighbor: list[list[int]]
     weight_pairs: list[list[tuple[int, int]]]
     xi: tuple[int, ...]
+    down: list[list[tuple[int, tuple[int, int]]]]
     phi: list[int]
     order: list[int]
     index: list[int]
@@ -110,10 +113,15 @@ class GKMGraph:
 
 
 def _memo(fn):
-    """Memoize fn(g, *key) in g's own tables; a call that raises stores nothing."""
+    """Memoize fn(g, *key) in g's own tables, with fn's defaults filled into
+    the key, so a call that leaves them out shares the entry of one that
+    spells them; a call that raises stores nothing."""
+    defaults = fn.__defaults__ or ()
+    arity = fn.__code__.co_argcount - 1
 
     @wraps(fn)
     def memoized(g, *key):
+        key += defaults[len(defaults) + len(key) - arity :]
         table = g._caches.setdefault(fn.__name__, {})
         if key not in table:
             table[key] = fn(g, *key)
@@ -160,10 +168,13 @@ def build_gkm(h, *, seed: int = DEFAULT_SEED) -> GKMGraph:
     xi = tuple(rng.sample(range(1, 512 * n * n), n))  # distinct entries
     rho = tuple(n - a + 1 for a in range(1, n + 1))
     phi = [sum(rho[a] * xi[w[a] - 1] for a in range(n)) for w in vertices]
-    index = [
-        sum(1 for (wa, wb) in weight_pairs[u] if xi[wa - 1] < xi[wb - 1])
+    # the downward edges: (neighbour, weight pair) whose weight t_a - t_b
+    # pairs negatively with xi; their count is the Morse index
+    down = [
+        [(v, (wa, wb)) for v, (wa, wb) in zip(neighbor[u], weight_pairs[u]) if xi[wa - 1] < xi[wb - 1]]
         for u in range(len(vertices))
     ]
+    index = [len(edges) for edges in down]
     order = sorted(range(len(vertices)), key=lambda u: (phi[u], vertices[u]))
 
     return GKMGraph(
@@ -177,6 +188,7 @@ def build_gkm(h, *, seed: int = DEFAULT_SEED) -> GKMGraph:
         neighbor=neighbor,
         weight_pairs=weight_pairs,
         xi=xi,
+        down=down,
         phi=phi,
         order=order,
         index=index,
@@ -286,13 +298,11 @@ def flow_up_class(g: GKMGraph, vid: int) -> tuple[int, dict[int, tuple[int, ...]
 
 
 def _norm(g: GKMGraph, vid: int) -> tuple[int, ...]:
-    """The product of the downward tangent weights at vid, the oriented
-    weights t_a - t_b whose pairing with xi is negative, as an integer
-    coefficient vector over monomials(nvars, index of vid)."""
+    """The product of the downward tangent weights at vid (g.down), as an
+    integer coefficient vector over monomials(nvars, index of vid)."""
     norm = {(0,) * g.nvars: 1}
-    for wa, wb in g.weight_pairs[vid]:
-        if g.xi[wa - 1] < g.xi[wb - 1]:
-            norm = _times_form(norm, _form(g.n, wa, wb))
+    for _, (wa, wb) in g.down[vid]:
+        norm = _times_form(norm, _form(g.n, wa, wb))
     return tuple(norm.get(mono, 0) for mono in monomials(g.nvars, g.index[vid]))
 
 
@@ -321,13 +331,12 @@ def _flow_up_classes(g: GKMGraph, k: int) -> dict[int, tuple[int, dict[int, tupl
     started = []  # [vertex, den, {vertex: integer vector over den}], in moment order
     for u in g.order[low:]:
         rows = []  # (down-neighbour, {unknown: coefficient})
-        for w, (a, b) in zip(g.neighbor[u], g.weight_pairs[u]):
-            if g.xi[a - 1] < g.xi[b - 1]:  # a downward weight (_norm): w is below u
-                by_out: dict[tuple[int, ...], dict[int, int]] = {}
-                for mi, rem in enumerate(_reduction_table(g.n, (min(a, b), max(a, b)), k)):
-                    for mono, x in rem.items():
-                        by_out.setdefault(mono, {})[mi] = x
-                rows += [(w, row) for row in by_out.values()]
+        for w, (a, b) in g.down[u]:
+            by_out: dict[tuple[int, ...], dict[int, int]] = {}
+            for mi, rem in enumerate(_reduction_table(g.n, (min(a, b), max(a, b)), k)):
+                for mono, x in rem.items():
+                    by_out.setdefault(mono, {})[mi] = x
+            rows += [(w, row) for row in by_out.values()]
         if started:
             system = []
             for w, row in rows:
@@ -480,36 +489,6 @@ def _dot_sources(g: GKMGraph, j: int) -> list[int]:
     return sources
 
 
-def _acted_values(g: GKMGraph, j: int, k: int, point):
-    """Value table (_values) at point of s_j . sigma_c for the flow-up classes
-    sigma_c of Morse index k, in moment order.  At vertex u, s_j . sigma_c
-    takes the value of sigma_c at s_j^{-1} u, evaluated at the permuted point
-    (t_{s_j(1)}, ..., t_{s_j(n-1)})."""
-    sources = _dot_sources(g, j)
-    w = transposition(g.n, j)
-    T = _coordinates(g.n, point)
-    X = tuple(T[w[i] - 1] for i in range(g.nvars))
-    rows, den = _values(g, k, _ordinary_tables(g, k).values(), X)
-    return [[row[src] for src in sources] for row in rows], den
-
-
-@_memo
-def _dot_sums(g: GKMGraph, j: int, k: int):
-    """Q_j at degree k, integer rows over one denominator (rows, den): entry
-    [c][d] is the integral of (s_j . sigma_c) sigma_d, for the flow-up classes
-    sigma_c of Morse index k and sigma_d of index l - k, in moment order.
-
-    For 2k > l it is the transpose of Q_j at degree l - k: the integral of a
-    top-degree class is W-invariant and s_j^2 = 1, so the integral of
-    (s_j . sigma_c) sigma_d is that of sigma_c (s_j . sigma_d)."""
-    if 2 * k > g.l:
-        rows, den = _dot_sums(g, j, g.l - k)
-        return _transpose(rows), den
-    return _constant_sums(
-        g, k, [(_acted_values(g, j, k, p), _flow_up_values(g, g.l - k, p)) for p in LOCALIZATION_POINTS]
-    )
-
-
 def _subset(g: GKMGraph, J) -> tuple[int, ...]:
     """J as a sorted tuple of distinct generators, checked to lie in 1..n-1."""
     J = tuple(sorted(set(int(j) for j in J)))
@@ -525,12 +504,13 @@ def _invariant_vectors(g: GKMGraph, J: tuple[int, ...], k: int):
 
     s_j . x has coordinates x S_j for the matrix S_j of s_j, and its
     integrals against the flow-up classes of index l - k are x S_j M_k =
-    x Q_j.  M_k is nonsingular, so x is s_j-fixed exactly when x Q_j = x M_k:
-    the basis is the nullspace of the stacked (Q_j - M_k)^T."""
+    x Q_j, with Q_j = _integrals(g, k, l - k, j).  M_k is nonsingular, so x
+    is s_j-fixed exactly when x Q_j = x M_k: the basis is the nullspace of
+    the stacked (Q_j - M_k)^T."""
     M, dm = _checked_intersection(g, k)
     rows = []
     for j in J:
-        Q, dq = _dot_sums(g, j, k)
+        Q, dq = _integrals(g, k, g.l - k, j)
         rows += _transpose([[q * dm - m * dq for q, m in zip(qr, mr)] for qr, mr in zip(Q, M)])
     return _integer_nullspace(rows, len(M))
 
@@ -579,32 +559,12 @@ def _reduced(rows, d: int):
 
 
 @_memo
-def _intersection_matrix(g: GKMGraph, dd: int):
-    """Entry [i][j] is the integral of sigma_i sigma_j, for the flow-up classes
-    sigma_i of Morse index dd and sigma_j of index l - dd, both in moment order.
-
-    The product has degree l and passes the edge conditions, so its
-    localization sum is a constant; it is evaluated at both
-    LOCALIZATION_POINTS, which must agree.  Integration is bilinear over the
-    torus ring, and a product of degree below l integrates to 0, so for
-    ordinary classes a, b in flow-up coordinates the integral of any lifts of
-    a and b is a M b^T.  The matrix is integer rows over one denominator
-    (rows, den).
-    """
-    if 2 * dd > g.l:
-        rows, den = _intersection_matrix(g, g.l - dd)
-        return _transpose(rows), den
-    return _constant_sums(
-        g, dd, [(_flow_up_values(g, dd, p), _flow_up_values(g, g.l - dd, p)) for p in LOCALIZATION_POINTS]
-    )
-
-
-@_memo
 def _checked_intersection(g: GKMGraph, k: int):
-    """M_k (_intersection_matrix), checked to be nonsingular: x M_k = 0 only
-    for x = 0, so a class of degree k is 0 exactly when its integrals against
-    the flow-up classes of index l - k vanish."""
-    rows, den = _intersection_matrix(g, k)
+    """M_k, the integrals of the flow-up classes of Morse index k against
+    those of index l - k (_integrals), checked to be nonsingular: x M_k = 0
+    only for x = 0, so a class of degree k is 0 exactly when its integrals
+    against the flow-up classes of index l - k vanish."""
+    rows, den = _integrals(g, k, g.l - k)
     if _integer_nullspace(_transpose(rows), len(rows))[0]:
         raise ConsistencyError(f"singular intersection matrix at degree {k} for h={g.h}")
     return rows, den
@@ -641,7 +601,7 @@ def _values(g: GKMGraph, k: int, tables, X: tuple[int, ...]):
 
 
 @_memo
-def _flow_up_values(g: GKMGraph, k: int, point):
+def _point_values(g: GKMGraph, k: int, point):
     """Value table (_values) of the flow-up classes of Morse index k at
     point, in moment order."""
     return _values(g, k, _ordinary_tables(g, k).values(), point[: g.nvars])
@@ -699,28 +659,49 @@ def _constant_sums(g: GKMGraph, k: int, tables):
 
 
 @_memo
-def _lefschetz_sums(g: GKMGraph, lam: tuple[int, ...], k: int):
-    """Entry [r][s] is the integral of sigma_r sigma_s omega^(l-k), for the
-    flow-up classes sigma_r of Morse index a = ceil(k/2) and sigma_s of index
-    b = floor(k/2), in moment order, with omega the ample class of lam; integer
-    rows over one denominator (rows, den), and no column for k = -1.
+def _integrals(g: GKMGraph, a: int, b: int, j: int = 0, lam=None):
+    """Entry [c][d] is the integral of (s_j . sigma_c) sigma_d omega^(l-a-b),
+    for the flow-up classes sigma_c of Morse index a and sigma_d of index b,
+    in moment order, with omega the ample class of lam; j = 0 means no s_j,
+    and lam is given exactly when l - a - b > 0.  Integer rows over one
+    denominator (rows, den).  This table is M_k for (k, l - k), Q_j at degree
+    k for (k, l - k, j), and an omega table for the hard Lefschetz and
+    Hodge-Riemann forms.
 
-    Row i of A times this table, for vectors A of degree a, holds the
-    integrals of a_i omega^(l-k), a class of degree l - b, against the
+    Row i of V times an omega table, for vectors V of index a, holds the
+    integrals of v_i omega^(l-a-b), a class of degree l - b, against the
     classes of index b; M_(l-b) is nonsingular (checked here), so those rows
-    are exactly as independent as the classes a_i omega^(l-k)."""
-    a, b = (k + 1) // 2, k // 2
-    if b < 0:
-        return [[] for _ in _ordinary_tables(g, a)], 1
-    _checked_intersection(g, g.l - b)
-    omega = _kahler_table(g, lam)
+    are exactly as independent as the classes v_i omega^(l-a-b).
+
+    For a > b it is the transpose of the table of (b, a): the integral of a
+    top-degree class is W-invariant, so is omega, and s_j^2 = 1, so the
+    integral of (s_j . sigma_c) sigma_d omega^p is that of sigma_c (s_j .
+    sigma_d) omega^p."""
+    power = g.l - a - b
+    if power:
+        _checked_intersection(g, g.l - b)
+    if a > b:
+        rows, den = _integrals(g, b, a, j, lam)
+        return _transpose(rows), den
     tables = []
     for point in LOCALIZATION_POINTS:
-        (w,), _ = _values(g, 1, [omega], point[: g.nvars])  # omega's denominator is 1
-        power = [x ** (g.l - k) for x in w]
-        rows, den = _flow_up_values(g, b, point)
-        times_power = [list(map(mul, row, power)) for row in rows], den
-        tables.append((_flow_up_values(g, a, point), times_power))
+        if j:
+            # s_j . sigma_c takes at u the value of sigma_c at s_j^{-1} u, at
+            # the permuted point (t_{s_j(1)}, ..., t_{s_j(n-1)}); each such
+            # table is read once, so it is not kept
+            sources = _dot_sources(g, j)
+            T = _coordinates(g.n, point)
+            X = tuple(T[x - 1] for x in transposition(g.n, j)[: g.nvars])
+            acted, da = _values(g, a, _ordinary_tables(g, a).values(), X)
+            left = [[row[src] for src in sources] for row in acted], da
+        else:
+            left = _point_values(g, a, point)
+        rows, den = _point_values(g, b, point)
+        if power:
+            (omega,), _ = _values(g, 1, [_kahler_table(g, lam)], point[: g.nvars])  # denominator 1
+            weights = [x**power for x in omega]
+            rows = [list(map(mul, row, weights)) for row in rows]
+        tables.append((left, (rows, den)))
     return _constant_sums(g, a, tables)
 
 
@@ -760,7 +741,7 @@ def _pairing(g: GKMGraph, k: int, J: tuple[int, ...]):
         raise ConsistencyError(
             f"pairing blocks have mismatched dimensions {len(A)} vs {len(B)}"
         )
-    rows, den = _matmul(_matmul((A, da), _intersection_matrix(g, dd)), (_transpose(B), db))
+    rows, den = _matmul(_matmul((A, da), _integrals(g, dd, g.l - dd)), (_transpose(B), db))
     return rows, den, rank_exact(rows)
 
 
@@ -770,36 +751,35 @@ def _primitive_form(g: GKMGraph, J: tuple[int, ...], lam: tuple[int, ...], dd: i
     integer rows over one denominator (rows, den).  Needs 2 dd <= l.
 
     A combination x of the invariant basis A is primitive, x A omega^(l-2dd+1)
-    = 0, exactly when x A K = 0 for the table K of k = 2dd - 1
-    (_lefschetz_sums).  With C the primitive basis in flow-up coordinates and
-    G the table of k = 2dd, the Gram matrix is C G C^T."""
-    A = _invariant_vectors(g, J, dd)
-    killed, _ = _matmul(A, _lefschetz_sums(g, lam, 2 * dd - 1))
-    C = _matmul(_integer_nullspace(_transpose(killed), len(A[0])), A)
-    return _matmul(_matmul(C, _lefschetz_sums(g, lam, 2 * dd)), (_transpose(C[0]), C[1]))
+    = 0, exactly when x A K = 0 for the omega table K of (dd, dd - 1)
+    (_integrals); in degree 0 every class is primitive.  With C the primitive
+    basis in flow-up coordinates and G the omega table of (dd, dd), the Gram
+    matrix is C G C^T."""
+    C = A = _invariant_vectors(g, J, dd)
+    if dd:
+        killed, _ = _matmul(A, _integrals(g, dd, dd - 1, 0, lam))
+        C = _matmul(_integer_nullspace(_transpose(killed), len(A[0])), A)
+    G = _integrals(g, dd, dd, 0, lam if 2 * dd < g.l else None)
+    return _matmul(_matmul(C, G), (_transpose(C[0]), C[1]))
 
 
 def kahler_report(g: GKMGraph, J=(), lam=None) -> dict:
     """Run duality, hard Lefschetz, and the signed primitive forms on the
-    W_J-invariant subring; returns verdicts plus raw ranks, pivots, signatures.
+    W_J-invariant subring; returns verdicts plus raw ranks, pivots, signatures,
+    as a new dict on every call.
 
     Every form is an exact matrix product of the W_J-invariant vectors with
-    per-graph tables of integrals shared by all J (localization sums
-    evaluated at two integer points, which must agree): the intersection
-    matrices of flow-up classes for duality, and the integrals of two
-    flow-up classes times a power of omega (_lefschetz_sums) for hard
-    Lefschetz and Hodge-Riemann.  One pass per degree k <= l fills the
-    duality, hard Lefschetz and Hodge-Riemann entries.
+    per-graph tables of integrals shared by all J (_integrals: localization
+    sums evaluated at two integer points, which must agree): the
+    intersection matrices of flow-up classes for duality, and the integrals
+    of two flow-up classes times a power of omega for hard Lefschetz and
+    Hodge-Riemann.  One pass per degree k <= l fills the duality, hard
+    Lefschetz and Hodge-Riemann entries.
     The sign in honest degree k is (-1)^(k/2), pinned by top-power positivity
     in degree 0 and the classical surface signature in the middle.
     """
     J = _subset(g, J)
     lam = default_kahler_weight(g.n) if lam is None else _weight(g, lam)
-    return _kahler_report(g, J, lam)
-
-
-@_memo
-def _kahler_report(g: GKMGraph, J: tuple[int, ...], lam: tuple[int, ...]) -> dict:
     dims = _invariant_betti(g, J)
     report: dict = {
         "h": list(g.h),
@@ -820,7 +800,8 @@ def _kahler_report(g: GKMGraph, J: tuple[int, ...], lam: tuple[int, ...]) -> dic
         verdicts["poincare"] &= entry["nondegenerate"]
 
         power = g.l - 2 * dd
-        rank = rank_exact(_matmul(_invariant_vectors(g, J, dd), _lefschetz_sums(g, lam, k))[0])
+        G = _integrals(g, dd, dd, 0, lam if power else None)
+        rank = rank_exact(_matmul(_invariant_vectors(g, J, dd), G)[0])
         full = rank == dims[dd]
         report["hard_lefschetz"][str(k)] = {
             "power": power,

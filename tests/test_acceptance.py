@@ -154,9 +154,9 @@ def test_acceptance_7_kahler_package_desk_scale():
     # pairing determinants included, hashed in order; and, separately, the
     # exact values of every flow-up class, each graph's in moment order; the
     # point-evaluated intersection matrices are checked against polynomial
-    # localization integrals, and the point-evaluated dot and Lefschetz sums
-    # (every j and degree; the default and one alternate weight) against
-    # projections of the polynomial products, integrated
+    # localization integrals, and the point-evaluated tables Q_j and omega
+    # tables (every j and degree; the default and one alternate weight)
+    # against projections of the polynomial products, integrated
     start = time.monotonic()
     cases = 0
     failures = []
@@ -177,7 +177,7 @@ def test_acceptance_7_kahler_package_desk_scale():
             integrals = {}  # M_k by polynomial integrals, for every k
             for dd in range(g.l // 2 + 1):
                 matrices += 1
-                rows, den = gkm._intersection_matrix(g, dd)
+                rows, den = gkm._integrals(g, dd, g.l - dd)
                 if not all(type(x) is int for row in rows for x in (den, *row)):
                     failures.append((h, "intersection matrix not integer", dd))
                 integrals[dd] = intersection_matrix_by_integrals(g, dd)
@@ -193,7 +193,7 @@ def test_acceptance_7_kahler_package_desk_scale():
                     # Q_j = (coordinates of s_j . sigma_c) M_k
                     tables += 1
                     want = fraction_product(transpose(dot_matrix_by_projection(g, j, k)), integrals[k])
-                    if gkm._fractions(*gkm._dot_sums(g, j, k)) != want:
+                    if gkm._fractions(*gkm._integrals(g, k, g.l - k, j)) != want:
                         failures.append((h, "dot sums", j, k))
                 for lam, chain in lefschetz.items():
                     # sigma_r omega^(l-k) has coordinates L_a ... L_(l-b-1)
@@ -203,7 +203,8 @@ def test_acceptance_7_kahler_package_desk_scale():
                     want = integrals[g.l - b]
                     for L in reversed(chain[a : g.l - b]):
                         want = fraction_product(L, want)
-                    if gkm._fractions(*gkm._lefschetz_sums(g, lam, k)) != want:
+                    table = gkm._integrals(g, a, b, 0, lam if k < g.l else None)
+                    if gkm._fractions(*table) != want:
                         failures.append((h, "lefschetz sums", lam, k))
             for u in g.order:
                 values = flow_up_class(g, u).values

@@ -463,16 +463,18 @@ def test_poincare_pairing_fixtures():
 
 
 def count_intersection_matrices(monkeypatch):
-    """Reinstall gkm._intersection_matrix with its memo around a body that
-    records the degree dd of every matrix it computes."""
+    """Reinstall gkm._integrals with its memo around a body that records the
+    degree k of every intersection matrix M_k, the key (k, l - k), it
+    computes."""
     calls = []
-    body = gkm._intersection_matrix.__wrapped__
+    body = gkm._integrals.__wrapped__
 
-    def _intersection_matrix(g, dd):
-        calls.append(dd)
-        return body(g, dd)
+    def _integrals(g, a, b, j=0, lam=None):
+        if a + b == g.l and not j:
+            calls.append(a)
+        return body(g, a, b, j, lam)
 
-    monkeypatch.setattr(gkm, "_intersection_matrix", gkm._memo(_intersection_matrix))
+    monkeypatch.setattr(gkm, "_integrals", gkm._memo(_integrals))
     return calls
 
 
@@ -480,16 +482,15 @@ def test_pairing_memoized_unless_singular(monkeypatch):
     calls = count_intersection_matrices(monkeypatch)
     g = build_gkm((2, 3, 4, 4))
     # the first pairing computes the intersection matrix of degrees 1 and 2,
-    # whatever the size of the invariant block; the dot matrices of degree 1
-    # and 2 that the invariant blocks need solve against M_1 and M_2 (the
-    # transpose of M_1)
+    # whatever the size of the invariant block: the invariant blocks of
+    # degree 1 and 2 check M_1 and M_2 (the transpose of M_1) nonsingular
     first = poincare_pairing(g, 2, (1, 3))
     assert first and calls == [1, 2]
     assert poincare_pairing(g, 2, [3, 1, 3]) is first
     assert calls == [1, 2]
 
     # a singular pairing raises on every call; its intersection matrix, and
-    # M_3 for the degree-3 dot matrices, are computed on the first call only
+    # M_3 for the degree-3 invariant block, are computed on the first call only
     monkeypatch.setattr(gkm, "rank_exact", lambda rows: 0)
     for _ in range(2):
         with pytest.raises(TheoremViolation):
@@ -503,9 +504,9 @@ def test_kahler_report_computes_intersection_matrices_once(monkeypatch):
     for r in range(4):
         for J in itertools.combinations(range(1, 4), r):
             assert kahler_report(g, J)["verdicts"]["all"] is True
-    # l = 3: one matrix for each dd <= l, shared by all 8 J; J = () asks for
-    # M_0 for its degree-0 pairing, then M_1 .. M_3 for the Lefschetz tables
-    # of degrees 0 .. 2, and the other J reuse them for their dot matrices
+    # l = 3: one matrix for each k <= l, shared by all 8 J and by the omega
+    # tables; J = () first checks M_0 .. M_3 nonsingular for its invariant
+    # bases, and the other J reuse them
     assert calls == [0, 1, 2, 3]
 
 
@@ -554,7 +555,7 @@ def test_ordinary_tables_reject_a_missing_class():
     with pytest.raises(ConsistencyError, match="ordinary piece at degree 1 has 3 classes, character says 4"):
         ordinary_basis(g, 1)
     with pytest.raises(ConsistencyError, match="character says 4"):
-        gkm._intersection_matrix(g, 1)
+        gkm._integrals(g, 1, g.l - 1)
 
 
 def test_intersection_matrix_rejects_a_non_constant_localization_sum():
@@ -566,7 +567,7 @@ def test_intersection_matrix_rejects_a_non_constant_localization_sum():
     top = g.order[-1]
     _corrupt_flow_up(g, top, _add_monomial(g, top, top, (2, 0)))
     with pytest.raises(ConsistencyError, match="differ between the evaluation points"):
-        gkm._intersection_matrix(g, 0)
+        gkm._integrals(g, 0, g.l)
 
 
 def test_dot_matrix_rejects_a_non_constant_localization_sum():
@@ -580,8 +581,8 @@ def test_dot_matrix_rejects_a_non_constant_localization_sum():
         gkm._check_flow_up(g, vid, corrupted)
     _corrupt_flow_up(g, vid, corrupted)
     with pytest.raises(ConsistencyError, match="differ between the evaluation points"):
-        gkm._dot_sums(g, 1, 1)
-    assert g._caches["_dot_sums"] == {}
+        gkm._integrals(g, 1, g.l - 1, 1)
+    assert g._caches["_integrals"] == {}
 
 
 def test_dot_action_must_be_a_graph_automorphism():
@@ -603,22 +604,27 @@ def test_dot_action_must_be_a_graph_automorphism():
             with pytest.raises(ConsistencyError, match="automorphism"):
                 gkm._dot_sources(g, j)
             with pytest.raises(ConsistencyError, match="automorphism"):
-                gkm._dot_sums(g, j, 1)
-            assert g._caches["_dot_sums"] == {}
+                gkm._integrals(g, 1, g.l - 1, j)
+            assert g._caches["_integrals"] == {}
 
 
 def test_tables_reject_a_singular_intersection_matrix(monkeypatch):
-    def zero_matrix(g, dd):
-        return [[0] * len(ordinary_basis(g, g.l - dd)) for _ in ordinary_basis(g, dd)], 1
+    # every intersection matrix M_k, the table (k, l - k), reads as zero
+    integrals = gkm._integrals
 
-    monkeypatch.setattr(gkm, "_intersection_matrix", zero_matrix)
+    def zero_matrix(g, a, b, j=0, lam=None):
+        if a + b == g.l and not j:
+            return [[0] * len(ordinary_basis(g, b)) for _ in ordinary_basis(g, a)], 1
+        return integrals(g, a, b, j, lam)
+
+    monkeypatch.setattr(gkm, "_integrals", zero_matrix)
     g = build_gkm((2, 3, 3))
     lam = default_kahler_weight(3)
     with pytest.raises(ConsistencyError, match="singular intersection matrix"):
         gkm._invariant_vectors(g, (1,), 1)
     with pytest.raises(ConsistencyError, match="singular intersection matrix"):
-        gkm._lefschetz_sums(g, lam, 0)
-    for name in ("_checked_intersection", "_invariant_vectors", "_lefschetz_sums"):
+        gkm._integrals(g, 0, 0, 0, lam)
+    for name in ("_checked_intersection", "_invariant_vectors", "_integrals"):
         assert g._caches[name] == {}, name
 
 
@@ -640,23 +646,47 @@ def test_kahler_payloads_solve_for_no_flow_up_coordinates(monkeypatch):
     assert [kahler_payload(g, J) for J in all_parabolic_subsets(4)] == want
 
 
-def test_dot_sums_above_the_middle_are_transposes():
-    # for 2k > l the library returns Q_j as the transpose of Q_j at l - k;
-    # the sums evaluated at degree k itself, at each point on its own, must
-    # give the same matrix
-    checked = 0
+def values_at_point(g, k, j, p):
+    """The value table at p of the flow-up classes sigma_c of index k, or for
+    j > 0 of s_j . sigma_c: the value of sigma_c at s_j^{-1} u, at the point
+    with t_j and t_(j+1) swapped."""
+    if not j:
+        return gkm._point_values(g, k, p)
+    T = gkm._coordinates(g.n, p)
+    X = tuple(T[x - 1] for x in gkm.transposition(g.n, j)[: g.nvars])
+    rows, den = gkm._values(g, k, gkm._ordinary_tables(g, k).values(), X)
+    return [[row[src] for src in gkm._dot_sources(g, j)] for row in rows], den
+
+
+def integrals_at_point(g, a, b, j, lam, p):
+    """The table gkm._integrals(g, a, b, j, lam) evaluated at the point p
+    alone, with s_j acting on the classes of index a and no transposition."""
+    right, den = gkm._point_values(g, b, p)
+    if a + b < g.l:
+        (w,), _ = gkm._values(g, 1, [gkm._kahler_table(g, lam)], p[: g.nvars])
+        right = [[x * y ** (g.l - a - b) for x, y in zip(row, w)] for row in right]
+    return gkm._fractions(*gkm._localized_products(g, values_at_point(g, a, j, p), (right, den), p))
+
+
+def test_integrals_above_the_middle_are_transposes():
+    # for a > b the library returns the table (a, b) as the transpose of
+    # (b, a): the intersection matrices M_k and Q_j for 2k > l, and the omega
+    # tables (dd, dd - 1) of the primitive kernels.  The sums evaluated at
+    # (a, b) itself, at each point on its own, must give the same matrix
+    checked = {"M": 0, "Q": 0, "omega": 0}
     for n in range(2, 5):
+        lam = default_kahler_weight(n)
         for h in enumerate_hessenberg(n):
             g = build_gkm(h)
-            for j in range(1, n):
-                for k in range(g.l // 2 + 1, g.l + 1):
-                    want = gkm._fractions(*gkm._dot_sums(g, j, k))
-                    for p in gkm.LOCALIZATION_POINTS:
-                        acted = gkm._acted_values(g, j, k, p)
-                        sums = gkm._localized_products(g, acted, gkm._flow_up_values(g, g.l - k, p), p)
-                        assert gkm._fractions(*sums) == want, (h, j, k, p)
-                    checked += 1
-    assert checked == 77
+            cases = [("M", k, g.l - k, 0, None) for k in range(g.l // 2 + 1, g.l + 1)]
+            cases += [("Q", k, g.l - k, j, None) for j in range(1, n) for k in range(g.l // 2 + 1, g.l + 1)]
+            cases += [("omega", dd, dd - 1, 0, lam) for dd in range(1, g.l // 2 + 1)]
+            for family, a, b, j, weight in cases:
+                want = gkm._fractions(*gkm._integrals(g, a, b, j, weight))
+                for p in gkm.LOCALIZATION_POINTS:
+                    assert integrals_at_point(g, a, b, j, weight, p) == want, (h, a, b, j, p)
+                checked[family] += 1
+    assert checked == {"M": 28, "Q": 77, "omega": 17}
 
 
 def test_kahler_report_avoids_polynomial_projection(monkeypatch):
@@ -749,14 +779,15 @@ def test_kahler_forms_match_lifted_products(h):
                 assert poincare_pairing(g, k, J) == pairing_by_lifts(g, k, J), (J, k)
             for lam in weights:
                 for dd in range(g.l // 2 + 1):
-                    # A G and A K: the invariant basis times the omega sums
-                    # of k = 2dd and 2dd - 1
+                    # A G and A K: the invariant basis times the omega
+                    # tables (dd, dd) and (dd, dd - 1); degree 0 has no K
                     A = gkm._invariant_vectors(g, gkm._subset(g, J), dd)
-                    for k in (2 * dd, 2 * dd - 1):
-                        got = gkm._matmul(A, gkm._lefschetz_sums(g, lam, k))
+                    for b in range(max(dd - 1, 0), dd + 1):
+                        table = gkm._integrals(g, dd, b, 0, lam if dd + b < g.l else None)
+                        got = gkm._matmul(A, table)
                         assert_integer_form(got)
-                        want = lefschetz_integrals_by_lifts(g, J, lam, dd, k // 2)
-                        assert gkm._fractions(*got) == want, (J, lam, dd, k)
+                        want = lefschetz_integrals_by_lifts(g, J, lam, dd, b)
+                        assert gkm._fractions(*got) == want, (J, lam, dd, b)
                     form = gkm._primitive_form(g, J, lam, dd)
                     assert_integer_form(form)
                     assert gkm._fractions(*form) == primitive_form_by_lifts(g, J, lam, dd), (J, lam, dd)
