@@ -464,14 +464,15 @@ def multiplicities_json(gm: GradedMultiplicity) -> dict:
 
 def multiplicities_from_json(doc: dict) -> GradedMultiplicity:
     """Inverse of multiplicities_json, checked; the derived "betti" entry is
-    not read.  h must be a Hessenberg function of length n with dimension
-    l, the keys exactly the partitions of n, each row l + 1 integers, and
-    the table must pass the checks of a computed one (_checked).  A document
-    that is not such a table raises ConsistencyError."""
+    not read.  n and l must be ints, not bools, and h a Hessenberg function
+    of length n with dimension l; the keys must be exactly the partitions of
+    n, each row l + 1 integers, and the table must pass the checks of a
+    computed one (_checked).  A document that is not such a table raises
+    ConsistencyError."""
     try:
         n, l = doc["n"], doc["l"]
         h = check_hessenberg(doc["h"].split(","))
-        if len(h) != n or l != dimension(h):
+        if type(n) is not int or type(l) is not int or len(h) != n or l != dimension(h):
             raise ValueError(f"h={doc['h']} claims n = {n}, l = {l}")
         table = {check_partition(key.split(",")): row for key, row in doc["mult"].items()}
         if len(table) != len(doc["mult"]) or set(table) != set(partitions_of(n)):

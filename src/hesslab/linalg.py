@@ -18,10 +18,12 @@ by the pivot, done only where rows or values leave the module, gives the same
 rows with the same Fraction entries.  `rank_exact` and `_integer_nullspace`
 run on this kernel.  The RREF is unique, so with free variables set to 0 their
 answers are the ones dense Gauss-Jordan gives.  The moment graph hands
-`_integer_rref` one local flow-up system per vertex and Morse index, integer
-rows built from integer remainder tables with one right-hand-side column per
-class, so no Fraction enters those eliminations; with free variables 0, each
-class's value at the vertex is its column over the pivots.
+`_integer_rref` one local flow-up system per vertex and Morse index, the
+integer divisibility rows of its edges down with one right-hand-side column
+per class, so no Fraction enters those eliminations; with free variables 0,
+each class's value at the vertex is its column over the pivots.  It checks
+its square intersection and Lefschetz tables nonsingular by the length of
+`_integer_echelon` alone.
 
 The dense helpers serve the small pairing and Gram matrices of the Kahler
 checks, and each runs on integers over one positive denominator, (rows, d)

@@ -27,7 +27,7 @@ The library keeps every class as an integer table (one denominator, one
 coefficient vector per vertex).  The polynomial class algebra it replaced
 lives here: Poly, sparse polynomials over the rationals in t_1..t_{n-1} with
 t_n = -(t_1+...+t_{n-1}), and divmod_linear, division by a linear form,
-whose remainders the library's integer remainder tables must match up to a
+whose remainders the library's integer divisibility rows must match up to a
 positive scalar; EquivClass, a tuple of polynomials with the polynomial edge
 check check_edges; class_of and class_table, which turn a table into a class
 and back, so a graph can carry the per-vertex basis; and the classes built
@@ -723,8 +723,9 @@ def edges(g):
 
 
 def edge_rows(g, k: int) -> list[dict[int, int]]:
-    """Degree-k edge conditions, one integer row per edge and output
-    monomial: the two endpoint values agree mod the edge form.  The vertices
+    """Degree-k edge conditions, one integer row per edge and divisibility
+    row of its form (gkm._divisibility_rows), read on the difference of the
+    two endpoint vectors: the two endpoint values agree mod the form.  The vertices
     own blocks of D columns in descending moment order, the highest vertex
     first; a block holds the vertex's coefficients of the D monomials of
     degree k."""
@@ -732,13 +733,12 @@ def edge_rows(g, k: int) -> list[dict[int, int]]:
     block = {u: p * D for p, u in enumerate(reversed(g.order))}
     rows = []
     for u, v, pair in edges(g):
-        by_out: dict[tuple[int, ...], dict[int, int]] = {}
-        for mi, rem in enumerate(gkm._reduction_table(g.n, pair, k)):
-            for mono, c in rem.items():
-                row = by_out.setdefault(mono, {})
+        for local in gkm._divisibility_rows(g.n, pair, k).values():
+            row = {}
+            for mi, c in local.items():
                 row[block[u] + mi] = c
                 row[block[v] + mi] = -c
-        rows.extend(by_out.values())
+            rows.append(row)
     return rows
 
 

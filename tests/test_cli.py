@@ -490,6 +490,35 @@ def test_table_format(capsys):
     assert "violations: 0" in out
 
 
+def test_kahler_table_format(capsys):
+    rc, out, _ = run(capsys, "kahler", "--h", "2,3,3", "--J", "1", "--format", "table")
+    assert rc == 0
+    assert out.splitlines() == [
+        "h = 2,3,3   J = (1)   lambda = 2,1,0",
+        "invariant betti = [1, 3, 1]",
+        "  degree 0: pairing rank 1/1 det 1",
+        "  degree 2: pairing rank 3/3 det 2",
+        "  HL from degree 0: omega^2 rank 1/1",
+        "  HL from degree 2: omega^0 rank 3/3",
+        "  HR at degree 0: dim 1 sign 1 signature (1, 0, 0) definite True",
+        "  HR at degree 2: dim 2 sign -1 signature (2, 0, 0) definite True",
+        'verdicts: {"all": true, "hard_lefschetz": true, "hodge_riemann": true, "poincare": true}',
+    ]
+
+
+@pytest.mark.parametrize(
+    "fmt, lines",
+    [
+        ("csv", ["n,functions,violations,gkm_checked", "3,5,0,5"]),
+        ("table", ["n = 3   functions = 5   violations = 0   gkm checked = 5"]),
+    ],
+    ids=["csv", "table"],
+)
+def test_verify_csv_and_table_formats(capsys, fmt, lines):
+    rc, out, _ = run(capsys, "verify", "--n", "3", "--format", fmt)
+    assert (rc, out.splitlines()) == (0, lines)
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     rc, out, _ = run(capsys, "analyze", "--h", "2,3,3", "--out", str(target))
@@ -611,6 +640,21 @@ def test_cache_bad_multiplicity_payload_is_an_error(tmp_path, capsys, corrupt):
     rc, out, err = run(capsys, *args)
     assert (rc, out) == (1, "")
     assert err.startswith("hesslab: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("h, field", [("2,2", "l"), ("1", "n")])
+def test_cache_bool_size_is_an_error(tmp_path, capsys, h, field):
+    # true equals 1 in Python, so a stored size true would pass for l = 1 or
+    # n = 1 and reach the report as "l":true; it is a malformed table
+    args = ("analyze", "--h", h, "--cache-dir", str(tmp_path))
+    assert run(capsys, *args)[0] == 0
+    (path,) = tmp_path.iterdir()
+    payload = json.loads(path.read_text())["payload"]
+    assert payload[field] == 1
+    overwrite_payload(tmp_path, {**payload, field: True})
+    rc, out, err = run(capsys, *args)
+    assert (rc, out) == (1, "")
+    assert err.startswith("hesslab: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_cache_payload_betti_is_not_read(tmp_path, capsys):

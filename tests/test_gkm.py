@@ -21,7 +21,7 @@ from hesslab.gkm import (
     poincare_pairing,
 )
 from hesslab.hessenberg import dimension, enumerate_hessenberg
-from hesslab.linalg import det_exact
+from hesslab.linalg import det_exact, rank_exact
 import oracles
 from oracles import (
     EquivClass,
@@ -204,15 +204,17 @@ def test_flow_up_classes_at_n5_frontier():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_reduction_tables_are_scaled_polynomial_remainders(n):
-    # for every canonical pair and every k <= 6, the integer remainder table
-    # is one positive scalar times the remainders of the monomials that the
-    # oracle's divmod_linear leaves
+    # for every canonical pair and every k <= 6, the remainders read off the
+    # integer divisibility rows (entry i of the row of m: the coefficient of
+    # m in the remainder of monomial i) are one positive scalar times the
+    # remainders of the monomials that the oracle's divmod_linear leaves
     for pair in itertools.combinations(range(1, n + 1), 2):
         form = oracles.pair_form(n, *pair)
         for k in range(7):
-            table = gkm._reduction_table(n, pair, k)
+            rows = gkm._divisibility_rows(n, pair, k)
             monos = monomials(n - 1, k)
-            assert len(table) == len(monos)
+            table = [{m: row[mi] for m, row in rows.items() if mi in row} for mi in range(len(monos))]
+            assert all(0 <= mi < len(monos) for row in rows.values() for mi in row)
             ratios = set()
             for got, mono in zip(table, monos):
                 want = oracles.divmod_linear(Poly(n - 1, {mono: 1}), form)[1]
@@ -225,12 +227,12 @@ def test_reduction_tables_are_scaled_polynomial_remainders(n):
 
 def test_flow_up_classes_avoid_polynomial_classes():
     # the library has no polynomial class: the tables are built by integer
-    # local RREFs and checked on integers, remainder tables included
+    # local RREFs and checked on integers, divisibility rows included
     with pytest.raises(ImportError):
         importlib.import_module("hesslab.exactpoly")
     for name in ("Poly", "EquivClass", "divmod_linear", "dot_action", "lift", "ordinary_basis", "kahler_class"):
         assert not hasattr(gkm, name), name
-    gkm._reduction_table.cache_clear()
+    gkm._divisibility_rows.cache_clear()
     g = build_gkm((2, 3, 4, 4))
     for k in range(g.l + 1):
         for vid, (den, support) in gkm._flow_up_classes(g, k).items():
@@ -505,9 +507,10 @@ def test_kahler_report_computes_intersection_matrices_once(monkeypatch):
         for J in itertools.combinations(range(1, 4), r):
             assert kahler_report(g, J)["verdicts"]["all"] is True
     # l = 3: one matrix for each k <= l, shared by all 8 J and by the omega
-    # tables; J = () first checks M_0 .. M_3 nonsingular for its invariant
-    # bases, and the other J reuse them
-    assert calls == [0, 1, 2, 3]
+    # tables; J = () first checks the hard Lefschetz tables (0, 0) and
+    # (1, 1), which need M_3 (the transpose of M_0) and M_2 (that of M_1)
+    # nonsingular, and the other J reuse them
+    assert calls == [3, 0, 2, 1]
 
 
 def _corrupt_flow_up(g, vid, table):
@@ -624,8 +627,28 @@ def test_tables_reject_a_singular_intersection_matrix(monkeypatch):
         gkm._invariant_vectors(g, (1,), 1)
     with pytest.raises(ConsistencyError, match="singular intersection matrix"):
         gkm._integrals(g, 0, 0, 0, lam)
-    for name in ("_checked_intersection", "_invariant_vectors", "_integrals"):
+    for name in ("_checked_form", "_invariant_vectors", "_integrals"):
         assert g._caches[name] == {}, name
+
+
+def test_reports_reject_a_singular_hard_lefschetz_table(monkeypatch):
+    # every hard Lefschetz table (dd, dd, lam) with a power of omega reads as
+    # zero: omega^(l - 2 dd) would not be injective on the whole ring, which
+    # contradicts classical hard Lefschetz, so the report raises before any
+    # W_J-invariant basis is built, and nothing is memoized
+    integrals = gkm._integrals
+
+    def zero_matrix(g, a, b, j=0, lam=None):
+        if a == b and lam is not None:
+            return [[0] * len(ordinary_basis(g, b)) for _ in ordinary_basis(g, a)], 1
+        return integrals(g, a, b, j, lam)
+
+    monkeypatch.setattr(gkm, "_integrals", zero_matrix)
+    g = build_gkm((2, 3, 3))
+    with pytest.raises(ConsistencyError, match="singular intersection matrix at degree 0"):
+        kahler_report(g, (1,), (7, 2, -1))
+    for name in ("_checked_form", "_invariant_vectors", "_integrals"):
+        assert g._caches.get(name, {}) == {}, name
 
 
 def test_kahler_payloads_solve_for_no_flow_up_coordinates(monkeypatch):
@@ -778,10 +801,16 @@ def test_kahler_forms_match_lifted_products(h):
             for k in range(0, 2 * g.l + 1, 2):
                 assert poincare_pairing(g, k, J) == pairing_by_lifts(g, k, J), (J, k)
             for lam in weights:
+                report = kahler_report(g, J, lam)
                 for dd in range(g.l // 2 + 1):
                     # A G and A K: the invariant basis times the omega
                     # tables (dd, dd) and (dd, dd - 1); degree 0 has no K
                     A = gkm._invariant_vectors(g, gkm._subset(g, J), dd)
+                    # the report's hard Lefschetz rank, the dimension of the
+                    # piece, is the rank of A G
+                    G = gkm._integrals(g, dd, dd, 0, lam if 2 * dd < g.l else None)
+                    hl_rank = report["hard_lefschetz"][str(2 * dd)]["rank"]
+                    assert rank_exact(gkm._matmul(A, G)[0]) == hl_rank, (J, lam, dd)
                     for b in range(max(dd - 1, 0), dd + 1):
                         table = gkm._integrals(g, dd, b, 0, lam if dd + b < g.l else None)
                         got = gkm._matmul(A, table)
@@ -856,11 +885,11 @@ def test_kahler_report_builds_fractions_only_for_pivots_and_pairings():
 
 
 def test_first_kahler_report_builds_fractions_only_for_pivots():
-    # the first report on a fresh graph, with no remainder table built yet,
-    # builds the remainder tables, the norms, the flow-up tables and every
+    # the first report on a fresh graph, with no divisibility rows built yet,
+    # builds the divisibility rows, the norms, the flow-up tables and every
     # per-graph matrix on integers: a Fraction only for each recorded
     # Hodge-Riemann pivot
-    gkm._reduction_table.cache_clear()
+    gkm._divisibility_rows.cache_clear()
     g = build_gkm((2, 3, 4, 4))
     report, made = count_fractions(lambda: kahler_report(g, ()))
     assert report["verdicts"]["all"] is True
