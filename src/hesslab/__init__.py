@@ -1,7 +1,7 @@
 """Exact combinatorics of regular Hessenberg spaces in type A.
 
-Graded symmetric-group characters from P-tableaux (the Schur expansion of
-chromatic quasisymmetric functions), Betti numbers of all regular Hessenberg
+Graded symmetric-group characters (the Schur expansion of chromatic
+quasisymmetric functions, by closed forms and the modular law), Betti numbers of all regular Hessenberg
 spaces through invariant subrings, a support criterion for which irreducibles
 can appear, and a moment-graph model with certified Poincare duality, hard
 Lefschetz, and signed primitive forms.

@@ -10,7 +10,8 @@ hesslab error, 2 usage error or cost guard, 3 any theorem violation.
 The commands test no theorem themselves: the support criterion and its
 convention live in springer.support_check, which analyze and verify both
 read, and the palindromic and Morse violation entries the two share are
-built by one helper each.  Only analyze reads the cache, and it holds one
+built by one helper each; verify alone also flags Betti and isotypic rows
+that are not unimodal.  Only analyze reads the cache, and it holds one
 kind of entry, the multiplicity table ("dotchar"), keyed without the seed.
 A table read from the cache passes the checks of a computed one before
 analyze reads it; every kahler verdict is computed in the run that reports it.
@@ -159,6 +160,30 @@ def _palindromic_violations(h, named, rows: dict) -> list[dict]:
     ]
 
 
+def _is_unimodal(row) -> bool:
+    """True when row rises weakly to a maximum and then falls weakly."""
+    k, end = 1, len(row)
+    while k < end and row[k - 1] <= row[k]:
+        k += 1
+    while k < end and row[k - 1] >= row[k]:
+        k += 1
+    return k == end
+
+
+def _unimodal_violations(h, gm) -> list[dict]:
+    """A violation entry for each Betti row of a content (gm.betti_rows, mu
+    -> row) and then each isotypic row (gm.table, lam -> row) that is not
+    unimodal.  Hard Lefschetz on the semisimple variety commutes with the
+    dot action, so every isotypic row is unimodal, and by the paper's Kahler
+    package so is every invariant row."""
+    failed = [("content", mu, "betti", row) for mu, row in gm.betti_rows.items() if not _is_unimodal(row)]
+    failed += [("lambda", lam, "mult", row) for lam, row in gm.table.items() if not _is_unimodal(row)]
+    return [
+        {"type": "unimodal", "h": hessenberg_str(h), label: partition_str(lam), field: list(row)}
+        for label, lam, field, row in failed
+    ]
+
+
 @cache
 def _named_subsets(n: int) -> tuple[tuple[str, Partition], ...]:
     """(_jstr(J), mu(J)) for every J of all_parabolic_subsets(n), in its order."""
@@ -255,6 +280,7 @@ def _verify_one(h, *, seed: int, control: bool, force: bool = False) -> dict:
         for w in support_violations(gm, drop_conjugate=control)
     ]
     violations += _palindromic_violations(h, _named_subsets(len(h)), gm.betti_rows)
+    violations += _unimodal_violations(h, gm)
     character = gm.betti()
     if is_indecomposable(h) and (character[0] != 1 or character[-1] != 1):
         violations.append({"type": "boundary", "h": hessenberg_str(h), "betti": character})

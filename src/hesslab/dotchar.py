@@ -1,21 +1,26 @@
 """Graded multiplicity tables for the Weyl-group action on semisimple Hessenberg spaces.
 
 By Brosnan-Chow the dot-action character is omega X_G(q) for the
-incomparability graph G of h, and Shareshian-Wachs (Thm 6.3) expand X_G(q) in
-Schur functions over P-tableaux.  So the table is read off directly: row k of
-table[lam] counts the P_h-tableaux of shape conjugate(lam) with inv = k,
-which is the multiplicity of the irreducible lam in (complex) degree 2k.  One
-depth-first walk fills every shape of one h at once, sharing the rows that
-shapes have in common; it completes at most n! tableaux, against about n^n
-colorings.
+incomparability graph G of h, so row k of table[lam], the multiplicity of the
+irreducible lam in (complex) degree 2k, is the q^k coefficient of s_lam in
+omega X_G(q).  No table is enumerated; each comes from a formula:
 
-Two identities leave most h unwalked.  Ascents stay inside the blocks of a
-decomposable h, so X_G(q) is the product of its blocks' functions: their
-tables go to the complete homogeneous basis (a unitriangular Kostka solve),
-multiply there, and come back by the Kostka numbers.  Reversing the labels,
-i -> n+1-i, turns ascents into descents, and X_G(q) is palindromic
-(Shareshian-Wachs), so an indecomposable h has the table of its reversal.
-The walk therefore runs once per reversal pair of indecomposable functions.
+- a decomposable h: ascents stay inside its blocks, so X_G(q) is the product
+  of the blocks' functions.  Their tables go to the complete homogeneous
+  basis (a unitriangular Kostka solve), multiply there, and come back by the
+  Kostka numbers;
+- the complete graph (n, ..., n): omega X_{K_n}(q) = [n]_q! h_n;
+- the path (2, 3, ..., n, n): the Shareshian-Wachs recursion
+  omega X_{P_n} = h_n + sum_{k=2..n} q [k-1]_q h_k omega X_{P_{n-k}};
+- every other h: the modular law (Guay-Paquet), (1+q) f(h1) = q f(h0) +
+  f(h2) on the triples of _modular_triples, which with the three rules above
+  determines every table (Abreu-Nigro).  One plan per n (_plan) says which
+  triple derives which table, and the tables an h needs are made in that
+  order, each by q-row operations and exact divisions by q or 1 + q on two
+  tables already made.  Relabelling i -> n+1-i turns ascents into descents,
+  and X_G(q) is palindromic (Shareshian-Wachs), so h and its reversal share
+  a table, and the plan derives each reversal pair once.
+
 Every Betti reading (the full space, or the invariant subspace
 for a regular element with Young-subgroup stabilizer W_J) is
 GradedMultiplicity.betti(J): each row weighted by the dimension of the
@@ -24,7 +29,9 @@ depends on J only through the content mu(J), so betti_rows makes the rows of
 every content at once, in one packed Kostka product per table, and betti(J)
 reads its content's row.
 
-The coloring route stays as the oracle: chromatic_qsym enumerates proper
+Two enumerations stay as oracles.  The tests walk P-tableaux
+(Shareshian-Wachs Thm 6.3: table[lam][k] counts the P_h-tableaux of shape
+conjugate(lam) with inv = k), and chromatic_qsym here enumerates proper
 colorings of G, weighted by q^(number of ascending edges), into the
 q-refined chromatic quasisymmetric function; the tests decode it by Schur
 pairing against conjugate shapes and compare tables.  An edge {i, j} with
@@ -37,13 +44,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from math import factorial
+from math import comb, factorial
 
 from .errors import ConsistencyError, CostGuardError
-from .hessenberg import check_hessenberg, dimension
+from .hessenberg import _functions, check_hessenberg, dimension
 from .partitions import (
     Partition,
-    _conjugate,
     _dim_irrep,
     check_partition,
     kostka_number,
@@ -53,7 +59,7 @@ from .partitions import (
 )
 from .symfunc import QPoly, QSymPoly
 
-CHARACTER_GUARD_N = 8  # the n above which the tableau route and the coloring oracle need force=True
+CHARACTER_GUARD_N = 8  # the n above which the tables (a plan over Catalan(n) functions) and the coloring oracle need force=True
 
 
 def chromatic_qsym(h, force: bool = False) -> QSymPoly:
@@ -187,7 +193,7 @@ def _content_rows(n: int, l: int, table: dict[Partition, list[int]]) -> dict[Par
     mask = (1 << b) - 1
     shifts = range(0, b * (l + 1), b)
     rows = {}
-    for mu, column in _kostka_columns(n):
+    for mu, column in _kostka_columns(n).items():
         word = 0
         for lam, weight in column:
             word += weight * packed[lam]
@@ -196,11 +202,11 @@ def _content_rows(n: int, l: int, table: dict[Partition, list[int]]) -> dict[Par
 
 
 @cache
-def _kostka_columns(n: int) -> tuple[tuple[Partition, tuple[tuple[Partition, int], ...]], ...]:
-    """((mu, ((lam, K_{lam, mu}), ...)), ...) over the partitions mu of n,
-    in partitions_of order, with the nonzero Kostka numbers only."""
+def _kostka_columns(n: int) -> dict[Partition, tuple[tuple[Partition, int], ...]]:
+    """{mu: ((lam, K_{lam, mu}), ...)} over the partitions mu of n, in
+    partitions_of order, with the nonzero Kostka numbers only."""
     lams = partitions_of(n)
-    return tuple((mu, tuple((lam, w) for lam in lams if (w := kostka_number(lam, mu)))) for mu in lams)
+    return {mu: tuple((lam, w) for lam in lams if (w := kostka_number(lam, mu))) for mu in lams}
 
 
 @cache
@@ -210,41 +216,47 @@ def _content(J: tuple, n: int) -> tuple[int, ...]:
 
 
 def dot_action_multiplicities(h, force: bool = False) -> GradedMultiplicity:
-    """Graded irreducible multiplicities, read off P_h-tableaux.
+    """Graded irreducible multiplicities, the Schur coefficients of omega X_G(q).
 
-    mult[lam][k] is the number of P_h-tableaux of shape conjugate(lam) with
-    inv = k; see _tableau_table.  Only an indecomposable h with h <=
-    _reversed(h) is walked: a decomposable h multiplies its blocks' tables
-    in the complete homogeneous basis (_h_coeffs), and any other h copies
-    the table of _reversed(h).  Every table, walked, assembled or copied,
-    must come out nonnegative integers supported in degrees
-    0..dimension(h), with rows weighted by irreducible dimensions summing
-    to n! (_checked, which also checks every table read from a cache);
-    anything else raises instead of returning.
+    mult[lam][k] is the multiplicity of the irreducible lam in degree 2k.
+    No table is enumerated: a decomposable h multiplies its blocks' tables
+    in the complete homogeneous basis (_h_coeffs), the complete graph and
+    the path have closed forms, and every other h comes from tables already
+    made by the modular law, in the order of its n's plan (_plan,
+    _derived).  Every table, however made, must come out nonnegative
+    integers supported in degrees 0..dimension(h), with rows weighted by
+    irreducible dimensions summing to n! (_checked, which also checks every
+    table read from a cache); anything else raises instead of returning.
     """
     h = check_hessenberg(h)
-    if len(h) > CHARACTER_GUARD_N and not force:
+    n = len(h)
+    if n > CHARACTER_GUARD_N and not force:
         raise CostGuardError(
-            f"n = {len(h)} walks up to {len(h)}! tableaux; pass force=True to proceed"
+            f"n = {n} may build the modular-law plan over all {comb(2 * n, n) // (n + 1)} "
+            "Hessenberg functions of that size; pass force=True to proceed"
         )
     return _mult_cached(h)
 
 
 @cache
 def _mult_cached(h: tuple[int, ...]) -> GradedMultiplicity:
-    n, l = len(h), dimension(h)
+    n = len(h)
+    l = sum(h) - n * (n + 1) // 2  # dimension(h), without checking h again
     blocks = _blocks(h)
     if len(blocks) > 1:
         coeffs: dict[Partition, list[int]] = {(): [1]}
         for block in blocks:
             coeffs = _h_product(coeffs, _h_coeffs(block), l)
         rows = _from_h_coeffs(n, coeffs)
-    elif (mirror := _reversed(h)) < h:
-        rows = _mult_cached(mirror).table
-    elif n == 1:  # one tableau; the walk needs n >= 2
-        rows = {(1,): [1]}
+    elif h == (n,) * n:  # omega X_{K_n}(q) = [n]_q! h_n
+        factorial_row = [1]
+        for m in range(2, n + 1):
+            factorial_row = [sum(factorial_row[max(0, k - m + 1): k + 1]) for k in range(len(factorial_row) + m - 1)]
+        rows = {(n,): factorial_row}
+    elif h == _path(n):
+        rows = _from_h_coeffs(n, _path_h_coeffs(n))
     else:
-        rows = {_conjugate(shape): counts for shape, counts in _tableau_table(h).items()}
+        return _derived(h)
     return _checked(h, l, rows)
 
 
@@ -299,19 +311,21 @@ def _h_coeffs(h: tuple[int, ...]) -> dict[Partition, list[int]]:
 
     h_mu = sum_lam K_{lam,mu} s_lam, and K_{lam,mu} = 0 unless mu is
     dominated by lam, with K_{lam,lam} = 1.  So table[lam] = sum_mu
-    K_{lam,mu} c_mu is unitriangular and is solved from (1^n) upward; the
-    reverse of partitions_of's order puts every mu dominated by lam first.
+    K_{lam,mu} c_mu is unitriangular and is solved from (1^n) upward: the
+    reverse of partitions_of's order puts every mu dominated by lam first,
+    so c_mu is what is left of table[mu] when it is reached, and its
+    column is taken off the rows above it.
     """
-    table = _mult_cached(h).table
+    rest = dict(_mult_cached(h).table)
+    columns = _kostka_columns(len(h))
     coeffs: dict[Partition, list[int]] = {}
-    for lam in reversed(partitions_of(len(h))):
-        row = list(table[lam])
-        for mu, c in coeffs.items():
-            weight = kostka_number(lam, mu)
-            if weight:
-                row = [r - weight * x for r, x in zip(row, c)]
-        if any(row):
-            coeffs[lam] = row
+    for mu in reversed(partitions_of(len(h))):
+        c = rest[mu]
+        if any(c):
+            coeffs[mu] = c
+            for lam, weight in columns[mu]:
+                if lam != mu:
+                    rest[lam] = [r - weight * x for r, x in zip(rest[lam], c)]
     return coeffs
 
 
@@ -333,107 +347,143 @@ def _from_h_coeffs(n: int, coeffs: dict[Partition, list[int]]) -> dict[Partition
     """The Schur rows table[lam] = sum_mu K_{lam,mu} c_mu of {mu: c_mu}, all
     rows of one length."""
     width = len(next(iter(coeffs.values())))
-    rows: dict[Partition, list[int]] = {}
-    for lam in partitions_of(n):
-        row = [0] * width
-        for mu, c in coeffs.items():
-            weight = kostka_number(lam, mu)
-            if weight:
-                row = [r + weight * x for r, x in zip(row, c)]
-        rows[lam] = row
+    rows = {lam: [0] * width for lam in partitions_of(n)}
+    columns = _kostka_columns(n)
+    for mu, c in coeffs.items():
+        for lam, weight in columns[mu]:
+            rows[lam] = [r + weight * x for r, x in zip(rows[lam], c)]
     return rows
 
 
-def _tableau_table(h: tuple[int, ...]) -> dict[Partition, list[int]]:
-    """{shape: counts} for every shape (row lengths) with a P_h-tableau, where
-    counts[k] is the number of P_h-tableaux of that shape with inv = k.
+def _path(n: int) -> tuple[int, ...]:
+    """(2, 3, ..., n, n), whose incomparability graph is the path P_n; (1,) for n = 1."""
+    return tuple(range(2, n + 1)) + (n,)
 
-    P_h is the poset on 1..n with i <_P j iff j > h(i); i and j are
-    incomparable exactly when they are joined in the incomparability graph.
-    A P-tableau holds each element once, every row is a strict <_P chain,
-    and no entry is >_P the entry directly below it.  inv counts the
-    incomparable pairs i < j where i sits in a strictly lower row than j.
 
-    One depth-first walk fills every shape at once.  Cells go in row-major
-    order over bitmasks (bit x is element x + 1), so when an element is
-    placed, the elements of the rows above it are exactly those used before
-    its row began.  Each element either extends the current row, if the row
-    above is longer, or closes it and opens a new row under it.  Counts are
-    filed in a trie: a node stands for the completed row lengths, its
-    children are indexed by the length of the next row and its counts by the
-    length of the last one, so no shape key is built until the walk ends.
-    counts has one entry per possible pair, so a wrong inv shows up past
-    degree dimension(h).
+@cache
+def _path_h_coeffs(n: int) -> dict[Partition, list[int]]:
+    """omega X_{P_n}(q) in the complete homogeneous basis, n >= 0, as
+    q-coefficient rows of n entries (one for n = 0), by the Shareshian-Wachs
+    recursion omega X_{P_n} = h_n + sum_{k=2..n} q [k-1]_q h_k omega X_{P_{n-k}},
+    with omega X_{P_0} = 1."""
+    l = max(n - 1, 0)
+    coeffs = {(n,) if n else (): [1] + [0] * l}
+    for k in range(2, n + 1):
+        for mu, row in _h_product({(k,): [0] + [1] * (k - 1)}, _path_h_coeffs(n - k), l).items():
+            coeffs[mu] = [a + b for a, b in zip(coeffs.get(mu, [0] * (l + 1)), row)]
+    return coeffs
+
+
+def _modular_triples(h: tuple[int, ...]):
+    """Every triple (h0, h1, h2) of the modular law that has h as a member.
+
+    The law at a position i of h1, with a = h1(i): h1(i-1) < a < h1(i+1)
+    (h1(0) = 0, h1(n+1) = n+1), i < a < n and h1(a) = h1(a+1); h0 and h2
+    are h1 with a lowered and raised by 1, both Hessenberg functions then.
+    For f = omega X_G(q), (1+q) f(h1) = q f(h0) + f(h2) (Guay-Paquet;
+    Abreu-Nigro).  h is h1 at i, or h0 or h2 of the h1 that differs from h
+    at i; only position i changes, and a > i, so h1(a) = h(a).
     """
-    n = len(h)  # the walk places the last element one cell ahead, so it needs n >= 2
-    full = (1 << n) - 1
-    greater = [full >> hx << hx for hx in h]  # y with x <_P y
-    may_follow = [sum(1 << y for y in range(n) if h[y] > a) for a in range(n)]  # y not <_P a
-    may_follow.append(full)  # a sentinel element n, which constrains nothing
-    tied = [(1 << hx) - (2 << x) for x, hx in enumerate(h)]  # y > x incomparable to x
-    pairs = n * (n - 1) // 2 + 1
-    entry = [0] * n + [n] * n  # cells, then a sentinel row above the first row
-    last = n - 1
-    width = 2 * n + 1  # a trie node: at[c] is its child for a next row of length c, at[n + c] its counts
+    n = len(h)
+    for i in range(1, n + 1):
+        low = h[i - 2] if i > 1 else 0
+        high = h[i] if i < n else n + 1
+        for a in (h[i - 1], h[i - 1] + 1, h[i - 1] - 1):  # h is h1, h0, h2
+            if low < a < high and i < a < n and h[a - 1] == h[a]:
+                head, tail = h[: i - 1], h[i:]
+                yield head + (a - 1,) + tail, head + (a,) + tail, head + (a + 1,) + tail
 
-    def fill(i: int, used: int, higher: int, inv: int, at: list, start: int, above: int, above_len: int) -> None:
-        # The current row is entry[start:i].  The row above it starts at
-        # entry[above] and has above_len cells (the sentinel row of n cells
-        # for the first row).  at is the trie node of the rows above.
-        c = i - start
-        free = full ^ used
-        if i == last:  # one element left: file each way it can go instead of recursing
-            x = free.bit_length() - 1
-            if above_len > c and greater[entry[i - 1]] & may_follow[entry[above + c]] & free:
-                counts = at[n + c + 1]
-                if counts is None:
-                    counts = at[n + c + 1] = [0] * pairs
-                counts[inv + (tied[x] & higher).bit_count()] += 1
-            if may_follow[entry[start]] & free:
-                child = at[c]
-                if child is None:
-                    child = at[c] = [None] * width
-                counts = child[n + 1]
-                if counts is None:
-                    counts = child[n + 1] = [0] * pairs
-                counts[inv + (tied[x] & used).bit_count()] += 1
-            return
-        if above_len > c:
-            ext = free & greater[entry[i - 1]] & may_follow[entry[above + c]]
-            while ext:
-                bit = ext & -ext
-                ext ^= bit
-                x = bit.bit_length() - 1
-                entry[i] = x
-                fill(i + 1, used | bit, higher, inv + (tied[x] & higher).bit_count(), at, start, above, above_len)
-        free &= may_follow[entry[start]]
-        if free:
-            child = at[c]
-            if child is None:
-                child = at[c] = [None] * width
-            while free:
-                bit = free & -free
-                free ^= bit
-                x = bit.bit_length() - 1
-                entry[i] = x
-                fill(i + 1, used | bit, used, inv + (tied[x] & used).bit_count(), child, i, start, c)
 
-    root = [None] * width
-    for x in range(n):
-        entry[0] = x
-        fill(1, 1 << x, 0, 0, root, 0, n, n)
+@cache
+def _plan(n: int) -> tuple[dict, dict]:
+    """(steps, tables): how every Hessenberg function of size n that the
+    modular law reaches gets its table, and the memo of those tables.
 
-    table: dict[Partition, list[int]] = {}
+    Known from the start are the decomposable h (some h(i) = i < n), the
+    complete graph and the path (_mult_cached's closed forms; the set is
+    closed under _reversed).  A worklist takes each known function in turn;
+    a triple of its _modular_triples with exactly one unknown member
+    derives that member, whose reversal (the same table) then is known too.
+    steps[y] is (position, members): members is the triple, or (x,) for
+    the reversal x of y, and every member but y comes before y in plan
+    order or is known from the start.  tables fills as _derived asks; an h
+    of size n in neither steps nor the starting set is not reached, and has
+    no table.
+    """
+    closed = ((n,) * n, _path(n))
+    start = [h for h in _functions(n) if h in closed or any(v == i for i, v in enumerate(h[:-1], start=1))]
+    known = set(start)
+    steps: dict[tuple[int, ...], tuple[int, tuple]] = {}
+    worklist = list(start)
 
-    def collect(at: list, rows: Partition) -> None:
-        for length in range(1, n + 1):
-            if at[n + length] is not None:
-                table[rows + (length,)] = at[n + length]
-            if at[length] is not None:
-                collect(at[length], rows + (length,))
+    def learn(y: tuple[int, ...], members: tuple) -> None:
+        steps[y] = (len(steps), members)
+        known.add(y)
+        worklist.append(y)
 
-    collect(root, ())
-    return table
+    for x in worklist:  # grows as the loop runs
+        for triple in _modular_triples(x):
+            unknown = [y for y in triple if y not in known]
+            if len(unknown) == 1:
+                y = unknown[0]
+                learn(y, triple)
+                if (mirror := _reversed(y)) not in known:
+                    learn(mirror, (y,))
+    return steps, {}
+
+
+def _derived(h: tuple[int, ...]) -> GradedMultiplicity:
+    """The table of h from its n's plan (_plan): the steps h depends on
+    that are not made yet are made in plan order, each from tables already
+    made, with no recursion through the law.  An h the plan does not reach
+    raises ConsistencyError."""
+    steps, tables = _plan(len(h))
+    if h not in tables:
+        if h not in steps:
+            raise ConsistencyError(f"the modular law reaches no table for h={h}")
+        due, stack = {h}, [h]
+        while stack:
+            for x in steps[stack.pop()][1]:
+                if x in steps and x not in tables and x not in due:
+                    due.add(x)
+                    stack.append(x)
+        for y in sorted(due, key=lambda y: steps[y][0]):
+            members = steps[y][1]
+            read = [_mult_cached(x).table for x in members if x != y]
+            rows = read[0] if len(members) == 1 else _modular_rows(y, members.index(y), *read)
+            tables[y] = _checked(y, dimension(y), rows)
+    return tables[h]
+
+
+def _modular_rows(h: tuple[int, ...], which: int, first: dict, second: dict) -> dict[Partition, list[int]]:
+    """The rows of member `which` (0, 1 or 2; it is h) of a modular-law
+    triple (h0, h1, h2), from the rows of the other two members in triple
+    order, by (1+q) f(h1) = q f(h0) + f(h2), Schur row by Schur row.  Rows
+    of f(h0), f(h1), f(h2) have L - 1, L and L + 1 entries.  f(h0) needs
+    a division by q and f(h1) one by 1 + q; a row that does not divide
+    exactly raises ConsistencyError.  f(h0)'s rows come out one entry long,
+    which _checked requires to be 0.
+    """
+    out = {}
+    for lam, u in first.items():
+        v = second[lam]
+        if which == 2:  # f(h2) = (1+q) f(h1) - q f(h0)
+            out[lam] = [x + y - z for x, y, z in zip(v + [0], [0] + v, [0] + u + [0])]
+        elif which == 0:  # q f(h0) = (1+q) f(h1) - f(h2)
+            g = [x + y - z for x, y, z in zip(u + [0], [0] + u, v)]
+            if g[0]:
+                raise ConsistencyError(f"modular law at h={h}: row {lam} of q f(h0) has constant term {g[0]}")
+            out[lam] = g[1:]
+        else:  # (1+q) f(h1) = q f(h0) + f(h2)
+            g = [x + y for x, y in zip([0] + u + [0], v)]
+            quotient, carry = [], 0
+            for x in g[:-1]:
+                carry = x - carry
+                quotient.append(carry)
+            if g[-1] != carry:
+                raise ConsistencyError(f"modular law at h={h}: row {lam} of (1+q) f(h1) leaves remainder {g[-1] - carry}")
+            out[lam] = quotient
+    return out
 
 
 def betti_rs(h) -> list[int]:

@@ -5,13 +5,12 @@ i <= h(i) <= n and h nondecreasing; the ambient Borel is upper triangular, so
 the subspace attached to h has free entries at (i, j) with i <= h(j), its
 trace-form annihilator has free entries {(i, j) : j > h(i)} (strictly upper),
 and the incomparability graph joins i < j exactly when j <= h(i).  The
-library reads both through h itself (springer's chains, dotchar's tableaux
-and colorings); the explicit pattern and edge list are test oracles.
+library reads both through h itself (springer's chains, dotchar's modular
+law and colorings); the explicit pattern and edge list are test oracles.
 """
 
 from __future__ import annotations
 
-import itertools
 from functools import cache
 
 MAX_FUNCTIONS_N = 9
@@ -42,12 +41,23 @@ def enumerate_hessenberg(n: int, indecomposable_only: bool = False) -> tuple[tup
     """All Hessenberg functions on [n] in lexicographic order (Catalan many)."""
     if not isinstance(n, int) or not 2 <= n <= MAX_FUNCTIONS_N:
         raise ValueError(f"n must be an integer with 2 <= n <= {MAX_FUNCTIONS_N}, got {n!r}")
-    out = []
-    for h in itertools.product(*(range(i, n + 1) for i in range(1, n + 1))):
-        if all(h[i] <= h[i + 1] for i in range(n - 1)):
-            if not indecomposable_only or all(h[i - 1] >= i + 1 for i in range(1, n)):
-                out.append(h)
-    return tuple(out)
+    if indecomposable_only:
+        return tuple(h for h in _functions(n) if all(h[i - 1] > i for i in range(1, n)))
+    return _functions(n)
+
+
+@cache
+def _functions(n: int) -> tuple[tuple[int, ...], ...]:
+    """enumerate_hessenberg(n) without its range check, for any n >= 1.
+
+    Each nondecreasing prefix of length i - 1 is extended by every value v
+    with max(i, previous value) <= v <= n, smallest first, so the prefixes
+    stay in lexicographic order at every length.
+    """
+    prefixes = [()]
+    for i in range(1, n + 1):
+        prefixes = [p + (v,) for p in prefixes for v in range(max(i, p[-1] if p else 0), n + 1)]
+    return tuple(prefixes)
 
 
 def dimension(h) -> int:

@@ -1,8 +1,10 @@
 """Independent oracles the tests check the library against.
 
 None of this is on a command path.  Each routine is the slow, direct route to
-something the library computes another way: one P-tableau walk per shape
-against the library's one walk over every shape; Jordan types from rank
+something the library computes another way: _tableau_table, one P-tableau
+walk that fills every shape at once, and tableau_rows_by_shape, one walk per
+shape, against each other and against the library's tables, which come from
+closed forms and the modular law with no enumeration; Jordan types from rank
 sequences of matrix powers and an exhaustive finite-field search against the
 Greene-Kleitman `lambda_H`; the full divisibility system against the flow-up
 module basis; one global elimination per degree (edge_rows over edges, the
@@ -1247,6 +1249,98 @@ def primitive_form_by_lifts(g, J, lam, dd: int):
     ]
     omega_pow = _omega_power(g, lam, g.l - 2 * dd)
     return [[integrate(g, a * b * omega_pow) for b in lifts] for a in lifts]
+
+
+def _tableau_table(h: tuple[int, ...]) -> dict[Partition, list[int]]:
+    """{shape: counts} for every shape (row lengths) with a P_h-tableau, where
+    counts[k] is the number of P_h-tableaux of that shape with inv = k.
+
+    P_h is the poset on 1..n with i <_P j iff j > h(i); i and j are
+    incomparable exactly when they are joined in the incomparability graph.
+    A P-tableau holds each element once, every row is a strict <_P chain,
+    and no entry is >_P the entry directly below it.  inv counts the
+    incomparable pairs i < j where i sits in a strictly lower row than j.
+
+    One depth-first walk fills every shape at once.  Cells go in row-major
+    order over bitmasks (bit x is element x + 1), so when an element is
+    placed, the elements of the rows above it are exactly those used before
+    its row began.  Each element either extends the current row, if the row
+    above is longer, or closes it and opens a new row under it.  Counts are
+    filed in a trie: a node stands for the completed row lengths, its
+    children are indexed by the length of the next row and its counts by the
+    length of the last one, so no shape key is built until the walk ends.
+    counts has one entry per possible pair, so a wrong inv shows up past
+    degree dimension(h).  tableau_rows_by_shape checks it shape by shape.
+    """
+    n = len(h)  # the walk places the last element one cell ahead, so it needs n >= 2
+    full = (1 << n) - 1
+    greater = [full >> hx << hx for hx in h]  # y with x <_P y
+    may_follow = [sum(1 << y for y in range(n) if h[y] > a) for a in range(n)]  # y not <_P a
+    may_follow.append(full)  # a sentinel element n, which constrains nothing
+    tied = [(1 << hx) - (2 << x) for x, hx in enumerate(h)]  # y > x incomparable to x
+    pairs = n * (n - 1) // 2 + 1
+    entry = [0] * n + [n] * n  # cells, then a sentinel row above the first row
+    last = n - 1
+    width = 2 * n + 1  # a trie node: at[c] is its child for a next row of length c, at[n + c] its counts
+
+    def fill(i: int, used: int, higher: int, inv: int, at: list, start: int, above: int, above_len: int) -> None:
+        # The current row is entry[start:i].  The row above it starts at
+        # entry[above] and has above_len cells (the sentinel row of n cells
+        # for the first row).  at is the trie node of the rows above.
+        c = i - start
+        free = full ^ used
+        if i == last:  # one element left: file each way it can go instead of recursing
+            x = free.bit_length() - 1
+            if above_len > c and greater[entry[i - 1]] & may_follow[entry[above + c]] & free:
+                counts = at[n + c + 1]
+                if counts is None:
+                    counts = at[n + c + 1] = [0] * pairs
+                counts[inv + (tied[x] & higher).bit_count()] += 1
+            if may_follow[entry[start]] & free:
+                child = at[c]
+                if child is None:
+                    child = at[c] = [None] * width
+                counts = child[n + 1]
+                if counts is None:
+                    counts = child[n + 1] = [0] * pairs
+                counts[inv + (tied[x] & used).bit_count()] += 1
+            return
+        if above_len > c:
+            ext = free & greater[entry[i - 1]] & may_follow[entry[above + c]]
+            while ext:
+                bit = ext & -ext
+                ext ^= bit
+                x = bit.bit_length() - 1
+                entry[i] = x
+                fill(i + 1, used | bit, higher, inv + (tied[x] & higher).bit_count(), at, start, above, above_len)
+        free &= may_follow[entry[start]]
+        if free:
+            child = at[c]
+            if child is None:
+                child = at[c] = [None] * width
+            while free:
+                bit = free & -free
+                free ^= bit
+                x = bit.bit_length() - 1
+                entry[i] = x
+                fill(i + 1, used | bit, used, inv + (tied[x] & used).bit_count(), child, i, start, c)
+
+    root = [None] * width
+    for x in range(n):
+        entry[0] = x
+        fill(1, 1 << x, 0, 0, root, 0, n, n)
+
+    table: dict[Partition, list[int]] = {}
+
+    def collect(at: list, rows: Partition) -> None:
+        for length in range(1, n + 1):
+            if at[n + length] is not None:
+                table[rows + (length,)] = at[n + length]
+            if at[length] is not None:
+                collect(at[length], rows + (length,))
+
+    collect(root, ())
+    return table
 
 
 def tableau_rows_by_shape(h, shape: Partition) -> list[int]:

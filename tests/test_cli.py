@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import itertools
 import json
 import math
 import re
@@ -15,7 +16,7 @@ from hesslab.cli import canonical_json, main
 from hesslab.dotchar import GradedMultiplicity, multiplicities_json
 from hesslab.gkm import GRAPH_MAX_N, build_gkm, kahler_report
 from hesslab.hessenberg import enumerate_hessenberg
-from hesslab.partitions import MAX_ENUMERATION_N, invariant_dim, partitions_of
+from hesslab.partitions import MAX_ENUMERATION_N, invariant_dim, kostka_number, partition_str, partitions_of
 from hesslab.springer import support_violations
 import oracles
 from oracles import q_factorial
@@ -206,6 +207,38 @@ def test_palindromic_violations_entry_by_entry(monkeypatch):
     assert [v for v in report["violations"] if v["type"] == "palindromic"] == expected
 
 
+def test_unimodal_violations_entry_by_entry(monkeypatch, capsys):
+    # a palindromic isotypic row with a dip, the ends raised and the middle
+    # lowered so that the n! sum holds: verify lists every content row and
+    # every isotypic row that is not unimodal, contents first, each in
+    # partitions_of order, and a run with them exits 3
+    def unimodal(row):
+        return not any(row[j] < min(row[i], row[k]) for i, j, k in itertools.combinations(range(len(row)), 3))
+
+    h = (2, 3, 4, 5, 5)
+    gm = dotchar.dot_action_multiplicities(h)
+    assert cli._unimodal_violations(h, gm) == []
+    table = {lam: list(row) for lam, row in gm.table.items()}
+    assert table[(4, 1)] == [0, 3, 6, 3, 0]
+    table[(4, 1)] = [6, 0, 0, 0, 6]
+    bad = GradedMultiplicity(n=gm.n, h=h, l=gm.l, table=table)
+    expected = []
+    for mu in partitions_of(5):
+        betti = [sum(kostka_number(lam, mu) * r[d] for lam, r in table.items()) for d in range(gm.l + 1)]
+        if not unimodal(betti):
+            expected.append({"type": "unimodal", "h": "2,3,4,5,5", "content": partition_str(mu), "betti": betti})
+    assert [v["content"] for v in expected] == ["4,1", "3,2", "3,1,1", "2,2,1", "2,1,1,1", "1,1,1,1,1"]
+    expected.append({"type": "unimodal", "h": "2,3,4,5,5", "lambda": "4,1", "mult": [6, 0, 0, 0, 6]})
+    computed = dotchar.dot_action_multiplicities
+    monkeypatch.setattr(cli, "dot_action_multiplicities", lambda f, *args: bad if f == h else computed(f, *args))
+    result = cli._verify_one(h, seed=1729, control=False)
+    assert [v for v in result["violations"] if v["type"] == "unimodal"] == expected
+    assert {v["type"] for v in result["violations"]} == {"unimodal", "boundary", "gkm-betti"}
+    rc, out, _ = run(capsys, "verify", "--n", "5")
+    assert rc == 3
+    assert [v for v in json.loads(out)["violations"] if v["type"] == "unimodal"] == expected
+
+
 def test_verify_bounds(capsys):
     # past enumerate_hessenberg's range is a usage error, also with --force
     for n in ("1", "10"):
@@ -218,7 +251,7 @@ def test_verify_bounds(capsys):
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_verify_n9_needs_force(jobs):
-    # n = 9 is in range but above the tableau walk's cost guard: exit 2 with
+    # n = 9 is in range but above the character tables' cost guard: exit 2 with
     # one stderr line naming the flag, also when the guard is raised in a
     # worker process
     proc = subprocess.run(
@@ -696,8 +729,9 @@ def test_cache_warm_analyze_at_another_seed(tmp_path, capsys, monkeypatch):
 
 
 def test_character_paths_reach_no_colorings(monkeypatch):
-    # colorings are the oracle only: tables, the support test and both reports
-    # come from P-tableaux, also for functions whose table is not memoized yet
+    # colorings are an oracle only: tables, the support test and both reports
+    # come from closed forms and the modular law, also for functions whose
+    # table is not memoized yet
     def refuse(*_args, **_kwargs):
         raise AssertionError("the character route must not enumerate colorings")
 

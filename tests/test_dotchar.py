@@ -3,7 +3,7 @@ from math import factorial
 
 import pytest
 
-from oracles import tableau_rows_by_shape
+from oracles import _tableau_table, tableau_rows_by_shape
 
 from hesslab import cli, dotchar
 from hesslab.cli import all_parabolic_subsets
@@ -12,7 +12,6 @@ from hesslab.dotchar import (
     _from_h_coeffs,
     _h_coeffs,
     _reversed,
-    _tableau_table,
     betti_rs,
     chromatic_qsym,
     dot_action_multiplicities,
@@ -21,7 +20,7 @@ from hesslab.dotchar import (
     regular_betti,
 )
 from hesslab.errors import ConsistencyError, CostGuardError
-from hesslab.hessenberg import dimension, enumerate_hessenberg, is_indecomposable
+from hesslab.hessenberg import _functions, dimension, enumerate_hessenberg, is_indecomposable
 from hesslab.partitions import conjugate, dim_irrep, invariant_dim, partitions_of, young_subgroup_blocks
 from hesslab.symfunc import QPoly
 from oracles import incomparability_graph, q_factorial, schur_inner_product
@@ -166,33 +165,17 @@ def walked_rows(h):
     return {lam: walked.get(conjugate(lam), [0] * (l + 1))[: l + 1] for lam in partitions_of(len(h))}
 
 
-@pytest.fixture
-def walks(monkeypatch):
-    """The functions the tableau walk runs on, in order, from a fresh memo."""
-    dotchar._mult_cached.cache_clear()
-    dotchar._h_coeffs.cache_clear()
-    seen = []
-
-    def recording(h):
-        seen.append(h)
-        return _tableau_table(h)
-
-    monkeypatch.setattr(dotchar, "_tableau_table", recording)
-    yield seen
-    dotchar._mult_cached.cache_clear()
-    dotchar._h_coeffs.cache_clear()
+def clear_memos():
+    for memo in (dotchar._mult_cached, dotchar._h_coeffs, dotchar._path_h_coeffs, dotchar._plan):
+        memo.cache_clear()
 
 
-def assert_walked_once_per_reversal_pair(seen):
-    assert len(set(seen)) == len(seen)
-    assert all(is_indecomposable(h) and h <= _reversed(h) for h in seen)
-
-
-def test_assembled_and_copied_tables_match_the_walk(walks):
+def test_assembled_and_copied_tables_match_the_walk():
+    # every table from fresh memos, however made (blocks, closed forms, the
+    # modular law or a reversal), against one walk of its own h
+    clear_memos()
     cases = [h for n in range(2, 8) for h in enumerate_hessenberg(n)] + WALK_N8
     tables = {h: dot_action_multiplicities(h).table for h in cases}
-    assert_walked_once_per_reversal_pair(walks)
-    assert set(walks) < set(cases)
     for h in cases:
         assert tables[h] == walked_rows(h), h
 
@@ -229,13 +212,123 @@ def test_kostka_map_inverts_h_coefficients():
             assert _from_h_coeffs(n, coeffs) == walked_rows(h), h
 
 
-def test_verify_n6_walks_once_per_reversal_pair(walks):
-    # 26 reversal pairs of indecomposable functions at n = 6, and 10, 4, 2,
-    # 1 below it among the blocks; a single element needs no walk
+def test_verify_n6_makes_no_walk(monkeypatch):
+    # no enumeration is left on the character path: the walk is a test
+    # oracle, colorings are refused, and the 40 n = 6 tables that no closed
+    # form gives (with 3 and 12 below them among the blocks) come from the
+    # plan, each made once
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("the character path must not enumerate colorings")
+
+    assert not hasattr(dotchar, "_tableau_table")
+    monkeypatch.setattr(dotchar, "_chromatic_cached", refuse)
+    clear_memos()
     cli.verify_report(6, seed=1729)
-    assert_walked_once_per_reversal_pair(walks)
-    assert len(walks) == 43
-    assert [sum(1 for h in walks if len(h) == n) for n in range(2, 7)] == [1, 2, 4, 10, 26]
+    for n, derived in zip(range(2, 7), [0, 0, 3, 12, 40]):
+        steps, tables = dotchar._plan(n)
+        assert len(steps) == derived and set(tables) == set(steps), n
+
+
+def law_triples(n, *, control=False):
+    """(h0, h1, h2) for every h1 of size n and position i with h1(i-1) <
+    h1(i) < h1(i+1) (h1(0) = 0, h1(n+1) = n+1) and h1(i) < n whose h0 and
+    h2 (h1(i) lowered and raised by 1) are Hessenberg functions, written
+    out from the law's statement; with h1(h1(i)) = h1(h1(i)+1), or, for the
+    control, without it."""
+    out = []
+    for h1 in enumerate_hessenberg(n):
+        padded = (0, *h1, n + 1)
+        for i in range(1, n + 1):
+            a = padded[i]
+            if not (padded[i - 1] < a < padded[i + 1] and a < n):
+                continue
+            h0, h2 = (h1[: i - 1] + (a + d,) + h1[i:] for d in (-1, 1))
+            if not all(h[j - 1] >= j for h in (h0, h2) for j in range(1, n + 1)):
+                continue
+            if (h1[a - 1] == h1[a]) != control:
+                out.append((h0, h1, h2))
+    return out
+
+
+def law_gap(triple):
+    """{lam: q f(h0) + f(h2) - (1+q) f(h1)} over walked tables, zero rows left out."""
+    f0, f1, f2 = map(walked_rows, triple)
+    gaps = {}
+    for lam in f1:
+        gap = [a + b - c - d for a, b, c, d in zip([0] + f0[lam] + [0], f2[lam], f1[lam] + [0], [0] + f1[lam])]
+        if any(gap):
+            gaps[lam] = gap
+    return gaps
+
+
+def test_modular_law_holds_on_walked_tables():
+    # the law the plan uses, on every triple with n <= 7, and the control
+    # without its last condition fails on every triple
+    triples = [t for n in range(2, 8) for t in law_triples(n)]
+    assert len(triples) == 441
+    assert all(law_gap(t) == {} for t in triples)
+    controls = [t for n in range(2, 8) for t in law_triples(n, control=True)]
+    assert len(controls) == 209
+    assert all(law_gap(t) for t in controls)
+    # _modular_triples gives each triple from each of its members
+    for n in range(2, 8):
+        expected = set(law_triples(n))
+        for h in enumerate_hessenberg(n):
+            assert set(dotchar._modular_triples(h)) == {t for t in expected if h in t}, h
+
+
+def test_closed_forms_match_the_walk():
+    # the path by the Shareshian-Wachs recursion for n <= 9, the complete
+    # graph as [n]_q! h_n for n <= 8
+    for n in range(2, 10):
+        path = dotchar._path(n)
+        assert dotchar._from_h_coeffs(n, dotchar._path_h_coeffs(n)) == walked_rows(path), n
+        assert dot_action_multiplicities(path, force=True).table == walked_rows(path), n
+    for n in range(2, 9):
+        assert dot_action_multiplicities((n,) * n).table == walked_rows((n,) * n), n
+
+
+def test_plan_reaches_every_function():
+    for n in range(1, 11):
+        steps, _ = dotchar._plan(n)
+        start = {h for h in _functions(n) if len(_blocks(h)) > 1 or h in ((n,) * n, dotchar._path(n))}
+        assert not start & set(steps) and start | set(steps) == set(_functions(n)), n
+        assert {_reversed(h) for h in start} == start, n
+        for position, (y, (at, members)) in enumerate(steps.items()):
+            assert at == position and (y in members if len(members) == 3 else members == (_reversed(y),)), y
+            assert all(x == y or x in start or steps[x][0] < position for x in members), y
+    with pytest.raises(ConsistencyError, match="reaches no table"):
+        dotchar._derived((2, 3, 3))  # the path: a closed form, not a plan step
+
+
+def test_corrupted_tables_break_the_exact_divisions():
+    # a step that divides by q and one that divides by 1 + q, each from its
+    # correct inputs, then with one entry of one input raised by 1
+    steps, _ = dotchar._plan(6)
+    tables = {h: dot_action_multiplicities(h).table for h in enumerate_hessenberg(6)}
+    for which, raised, degree, message in [(0, 2, 0, "constant term"), (1, 0, 1, "remainder")]:
+        y, members = next((y, m) for y, (_, m) in steps.items() if len(m) == 3 and m.index(y) == which)
+        inputs = [tables[x] for x in members if x != y]
+        assert dotchar._checked(y, dimension(y), dotchar._modular_rows(y, which, *inputs)).table == tables[y]
+        corrupt = {lam: list(row) for lam, row in tables[members[raised]].items()}
+        corrupt[(6,)][degree] += 1
+        inputs = [corrupt if x == members[raised] else tables[x] for x in members if x != y]
+        with pytest.raises(ConsistencyError, match=message):
+            dotchar._modular_rows(y, which, *inputs)
+    # the same through the library, from a corrupt memo entry of a derived h0
+    clear_memos()
+    steps, memo = dotchar._plan(6)
+    y, (x, _, _) = next((y, m) for y, (_, m) in steps.items() if len(m) == 3 and m.index(y) == 1 and m[0] in steps)
+    good = dot_action_multiplicities(x)
+    rows = {lam: list(row) for lam, row in good.table.items()}
+    rows[(6,)][1] += 1
+    memo[x] = dotchar.GradedMultiplicity(n=6, h=x, l=good.l, table=rows)
+    dotchar._mult_cached.cache_clear()
+    try:
+        with pytest.raises(ConsistencyError, match="remainder"):
+            dot_action_multiplicities(y)
+    finally:
+        clear_memos()
 
 
 def test_betti_rows_are_the_kostka_weighted_sums():

@@ -1,6 +1,10 @@
+import itertools
+from math import comb
+
 import pytest
 
 from hesslab.hessenberg import (
+    _functions,
     check_hessenberg,
     dimension,
     enumerate_hessenberg,
@@ -39,6 +43,28 @@ def test_enumeration_reference_list_n3():
         (2, 3, 3),
         (3, 3, 3),
     )
+
+
+def test_enumeration_matches_filtered_product():
+    # the prefix recursion against every tuple with i <= h(i) <= n, filtered
+    # for nondecreasing (and for indecomposable), in the same order
+    for n in range(1, 10):
+        product = [
+            h
+            for h in itertools.product(*(range(i, n + 1) for i in range(1, n + 1)))
+            if all(a <= b for a, b in zip(h, h[1:]))
+        ]
+        assert _functions(n) == tuple(product), n
+        if n >= 2:
+            assert enumerate_hessenberg(n) is _functions(n)
+            indecomposable = tuple(h for h in product if all(h[i - 1] > i for i in range(1, n)))
+            assert enumerate_hessenberg(n, indecomposable_only=True) == indecomposable, n
+    # past the public range: Catalan many, sorted, all Hessenberg functions
+    for n in (10, 11, 12):
+        functions = _functions(n)
+        assert len(functions) == comb(2 * n, n) // (n + 1)
+        assert list(functions) == sorted(set(functions))
+        assert all(check_hessenberg(h) == h for h in functions[:: 997])
 
 
 def test_indecomposable_counts_are_shifted_catalan():
