@@ -17,10 +17,14 @@ handled through flow-up classes: a fixed generic covector orients every edge,
 each vertex gets a Morse index (its down-degree), and its flow-up class is a
 class of that degree supported on it and the vertices above it, normalized to
 the product of its downward weights.  One upward sweep in moment order builds
-every class of one index: at each vertex, one exact RREF (linalg's sparse
-integer kernel) of its local rows, the conditions to its down-neighbours,
-with one right-hand-side column per class started below it, gives each class
-its value there; a class that does not extend raises ConsistencyError.  The
+every class of one index.  Its local rows at a vertex are the conditions to
+the down-neighbours, with one right-hand-side column per class nonzero at
+one of them; their rank is known in advance, so linalg's sparse integer
+kernel reduces them only until it reaches that rank, and the rows it leaves
+unread are checked by substituting the solution.  That gives each class its
+value there; at a vertex that no class reaches (is nonzero at a
+down-neighbour of) every class is 0, with no elimination.  A class that does
+not extend raises ConsistencyError.  The
 local rows and the edge check read one integer table per edge form and
 degree (_divisibility_rows): a coefficient vector is divisible by the form
 exactly when its dot product with every row is 0.  Each table must also
@@ -296,6 +300,11 @@ def flow_up_class(g: GKMGraph, vid: int) -> tuple[int, dict[int, tuple[int, ...]
     product, the norm: it is a multiple of sigma_v.  The same
     combination of the global classes gives the class a value at u.  A class
     that does not extend raises ConsistencyError.
+
+    The same coprimality fixes the rank of each local system in advance: the
+    values at u with m weights down that every homogeneous condition
+    accepts are the multiples of norm(u), norm(u) * P_(k-m) in degree k, so
+    the sweep's elimination stops as soon as its pivots reach that rank.
     """
     return _flow_up_classes(g, g.index[vid])[vid]
 
@@ -324,51 +333,77 @@ def _flow_up_classes(g: GKMGraph, k: int) -> dict[int, tuple[int, dict[int, tupl
     a value f(u) = f(w) mod the weight of the edge to each down-neighbour w,
     whose value is known: u's local rows are the divisibility rows of its
     edges down (_divisibility_rows), in the D coefficients of f(u), with one
-    right-hand-side column per class started below u.  One integer RREF
-    serves every class, with free variables 0; a pivot in a class's column
-    means that class does not extend to u.  Each table is checked
-    (_check_flow_up) before it is returned.
+    right-hand-side column per class nonzero at a down-neighbour of u; a
+    vertex with no such class needs no elimination, and every class is 0
+    there.  One integer RREF serves every class, with free variables 0; a
+    pivot in a class's column means that class does not extend to u.  The
+    homogeneous rows have rank D - dim P_(k-m) for m edges down (D when
+    k < m; flow_up_class says why), so the kernel reads the rows, shortest
+    first, only until its pivots left of column D reach it.  A consistent
+    set of rows of full rank has the RREF of all of them, so each unread row
+    is checked by substituting the solution, in integers, and one that fails
+    means the class does not extend.  Each table is checked (_check_flow_up)
+    before it is returned.
     """
     low = next((p for p, u in enumerate(g.order) if g.index[u] == k), len(g.order))
     D = len(monomials(g.nvars, k))
     started = []  # [vertex, den, {vertex: integer vector over den}], in moment order
+    present: dict[int, list[int]] = {}  # vertex: the started classes nonzero there
     for u in g.order[low:]:
-        rows = [  # (down-neighbour, {unknown: coefficient})
-            (w, row)
-            for w, (a, b) in g.down[u]
-            for row in _divisibility_rows(g.n, (min(a, b), max(a, b)), k).values()
-        ]
-        if started:
+        at = sorted({c for w, _ in g.down[u] for c in present.get(w, ())})
+        if at or g.index[u] == k:
+            rows = [  # (down-neighbour, {unknown: coefficient})
+                (w, row)
+                for w, (a, b) in g.down[u]
+                for row in _divisibility_rows(g.n, (min(a, b), max(a, b)), k).values()
+            ]
+        if at:
+            # one right-hand-side column per class nonzero at a down-neighbour
+            column = {c: D + i for i, c in enumerate(at)}
             system = []
             for w, row in rows:
                 aug = dict(row)
-                for c, (_, _, values) in enumerate(started):
-                    if w in values and (y := sum(x * values[w][mi] for mi, x in row.items())):
-                        aug[D + c] = y
+                for c in present.get(w, ()):
+                    value = started[c][2][w]
+                    if y := sum(x * value[mi] for mi, x in row.items()):
+                        aug[column[c]] = y
                 system.append(aug)
             # Shortest rows first: they become sparse pivot rows, which keeps
-            # the fill small.  The RREF is unchanged.
+            # the fill small.  The kernel stops reading them at the rank of
+            # their homogeneous part; if the unread rows hold, checked below,
+            # its RREF is that of all of them.
             system.sort(key=len)
-            pivots, red = _integer_rref(system)
+            m = len(g.down[u])
+            rank = D - len(monomials(g.nvars, k - m)) if k >= m else D
+            unread = iter(system)
+            pivots, red = _integer_rref(unread, (D, rank))
+            unread = list(unread)
             if pivots and pivots[-1] >= D:
-                vid = started[next(p for p in pivots if p >= D) - D][0]
+                vid = started[at[next(p for p in pivots if p >= D) - D]][0]
                 raise ConsistencyError(f"no flow-up class at vertex {g.vertices[vid]} for h={g.h}")
-            for c, entry in enumerate(started):
+            for c, col in column.items():
+                entry = started[c]
                 # f(u) is the class's column over the pivots: scale the class to integers
-                solution = {p: red[p][D + c] for p in pivots if D + c in red[p]}
+                solution = {p: red[p][col] for p in pivots if col in red[p]}
                 scale = lcm(*(red[p][p] // gcd(x, red[p][p]) for p, x in solution.items()))
                 if scale > 1:
                     entry[1] *= scale
                     entry[2] = {w: tuple(scale * y for y in vec) for w, vec in entry[2].items()}
+                vec = [0] * (D + len(at))
+                for p, x in solution.items():
+                    vec[p] = x * scale // red[p][p]
+                # every unread row must hold: row . f(u) = y, both times scale
+                vec[col] = -scale
+                if any(sum(x * vec[i] for i, x in aug.items()) for aug in unread):
+                    raise ConsistencyError(f"no flow-up class at vertex {g.vertices[entry[0]]} for h={g.h}")
                 if solution:
-                    vec = [0] * D
-                    for p, x in solution.items():
-                        vec[p] = x * scale // red[p][p]
-                    entry[2][u] = tuple(vec)
+                    entry[2][u] = tuple(vec[:D])
+                    present.setdefault(u, []).append(c)
         if g.index[u] == k:
             norm = _norm(g, u)
             if any(sum(x * norm[mi] for mi, x in row.items()) for _, row in rows):
                 raise ConsistencyError(f"no flow-up class at vertex {g.vertices[u]} for h={g.h}")
+            present.setdefault(u, []).append(len(started))
             started.append([u, 1, {u: norm}])
 
     classes = {}

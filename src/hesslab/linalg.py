@@ -4,8 +4,9 @@ Elimination has one kernel, `_integer_echelon`, and it runs on Python
 integers.  Rows are sparse {column: value} dicts (dense sequences are
 accepted and read as their nonzero entries) of int or Fraction entries.  Each
 incoming row is scaled to a primitive integer row: times the lcm of its
-denominators, then divided by the gcd of its entries.  It is reduced on its
-leading column against the pivot rows found so far, fraction-free: with
+denominators (a row of ints has none), then divided by the gcd of its
+entries.  It is reduced on its leading column against the pivot rows found
+so far, fraction-free: with
 a = r[lead], p = prow[lead] and g = gcd(a, p), r <- (p/g) r - (a/g) prow, and
 the gcd of the result is divided out, which keeps the integers from growing
 (Bareiss, Math. Comp. 22, 1968, divides by the previous pivot instead).  When
@@ -18,10 +19,14 @@ by the pivot, done only where rows or values leave the module, gives the same
 rows with the same Fraction entries.  `rank_exact` and `_integer_nullspace`
 run on this kernel.  The RREF is unique, so with free variables set to 0 their
 answers are the ones dense Gauss-Jordan gives.  The moment graph hands
-`_integer_rref` one local flow-up system per vertex and Morse index, the
-integer divisibility rows of its edges down with one right-hand-side column
-per class, so no Fraction enters those eliminations; with free variables 0,
-each class's value at the vertex is its column over the pivots.  It checks
+`_integer_rref` one local flow-up system per vertex and Morse index that a
+class reaches, the integer divisibility rows of its edges down with one
+right-hand-side column per class, so no Fraction enters those
+eliminations; with free variables 0, each class's value at the vertex is
+its column over the pivots.  The rank of such a system's left part is known
+in advance, so the rows come as an iterator with a stop (width, rank): the
+kernel stops reading at the row that makes the rank-th pivot left of column
+width, and the caller checks the rows left in the iterator.  It checks
 its square intersection and Lefschetz tables nonsingular by the length of
 `_integer_echelon` alone.
 
@@ -48,10 +53,12 @@ def _entries(row):
 def _primitive(row) -> dict[int, int]:
     """A dict or dense row of int or Fraction entries as a fresh primitive
     integer {column: value} dict: its nonzero entries times the lcm of their
-    denominators, divided by the gcd of the products."""
-    nonzero = [(c, v) for c, v in _entries(row) if v]
-    d = lcm(*(v.denominator for _, v in nonzero))
-    r = {c: v.numerator * (d // v.denominator) for c, v in nonzero}
+    denominators, divided by the gcd of the products.  A row of ints alone
+    needs no denominators."""
+    r = {c: v for c, v in _entries(row) if v}
+    if not all(type(v) is int for v in r.values()):
+        d = lcm(*(v.denominator for v in r.values()))
+        r = {c: v.numerator * (d // v.denominator) for c, v in r.items()}
     _divide_content(r)
     return r
 
@@ -88,9 +95,14 @@ def _eliminate(r: dict[int, int], col: int, prow: dict[int, int]) -> None:
     _divide_content(r)
 
 
-def _integer_echelon(rows) -> dict[int, dict[int, int]]:
+def _integer_echelon(rows, stop=None) -> dict[int, dict[int, int]]:
     """Echelon form as {pivot column: primitive integer row}; each row is 0
-    left of its pivot column.  The input rows are not modified."""
+    left of its pivot column.  The input rows are not modified.
+
+    With stop = (width, rank), rank >= 1, reading ends at the row that makes
+    the rank-th pivot left of column width; rows may be an iterator, and the
+    rows it still holds are unread."""
+    width, rank = stop or (0, 0)
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
         r = _primitive(row)
@@ -99,15 +111,20 @@ def _integer_echelon(rows) -> dict[int, dict[int, int]]:
             prow = pivots.get(lead)
             if prow is None:
                 pivots[lead] = r
+                if lead < width:
+                    rank -= 1
+                    if not rank:
+                        return pivots
                 break
             _eliminate(r, lead, prow)
     return pivots
 
 
-def _integer_rref(rows):
+def _integer_rref(rows, stop=None):
     """(pivot_columns ascending, {pivot column: integer row}): every row is 0
-    at the other pivot columns, so divided by its pivot it is an RREF row."""
-    ech = _integer_echelon(rows)
+    at the other pivot columns, so divided by its pivot it is an RREF row.
+    stop is `_integer_echelon`'s: the RREF is then that of the rows read."""
+    ech = _integer_echelon(rows, stop)
     pivots = sorted(ech)
     # Right to left: the pivot rows right of col are already reduced, so
     # eliminating them clears every other pivot column in one pass.

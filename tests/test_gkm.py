@@ -662,7 +662,7 @@ def test_kahler_payloads_solve_for_no_flow_up_coordinates(monkeypatch):
     for k in range(g.l + 1):
         gkm._ordinary_tables(g, k)
 
-    def refuse(rows):
+    def refuse(rows, stop=None):
         raise AssertionError("a linear system was solved after the flow-up tables")
 
     monkeypatch.setattr(gkm, "_integer_rref", refuse)

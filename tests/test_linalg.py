@@ -20,6 +20,7 @@ it replaced; `det_exact` against the Leibniz expansion.
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -27,7 +28,7 @@ import pytest
 from hesslab import gkm
 from hesslab.errors import ConsistencyError
 from hesslab.gkm import build_gkm, flow_up_class, monomials
-from hesslab.hessenberg import enumerate_hessenberg
+from hesslab.hessenberg import dimension, enumerate_hessenberg
 from hesslab.linalg import _integer_inertia, _integer_nullspace, _integer_rref, det_exact, rank_exact
 import oracles
 from oracles import echelon, fraction_inertia, inertia, norm_poly, nullspace, row_reduce, solve_particular
@@ -286,13 +287,22 @@ def test_integer_nullspace_is_the_basis_over_one_denominator(name):
 
 
 def flowup_eliminations(h, monkeypatch):
-    """The graph of h and every (rows, pivots, reduced rows) that the flow-up
-    classes of all its vertices hand the kernel."""
+    """The graph of h and, for every local elimination that the flow-up
+    classes of all its vertices hand the kernel, (k, u, stop, rows, read,
+    pivots, reduced rows): the index and vertex the sweep solves at, the
+    stop, all the system's rows, how many of them the kernel read, and its
+    answer.  The recorder reads every row, so the sweep's own check of the
+    unread rows sees none; the tests check them instead."""
     seen = []
 
-    def record(rows):
-        pivots, red = _integer_rref(rows)
-        seen.append(([dict(r) for r in rows], pivots, {c: dict(r) for c, r in red.items()}))
+    def record(rows, stop):
+        sweep = sweep_locals()
+        rows = list(rows)
+        unread = iter(rows)
+        pivots, red = _integer_rref(unread, stop)
+        read = len(rows) - len(list(unread))
+        red_rows = {c: dict(r) for c, r in red.items()}
+        seen.append((sweep["k"], sweep["u"], stop, [dict(r) for r in rows], read, pivots, red_rows))
         return pivots, red
 
     g = build_gkm(h)
@@ -301,6 +311,40 @@ def flowup_eliminations(h, monkeypatch):
         for vid in range(len(g.vertices)):
             flow_up_class(g, vid)
     return g, seen
+
+
+def sweep_locals():
+    """The local variables of the running flow-up sweep (gkm._flow_up_classes)
+    that called the caller of this function."""
+    frame = sys._getframe(2)
+    while frame.f_code.co_name != "_flow_up_classes":
+        frame = frame.f_back
+    return frame.f_locals
+
+
+def known_rank(g, k, u):
+    """D - dim P_(k-m), or D when k < m, for m edges down from u: the rank of
+    u's homogeneous rows of degree k, whose solutions are norm(u) * P_(k-m)."""
+    D = len(monomials(g.nvars, k))
+    m = len(g.down[u])
+    return D - len(monomials(g.nvars, k - m)) if k >= m else D
+
+
+def dense_rank(rows) -> int:
+    """Rank of dense integer rows by fraction-free elimination."""
+    m = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        p = m[rank][col]
+        for i in range(rank + 1, len(m)):
+            if a := m[i][col]:
+                m[i] = [p * x - a * y for x, y in zip(m[i], m[rank])]
+        rank += 1
+    return rank
 
 
 def vertex_system(g, vid):
@@ -325,16 +369,23 @@ def vertex_system(g, vid):
     return rows, rhs, b
 
 
-def sweep_vertices(g):
-    """(k, u, started) for every local system of the flow-up sweep, in the
+def reached_vertices(g):
+    """(k, u, classes) for every local system of the flow-up sweep, in the
     order flowup_eliminations meets them: the indices in the order of their
-    first vertex, and for each the vertices u strictly above its lowest
-    vertex, with the number of classes started below u."""
+    first vertex, and for each the vertices u above its lowest vertex that a
+    class reaches, with the vertices of the classes started below u that are
+    nonzero at a down-neighbour of u, in moment order.  The supports come
+    from the oracle's global prefix elimination."""
     out = []
     for k in dict.fromkeys(g.index):
+        tables = oracles.prefix_flow_up_classes(g, k)
         low = g.order.index(next(u for u in g.order if g.index[u] == k))
         for p in range(low + 1, len(g.order)):
-            out.append((k, g.order[p], sum(1 for w in g.order[:p] if g.index[w] == k)))
+            u = g.order[p]
+            below = {w for w, _ in g.down[u]}
+            classes = [v for v in g.order[:p] if v in tables and below & set(tables[v][1])]
+            if classes:
+                out.append((k, u, classes))
     return out
 
 
@@ -365,22 +416,30 @@ def signed(row):
     "h", [*enumerate_hessenberg(2), *enumerate_hessenberg(3), (2, 3, 4, 4)], ids=str
 )
 def test_flowup_systems_match_dense(h, monkeypatch):
-    # one local elimination per vertex strictly above the lowest vertex of
-    # each index: its rows are the vertex's edge rows to the vertices below
-    # it, with one right-hand-side column per class started below it, and its
-    # RREF is the dense Fraction RREF of its rows
+    # one local elimination per vertex above the lowest vertex of each index
+    # that a class started below it reaches (is nonzero at a down-neighbour
+    # of): its rows are all the vertex's edge rows to the vertices below it,
+    # with one right-hand-side column per class that reaches it.  The kernel
+    # stops reading them at the rank of their homogeneous part, yet its RREF
+    # is the dense Fraction RREF of all of them, and the unread rows hold
+    # for its solution with free variables 0
     g, systems = flowup_eliminations(h, monkeypatch)
-    expected = sweep_vertices(g)
-    assert len(systems) == len(expected)
-    for (k, u, started), (rows, pivots, red) in zip(expected, systems):
+    expected = reached_vertices(g)
+    assert [system[:2] for system in systems] == [(k, u) for k, u, _ in expected]
+    for (k, u, classes), (_, _, stop, rows, read, pivots, red) in zip(expected, systems):
         assert all(isinstance(r, dict) for r in rows)
         D = len(monomials(g.nvars, k))
-        ncols = D + started
+        ncols = D + len(classes)
+        assert stop == (D, known_rank(g, k, u))
         assert all(c < ncols for r in rows for c in r)
         assert sorted(signed({c: x for c, x in r.items() if c < D}) for r in rows) == down_edge_rows(g, k, u)
         want_piv, want_red = dense_row_reduce([dense(r, ncols) for r in rows], ncols)
         assert pivots == want_piv
         assert [[Fraction(x, red[p][p]) for x in dense(red[p], ncols)] for p in pivots] == want_red
+        for j in range(len(classes)):
+            x = [Fraction(red[p].get(D + j, 0), red[p][p]) if p in red else 0 for p in range(D)]
+            for r in rows[read:]:
+                assert sum(v * x[c] for c, v in r.items() if c < D) == r.get(D + j, 0)
     # and every class built from them is the dense solution of its own vertex's
     # system with free variables 0
     for vid in range(len(g.vertices)):
@@ -413,6 +472,81 @@ def test_flowup_consistency_row_refuses_a_corrupted_norm(monkeypatch):
         flow_up_class(g, vid)
     monkeypatch.undo()
     assert oracles.flow_up_class(build_gkm((2, 3, 3)), vid).values[vid] == norm_poly(g, vid)
+
+
+@pytest.mark.parametrize(
+    "h", [h for n in range(2, 5) for h in enumerate_hessenberg(n) if dimension(h)] + [(2, 3, 4, 5, 5)], ids=str
+)
+def test_flowup_elimination_stops_at_the_rank_of_the_norm_multiples(h, monkeypatch):
+    # the down-weights at u are pairwise coprime, so the homogeneous
+    # solutions there are norm(u) * P_(k-m): each local elimination stops
+    # with exactly D - dim P_(k-m) pivots left of column D (D when k < m),
+    # the dense rank of all its homogeneous rows, and its last row read is
+    # the one that reaches it
+    g, systems = flowup_eliminations(h, monkeypatch)
+    for k, u, stop, rows, read, pivots, _ in systems:
+        D, rank = stop
+        assert D == len(monomials(g.nvars, k)) and rank == known_rank(g, k, u)
+        assert sum(1 for p in pivots if p < D) == rank
+        homogeneous = [dense({c: x for c, x in r.items() if c < D}, D) for r in rows]
+        assert dense_rank(homogeneous) == rank
+        assert dense_rank(homogeneous[: read - 1]) == rank - 1
+
+
+def test_flowup_sweep_refuses_a_class_corrupted_past_the_stop(monkeypatch):
+    # (3,3,3), index 1: the class of w = (1,3,2) is corrupted at w by the
+    # monomial t_2 after w is solved, just before the vertex u = (3,1,2),
+    # its first neighbour above, builds its rows.  t_2 is its own remainder
+    # modulo the form of the edge u-w, so only that edge's row of t_2 sees
+    # the corruption, and the kernel stops before reading it: the rows it
+    # reads are consistent.  The sweep must refuse the class by substituting
+    # its solution into the unread rows; without that check the corruption
+    # would surface only as a failed edge check of the finished table
+    g = build_gkm((3, 3, 3))
+    u, w = g.vindex[(3, 1, 2)], g.vindex[(1, 3, 2)]
+    t2 = monomials(g.nvars, 1).index((0, 1))
+    rows_of, rref = gkm._divisibility_rows, gkm._integer_rref
+    answers = []
+
+    def corrupting_rows(n, pair, k):
+        sweep = sweep_locals()
+        if sweep["u"] == u and not answers:
+            started = sweep["started"]
+            c = next(c for c, entry in enumerate(started) if entry[0] == w)
+            vec = list(started[c][2][w])
+            vec[t2] += 1
+            started[c][2][w] = tuple(vec)
+            answers.append(None)
+        return rows_of(n, pair, k)
+
+    def answer(rows, stop):
+        pivots, red = rref(rows, stop)
+        if answers == [None]:
+            answers[0] = pivots
+        return pivots, red
+
+    monkeypatch.setattr(gkm, "_divisibility_rows", corrupting_rows)
+    monkeypatch.setattr(gkm, "_integer_rref", answer)
+    with pytest.raises(ConsistencyError, match=r"no flow-up class at vertex \(1, 3, 2\)"):
+        gkm._flow_up_classes(g, 1)
+    assert answers[0] and all(p < len(monomials(g.nvars, 1)) for p in answers[0])
+
+
+def test_flowup_sweep_skips_the_vertices_no_class_reaches(monkeypatch):
+    # a vertex where every class started below it is 0 at every down-neighbour
+    # calls no elimination, and every class is 0 there
+    g, systems = flowup_eliminations((2, 3, 4, 4), monkeypatch)
+    reached = {system[:2] for system in systems}
+    assert reached == {(k, u) for k, u, _ in reached_vertices(g)}
+    skipped = 0
+    for k in range(g.l + 1):
+        tables = gkm._flow_up_classes(g, k)
+        low = g.order.index(min(tables, key=g.order.index))
+        for u in g.order[low + 1 :]:
+            if (k, u) not in reached:
+                skipped += 1
+                assert all(u not in support or g.index[u] == k and vid == u for vid, (_, support) in tables.items())
+    assert skipped == 9
 
 
 def leibniz_det(A):
