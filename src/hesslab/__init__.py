@@ -48,7 +48,7 @@ from .partitions import (
 from .springer import generic_jordan_type, support_violations
 from .symfunc import QPoly, QSymPoly
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 __all__ = [
     "GradedMultiplicity",

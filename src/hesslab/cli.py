@@ -5,7 +5,7 @@ Kahler-package checks on the moment-graph model.
 Reports are canonical JSON (sorted keys, compact separators, trailing
 newline) so a fixed seed and version produce identical bytes; CSV and a
 human table mode render the same data.  Exit codes: 0 success, 1 any other
-hesslab error, 2 usage error or cost guard, 3 any theorem violation.
+hesslab error, 2 usage error, 3 any theorem violation.
 
 The commands test no theorem themselves: the support criterion and its
 convention live in springer.support_check, which analyze and verify both
@@ -29,9 +29,8 @@ import os
 import sys
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 
 from . import __version__
 from .dotchar import (  # regular_betti stays importable from here: hessbench's analyze trace wraps cli.regular_betti
@@ -40,7 +39,7 @@ from .dotchar import (  # regular_betti stays importable from here: hessbench's 
     multiplicities_json,
     regular_betti,
 )
-from .errors import ConsistencyError, CostGuardError, HesslabError, TheoremViolation
+from .errors import ConsistencyError, HesslabError, TheoremViolation
 from .gkm import DEFAULT_SEED, GRAPH_MAX_N, build_gkm, kahler_report, morse_betti, poincare_pairing
 from .hessenberg import MAX_FUNCTIONS_N, enumerate_hessenberg, hessenberg_str, is_indecomposable, parse_hessenberg
 from .linalg import det_exact
@@ -202,7 +201,7 @@ def _morse_check(h, seed: int, character: list[int]) -> tuple[list[int] | None, 
     return morse, [{"type": "gkm-betti", "h": hessenberg_str(h), "morse": morse, "character": character}]
 
 
-def analyze_report(h, *, seed: int, J=None, cache_dir=None, force: bool = False) -> dict:
+def analyze_report(h, *, seed: int, J=None, cache_dir=None) -> dict:
     """Assemble the full analysis of one Hessenberg function.
 
     The violations list collects every irreducible that appears with nonzero
@@ -216,7 +215,7 @@ def analyze_report(h, *, seed: int, J=None, cache_dir=None, force: bool = False)
     key = _key("dotchar", h)
     doc = cache_fetch(cache_dir, key)
     if doc is None:
-        gm = dot_action_multiplicities(h, force)
+        gm = dot_action_multiplicities(h)
         cache_store(cache_dir, key, multiplicities_json(gm))
     else:
         gm = multiplicities_from_json(doc)  # checked like a computed table
@@ -265,9 +264,9 @@ def analyze_report(h, *, seed: int, J=None, cache_dir=None, force: bool = False)
 
 # --- verify -----------------------------------------------------------------
 
-def _verify_one(h, *, seed: int, control: bool, force: bool = False) -> dict:
-    """Per-function worker for the sweep; must stay picklable for --jobs."""
-    gm = dot_action_multiplicities(h, force)
+def _verify_one(h, *, seed: int, control: bool) -> dict:
+    """The checks of the sweep on one function, and their violation entries."""
+    gm = dot_action_multiplicities(h)
     violations = [
         {
             "type": "support",
@@ -289,24 +288,11 @@ def _verify_one(h, *, seed: int, control: bool, force: bool = False) -> dict:
     return {"h": hessenberg_str(h), "violations": violations, "gkm_checked": morse is not None}
 
 
-def verify_report(
-    n: int,
-    *,
-    seed: int,
-    indecomposable_only: bool = False,
-    jobs: int = 1,
-    control: bool = False,
-    force: bool = False,
-) -> dict:
+def verify_report(n: int, *, seed: int, indecomposable_only: bool = False, control: bool = False) -> dict:
     functions = enumerate_hessenberg(n, indecomposable_only)
-    worker = partial(_verify_one, seed=seed, control=control, force=force)
-    jobs = min(jobs, os.cpu_count() or 1, len(functions))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(worker, functions))
-    else:
-        results = [worker(h) for h in functions]
-    # deterministic fold: enumerate_hessenberg is lex-sorted and map preserves order
+    # in enumerate_hessenberg's lex order; _verify_one is read from the module
+    # on each call, since hessbench's paced verify patches it there
+    results = [_verify_one(h, seed=seed, control=control) for h in functions]
     violations = [v for res in results for v in res["violations"]]
     report = {
         "command": "verify",
@@ -489,14 +475,11 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p_ve = sub.add_parser("verify", parents=[common], help="sweep all Hessenberg functions of size n")
     p_ve.add_argument("--n", required=True, type=int)
     p_ve.add_argument("--indecomposable", action="store_true")
-    p_ve.add_argument("--jobs", type=int, default=1)
     p_ve.add_argument(
         "--convention-control",
         action="store_true",
         help="drop the conjugation in the support criterion; must report a violation",
     )
-    for p in (p_an, p_ve):
-        p.add_argument("--force", action="store_true", help="override cost guards")
 
     p_ka = sub.add_parser("kahler", parents=[common], help="duality / Lefschetz / signed-form checks")
     p_ka.add_argument("--h", required=True, type=_parse_h, metavar="H", dest="h")
@@ -516,7 +499,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "analyze":
             if len(args.h) > MAX_ENUMERATION_N:
-                usage_error(f"analyze supports n <= {MAX_ENUMERATION_N}, also with --force (got n = {len(args.h)})")
+                usage_error(f"analyze supports n <= {MAX_ENUMERATION_N} (got n = {len(args.h)})")
             if args.J is not None and any(j > len(args.h) - 1 for j in args.J):
                 usage_error(f"J entries must be <= n-1 = {len(args.h) - 1}")
             report = analyze_report(
@@ -524,19 +507,16 @@ def main(argv=None) -> int:
                 seed=args.seed,
                 J=args.J,
                 cache_dir=args.cache_dir or os.environ.get(CACHE_ENV),
-                force=args.force,
             )
             failed = bool(report["violations"])
         elif args.command == "verify":
             if not 2 <= args.n <= MAX_FUNCTIONS_N:
-                usage_error(f"need 2 <= n <= {MAX_FUNCTIONS_N}, also with --force (got n = {args.n})")
+                usage_error(f"need 2 <= n <= {MAX_FUNCTIONS_N} (got n = {args.n})")
             report = verify_report(
                 args.n,
                 seed=args.seed,
                 indecomposable_only=args.indecomposable,
-                jobs=max(1, args.jobs),
                 control=args.convention_control,
-                force=args.force,
             )
             if args.convention_control:
                 failed = not report["control_expected_violation_found"]
@@ -561,9 +541,6 @@ def main(argv=None) -> int:
         witness = {"error": "theorem-violation", "detail": str(exc), "witness": exc.witness}
         sys.stdout.write(canonical_json(witness))
         return 3
-    except CostGuardError as exc:
-        print(f"hesslab: {exc} (the --force flag lifts this guard)", file=sys.stderr)
-        return 2
     except (HesslabError, OSError) as exc:
         # OSError: the report or a cache entry could not be written
         print(f"hesslab: {exc}", file=sys.stderr)

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from math import comb, factorial
+from math import factorial
 
 from .errors import ConsistencyError, CostGuardError
 from .hessenberg import _functions, check_hessenberg, dimension
@@ -59,7 +59,7 @@ from .partitions import (
 )
 from .symfunc import QPoly, QSymPoly
 
-CHARACTER_GUARD_N = 8  # the n above which the tables (a plan over Catalan(n) functions) and the coloring oracle need force=True
+CHARACTER_GUARD_N = 8  # the n above which the coloring oracle chromatic_qsym needs force=True
 
 
 def chromatic_qsym(h, force: bool = False) -> QSymPoly:
@@ -215,7 +215,7 @@ def _content(J: tuple, n: int) -> tuple[int, ...]:
     return young_subgroup_content(J, n)
 
 
-def dot_action_multiplicities(h, force: bool = False) -> GradedMultiplicity:
+def dot_action_multiplicities(h) -> GradedMultiplicity:
     """Graded irreducible multiplicities, the Schur coefficients of omega X_G(q).
 
     mult[lam][k] is the multiplicity of the irreducible lam in degree 2k.
@@ -228,14 +228,7 @@ def dot_action_multiplicities(h, force: bool = False) -> GradedMultiplicity:
     irreducible dimensions summing to n! (_checked, which also checks every
     table read from a cache); anything else raises instead of returning.
     """
-    h = check_hessenberg(h)
-    n = len(h)
-    if n > CHARACTER_GUARD_N and not force:
-        raise CostGuardError(
-            f"n = {n} may build the modular-law plan over all {comb(2 * n, n) // (n + 1)} "
-            "Hessenberg functions of that size; pass force=True to proceed"
-        )
-    return _mult_cached(h)
+    return _mult_cached(check_hessenberg(h))
 
 
 @cache

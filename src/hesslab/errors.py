@@ -6,7 +6,9 @@ class HesslabError(Exception):
 
 
 class CostGuardError(HesslabError):
-    """Input is legal but beyond the default cost envelope; pass force=True to override."""
+    """Input is legal but beyond an oracle's cost envelope.  In the package
+    only the coloring oracle dotchar.chromatic_qsym raises it, for n above
+    CHARACTER_GUARD_N without force=True: it enumerates up to n^n colorings."""
 
 
 class ConsistencyError(HesslabError):

@@ -109,10 +109,7 @@ def test_analyze_usage_errors(capsys, bad):
 def test_analyze_n10_two_digit_parts(capsys):
     # the Peterson function (2, ..., 10, 10): every J row palindromic, and
     # the J = {1..9} row is prod_j [h(j)-j+1]_q = (1+q)^9
-    h = "2,3,4,5,6,7,8,9,10,10"
-    rc, out, err = run(capsys, "analyze", "--h", h)  # above the cost guard, --force is needed
-    assert rc == 2 and out == "" and "force" in err
-    report = run_json(capsys, "analyze", "--h", h, "--force")
+    report = run_json(capsys, "analyze", "--h", "2,3,4,5,6,7,8,9,10,10")
     assert report["violations"] == []
     assert len(report["mult"]) == len(partitions_of(10)) and "10" in report["mult"]
     assert len(report["regular"]) == 2 ** 9
@@ -121,11 +118,9 @@ def test_analyze_n10_two_digit_parts(capsys):
 
 
 def test_analyze_enumeration_ceiling():
-    # n = 13 is past partitions_of: a usage error naming the limit, also with --force
+    # n = 13 is past partitions_of: a usage error naming the limit
     h = "2,3,4,5,6,7,8,9,10,11,12,13,13"
-    proc = subprocess.run(
-        [sys.executable, "-m", "hesslab", "analyze", "--h", h, "--force"], capture_output=True, text=True
-    )
+    proc = subprocess.run([sys.executable, "-m", "hesslab", "analyze", "--h", h], capture_output=True, text=True)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr and f"n <= {MAX_ENUMERATION_N}" in proc.stderr
     assert MAX_ENUMERATION_N == 12
@@ -240,59 +235,12 @@ def test_unimodal_violations_entry_by_entry(monkeypatch, capsys):
 
 
 def test_verify_bounds(capsys):
-    # past enumerate_hessenberg's range is a usage error, also with --force
+    # past enumerate_hessenberg's range is a usage error
     for n in ("1", "10"):
-        for force in ([], ["--force"]):
-            with pytest.raises(SystemExit) as exc:
-                main(["verify", "--n", n, *force])
-            assert exc.value.code == 2
-            assert "n <= 9, also with --force" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_verify_n9_needs_force(jobs):
-    # n = 9 is in range but above the character tables' cost guard: exit 2 with
-    # one stderr line naming the flag, also when the guard is raised in a
-    # worker process
-    proc = subprocess.run(
-        [sys.executable, "-m", "hesslab", "verify", "--n", "9", "--jobs", jobs], capture_output=True, text=True
-    )
-    assert proc.returncode == 2 and proc.stdout == ""
-    assert "Traceback" not in proc.stderr and "--force" in proc.stderr
-    assert proc.stderr.count("\n") == 1
-
-
-def test_verify_jobs_deterministic(capsys):
-    rc1, out1, _ = run(capsys, "verify", "--n", "4")
-    rc2, out2, _ = run(capsys, "verify", "--n", "4", "--jobs", "3")
-    assert (rc1, out1) == (rc2, out2)
-
-
-def test_verify_jobs_clamped(capsys, monkeypatch):
-    # the clamp is checked on a fake pool that records its size and spawns nothing
-    sizes = []
-
-    class FakePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
-    _, serial, _ = run(capsys, "verify", "--n", "3")
-    # verify --n 3 sweeps 5 functions
-    for cpus, jobs, expected in ((4, "2", [2]), (3, "64", [3]), (64, "64", [5]), (1, "64", []), (None, "64", [])):
-        sizes.clear()
-        monkeypatch.setattr(cli.os, "cpu_count", lambda cpus=cpus: cpus)
-        rc, out, _ = run(capsys, "verify", "--n", "3", "--jobs", jobs)
-        assert (rc, out, sizes) == (0, serial, expected), (cpus, jobs)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--n", n])
+        assert exc.value.code == 2
+        assert "n <= 9 (got" in capsys.readouterr().err
 
 
 def unconjugated(n):
@@ -461,8 +409,11 @@ def test_kahler_usage_errors(capsys):
         ["analyze", "--h", "2,3,3", "--gkm"],  # removed options are unknown arguments
         ["verify", "--n", "3", "--gkm-max-n", "3"],
         ["kahler", "--h", "2,3,4,4", "--cache-dir", "D"],  # only analyze reads the cache
-        ["kahler", "--h", "2,3,3", "--force"],  # kahler has no cost guard
+        ["kahler", "--h", "2,3,3", "--force"],
         ["verify", "--n", "3", "--cache-dir", "D"],
+        ["verify", "--n", "3", "--jobs", "2"],
+        ["verify", "--n", "3", "--force"],
+        ["analyze", "--h", "2,3,3", "--force"],
     ],
     ids=[
         "kahler-J",
@@ -475,6 +426,9 @@ def test_kahler_usage_errors(capsys):
         "kahler-cache-dir",
         "kahler-force",
         "verify-cache-dir",
+        "verify-jobs",
+        "verify-force",
+        "analyze-force",
     ],
 )
 def test_usage_errors_name_the_subcommand(capsys, argv):
@@ -751,7 +705,7 @@ def test_verify_n7_clean(capsys):
     assert report["violations"] == []
 
 
-def test_analyze_force_n9_from_cache(tmp_path, capsys):
+def test_analyze_n9_from_cache(tmp_path, capsys):
     # the flag variety: only the trivial isotype, in every degree of [9]_q!
     h = (9,) * 9
     factorial_row = q_factorial(9).coefficient_list(36)
@@ -759,7 +713,7 @@ def test_analyze_force_n9_from_cache(tmp_path, capsys):
     table[(9,)] = factorial_row
     payload = multiplicities_json(GradedMultiplicity(n=9, h=h, l=36, table=table))
     cli.cache_store(str(tmp_path), cli._key("dotchar", h), payload)
-    report = run_json(capsys, "analyze", "--h", ",".join(["9"] * 9), "--force", "--cache-dir", str(tmp_path))
+    report = run_json(capsys, "analyze", "--h", ",".join(["9"] * 9), "--cache-dir", str(tmp_path))
     assert report["violations"] == []
     assert len(report["regular"]) == 2 ** 8
     assert all(entry["betti"] == factorial_row for entry in report["regular"].values())
@@ -828,6 +782,14 @@ def test_import_loads_only_the_standard_library():
     loaded = json.loads(proc.stdout)
     assert "hesslab" in loaded
     assert [m for m in loaded if m != "hesslab" and m not in sys.stdlib_module_names] == []
+
+
+def test_cli_import_starts_no_process_machinery():
+    # the sweep is serial: importing the command surface loads no process pool
+    code = "import sys; import hesslab.cli; print(sorted({m.split('.')[0] for m in sys.modules} & {'concurrent', 'multiprocessing'}))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 PUBLIC_NAMES = [
