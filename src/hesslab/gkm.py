@@ -49,13 +49,17 @@ transpose of (b, a).  A localization sum of a degree-l product of classes
 that pass the edge conditions is a constant, read off at two integer points
 where no tangent weight vanishes; the two must agree.  Values at a point are
 integer dot products of the tables with the monomial values there (at a
-permuted point for s_j), and the sums stay integers over one denominator
-until the points are compared by cross-multiplication.  A product of degree
-below l integrates to 0, so a degree-k class with flow-up coordinates x
-integrates against the classes of index l - k to x M_k.  Every M_k and
-hard Lefschetz table is checked once per graph to be nonsingular
-(_checked_form): x is s_j-fixed exactly when x Q_j = x M_k, and hard
-Lefschetz on the invariants follows from that on the whole ring.  Primitive
+permuted point for s_j), kept only at the vertices of each class's support;
+s_j moves the value at v to s_j^{-1} v, since u -> s_j^{-1} u is its own
+inverse.  A sum groups the right classes by vertex once and takes a term
+only where both classes are nonzero, not at every one of the n! vertices,
+and the sums stay integers over one denominator until the points are
+compared by cross-multiplication.  A product of degree below l integrates
+to 0, so a degree-k class with flow-up coordinates x integrates against
+the classes of index l - k to x M_k.  Every M_k and hard Lefschetz table
+is checked once per graph to be nonsingular (_checked_form): x is
+s_j-fixed exactly when x Q_j = x M_k, and hard Lefschetz on the
+invariants follows from that on the whole ring.  Primitive
 kernels and Gram matrices are left kernels and congruences of the
 invariant basis times the omega tables.
 
@@ -620,27 +624,25 @@ def _monomial_values(X: tuple[int, ...], e: int) -> tuple[int, ...]:
 
 
 def _values(g: GKMGraph, k: int, tables, X: tuple[int, ...]):
-    """Value table (rows, den) at the integer point X = (t_1, ..., t_{n-1})
-    of integer classes of degree k, given as tables (den, support):
-    rows[i][u] / den is the value of the i-th class at vertex u.  Each value
-    is an integer dot product of a coefficient vector with the monomial
-    values, taken over the lcm of the classes' denominators."""
+    """Sparse value table (rows, den) at the integer point X = (t_1, ...,
+    t_{n-1}) of integer classes of degree k, given as tables (den, support):
+    rows[i] maps each vertex u of the i-th class's support to its value
+    there times den, and the class is 0 at every vertex it leaves out.  Each
+    value is an integer dot product of a coefficient vector with the
+    monomial values, taken over the lcm of the classes' denominators."""
     values = _monomial_values(X, k)
     d = lcm(*(den for den, _ in tables))
     rows = []
     for den, support in tables:
-        row = [0] * len(g.vertices)
         scale = d // den
-        for u, vec in support.items():
-            row[u] = scale * sum(map(mul, vec, values))
-        rows.append(row)
+        rows.append({u: scale * sum(map(mul, vec, values)) for u, vec in support.items()})
     return rows, d
 
 
 @_memo
 def _point_values(g: GKMGraph, k: int, point):
-    """Value table (_values) of the flow-up classes of Morse index k at
-    point, in moment order."""
+    """Sparse value table (_values) of the flow-up classes of Morse index k
+    at point, in moment order."""
     return _values(g, k, _ordinary_tables(g, k).values(), point[: g.nvars])
 
 
@@ -663,14 +665,30 @@ def _euler_weights(g: GKMGraph, point):
 
 
 def _localized_products(g: GKMGraph, left_values, right_values, point):
-    """Integer sums over one denominator, (S, d), with S / d = A diag(1/e_w) B^T
-    at one point, for the value tables (A, da) and (B, db) of two lists of
-    classes there: the localization sums of their products, with the Euler
-    classes e_w of _euler_weights, so d = da db L."""
+    """Integer sums over one denominator, (S, d), for the sparse value tables
+    (A, da) and (B, db) of two lists of classes at one point: S[c][e] / d is
+    the localization sum of the product of the c-th and e-th classes, the sum
+    over the vertices u where both are nonzero of A[c][u] B[e][u] / e_u, with
+    the Euler classes e_u of _euler_weights, so d = da db L.  The rows of B
+    are grouped by vertex once, so the sums take one term per pair of
+    entries that share a vertex, and read an Euler weight only there."""
     weights, L = _euler_weights(g, point)
     (A, da), (B, db) = left_values, right_values
-    weighted = [list(map(mul, row, weights)) for row in A]
-    return [[sum(map(mul, row, col)) for col in B] for row in weighted], da * db * L
+    at = {}
+    for e, row in enumerate(B):
+        for u, y in row.items():
+            at.setdefault(u, []).append((e, y))
+    sums = []
+    for row in A:
+        out = [0] * len(B)
+        for u, x in row.items():
+            pairs = at.get(u)
+            if pairs:
+                x *= weights[u]
+                for e, y in pairs:
+                    out[e] += x * y
+        sums.append(out)
+    return sums, da * db * L
 
 
 def _fractions(rows, d):
@@ -705,6 +723,14 @@ def _integrals(g: GKMGraph, a: int, b: int, j: int = 0, lam=None):
     k for (k, l - k, j), and an omega table for the hard Lefschetz and
     Hodge-Riemann forms.
 
+    Each entry is a localization sum over sparse value rows
+    (_localized_products), at each of the two points.  The acted row of
+    s_j . sigma_c is that of sigma_c with each vertex v moved to
+    sources[v], for sources = _dot_sources(g, j): the map u -> s_j^{-1} u
+    is its own inverse, since s_j is an involution, so the value at v
+    lands at the u with s_j^{-1} u = v.  omega is nonzero at every vertex,
+    and omega^(l-a-b) multiplies each right row on its own support.
+
     Row i of V times an omega table, for vectors V of index a, holds the
     integrals of v_i omega^(l-a-b), a class of degree l - b, against the
     classes of index b; M_(l-b) is nonsingular (checked here), so those rows
@@ -730,14 +756,14 @@ def _integrals(g: GKMGraph, a: int, b: int, j: int = 0, lam=None):
             T = _coordinates(g.n, point)
             X = tuple(T[x - 1] for x in transposition(g.n, j)[: g.nvars])
             acted, da = _values(g, a, _ordinary_tables(g, a).values(), X)
-            left = [[row[src] for src in sources] for row in acted], da
+            left = [{sources[v]: x for v, x in row.items()} for row in acted], da
         else:
             left = _point_values(g, a, point)
         rows, den = _point_values(g, b, point)
         if power:
             (omega,), _ = _values(g, 1, [_kahler_table(g, lam)], point[: g.nvars])  # denominator 1
-            weights = [x**power for x in omega]
-            rows = [list(map(mul, row, weights)) for row in rows]
+            weights = {u: x**power for u, x in omega.items()}
+            rows = [{u: y * weights[u] for u, y in row.items()} for row in rows]
         tables.append((left, (rows, den)))
     return _constant_sums(g, a, tables)
 

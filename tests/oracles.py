@@ -15,7 +15,9 @@ integer norm; randomly perturbed lifts against lift-independence of
 integration; polynomial localization integrals (the sum
 over fixed points cleared of denominators by exact linear-form divisions)
 against the library's intersection numbers, which it reads off point
-evaluations; flow-up decomposition of the polynomial dot action and of
+evaluations; dense localization sums over all n! vertices at one point
+(dense_values, dense_localized_integrals) against the library's sums over
+the vertices where both classes are nonzero; flow-up decomposition of the polynomial dot action and of
 products with omega (exact divisions by downward weights), times those
 integrals (fraction_product), against the library's dot and Lefschetz sums,
 which it reads off point-evaluated localization sums without ever writing a
@@ -56,7 +58,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import factorial, gcd, lcm
+from math import factorial, gcd, lcm, prod
 
 from hesslab import gkm
 from hesslab.dotchar import betti_rs
@@ -714,6 +716,53 @@ def invariant_vectors(g, J, k: int) -> list[list[Fraction]]:
     """Basis (flow-up coordinates) of the W_J-fixed subspace of the degree-k
     piece: the library's integer basis as Fractions."""
     return gkm._fractions(*gkm._invariant_vectors(g, gkm._subset(g, J), k))
+
+
+def dense_values(g, k: int, tables, X) -> tuple[list[list[int]], int]:
+    """Dense value table (rows, den) at the integer point X = (t_1, ...,
+    t_{n-1}) of the integer classes tables (den, support) of degree k: one
+    row of length n! per class, 0 off its support, over the lcm of the
+    denominators.  The library keeps only the support (gkm._values)."""
+    values = gkm._monomial_values(tuple(X), k)
+    d = lcm(*(den for den, _ in tables))
+    rows = []
+    for den, support in tables:
+        row = [0] * len(g.vertices)
+        for u, vec in support.items():
+            row[u] = d // den * sum(c * v for c, v in zip(vec, values))
+        rows.append(row)
+    return rows, d
+
+
+def dense_localized_integrals(g, a: int, b: int, j: int, lam, point) -> list[list[Fraction]]:
+    """The table gkm._integrals(g, a, b, j, lam) at the one point alone, as
+    Fractions, by dense sums over all n! vertices: A diag(1/e_w) B^T for
+    the dense value rows A of s_j . sigma_c (sigma_c for j = 0; the value of
+    sigma_c at s_j^{-1} u, at the point with t_j and t_(j+1) swapped) and B
+    of sigma_d omega^(l-a-b), with e_w the product of t_{w(b)} - t_{w(a)}
+    over the weight pairs at w.  No transposition: a > b is summed as given.
+    The library sums each product over the vertices where both classes are
+    nonzero (gkm._localized_products)."""
+    T = gkm._coordinates(g.n, point)
+    X = T[:-1]
+    if j:
+        w = gkm.transposition(g.n, j)
+        swapped = tuple(T[x - 1] for x in w[:-1])
+        acted, da = dense_values(g, a, gkm._ordinary_tables(g, a).values(), swapped)
+        sources = [g.vindex[gkm.compose(w, u)] for u in g.vertices]
+        A = [[row[src] for src in sources] for row in acted]
+    else:
+        A, da = dense_values(g, a, gkm._ordinary_tables(g, a).values(), X)
+    B, db = dense_values(g, b, gkm._ordinary_tables(g, b).values(), X)
+    power = g.l - a - b
+    if power:
+        (omega,), _ = dense_values(g, 1, [gkm._kahler_table(g, lam)], X)
+        B = [[y * x**power for y, x in zip(row, omega)] for row in B]
+    euler = [prod(T[wb - 1] - T[wa - 1] for wa, wb in pairs) for pairs in g.weight_pairs]
+    L = lcm(*euler)
+    weighted = [[x * (L // e) for x, e in zip(row, euler)] for row in A]
+    den = da * db * L
+    return [[Fraction(sum(x * y for x, y in zip(row, col)), den) for col in B] for row in weighted]
 
 
 def edges(g):

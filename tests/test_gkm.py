@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import itertools
+import json
 import random
 from fractions import Fraction
 from math import comb, factorial, isqrt, lcm
@@ -670,15 +671,17 @@ def test_kahler_payloads_solve_for_no_flow_up_coordinates(monkeypatch):
 
 
 def values_at_point(g, k, j, p):
-    """The value table at p of the flow-up classes sigma_c of index k, or for
-    j > 0 of s_j . sigma_c: the value of sigma_c at s_j^{-1} u, at the point
-    with t_j and t_(j+1) swapped."""
+    """The sparse value table at p of the flow-up classes sigma_c of index
+    k, or for j > 0 of s_j . sigma_c: the value of sigma_c at s_j^{-1} u, at
+    the point with t_j and t_(j+1) swapped, kept at the vertices u where
+    s_j^{-1} u lies in sigma_c's support."""
     if not j:
         return gkm._point_values(g, k, p)
     T = gkm._coordinates(g.n, p)
     X = tuple(T[x - 1] for x in gkm.transposition(g.n, j)[: g.nvars])
     rows, den = gkm._values(g, k, gkm._ordinary_tables(g, k).values(), X)
-    return [[row[src] for src in gkm._dot_sources(g, j)] for row in rows], den
+    sources = gkm._dot_sources(g, j)
+    return [{u: row[src] for u, src in enumerate(sources) if src in row} for row in rows], den
 
 
 def integrals_at_point(g, a, b, j, lam, p):
@@ -687,8 +690,20 @@ def integrals_at_point(g, a, b, j, lam, p):
     right, den = gkm._point_values(g, b, p)
     if a + b < g.l:
         (w,), _ = gkm._values(g, 1, [gkm._kahler_table(g, lam)], p[: g.nvars])
-        right = [[x * y ** (g.l - a - b) for x, y in zip(row, w)] for row in right]
+        right = [{u: x * w[u] ** (g.l - a - b) for u, x in row.items()} for row in right]
     return gkm._fractions(*gkm._localized_products(g, values_at_point(g, a, j, p), (right, den), p))
+
+
+def integral_table_keys(g):
+    """Every integral table a Kahler report at the default weight reads, as
+    (family, a, b, j, lam): M_k and Q_j at every degree k, the omega tables
+    (dd, dd) below the middle and (dd, dd - 1) of the primitive kernels."""
+    lam = default_kahler_weight(g.n)
+    keys = [("M", k, g.l - k, 0, None) for k in range(g.l + 1)]
+    keys += [("Q", k, g.l - k, j, None) for j in range(1, g.n) for k in range(g.l + 1)]
+    keys += [("omega", dd, dd, 0, lam) for dd in range((g.l + 1) // 2)]
+    keys += [("omega", dd, dd - 1, 0, lam) for dd in range(1, g.l // 2 + 1)]
+    return keys
 
 
 def test_integrals_above_the_middle_are_transposes():
@@ -710,6 +725,94 @@ def test_integrals_above_the_middle_are_transposes():
                     assert integrals_at_point(g, a, b, j, weight, p) == want, (h, a, b, j, p)
                 checked[family] += 1
     assert checked == {"M": 28, "Q": 77, "omega": 17}
+
+
+DENSE_ORACLE_FUNCTIONS = [h for n in range(2, 5) for h in enumerate_hessenberg(n)] + [
+    (2, 3, 4, 5, 5),
+    (3, 4, 5, 5, 5),
+]
+
+
+@pytest.mark.parametrize("h", DENSE_ORACLE_FUNCTIONS, ids=lambda h: "".join(map(str, h)))
+def test_sparse_sums_match_dense_localization(h):
+    # every table family, summed over the vertices where both classes are
+    # nonzero, equals the dense sum A diag(1/e_w) B^T over all n! vertices at
+    # each point on its own, and both equal the library's table
+    g = build_gkm(h)
+    for family, a, b, j, lam in integral_table_keys(g):
+        want = gkm._fractions(*gkm._integrals(g, a, b, j, lam))
+        for p in gkm.LOCALIZATION_POINTS:
+            assert oracles.dense_localized_integrals(g, a, b, j, lam, p) == want, (family, a, b, j, p)
+            assert integrals_at_point(g, a, b, j, lam, p) == want, (family, a, b, j, p)
+
+
+def test_integral_tables_pinned():
+    # every M_k, every Q_j and the default-weight omega tables of every
+    # n <= 4 function at seed 1729, one canonical JSON line per table, hashed
+    digest = hashlib.sha256()
+    tables = 0
+    for n in range(2, 5):
+        for h in enumerate_hessenberg(n):
+            g = build_gkm(h)
+            for _, a, b, j, lam in integral_table_keys(g):
+                rows, den = gkm._integrals(g, a, b, j, lam)
+                line = [list(h), a, b, j, lam and list(lam), den, rows]
+                digest.update((json.dumps(line, separators=(",", ":")) + "\n").encode())
+                tables += 1
+    assert tables == 291
+    assert digest.hexdigest() == "a9fd750cf62cb157974264f5c15565de9b6a69ae930a01e05ec9f929d84a2b88"
+
+
+def test_sparse_value_rows_cover_exactly_the_supports():
+    # each value row holds the vertices of its class's support and no other,
+    # at both points, for the flow-up classes and the ample class
+    for h in enumerate_hessenberg(4):
+        g = build_gkm(h)
+        for p in gkm.LOCALIZATION_POINTS:
+            for k in range(g.l + 1):
+                rows, _ = gkm._point_values(g, k, p)
+                supports = [support for _, support in gkm._ordinary_tables(g, k).values()]
+                assert [row.keys() for row in rows] == [support.keys() for support in supports]
+            (omega,), _ = gkm._values(g, 1, [gkm._kahler_table(g, default_kahler_weight(4))], p[: g.nvars])
+            assert omega.keys() == set(range(len(g.vertices))) and all(omega.values())
+
+
+def test_localized_products_read_weights_only_on_shared_supports(monkeypatch):
+    # an Euler weight is read only at a vertex in some left support and some
+    # right support, and the sums are those of the dense oracle
+    class RecordingWeights(list):
+        def __getitem__(self, u):
+            read.add(u)
+            return super().__getitem__(u)
+
+    euler_weights = gkm._euler_weights
+
+    def recording(g, p):
+        weights, L = euler_weights(g, p)
+        return RecordingWeights(weights), L
+
+    monkeypatch.setattr(gkm, "_euler_weights", recording)
+    for h in ((2, 3, 4, 4), (2, 3, 4, 5, 5)):
+        g = build_gkm(h)
+        p = gkm.LOCALIZATION_POINTS[0]
+        for a in range(g.l + 1):
+            left, right = gkm._point_values(g, a, p), gkm._point_values(g, g.l - a, p)
+            read = set()
+            sums = gkm._fractions(*gkm._localized_products(g, left, right, p))
+            assert read == set().union(*left[0]) & set().union(*right[0]), (h, a)
+            assert len(read) < len(g.vertices), (h, a)
+            assert sums == oracles.dense_localized_integrals(g, a, g.l - a, 0, None, p), (h, a)
+
+
+def test_dot_sources_are_involutions():
+    # u -> s_j^{-1} u is its own inverse, so an acted sparse row is the row
+    # with each vertex v moved to sources[v]
+    for n in range(2, 6):
+        g = build_gkm((n,) * n)
+        for j in range(1, n):
+            sources = gkm._dot_sources(g, j)
+            assert [sources[s] for s in sources] == list(range(len(g.vertices))), (n, j)
+            assert any(s != u for u, s in enumerate(sources)), (n, j)
 
 
 def test_kahler_report_avoids_polynomial_projection(monkeypatch):
