@@ -7,14 +7,15 @@ newline) so a fixed seed and version produce identical bytes; CSV and a
 human table mode render the same data.  Exit codes: 0 success, 1 any other
 hesslab error, 2 usage error, 3 any theorem violation.
 
-The commands test no theorem themselves: the support criterion and its
-convention live in springer.support_check, which analyze and verify both
-read, and the palindromic and Morse violation entries the two share are
-built by one helper each; verify alone also flags Betti and isotypic rows
-that are not unimodal.  Only analyze reads the cache, and it holds one
-kind of entry, the multiplicity table ("dotchar"), keyed without the seed.
-A table read from the cache passes the checks of a computed one before
-analyze reads it; every kahler verdict is computed in the run that reports it.
+The commands test no theorem themselves, and analyze and verify run the
+same per-function checks (_checks): the support criterion, whose convention
+lives in springer.support_check, palindromic regular Betti rows, unimodal
+content and isotypic rows, the boundary Betti numbers of an indecomposable
+h, and the Morse cross-check; analyze reaches n up to 12, verify up to 9.
+Only analyze reads the cache, and it holds one kind of entry, the
+multiplicity table ("dotchar"), keyed without the seed.  A table read from
+the cache passes the checks of a computed one before analyze reads it;
+every kahler verdict is computed in the run that reports it.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .gkm import DEFAULT_SEED, GRAPH_MAX_N, build_gkm, kahler_report, morse_bett
 from .hessenberg import MAX_FUNCTIONS_N, enumerate_hessenberg, hessenberg_str, is_indecomposable, parse_hessenberg
 from .linalg import det_exact
 from .partitions import MAX_ENUMERATION_N, Partition, partition_str, partitions_of, young_subgroup_content
-from .springer import generic_jordan_type, support_check, support_violations
+from .springer import generic_jordan_type, support_check
 
 CACHE_ENV = "HESSLAB_CACHE"
 
@@ -201,14 +202,47 @@ def _morse_check(h, seed: int, character: list[int]) -> tuple[list[int] | None, 
     return morse, [{"type": "gkm-betti", "h": hessenberg_str(h), "morse": morse, "character": character}]
 
 
+def _checks(h, gm, named, *, seed: int, control: bool = False):
+    """The per-function checks on the multiplicity table gm of h, shared by
+    analyze and verify: (lambda_H, allowed, morse, violations).
+
+    violations lists, in this order, a witness for each irreducible that
+    appears but fails the support criterion (springer.support_check; control
+    drops its conjugation), each J of named (pairs (_jstr(J), mu(J))) whose
+    regular Betti row is not palindromic, each content and isotypic row that
+    is not unimodal, the Betti numbers of an indecomposable h that do not
+    start and end with 1, and a Morse count that disagrees with the
+    character.  morse is None where the moment graph does not exist.
+    """
+    lam_H = generic_jordan_type(h)
+    allowed, witnesses = support_check(gm, lam_H, drop_conjugate=control)
+    violations = [
+        {
+            "type": "support",
+            "h": hessenberg_str(h),
+            "lambda": partition_str(w["lam"]),
+            "tested": partition_str(w["tested"]),
+            "lambda_H": partition_str(lam_H),
+            "total_multiplicity": w["total_multiplicity"],
+        }
+        for w in witnesses
+    ]
+    violations += _palindromic_violations(h, named, gm.betti_rows)
+    violations += _unimodal_violations(h, gm)
+    character = gm.betti()
+    if is_indecomposable(h) and (character[0] != 1 or character[-1] != 1):
+        violations.append({"type": "boundary", "h": hessenberg_str(h), "betti": character})
+    morse, disagreements = _morse_check(h, seed, character)
+    return lam_H, allowed, morse, violations + disagreements
+
+
 def analyze_report(h, *, seed: int, J=None, cache_dir=None) -> dict:
     """Assemble the full analysis of one Hessenberg function.
 
-    The violations list collects every irreducible that appears with nonzero
-    total multiplicity but fails the support criterion (springer.support_check),
-    then every non-palindromic regular Betti row, then a Morse count that
-    disagrees with the character; a correct convention leaves it empty.  The
-    "gkm" section is there exactly where the moment graph exists.
+    The table is read from the cache or computed, and every check of _checks
+    runs on it, with the palindromic check over the J reported (all J, or
+    the one given); a correct convention leaves the violations list empty.
+    The "gkm" section is there exactly where the moment graph exists.
     """
     n = len(h)
     # the multiplicities do not depend on the seed, so it is not part of their key
@@ -221,25 +255,9 @@ def analyze_report(h, *, seed: int, J=None, cache_dir=None) -> dict:
         gm = multiplicities_from_json(doc)  # checked like a computed table
         if gm.h != tuple(h):
             raise ConsistencyError(f"cached multiplicity table is for h={hessenberg_str(gm.h)}, not {hessenberg_str(h)}")
-    lam_H = generic_jordan_type(h)
-    lambda_h = partition_str(lam_H)
-    allowed, witnesses = support_check(gm, lam_H)
-    violations = [
-        {
-            "type": "support",
-            "h": hessenberg_str(h),
-            "lambda": partition_str(w["lam"]),
-            "lambda_H": lambda_h,
-            "total_multiplicity": w["total_multiplicity"],
-        }
-        for w in witnesses
-    ]
-
     named = _named_subsets(n) if J is None else ((_jstr(J), young_subgroup_content(J, n)),)
+    lam_H, allowed, morse, violations = _checks(h, gm, named, seed=seed)
     rows = gm.betti_rows
-    regular = {name: {"betti": list(rows[mu]), "palindromic": _is_palindromic(rows[mu])} for name, mu in named}
-    violations += _palindromic_violations(h, named, rows)
-
     report = {
         "command": "analyze",
         "version": __version__,
@@ -249,42 +267,23 @@ def analyze_report(h, *, seed: int, J=None, cache_dir=None) -> dict:
         "l": gm.l,
         "betti": gm.betti(),
         "mult": {partition_str(lam): list(row) for lam, row in gm.table.items()},
-        "lambda_H": lambda_h,
+        "lambda_H": partition_str(lam_H),
         "allowed": [partition_str(lam) for lam in allowed],
-        "regular": regular,
+        "regular": {name: {"betti": list(rows[mu]), "palindromic": _is_palindromic(rows[mu])} for name, mu in named},
         "violations": violations,
     }
-
-    morse, disagreements = _morse_check(h, seed, report["betti"])
     if morse is not None:
-        report["gkm"] = {"morse_betti": morse, "agrees": not disagreements}
-        violations += disagreements
+        report["gkm"] = {"morse_betti": morse, "agrees": morse == report["betti"]}
     return report
 
 
 # --- verify -----------------------------------------------------------------
 
 def _verify_one(h, *, seed: int, control: bool) -> dict:
-    """The checks of the sweep on one function, and their violation entries."""
+    """The checks of _checks on one function, over every J, and whether the
+    moment graph cross-checked it."""
     gm = dot_action_multiplicities(h)
-    violations = [
-        {
-            "type": "support",
-            "h": hessenberg_str(h),
-            "lambda": partition_str(w["lam"]),
-            "tested": partition_str(w["tested"]),
-            "lambda_H": partition_str(w["lambda_H"]),
-            "total_multiplicity": w["total_multiplicity"],
-        }
-        for w in support_violations(gm, drop_conjugate=control)
-    ]
-    violations += _palindromic_violations(h, _named_subsets(len(h)), gm.betti_rows)
-    violations += _unimodal_violations(h, gm)
-    character = gm.betti()
-    if is_indecomposable(h) and (character[0] != 1 or character[-1] != 1):
-        violations.append({"type": "boundary", "h": hessenberg_str(h), "betti": character})
-    morse, disagreements = _morse_check(h, seed, character)
-    violations += disagreements
+    _, _, morse, violations = _checks(h, gm, _named_subsets(len(h)), seed=seed, control=control)
     return {"h": hessenberg_str(h), "violations": violations, "gkm_checked": morse is not None}
 
 

@@ -232,6 +232,38 @@ def test_unimodal_violations_entry_by_entry(monkeypatch, capsys):
     rc, out, _ = run(capsys, "verify", "--n", "5")
     assert rc == 3
     assert [v for v in json.loads(out)["violations"] if v["type"] == "unimodal"] == expected
+    # analyze runs the same checks on the same table: every entry verify
+    # lists for h, in the same order, and an exit code 3
+    assert cli.analyze_report(h, seed=1729)["violations"] == result["violations"]
+    rc, out, _ = run(capsys, "analyze", "--h", "2,3,4,5,5")
+    assert rc == 3
+    assert json.loads(out)["violations"] == result["violations"]
+
+
+def test_analyze_and_verify_agree_on_every_function():
+    # one set of checks: on every function with n <= 7 analyze and verify
+    # list the same violations, none, and analyze has a gkm section exactly
+    # where verify counts the function as cross-checked
+    for n in range(2, 8):
+        for h in enumerate_hessenberg(n):
+            report = cli.analyze_report(h, seed=1729)
+            result = cli._verify_one(h, seed=1729, control=False)
+            assert report["violations"] == result["violations"] == [], h
+            assert ("gkm" in report) == result["gkm_checked"], h
+
+
+def test_analyze_and_verify_bytes_pinned():
+    # the JSON, CSV and table renderings of analyze on every function with
+    # n <= 7, then of verify for n <= 8 without and with the convention
+    # control, the version masked: one sha256 over them all
+    digest = hashlib.sha256()
+    reports = [cli.analyze_report(h, seed=1729) for n in range(2, 8) for h in enumerate_hessenberg(n)]
+    reports += [cli.verify_report(n, seed=1729, control=control) for n in range(2, 9) for control in (False, True)]
+    assert len(reports) == 624 + 14
+    for report in reports:
+        for fmt in ("json", "csv", "table"):
+            digest.update(cli.render({**report, "version": ""}, fmt).encode())
+    assert digest.hexdigest() == "fd9ec08b14236f93fbdd3489cd133ee3c21822573aa90e81ea2f43a0432f0850"
 
 
 def test_verify_bounds(capsys):
@@ -261,6 +293,7 @@ def test_exit_code_3_on_violation(capsys, monkeypatch):
             "h": "2,3,3",
             "lambda": "3",
             "lambda_H": "2,1",
+            "tested": "3",
             "total_multiplicity": 4,
         }
     ]
@@ -270,7 +303,7 @@ def test_exit_code_3_on_violation(capsys, monkeypatch):
 def test_one_support_convention_for_analyze_and_verify(capsys, monkeypatch):
     # springer owns the convention: with its conjugate broken, verify finds
     # exactly what the convention-control run finds with it intact, and
-    # analyze reports the same hexagon witness
+    # analyze reports the same hexagon witness, entry for entry
     rc, control, _ = run(capsys, "verify", "--n", "3", "--convention-control")
     assert rc == 0
     monkeypatch.setattr("hesslab.springer._with_conjugates", unconjugated)
@@ -280,7 +313,7 @@ def test_one_support_convention_for_analyze_and_verify(capsys, monkeypatch):
     assert violations == json.loads(control)["violations"]
     assert [v["h"] for v in violations] == ["1,3,3", "2,2,3", "2,3,3", "3,3,3"]
     (hexagon,) = [v for v in violations if v["h"] == "2,3,3"]
-    assert hexagon.pop("tested") == "3"
+    assert hexagon["tested"] == "3"
     rc, out, _ = run(capsys, "analyze", "--h", "2,3,3")
     assert rc == 3
     assert json.loads(out)["violations"] == [hexagon]
