@@ -65,9 +65,14 @@ invariant basis times the omega tables.
 
 Every matrix on the way from the per-graph tables to a Kahler verdict is
 integer rows over one positive denominator, (rows, den): the tables, the
-W_J-invariant bases (linalg's integer nullspace of the stacked
-(Q_j - M_k)^T), and their exact products (_matmul, which divides out the
-content of each product).  The signature of a Gram matrix comes from
+W_J-invariant bases, and their exact products (_matmul, which divides out
+the content of each product).  The basis of degree k is the kernel of the
+stacked (Q_j - M_k)^T over j in J, read off their integer RREF.  That RREF
+is kept per (J, k) and built from the one of J without its last generator,
+continued (linalg's _continued_rref) with the rows of that generator alone,
+so no J eliminates its prefix's rows again, and the new rows reduce against
+sparse RREF rows; the RREF is unique, so the basis is the one a single
+elimination of the whole stack gives.  The signature of a Gram matrix comes from
 linalg's fraction-free congruence pass.  Fractions are built only where a
 value leaves the module: the public bases and pairing matrices, and the
 recorded Hodge-Riemann pivots.
@@ -86,7 +91,15 @@ from operator import add, mul, sub
 from .dotchar import betti_rs, regular_betti
 from .errors import ConsistencyError, TheoremViolation
 from .hessenberg import check_hessenberg, dimension
-from .linalg import _integer_echelon, _integer_inertia, _integer_nullspace, _integer_rref, rank_exact
+from .linalg import (
+    _continued_rref,
+    _integer_echelon,
+    _integer_inertia,
+    _integer_nullspace,
+    _integer_rref,
+    _rref_kernel,
+    rank_exact,
+)
 
 DEFAULT_SEED = 1729
 GRAPH_MAX_N = 5
@@ -538,19 +551,30 @@ def _subset(g: GKMGraph, J) -> tuple[int, ...]:
 @_memo
 def _invariant_vectors(g: GKMGraph, J: tuple[int, ...], k: int):
     """The W_J-fixed basis in flow-up coordinates, as integer rows over one
-    denominator (rows, den), one vector per free column.
+    denominator (rows, den), one vector per free column of _invariant_rref.
 
     s_j . x has coordinates x S_j for the matrix S_j of s_j, and its
     integrals against the flow-up classes of index l - k are x S_j M_k =
     x Q_j, with Q_j = _integrals(g, k, l - k, j).  M_k is nonsingular, so x
     is s_j-fixed exactly when x Q_j = x M_k: the basis is the nullspace of
-    the stacked (Q_j - M_k)^T."""
+    the stacked (Q_j - M_k)^T over j in J."""
+    M, _ = _checked_form(g, k, g.l - k)
+    return _rref_kernel(_invariant_rref(g, J, k), len(M))
+
+
+@_memo
+def _invariant_rref(g: GKMGraph, J: tuple[int, ...], k: int):
+    """The RREF {pivot column: integer row} of the stacked (Q_j - M_k)^T
+    over j in J: empty for J = (), else the RREF of J without its last
+    generator, continued with the rows of the last one alone.  A sweep over
+    J in shortlex order finds every prefix memoized, and the RREF is
+    unique, so the kernel is the stacked one's, byte for byte."""
+    if not J:
+        return {}
     M, dm = _checked_form(g, k, g.l - k)
-    rows = []
-    for j in J:
-        Q, dq = _integrals(g, k, g.l - k, j)
-        rows += _transpose([[q * dm - m * dq for q, m in zip(qr, mr)] for qr, mr in zip(Q, M)])
-    return _integer_nullspace(rows, len(M))
+    Q, dq = _integrals(g, k, g.l - k, J[-1])
+    rows = _transpose([[q * dm - m * dq for q, m in zip(qr, mr)] for qr, mr in zip(Q, M)])
+    return _continued_rref(_invariant_rref(g, J[:-1], k), rows)
 
 
 def invariant_subring(g: GKMGraph, J) -> list[list[list[Fraction]]]:

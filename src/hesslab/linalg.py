@@ -3,9 +3,9 @@
 Elimination has one kernel, `_integer_echelon`, and it runs on Python
 integers.  Rows are sparse {column: value} dicts (dense sequences are
 accepted and read as their nonzero entries) of int or Fraction entries.  Each
-incoming row is scaled to a primitive integer row: times the lcm of its
-denominators (a row of ints has none), then divided by the gcd of its
-entries.  It is reduced on its leading column against the pivot rows found
+incoming row is scaled to a primitive integer row: divided by the gcd of its
+entries, after a row holding a Fraction is multiplied by the lcm of its
+denominators.  It is reduced on its leading column against the pivot rows found
 so far, fraction-free: with
 a = r[lead], p = prow[lead] and g = gcd(a, p), r <- (p/g) r - (a/g) prow, and
 the gcd of the result is divided out, which keeps the integers from growing
@@ -13,12 +13,18 @@ the gcd of the result is divided out, which keeps the integers from growing
 the leading column is new the row becomes a pivot row, kept primitive, else
 nothing is left.  That is an echelon form of the row space, so its pivot
 columns are exactly the pivot columns of the reduced row echelon form (RREF);
-`_integer_rref` gets the RREF from it by one integer back pass.  Each row is
+`_continued_rref` gets the RREF from it by one integer back pass.  Each row is
 a rational multiple of the row a Fraction elimination would hold, so dividing
 by the pivot, done only where rows or values leave the module, gives the same
 rows with the same Fraction entries.  `rank_exact` and `_integer_nullspace`
 run on this kernel.  The RREF is unique, so with free variables set to 0 their
-answers are the ones dense Gauss-Jordan gives.  The moment graph hands
+answers are the ones dense Gauss-Jordan gives.  For the same reason an RREF
+can be continued: `_continued_rref` takes the RREF of some rows, whose rows
+enter as pivot rows with no elimination, and reduces more rows against them,
+so the RREF of a stack of blocks grows one block at a time and each stage can
+be kept and shared; `_rref_kernel` reads a kernel basis off any stage, and
+`_integer_nullspace` is the one-stage case.  The moment graph continues the
+RREF of the W_J-invariance rows one generator of J at a time.  It hands
 `_integer_rref` one local flow-up system per vertex and Morse index that a
 class reaches, the integer divisibility rows of its edges down with one
 right-hand-side column per class, so no Fraction enters those
@@ -32,7 +38,7 @@ its square intersection and Lefschetz tables nonsingular by the length of
 
 The dense helpers serve the small pairing and Gram matrices of the Kahler
 checks, and each runs on integers over one positive denominator, (rows, d)
-for the matrix rows / d: `_integer_nullspace` returns its basis in that form,
+for the matrix rows / d: `_rref_kernel` returns its basis in that form,
 `_integer_inertia` reads the signature and the leading pivots of a symmetric
 matrix off one fraction-free congruence pass, and `det_exact` is Bareiss
 elimination on the matrix over one denominator.  Fractions are built only
@@ -52,23 +58,20 @@ def _entries(row):
 
 def _primitive(row) -> dict[int, int]:
     """A dict or dense row of int or Fraction entries as a fresh primitive
-    integer {column: value} dict: its nonzero entries times the lcm of their
-    denominators, divided by the gcd of the products.  A row of ints alone
-    needs no denominators."""
+    integer {column: value} dict: its nonzero entries divided by their gcd.
+    A row holding a Fraction (gcd refuses it) is first multiplied by the lcm
+    of its denominators."""
     r = {c: v for c, v in _entries(row) if v}
-    if not all(type(v) is int for v in r.values()):
+    try:
+        g = gcd(*r.values())
+    except TypeError:
         d = lcm(*(v.denominator for v in r.values()))
         r = {c: v.numerator * (d // v.denominator) for c, v in r.items()}
-    _divide_content(r)
-    return r
-
-
-def _divide_content(r: dict[int, int]) -> None:
-    """Divide an integer row by the gcd of its entries, in place."""
-    g = gcd(*r.values())
+        g = gcd(*r.values())
     if g > 1:
         for c in r:
             r[c] //= g
+    return r
 
 
 def _eliminate(r: dict[int, int], col: int, prow: dict[int, int]) -> None:
@@ -92,18 +95,22 @@ def _eliminate(r: dict[int, int], col: int, prow: dict[int, int]) -> None:
             r[c] = x
         else:
             del r[c]
-    _divide_content(r)
+    g = gcd(*r.values())
+    if g > 1:
+        for c in r:
+            r[c] //= g
 
 
-def _integer_echelon(rows, stop=None) -> dict[int, dict[int, int]]:
+def _integer_echelon(rows, stop=None, prefix=None) -> dict[int, dict[int, int]]:
     """Echelon form as {pivot column: primitive integer row}; each row is 0
     left of its pivot column.  The input rows are not modified.
 
     With stop = (width, rank), rank >= 1, reading ends at the row that makes
     the rank-th pivot left of column width; rows may be an iterator, and the
-    rows it still holds are unread."""
+    rows it still holds are unread.  prefix, an echelon form of other rows,
+    holds the first pivot rows; it and its rows are not modified."""
     width, rank = stop or (0, 0)
-    pivots: dict[int, dict[int, int]] = {}
+    pivots: dict[int, dict[int, int]] = dict(prefix or {})
     for row in rows:
         r = _primitive(row)
         while r:
@@ -120,43 +127,64 @@ def _integer_echelon(rows, stop=None) -> dict[int, dict[int, int]]:
     return pivots
 
 
-def _integer_rref(rows, stop=None):
-    """(pivot_columns ascending, {pivot column: integer row}): every row is 0
-    at the other pivot columns, so divided by its pivot it is an RREF row.
-    stop is `_integer_echelon`'s: the RREF is then that of the rows read."""
-    ech = _integer_echelon(rows, stop)
-    pivots = sorted(ech)
+def _continued_rref(prefix, rows, stop=None) -> dict[int, dict[int, int]]:
+    """The RREF of prefix's rows and rows together, as {pivot column: integer
+    row}: every row is 0 at the other pivot columns, so divided by its pivot
+    it is an RREF row.  prefix is such an RREF of other rows (empty for none);
+    it and its rows are not modified.  stop is `_integer_echelon`'s: the RREF
+    is then that of the rows read.
+
+    prefix's rows enter as pivots with no elimination, since each is 0 at the
+    others' pivot columns, and rows reduce against them.  The RREF of a row
+    space is unique, so continuing the RREF of a prefix of the rows gives
+    the RREF of all of them at once, row for row up to sign."""
+    ech = _integer_echelon(rows, stop, prefix)
     # Right to left: the pivot rows right of col are already reduced, so
-    # eliminating them clears every other pivot column in one pass.
-    for col in reversed(pivots):
+    # eliminating them clears every other pivot column in one pass.  A row of
+    # prefix is copied before it changes.
+    for col in sorted(ech, reverse=True):
         r = ech[col]
-        for c in [c for c in r if c != col and c in ech]:
+        cols = [c for c in r if c != col and c in ech]
+        if cols and col in prefix:
+            r = ech[col] = dict(r)
+        for c in cols:
             _eliminate(r, c, ech[c])
-    return pivots, ech
+    return ech
+
+
+def _integer_rref(rows, stop=None):
+    """(pivot_columns ascending, {pivot column: integer row}), the
+    `_continued_rref` of rows alone."""
+    red = _continued_rref({}, rows, stop)
+    return sorted(red), red
 
 
 def rank_exact(rows) -> int:
     return len(_integer_echelon(rows))
 
 
-def _integer_nullspace(rows, ncols: int) -> tuple[list[list[int]], int]:
-    """Basis of the rational kernel as integer rows over one positive
-    denominator (basis, d): one vector per free column, 1 there and 0 at the
-    other free columns, read off `_integer_rref`; d is the lcm of the
-    pivots."""
-    pivots, red = _integer_rref(rows)
-    d = lcm(*(red[pcol][pcol] for pcol in pivots))
+def _rref_kernel(red, ncols: int) -> tuple[list[list[int]], int]:
+    """Basis of the rational kernel of an RREF {pivot column: integer row} in
+    ncols columns, as integer rows over one positive denominator (basis, d):
+    one vector per free column, 1 there and 0 at the other free columns; d is
+    the lcm of the pivots."""
+    d = lcm(*(prow[pcol] for pcol, prow in red.items()))
     basis = []
     for fc in range(ncols):
         if fc in red:
             continue
         v = [0] * ncols
         v[fc] = d
-        for pcol in pivots:
-            prow = red[pcol]
+        for pcol, prow in red.items():
             v[pcol] = -prow.get(fc, 0) * (d // prow[pcol])
         basis.append(v)
     return basis, d
+
+
+def _integer_nullspace(rows, ncols: int) -> tuple[list[list[int]], int]:
+    """Basis of the rational kernel of rows in ncols columns, (basis, d) as
+    `_rref_kernel` reads it off their RREF."""
+    return _rref_kernel(_continued_rref({}, rows), ncols)
 
 
 def _over_one_denominator(matrix) -> tuple[list[list[int]], int]:

@@ -25,8 +25,10 @@ class in flow-up coordinates; and, for the Kahler forms the library reads
 off those per-graph tables, one polynomial integral or projection of
 freshly lifted products per entry.  The library's linear algebra runs on
 integers; echelon and row_reduce read its echelon form and RREF as Fraction
-rows, and fraction_inertia is the Fraction congruence pass its integer one
-replaced.
+rows, fraction_inertia is the Fraction congruence pass its integer one
+replaced, and stacked_invariant_vectors, one nullspace of the stacked
+(Q_j - M_k)^T of every generator, is the W_J-invariant basis the library
+now reads off the RREF of J without its last generator, continued.
 The library keeps every class as an integer table (one denominator, one
 coefficient vector per vertex).  The polynomial class algebra it replaced
 lives here: Poly, sparse polynomials over the rationals in t_1..t_{n-1} with
@@ -716,6 +718,19 @@ def invariant_vectors(g, J, k: int) -> list[list[Fraction]]:
     """Basis (flow-up coordinates) of the W_J-fixed subspace of the degree-k
     piece: the library's integer basis as Fractions."""
     return gkm._fractions(*gkm._invariant_vectors(g, gkm._subset(g, J), k))
+
+
+def stacked_invariant_vectors(g, J, k: int) -> tuple[list[list[int]], int]:
+    """The W_J-fixed basis of the degree-k piece as (basis, d), the
+    nullspace of the stacked (Q_j - M_k)^T of every j in J in one
+    elimination, against the library's continuation of the RREF of J
+    without its last generator."""
+    M, dm = gkm._checked_form(g, k, g.l - k)
+    rows = []
+    for j in gkm._subset(g, J):
+        Q, dq = gkm._integrals(g, k, g.l - k, j)
+        rows += transpose([[q * dm - m * dq for q, m in zip(qr, mr)] for qr, mr in zip(Q, M)])
+    return _integer_nullspace(rows, len(M))
 
 
 def dense_values(g, k: int, tables, X) -> tuple[list[list[int]], int]:

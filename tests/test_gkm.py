@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import importlib
 import itertools
@@ -668,6 +669,52 @@ def test_kahler_payloads_solve_for_no_flow_up_coordinates(monkeypatch):
 
     monkeypatch.setattr(gkm, "_integer_rref", refuse)
     assert [kahler_payload(g, J) for J in all_parabolic_subsets(4)] == want
+
+
+INVARIANT_ORACLE_FUNCTIONS = [*N4_FUNCTIONS, (2, 3, 4, 5, 5), (3, 4, 5, 5, 5)]
+
+
+@pytest.mark.parametrize("h", INVARIANT_ORACLE_FUNCTIONS, ids=str)
+def test_invariant_kernels_match_the_stacked_nullspace(h):
+    # the kernel read off the continued RREF of J without its last generator
+    # is the stacked nullspace's basis, d included, whether a fresh graph is
+    # asked for the largest J first (every prefix cold) or in shortlex order
+    # (every prefix memoized)
+    subsets = all_parabolic_subsets(len(h))
+    for order in (subsets[::-1], subsets):
+        g = build_gkm(h)
+        for J in order:
+            for k in range(g.l + 1):
+                assert gkm._invariant_vectors(g, J, k) == oracles.stacked_invariant_vectors(g, J, k), (J, k)
+
+
+def test_invariant_rref_continues_its_prefix_unmodified(monkeypatch):
+    # a later J reads its prefix's memoized RREF as it stands, leaves it
+    # unchanged, and hands the kernel only the N rows of its last generator
+    g = build_gkm((2, 3, 4, 4))
+    for k in range(g.l + 1):
+        gkm._invariant_vectors(g, (1, 2), k)
+    memo = g._caches["_invariant_rref"]
+    before = copy.deepcopy(memo)
+    continued = gkm._continued_rref
+    seen = []
+
+    def record(prefix, rows):
+        rows = list(rows)
+        seen.append((prefix, rows))
+        return continued(prefix, rows)
+
+    monkeypatch.setattr(gkm, "_continued_rref", record)
+    for k in range(g.l + 1):
+        gkm._invariant_vectors(g, (1, 2, 3), k)
+    assert len(seen) == g.l + 1
+    for k, (prefix, rows) in enumerate(seen):
+        assert prefix is memo[((1, 2), k)]
+        M, dm = gkm._integrals(g, k, g.l - k)
+        Q, dq = gkm._integrals(g, k, g.l - k, 3)
+        assert rows == oracles.transpose([[q * dm - m * dq for q, m in zip(qr, mr)] for qr, mr in zip(Q, M)])
+        assert len(rows) == len(M)
+    assert {key: memo[key] for key in before} == before
 
 
 def values_at_point(g, k, j, p):

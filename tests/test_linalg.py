@@ -11,6 +11,8 @@ are fixed by the RREF, so the kernel must reproduce them exactly, on random
 sparse rational matrices and on the local flow-up systems of the moment
 graph's upward sweep, one per vertex and index; each flow-up class must be
 the dense solution of its own vertex's system in the global column order.
+`_continued_rref`, an RREF grown one block of rows at a time, must be the
+RREF of all the rows read and leave every earlier stage unchanged.
 `_integer_inertia` (through `oracles.inertia`, which puts a rational matrix
 over one denominator) is checked against Descartes' rule of signs on the
 exact characteristic polynomial, against ratios of leading principal
@@ -18,6 +20,7 @@ minors, and against `oracles.fraction_inertia`, the Fraction congruence pass
 it replaced; `det_exact` against the Leibniz expansion.
 """
 
+import copy
 import itertools
 import random
 import sys
@@ -29,7 +32,15 @@ from hesslab import gkm
 from hesslab.errors import ConsistencyError
 from hesslab.gkm import build_gkm, flow_up_class, monomials
 from hesslab.hessenberg import dimension, enumerate_hessenberg
-from hesslab.linalg import _integer_inertia, _integer_nullspace, _integer_rref, det_exact, rank_exact
+from hesslab.linalg import (
+    _continued_rref,
+    _integer_inertia,
+    _integer_nullspace,
+    _integer_rref,
+    _rref_kernel,
+    det_exact,
+    rank_exact,
+)
 import oracles
 from oracles import echelon, fraction_inertia, inertia, norm_poly, nullspace, row_reduce, solve_particular
 
@@ -284,6 +295,54 @@ def test_integer_nullspace_is_the_basis_over_one_denominator(name):
     assert all(type(x) is int for v in basis for x in v)
     dense_rows = [[Fraction(x) for x in dense(r, ncols)] for r in rows]
     assert [[Fraction(x, d) for x in v] for v in basis] == dense_nullspace(dense_rows, ncols)
+
+
+def continued_pieces(rows, cuts):
+    """The RREFs of rows[:c] for every cut c, each continued from the one
+    before with the rows between, and deep copies of them taken on the way."""
+    reds, copies, start, red = [], [], 0, {}
+    for cut in cuts:
+        red = _continued_rref(red, rows[start:cut])
+        reds.append(red)
+        copies.append(copy.deepcopy(red))
+        start = cut
+    return reds, copies
+
+
+def assert_rref_of(red, rows, ncols):
+    """red is the RREF of rows: the same pivots and each row the same
+    primitive integer row up to sign as `_integer_rref` gives, so the same
+    kernel byte for byte."""
+    pivots, want = _integer_rref(rows)
+    assert sorted(red) == pivots
+    assert all(red[c] in (want[c], {i: -x for i, x in want[c].items()}) for c in pivots)
+    assert _rref_kernel(red, ncols) == _integer_nullspace(rows, ncols)
+
+
+@pytest.mark.parametrize("nrows,ncols", SHAPES)
+def test_continued_rref_is_the_rref_of_all_rows(nrows, ncols):
+    # the RREF of a row space is unique, so continuing the RREF of the first
+    # rows with the rest gives the RREF of all of them; no RREF that was
+    # continued changes
+    rng = random.Random(f"continued:{nrows}x{ncols}")
+    for trial in range(20):
+        rows = random_matrix(rng, nrows, ncols, (0.15, 0.4, 0.8)[trial % 3])
+        if trial % 2:
+            rows = as_dicts(rows)
+        cuts = sorted(rng.sample(range(nrows + 1), min(nrows + 1, 3)))
+        if cuts[-1] != nrows:
+            cuts.append(nrows)
+        reds, copies = continued_pieces(rows, cuts)
+        assert_rref_of(reds[-1], rows, ncols)
+        assert reds == copies
+
+
+@pytest.mark.parametrize("name", KERNEL_FIXTURES)
+def test_continued_rref_on_fixtures_one_row_at_a_time(name):
+    rows = KERNEL_FIXTURES[name]
+    reds, copies = continued_pieces(rows, range(1, len(rows) + 1))
+    assert_rref_of(reds[-1], rows, fixture_ncols(rows))
+    assert reds == copies
 
 
 def flowup_eliminations(h, monkeypatch):
