@@ -30,7 +30,6 @@ import os
 import sys
 import tempfile
 import time
-from fractions import Fraction
 from functools import cache
 
 from . import __version__
@@ -41,7 +40,7 @@ from .dotchar import (  # regular_betti stays importable from here: hessbench's 
     regular_betti,
 )
 from .errors import ConsistencyError, HesslabError, TheoremViolation
-from .gkm import DEFAULT_SEED, GRAPH_MAX_N, build_gkm, kahler_report, morse_betti, poincare_pairing
+from .gkm import DEFAULT_SEED, GRAPH_MAX_N, _pairing, build_gkm, kahler_report, morse_betti
 from .hessenberg import MAX_FUNCTIONS_N, enumerate_hessenberg, hessenberg_str, is_indecomposable, parse_hessenberg
 from .linalg import det_exact
 from .partitions import MAX_ENUMERATION_N, Partition, partition_str, partitions_of, young_subgroup_content
@@ -51,16 +50,12 @@ CACHE_ENV = "HESSLAB_CACHE"
 
 
 def canonical_json(obj) -> str:
-    """Sorted keys, compact separators, trailing newline; fractions become
-    'p/q' strings and tuples lists.  Dict keys must be strings: json would
-    sort other keys by value, not by their strings."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_fraction_str) + "\n"
-
-
-def _fraction_str(obj) -> str:
-    if isinstance(obj, Fraction):
-        return str(obj)
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+    """Sorted keys, compact separators, trailing newline; tuples become
+    lists.  Every value must be JSON already: a rational is written as its
+    string where a report records it, and anything else (a Fraction, a set)
+    raises TypeError.  Dict keys must be strings: json would sort other keys
+    by value, not by their strings."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _jstr(J) -> str:
@@ -314,12 +309,15 @@ def verify_report(n: int, *, seed: int, indecomposable_only: bool = False, contr
 # --- kahler -----------------------------------------------------------------
 
 def kahler_payload(g, J=(), lam=None) -> dict:
-    """kahler_report on g as JSON-safe data, with pairing determinants for the
-    audit trail."""
+    """kahler_report on g, with the determinant of each nondegenerate pairing
+    for the audit trail, read off the memoized integer pairing and written
+    as its string."""
     payload = kahler_report(g, J, lam)  # a new dict on every call
+    J = tuple(payload["J"])
     for k_str, entry in payload["poincare"].items():
         if entry["nondegenerate"]:
-            entry["det"] = str(det_exact(poincare_pairing(g, int(k_str), J)))
+            rows, den, _ = _pairing(g, int(k_str), J)
+            entry["det"] = str(det_exact(rows, den))
     return payload
 
 

@@ -74,8 +74,9 @@ so no J eliminates its prefix's rows again, and the new rows reduce against
 sparse RREF rows; the RREF is unique, so the basis is the one a single
 elimination of the whole stack gives.  The signature of a Gram matrix comes from
 linalg's fraction-free congruence pass.  Fractions are built only where a
-value leaves the module: the public bases and pairing matrices, and the
-recorded Hodge-Riemann pivots.
+value leaves the module: the public bases and pairing matrices, read off
+the integer ones on each call, and the recorded Hodge-Riemann pivots.  The
+command surface reads a pairing's determinant off its integer rows too.
 """
 
 from __future__ import annotations
@@ -799,16 +800,13 @@ def poincare_pairing(g: GKMGraph, k: int, J=()):
     W_J-invariant basis vectors; it is read off the per-graph intersection
     matrix of flow-up classes (point-evaluated) as A M B^T, and is independent
     of the lifts because the ambiguity integrates to negative degree.  Raises
-    TheoremViolation if the pairing is singular, on every call; a nonsingular
-    matrix is memoized per (k, J) and returned as the same object.
+    TheoremViolation if the pairing is singular, on every call.  The integer
+    pairing (_pairing) is memoized per (k, J); each call returns a new
+    Fraction matrix read off it.
     """
     if k % 2 or not 0 <= k <= 2 * g.l:
         raise ValueError(f"need an even degree within 0..{2 * g.l}, got {k}")
-    return _poincare_pairing(g, k, _subset(g, J))
-
-
-@_memo
-def _poincare_pairing(g: GKMGraph, k: int, J: tuple[int, ...]):
+    J = _subset(g, J)
     rows, den, rank = _pairing(g, k, J)
     if rank != len(rows):
         raise TheoremViolation(

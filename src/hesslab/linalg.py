@@ -40,9 +40,10 @@ The dense helpers serve the small pairing and Gram matrices of the Kahler
 checks, and each runs on integers over one positive denominator, (rows, d)
 for the matrix rows / d: `_rref_kernel` returns its basis in that form,
 `_integer_inertia` reads the signature and the leading pivots of a symmetric
-matrix off one fraction-free congruence pass, and `det_exact` is Bareiss
-elimination on the matrix over one denominator.  Fractions are built only
-where a value leaves the module: the recorded pivots and the determinant.
+matrix off one fraction-free congruence pass, and `det_exact` runs Bareiss
+elimination on the integer rows.  A rational matrix reaches them only in
+that form, so each Fraction is built where a value leaves the module: one
+per recorded pivot and one per determinant.
 """
 
 from __future__ import annotations
@@ -187,13 +188,6 @@ def _integer_nullspace(rows, ncols: int) -> tuple[list[list[int]], int]:
     return _rref_kernel(_continued_rref({}, rows), ncols)
 
 
-def _over_one_denominator(matrix) -> tuple[list[list[int]], int]:
-    """A matrix of int or Fraction entries as integer rows over one positive
-    denominator (rows, d), d the lcm of the entries' denominators."""
-    d = lcm(*(x.denominator for row in matrix for x in row))
-    return [[x.numerator * (d // x.denominator) for x in row] for row in matrix], d
-
-
 def _integer_inertia(A, d: int):
     """(signature, pivots) of the symmetric matrix A / d, for integer rows A
     and an integer d > 0.
@@ -255,15 +249,16 @@ def _integer_inertia(A, d: int):
     return (pos, neg, zero), pivots
 
 
-def det_exact(matrix) -> Fraction:
-    """Determinant of a square rational matrix.  Over one denominator d it is
-    det(A) / d^n, and det(A) comes from fraction-free Bareiss elimination
-    with row swaps: every division by the previous pivot is exact, and the
-    last pivot is det(A) up to the swaps' sign."""
-    n = len(matrix)
-    if any(len(row) != n for row in matrix):
+def det_exact(A, d: int) -> Fraction:
+    """Determinant of the square matrix A / d, for integer rows A and an
+    integer d > 0: det(A) / d^n, and det(A) comes from fraction-free Bareiss
+    elimination with row swaps: every division by the previous pivot is
+    exact, and the last pivot is det(A) up to the swaps' sign.  A and its
+    rows are not modified."""
+    n = len(A)
+    if any(len(row) != n for row in A):
         raise ValueError("determinant needs a square matrix")
-    A, d = _over_one_denominator(matrix)
+    A = list(A)
     sign, prev = 1, 1
     for c in range(n):
         piv = next((r for r in range(c, n) if A[r][c]), None)

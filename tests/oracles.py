@@ -49,7 +49,8 @@ expansion as plain {partition: int} dicts, against colorings at q = 1;
 q_int and q_factorial; and the explicit annihilator pattern (a frozenset of
 positions) and incomparability graph of h, which the library reads through
 h itself.  nullspace and inertia are Fraction wrappers over the library's
-integer kernels `_integer_nullspace` and `_integer_inertia`.  sanitize
+integer kernels `_integer_nullspace` and `_integer_inertia`, the latter
+through `_over_one_denominator`, which also feeds `det_exact`.  sanitize
 makes a report JSON-safe by a deep walk (fractions to strings, tuples to
 lists, keys to strings) against the library's JSON writer, which must give
 the same bytes.
@@ -73,7 +74,6 @@ from hesslab.linalg import (
     _integer_inertia,
     _integer_nullspace,
     _integer_rref,
-    _over_one_denominator,
     rank_exact,
 )
 from hesslab.partitions import Partition, check_partition, conjugate, partitions_of
@@ -953,6 +953,14 @@ def nullspace(rows, ncols: int) -> list[list[Fraction]]:
     column, read off the kernel's `_integer_nullspace`."""
     basis, d = _integer_nullspace(rows, ncols)
     return [[Fraction(x, d) for x in v] for v in basis]
+
+
+def _over_one_denominator(matrix) -> tuple[list[list[int]], int]:
+    """A matrix of int or Fraction entries as integer rows over one positive
+    denominator (rows, d), d the lcm of the entries' denominators: the form
+    in which `_integer_inertia` and `det_exact` take a rational matrix."""
+    d = lcm(*(x.denominator for row in matrix for x in row))
+    return [[x.numerator * (d // x.denominator) for x in row] for row in matrix], d
 
 
 def inertia(G):

@@ -6,12 +6,11 @@ import math
 import re
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from hesslab import __version__, cli, dotchar
+from hesslab import __version__, cli, dotchar, gkm
 from hesslab.cli import canonical_json, main
 from hesslab.dotchar import GradedMultiplicity, multiplicities_json
 from hesslab.gkm import GRAPH_MAX_N, build_gkm, kahler_report
@@ -418,6 +417,17 @@ def test_kahler_custom_lambda(capsys):
     assert report["verdicts"]["all"] is True
 
 
+def test_kahler_theorem_violation_writes_the_witness(monkeypatch, capsys):
+    # a planted wrong character prediction: main exits 3 and writes the
+    # canonical witness document, whose h, a tuple in the witness, is a list
+    monkeypatch.setattr(gkm, "regular_betti", lambda h, J: [1, 3, 2])
+    rc, out, err = run(capsys, "kahler", "--h", "2,3,3", "--J", "1")
+    assert rc == 3 and err == ""
+    detail = "invariant dimensions [1, 3, 1] != character prediction [1, 3, 2] for h=(2, 3, 3), J=[1]"
+    witness = {"h": [2, 3, 3], "J": [1], "gkm_dims": [1, 3, 1], "character": [1, 3, 2]}
+    assert out == canonical_json({"error": "theorem-violation", "detail": detail, "witness": witness})
+
+
 def test_kahler_usage_errors(capsys):
     cases = [
         ["kahler", "--h", "2,3,4,5,6,6"],  # beyond the moment graph
@@ -575,11 +585,10 @@ def string_keys(obj) -> bool:
 
 
 def test_render_matches_the_sanitizing_walk():
-    # canonical_json writes fractions as 'p/q' and tuples as lists itself; on
-    # every analyze and verify report for n = 2..6 and every kahler report for
-    # n <= 4 it gives the bytes of the deep walk it replaced.  json sorts int
-    # keys by value where the walk sorted their strings, so every key must be
-    # a str.
+    # canonical_json writes tuples as lists itself; on every analyze and
+    # verify report for n = 2..6 and every kahler report for n <= 4 it gives
+    # the bytes of the deep walk it replaced.  json sorts int keys by value
+    # where the walk sorted their strings, so every key must be a str.
     reports = [cli.analyze_report(h, seed=7) for n in range(2, 7) for h in enumerate_hessenberg(n)]
     reports += [cli.verify_report(n, seed=7) for n in range(2, 7)]
     reports += [
@@ -593,7 +602,6 @@ def test_render_matches_the_sanitizing_walk():
         assert string_keys(report)
         walked = json.dumps(oracles.sanitize(report), sort_keys=True, separators=(",", ":")) + "\n"
         assert cli.render(report, "json") == walked
-    assert canonical_json({"b": (1, Fraction(-2, 6)), "a": [Fraction(4, 2)]}) == '{"a":["2"],"b":[1,"-1/3"]}\n'
     with pytest.raises(TypeError, match="set is not JSON serializable"):
         canonical_json({"a": {1}})
 

@@ -294,7 +294,9 @@ def test_kahler_reports_agree_with_the_vertex_solved_basis():
                 assert strip_pivots(new) == strip_pivots(was)
                 if g.l % 2 == 0 and new["poincare"][str(g.l)]["nondegenerate"]:
                     middle += 1
-                    ratio = det_exact(poincare_pairing(g, g.l, J)) / det_exact(poincare_pairing(old, g.l, J))
+                    rows, den, _ = gkm._pairing(g, g.l, J)
+                    was_rows, was_den, _ = gkm._pairing(old, g.l, J)
+                    ratio = det_exact(rows, den) / det_exact(was_rows, was_den)
                     assert ratio > 0
                     assert all(isqrt(x) ** 2 == x for x in (ratio.numerator, ratio.denominator))
     assert middle == 66
@@ -490,7 +492,7 @@ def test_pairing_memoized_unless_singular(monkeypatch):
     # degree 1 and 2 check M_1 and M_2 (the transpose of M_1) nonsingular
     first = poincare_pairing(g, 2, (1, 3))
     assert first and calls == [1, 2]
-    assert poincare_pairing(g, 2, [3, 1, 3]) is first
+    assert poincare_pairing(g, 2, [3, 1, 3]) == first
     assert calls == [1, 2]
 
     # a singular pairing raises on every call; its intersection matrix, and
@@ -1032,6 +1034,18 @@ def test_kahler_report_builds_fractions_only_for_pivots_and_pairings():
     pairings = sum(entry["size"] ** 2 for entry in report["poincare"].values())
     _, made = count_fractions(lambda: [poincare_pairing(g, int(k), (1,)) for k in report["poincare"]])
     assert pairings and len(made) == pairings
+
+
+def test_kahler_payload_builds_fractions_only_for_pivots_and_determinants():
+    # the payload reads each determinant off the memoized integer pairing:
+    # past the report's pivots, one Fraction per recorded determinant and no
+    # pairing entry as a Fraction
+    g = build_gkm((2, 3, 4, 4))
+    kahler_report(g, ())
+    payload, made = count_fractions(lambda: kahler_payload(g, (1,)))
+    dets = sum("det" in entry for entry in payload["poincare"].values())
+    assert dets == len(payload["poincare"])
+    assert hodge_riemann_pivots(payload) and len(made) == hodge_riemann_pivots(payload) + dets
 
 
 def test_first_kahler_report_builds_fractions_only_for_pivots():

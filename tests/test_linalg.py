@@ -17,7 +17,8 @@ RREF of all the rows read and leave every earlier stage unchanged.
 over one denominator) is checked against Descartes' rule of signs on the
 exact characteristic polynomial, against ratios of leading principal
 minors, and against `oracles.fraction_inertia`, the Fraction congruence pass
-it replaced; `det_exact` against the Leibniz expansion.
+it replaced; `det_exact`, on a rational matrix put over one denominator by
+`oracles._over_one_denominator`, against the Leibniz expansion.
 """
 
 import copy
@@ -751,16 +752,16 @@ def test_det_exact_matches_leibniz(kind):
     for trial in range(30):
         n = 1 + trial % 6
         A = random_symmetric(rng, n, kind)
-        assert det_exact(A) == leibniz_det(A), A
+        assert det_exact(*oracles._over_one_denominator(A)) == leibniz_det(A), A
     # not only symmetric input, and rational entries
     for n in range(1, 6):
         A = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
-        assert det_exact(A) == leibniz_det(A)
+        assert det_exact(*oracles._over_one_denominator(A)) == leibniz_det(A)
 
 
 def test_det_exact_edge_cases():
-    assert det_exact([]) == 1
-    assert det_exact([[0, 1], [1, 0]]) == -1
-    assert type(det_exact([[2]])) is Fraction
+    assert det_exact([], 1) == 1
+    assert det_exact([[0, 1], [1, 0]], 1) == -1
+    assert type(det_exact([[2]], 1)) is Fraction
     with pytest.raises(ValueError):
-        det_exact([[1, 2]])
+        det_exact([[1, 2]], 1)
